@@ -1,35 +1,47 @@
-// Serving-runtime benchmark: throughput and latency of the sharded
-// serve::ControllerServer under open-loop (request flood) and closed-loop
-// (plant-in-the-loop clients) traffic, swept over micro-batch size, worker
-// count, dispatcher count, and MPMC queue shards — plus a simulated
-// million-client open-loop run that floods deliberately small shard rings
-// and proves the admission accounting exact (accepted + shed + rejected ==
-// submitted, client-side tallies == server counters).
+// Serving-runtime benchmark: throughput and latency of
+// serve::ControllerServer, plus an exact-accounting admission flood.
+//
+//   flood            a fixed request count with kWindow requests in flight,
+//                    sent by 1 or 2 submitter threads that each keep their
+//                    share of the window outstanding and spin on their
+//                    oldest answer.  Batches fill, so the server's own work
+//                    sets the rate, not the linger.  Swept over
+//                    num_dispatchers in {1, 2, 4} at the default batch size
+//                    and linger; every answer is checked bitwise against
+//                    act_reference.  The admission bound (D x 1024) exceeds
+//                    the window, so a flood never sheds.  This mirrors the
+//                    job of the repository benchmark's `serve` workload
+//                    (perfbench/src/serve.cpp); keep the two in step.
+//   closed-loop      plant-in-the-loop clients at the default config: each
+//                    client waits for every action before it steps, so the
+//                    rate is linger-bound.
+//   admission-flood  `--flood` simulated clients against deliberately tiny
+//                    rings (2 dispatchers x 128 slots = an admission bound
+//                    of 256), so load shedding genuinely happens.
+//
+// The process exits nonzero unless every flood answer equals act_reference
+// bitwise and the admission flood's accounting is exact (accepted + shed +
+// rejected == submitted, server counters == client tallies).
 //
 // Self-contained and cold-cache friendly: the served network is a synthetic
-// student on the Van der Pol plant with an LQR fallback, so no trained
-// artifacts are needed.  Reported per configuration: QPS (total and
-// per-dispatcher), p50/p99/p999 latency, shed rate, and the
-// primary/fallback/batch counters.  Answers are bitwise independent of the
-// configuration (the serving determinism contract), so the sweep measures
-// cost only.
+// κ*-shaped student (2→24→1 tanh) on the Van der Pol plant with an LQR
+// fallback, so no trained artifacts are needed.  Every run writes a
+// machine-readable BENCH_serve.json (--out=PATH) that records nproc and the
+// build type; the Release CI job uploads it next to BENCH_micro.json.
 //
-// Like bench_micro, every run leaves a machine-readable trajectory point
-// (default BENCH_serve.json, --out=<path>) that the Release CI job uploads
-// as an artifact.  NOTE on scaling curves: QPS-vs-dispatchers wall-clock
-// curves are meaningful on multi-core hardware only — on a single-core
-// host the dispatcher fan-out is confirmed by the exact per-shard counters
-// and CPU-time splits, not by wall-clock speedup.
-//
-// Usage: bench_serve [--requests N] [--clients C] [--steps T]
-//                    [--flood N] [--out=PATH]
+// Usage: bench_serve [--requests N] [--clients C] [--steps T] [--flood N]
+//                    [--out=PATH]
 //        bench_serve --smoke        (tiny counts; the CI Release smoke run)
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <future>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -47,60 +59,98 @@
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
+#ifndef COCKTAIL_BUILD_TYPE
+#define COCKTAIL_BUILD_TYPE "unknown"
+#endif
+
 namespace {
 
 using namespace cocktail;
 
+const char* const kName = "vdp";
+/// Flood requests in flight, over all submitters.
+constexpr std::size_t kWindow = 1000;
+/// Distinct request states; request i asks for states[i % kStatePool].
+constexpr std::size_t kStatePool = 4096;
+
 struct Options {
-  int requests = 20000;   ///< open-loop requests per configuration.
-  int clients = 8;        ///< concurrent submitter threads.
+  long requests = 50000;  ///< flood requests per run.
+  int repeats = 9;        ///< flood runs per point; the median is reported.
+  int clients = 8;        ///< closed-loop clients.
   int steps = 200;        ///< closed-loop plant steps per client.
-  long flood = 1000000;   ///< simulated clients in the admission-flood run.
+  long flood = 1000000;   ///< simulated clients in the admission flood.
 };
 
-struct SweepPoint {
-  std::size_t max_batch;
-  int num_workers;
-  long linger_us;
-  std::size_t num_dispatchers;
-  std::size_t num_shards;
-};
-
-struct Measured {
-  double seconds = 0.0;
-  serve::ServeCounters counters;
-  std::vector<double> latencies_us;  ///< sorted after measure().
-
-  [[nodiscard]] double qps() const {
-    return seconds > 0.0 ? static_cast<double>(latencies_us.size()) / seconds
-                         : 0.0;
+/// The served controller, its request states and their reference answers.
+struct Fixture {
+  Fixture()
+      : student(make_student()),
+        fallback(std::make_shared<ctrl::LqrController>(
+            ctrl::LqrController::synthesize(vdp, 1.0, 0.5))),
+        monitor(serve::SafetyMonitor::inside_box(vdp.safe_region(), 0.05)) {
+    util::Rng rng(424242);
+    const sys::Box sampling = vdp.sampling_region();
+    const auto server = start({});
+    for (std::size_t k = 0; k < kStatePool; ++k) {
+      states.push_back(sampling.sample(rng));
+      reference.push_back(server->act_reference(kName, states.back()));
+    }
   }
-  [[nodiscard]] double percentile(double p) const {
-    if (latencies_us.empty()) return 0.0;
-    const auto rank = static_cast<std::size_t>(
-        p * static_cast<double>(latencies_us.size() - 1));
-    return latencies_us[rank];
+
+  static std::shared_ptr<const ctrl::NnController> make_student() {
+    nn::Mlp net = nn::Mlp::make(2, {24}, 1, nn::Activation::kTanh,
+                                nn::Activation::kIdentity, 7);
+    return std::make_shared<const ctrl::NnController>(std::move(net),
+                                                      la::Vec{1.0}, "k*");
   }
+
+  [[nodiscard]] std::unique_ptr<serve::ControllerServer> start(
+      const serve::ServeConfig& config) const {
+    auto server = std::make_unique<serve::ControllerServer>(config);
+    server->register_controller(kName, student, fallback, monitor);
+    return server;
+  }
+
+  sys::VanDerPol vdp;
+  std::shared_ptr<const ctrl::NnController> student;
+  ctrl::ControllerPtr fallback;
+  serve::SafetyMonitor monitor;
+  std::vector<la::Vec> states;
+  std::vector<la::Vec> reference;  ///< act_reference(states[i]).
 };
 
-/// One row of BENCH_serve.json: a sweep point (or the flood run) with its
-/// measured throughput/latency/admission numbers.
-struct TrajectoryRow {
-  std::string name;
+bool same_bits(const la::Vec& a, const la::Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// One measured configuration: a flood point, the closed loop, or the
+/// admission flood.
+struct Row {
   std::string mode;
-  SweepPoint point{};
-  long requests = 0;
-  double seconds = 0.0;
-  double qps = 0.0;
+  int submitters = 0;
+  serve::ServeConfig config;
+  long requests = 0;  ///< submitted per run.
+  int repeats = 1;
+  double seconds = 0.0;  ///< of the median run.
+  double qps = 0.0;      ///< answers per second, median over the repeats.
+  double qps_min = 0.0;
+  double qps_max = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
   double p999_us = 0.0;
-  serve::ServeCounters counters;
+  serve::ServeCounters counters;  ///< of the median run.
+  long mismatches = 0;  ///< answers that are not act_reference, all runs.
+  long failed = 0;      ///< requests shed or failed, all runs.
 
-  [[nodiscard]] double qps_per_dispatcher() const {
-    return point.num_dispatchers > 0
-               ? qps / static_cast<double>(point.num_dispatchers)
-               : qps;
+  [[nodiscard]] std::string name() const {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s/s%d_d%zu_b%zu_l%lld_q%zu",
+                  mode.c_str(), submitters, config.num_dispatchers,
+                  config.max_batch,
+                  static_cast<long long>(config.max_wait.count()),
+                  config.queue_capacity);
+    return buf;
   }
   [[nodiscard]] double shed_rate() const {
     const double submitted = static_cast<double>(
@@ -108,85 +158,122 @@ struct TrajectoryRow {
     return submitted > 0.0 ? static_cast<double>(counters.shed) / submitted
                            : 0.0;
   }
+  [[nodiscard]] double rows_per_batch() const {
+    return counters.batches > 0 ? static_cast<double>(counters.primary) /
+                                      static_cast<double>(counters.batches)
+                                : 0.0;
+  }
 };
 
-serve::ServeConfig make_config(const SweepPoint& point) {
-  serve::ServeConfig config;
-  config.max_batch = point.max_batch;
-  config.num_workers = point.num_workers;
-  config.max_wait = std::chrono::microseconds(point.linger_us);
-  config.num_dispatchers = point.num_dispatchers;
-  config.num_shards = point.num_shards;
-  return config;
+/// Accept→answer quantiles from the server's own latency histogram.
+void server_latency(serve::ControllerServer& server, Row& row) {
+  for (const auto& h : server.metrics().snapshot().histograms) {
+    if (h.name == std::string("serve.") + kName + ".latency_us") {
+      row.p50_us = h.q.p50_us;
+      row.p99_us = h.q.p99_us;
+      row.p999_us = h.q.p999_us;
+    }
+  }
 }
 
-std::shared_ptr<const ctrl::NnController> make_student() {
-  nn::Mlp net = nn::Mlp::make(2, {24}, 1, nn::Activation::kTanh,
-                              nn::Activation::kIdentity, 7);
-  return std::make_shared<const ctrl::NnController>(std::move(net),
-                                                    la::Vec{1.0}, "k*");
-}
+/// One flood run on a fresh server (started and stopped outside the timed
+/// part).  Submitter t sends requests t, t + S, t + 2S, ... with at most
+/// kWindow / S of them unanswered, waiting on its oldest answer by
+/// spinning rather than sleeping until a dispatcher wakes it.
+Row flood_once(const Fixture& fx, std::size_t dispatchers, int submitters,
+               long requests) {
+  Row row;
+  row.mode = "flood";
+  row.submitters = submitters;
+  row.config.num_dispatchers = dispatchers;
+  row.requests = requests;
+  const auto server = fx.start(row.config);
 
-void register_vdp(serve::ControllerServer& server, const sys::VanDerPol& vdp) {
-  server.register_controller(
-      "vdp", make_student(),
-      std::make_shared<ctrl::LqrController>(
-          ctrl::LqrController::synthesize(vdp, 1.0, 0.5)),
-      serve::SafetyMonitor::inside_box(vdp.safe_region(), 0.05));
-}
-
-/// Request flood: `clients` threads submit pre-sampled states as fast as
-/// the server accepts them; latency is submit()→get() per request.
-Measured open_loop(const Options& options, const SweepPoint& point) {
-  const sys::VanDerPol vdp;
-  serve::ControllerServer server(make_config(point));
-  register_vdp(server, vdp);
-
-  util::Rng rng(424242);
-  std::vector<la::Vec> states;
-  states.reserve(static_cast<std::size_t>(options.requests));
-  const sys::Box sampling = vdp.sampling_region();
-  for (int k = 0; k < options.requests; ++k)
-    states.push_back(sampling.sample(rng));
-
-  Measured measured;
-  std::vector<std::vector<double>> per_client(
-      static_cast<std::size_t>(options.clients));
-  util::Stopwatch timer;
+  struct Slot {
+    std::future<la::Vec> future;
+    std::size_t state = 0;
+  };
+  const auto s = static_cast<std::size_t>(submitters);
+  const std::size_t window = std::max<std::size_t>(1, kWindow / s);
+  std::vector<long> mismatches(s, 0), failed(s, 0);
+  std::atomic<bool> go{false};
   std::vector<std::thread> threads;
-  for (int c = 0; c < options.clients; ++c) {
-    threads.emplace_back([&, c] {
-      auto& latencies = per_client[static_cast<std::size_t>(c)];
-      for (std::size_t i = static_cast<std::size_t>(c); i < states.size();
-           i += static_cast<std::size_t>(options.clients)) {
-        const auto start = std::chrono::steady_clock::now();
-        la::Vec action = server.submit("vdp", states[i]).get();
-        const auto stop = std::chrono::steady_clock::now();
-        (void)action;
-        latencies.push_back(
-            std::chrono::duration<double, std::micro>(stop - start).count());
+  for (std::size_t t = 0; t < s; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Slot> ring(window);
+      const auto collect = [&](Slot& slot) {
+        while (slot.future.wait_for(std::chrono::seconds(0)) !=
+               std::future_status::ready) {
+        }
+        try {
+          if (!same_bits(slot.future.get(), fx.reference[slot.state]))
+            ++mismatches[t];
+        } catch (...) {
+          ++failed[t];
+        }
+      };
+      while (!go.load()) {
       }
+      std::size_t sent = 0;
+      for (auto i = static_cast<long>(t); i < requests;
+           i += static_cast<long>(s), ++sent) {
+        Slot& slot = ring[sent % window];
+        if (sent >= window) collect(slot);
+        slot.state = static_cast<std::size_t>(i) % kStatePool;
+        slot.future = server->submit(kName, fx.states[slot.state]);
+      }
+      for (std::size_t k = sent > window ? sent - window : 0; k < sent; ++k)
+        collect(ring[k % window]);
     });
   }
+  util::Stopwatch timer;
+  go.store(true);
   for (auto& thread : threads) thread.join();
-  measured.seconds = timer.seconds();
-  measured.counters = server.counters("vdp");
-  for (auto& latencies : per_client)
-    measured.latencies_us.insert(measured.latencies_us.end(),
-                                 latencies.begin(), latencies.end());
-  std::sort(measured.latencies_us.begin(), measured.latencies_us.end());
-  return measured;
+  row.seconds = timer.seconds();
+
+  server->drain();
+  row.counters = server->counters(kName);
+  server_latency(*server, row);
+  for (std::size_t t = 0; t < s; ++t) {
+    row.mismatches += mismatches[t];
+    row.failed += failed[t];
+  }
+  row.qps = static_cast<double>(requests - row.failed) / row.seconds;
+  row.qps_min = row.qps_max = row.qps;
+  return row;
+}
+
+/// `repeats` flood runs of one point; reports the median-QPS run with the
+/// QPS range and the mismatch/failure totals of all runs.
+Row flood_point(const Fixture& fx, const Options& options,
+                std::size_t dispatchers, int submitters) {
+  std::vector<Row> runs;
+  for (int r = 0; r < options.repeats; ++r)
+    runs.push_back(flood_once(fx, dispatchers, submitters, options.requests));
+  std::sort(runs.begin(), runs.end(),
+            [](const Row& a, const Row& b) { return a.qps < b.qps; });
+  Row row = runs[runs.size() / 2];
+  row.repeats = options.repeats;
+  row.qps_min = runs.front().qps;
+  row.qps_max = runs.back().qps;
+  row.mismatches = 0;
+  row.failed = 0;
+  for (const Row& run : runs) {
+    row.mismatches += run.mismatches;
+    row.failed += run.failed;
+  }
+  return row;
 }
 
 /// Plant-in-the-loop: each client simulates its own Van der Pol episode and
 /// must wait for the served action before it can step — the serving pattern
-/// where latency, not throughput, gates control quality.
-Measured closed_loop(const Options& options, const SweepPoint& point) {
-  const sys::VanDerPol vdp;
-  serve::ControllerServer server(make_config(point));
-  register_vdp(server, vdp);
+/// where latency, not throughput, gates control quality.  Default config.
+Row closed_loop(const Fixture& fx, const Options& options) {
+  Row row;
+  row.mode = "closed-loop";
+  row.submitters = options.clients;
+  const auto server = fx.start(row.config);
 
-  Measured measured;
   std::vector<std::vector<double>> per_client(
       static_cast<std::size_t>(options.clients));
   util::Stopwatch timer;
@@ -194,56 +281,63 @@ Measured closed_loop(const Options& options, const SweepPoint& point) {
   for (int c = 0; c < options.clients; ++c) {
     threads.emplace_back([&, c] {
       util::Rng rng(7000 + static_cast<std::uint64_t>(c));
-      la::Vec s = vdp.sample_initial_state(rng);
+      la::Vec s = fx.vdp.sample_initial_state(rng);
       auto& latencies = per_client[static_cast<std::size_t>(c)];
       for (int t = 0; t < options.steps; ++t) {
         const auto start = std::chrono::steady_clock::now();
-        const la::Vec u = server.submit("vdp", s).get();
+        const la::Vec u = server->submit(kName, s).get();
         const auto stop = std::chrono::steady_clock::now();
         latencies.push_back(
             std::chrono::duration<double, std::micro>(stop - start).count());
-        s = vdp.step(s, vdp.clip_control(u), vdp.sample_disturbance(rng));
-        if (!vdp.is_safe(s)) s = vdp.sample_initial_state(rng);
+        s = fx.vdp.step(s, fx.vdp.clip_control(u),
+                        fx.vdp.sample_disturbance(rng));
+        if (!fx.vdp.is_safe(s)) s = fx.vdp.sample_initial_state(rng);
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  measured.seconds = timer.seconds();
-  measured.counters = server.counters("vdp");
-  for (auto& latencies : per_client)
-    measured.latencies_us.insert(measured.latencies_us.end(),
-                                 latencies.begin(), latencies.end());
-  std::sort(measured.latencies_us.begin(), measured.latencies_us.end());
-  return measured;
+  row.seconds = timer.seconds();
+  row.counters = server->counters(kName);
+
+  std::vector<double> latencies;
+  for (const auto& client : per_client)
+    latencies.insert(latencies.end(), client.begin(), client.end());
+  std::sort(latencies.begin(), latencies.end());
+  const auto percentile = [&](double p) {
+    return latencies[static_cast<std::size_t>(
+        p * static_cast<double>(latencies.size() - 1))];
+  };
+  row.requests = static_cast<long>(latencies.size());
+  row.qps = row.qps_min = row.qps_max =
+      static_cast<double>(latencies.size()) / row.seconds;
+  row.p50_us = percentile(0.50);
+  row.p99_us = percentile(0.99);
+  row.p999_us = percentile(0.999);
+  return row;
 }
 
 /// The simulated million-client admission flood: `flood` logical clients
 /// (one request each) are multiplexed over `clients` submitter threads
-/// against deliberately tiny shard rings, so load shedding genuinely
-/// happens.  Each thread keeps a bounded window of outstanding futures —
-/// submission never waits on an answer, which is what makes the run
-/// open-loop — and tallies answered/shed client-side.  Returns false (and
-/// prints why) if the admission accounting is not exact: every submission
-/// must land in exactly one of {accepted, shed, rejected}, the client-side
-/// tallies must equal the server counters, and the per-shard breakdown must
-/// sum to the totals.  Latency quantiles come from the server's own
-/// MetricsRegistry histogram (accept→answer), not client buffers — a
-/// million latencies would be measurement ballast.
-bool admission_flood(const Options& options, TrajectoryRow& row) {
-  const sys::VanDerPol vdp;
-  serve::ServeConfig config;
-  config.max_batch = 32;
-  config.max_wait = std::chrono::microseconds(0);
-  config.num_workers = 1;
-  config.num_dispatchers = 2;
-  config.num_shards = 4;
-  config.shard_capacity = 64;  // tiny rings: the flood must shed.
-  serve::ControllerServer server(config);
-  register_vdp(server, vdp);
+/// against deliberately tiny rings, so load shedding genuinely happens.
+/// Each thread keeps a bounded window of outstanding futures — submission
+/// never waits on an answer — and tallies answered/shed client-side.
+/// Returns false (and prints why) if the admission accounting is not exact:
+/// every submission must land in exactly one of {accepted, shed, rejected}
+/// and the client-side tallies must equal the server counters.  Latency
+/// quantiles come from the server's own histogram (accept→answer), not
+/// client buffers — a million latencies would be measurement ballast.
+bool admission_flood(const Fixture& fx, const Options& options, Row& row) {
+  row.mode = "admission-flood";
+  row.submitters = options.clients;
+  row.config.max_batch = 32;
+  row.config.max_wait = std::chrono::microseconds(0);
+  row.config.num_dispatchers = 2;
+  row.config.queue_capacity = 128;  // tiny rings: the flood must shed.
+  const auto server = fx.start(row.config);
 
   const long total = options.flood;
   const int threads_n = options.clients;
-  constexpr std::size_t kWindow = 256;  // outstanding futures per thread.
+  constexpr std::size_t kClientWindow = 256;  // outstanding per thread.
 
   std::vector<long> answered(static_cast<std::size_t>(threads_n), 0);
   std::vector<long> shed(static_cast<std::size_t>(threads_n), 0);
@@ -253,18 +347,11 @@ bool admission_flood(const Options& options, TrajectoryRow& row) {
   std::vector<std::thread> threads;
   for (int c = 0; c < threads_n; ++c) {
     threads.emplace_back([&, c] {
-      const std::size_t tc = static_cast<std::size_t>(c);
-      // Each logical client submits one state; states cycle a small
-      // per-thread pool so the run costs RNG time once, not per request.
-      util::Rng rng(990000 + static_cast<std::uint64_t>(c));
-      const sys::Box sampling = vdp.sampling_region();
-      std::vector<la::Vec> states;
-      for (int k = 0; k < 64; ++k) states.push_back(sampling.sample(rng));
-
+      const auto tc = static_cast<std::size_t>(c);
       const long share = total / threads_n +
                          (c < static_cast<int>(total % threads_n) ? 1 : 0);
       std::vector<std::future<la::Vec>> window;
-      window.reserve(kWindow);
+      window.reserve(kClientWindow);
       const auto settle = [&] {
         for (auto& future : window) {
           try {
@@ -277,129 +364,102 @@ bool admission_flood(const Options& options, TrajectoryRow& row) {
         window.clear();
       };
       for (long k = 0; k < share; ++k) {
-        window.push_back(
-            server.submit("vdp", states[static_cast<std::size_t>(k) % 64]));
+        const auto state = static_cast<std::size_t>(k * threads_n + c);
+        window.push_back(server->submit(kName, fx.states[state % kStatePool]));
         ++submitted[tc];
-        if (window.size() == kWindow) settle();
+        if (window.size() == kClientWindow) settle();
       }
       settle();
     });
   }
   for (auto& thread : threads) thread.join();
-  server.drain();
+  server->drain();
   row.seconds = timer.seconds();
 
   long client_answered = 0, client_shed = 0, client_submitted = 0;
-  for (int c = 0; c < threads_n; ++c) {
-    client_answered += answered[static_cast<std::size_t>(c)];
-    client_shed += shed[static_cast<std::size_t>(c)];
-    client_submitted += submitted[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < static_cast<std::size_t>(threads_n); ++c) {
+    client_answered += answered[c];
+    client_shed += shed[c];
+    client_submitted += submitted[c];
   }
-  row.counters = server.counters("vdp");
+  row.counters = server->counters(kName);
   row.requests = client_submitted;
-  row.qps = row.seconds > 0.0
-                ? static_cast<double>(client_answered) / row.seconds
-                : 0.0;
-  row.point = {config.max_batch, config.num_workers, 0,
-               config.num_dispatchers, config.num_shards};
-
-  // Accept→answer latency from the serving tier's own metrics registry.
-  const serve::MetricsSnapshot snap = server.metrics().snapshot();
-  for (const auto& h : snap.histograms) {
-    if (h.name == "serve.vdp.latency_us") {
-      row.p50_us = h.q.p50_us;
-      row.p99_us = h.q.p99_us;
-      row.p999_us = h.q.p999_us;
-    }
-  }
+  row.failed = client_shed;
+  row.qps = row.qps_min = row.qps_max =
+      static_cast<double>(client_answered) / row.seconds;
+  server_latency(*server, row);
 
   // Exactness: the whole point of the run.
   bool exact = true;
   const auto check = [&exact](bool ok, const char* what, long lhs, long rhs) {
     if (!ok) {
-      std::fprintf(stderr, "admission-flood accounting VIOLATION: %s (%ld vs %ld)\n",
+      std::fprintf(stderr,
+                   "admission-flood accounting VIOLATION: %s (%ld vs %ld)\n",
                    what, lhs, rhs);
       exact = false;
     }
   };
-  const long server_submitted = static_cast<long>(
-      row.counters.accepted + row.counters.shed + row.counters.rejected);
+  const auto& c = row.counters;
+  const auto server_submitted =
+      static_cast<long>(c.accepted + c.shed + c.rejected);
   check(client_submitted == total, "submitted == requested flood",
         client_submitted, total);
   check(server_submitted == client_submitted,
         "accepted + shed + rejected == submitted", server_submitted,
         client_submitted);
-  check(static_cast<long>(row.counters.accepted) == client_answered,
-        "server accepted == client answered",
-        static_cast<long>(row.counters.accepted), client_answered);
-  check(static_cast<long>(row.counters.shed) == client_shed,
-        "server shed == client shed", static_cast<long>(row.counters.shed),
-        client_shed);
-  check(row.counters.rejected == 0, "no shutdown rejections before stop()",
-        static_cast<long>(row.counters.rejected), 0);
-  check(static_cast<long>(row.counters.primary + row.counters.fallback) ==
-            client_answered,
-        "primary + fallback == answered",
-        static_cast<long>(row.counters.primary + row.counters.fallback),
+  check(static_cast<long>(c.accepted) == client_answered,
+        "server accepted == client answered", static_cast<long>(c.accepted),
         client_answered);
-  long by_shard_accepted = 0, by_shard_shed = 0;
-  for (const auto& shard : row.counters.shards) {
-    by_shard_accepted += static_cast<long>(shard.accepted);
-    by_shard_shed += static_cast<long>(shard.shed);
-  }
-  check(by_shard_accepted == static_cast<long>(row.counters.accepted),
-        "per-shard accepted sums to total", by_shard_accepted,
-        static_cast<long>(row.counters.accepted));
-  check(by_shard_shed == static_cast<long>(row.counters.shed),
-        "per-shard shed sums to total", by_shard_shed,
-        static_cast<long>(row.counters.shed));
+  check(static_cast<long>(c.shed) == client_shed, "server shed == client shed",
+        static_cast<long>(c.shed), client_shed);
+  check(c.rejected == 0, "no shutdown rejections before stop()",
+        static_cast<long>(c.rejected), 0);
+  check(static_cast<long>(c.primary + c.fallback) == client_answered,
+        "primary + fallback == answered",
+        static_cast<long>(c.primary + c.fallback), client_answered);
   return exact;
 }
 
-std::string point_name(const char* mode, const SweepPoint& point) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s/b%zu_w%d_l%ld_d%zu_s%zu", mode,
-                point.max_batch, point.num_workers, point.linger_us,
-                point.num_dispatchers, point.num_shards);
-  return buf;
-}
-
-TrajectoryRow report(util::CsvWriter& csv, const char* mode,
-                     const SweepPoint& point, const Measured& measured) {
-  TrajectoryRow row;
-  row.name = point_name(mode, point);
-  row.mode = mode;
-  row.point = point;
-  row.requests = static_cast<long>(measured.latencies_us.size());
-  row.seconds = measured.seconds;
-  row.qps = measured.qps();
-  row.p50_us = measured.percentile(0.50);
-  row.p99_us = measured.percentile(0.99);
-  row.p999_us = measured.percentile(0.999);
-  row.counters = measured.counters;
-  std::printf("%-11s %6zu %7d %8ld %5zu %6zu %11.0f %11.0f %9.1f %9.1f %9.1f %7llu %8llu\n",
-              mode, point.max_batch, point.num_workers, point.linger_us,
-              point.num_dispatchers, point.num_shards, row.qps,
-              row.qps_per_dispatcher(), row.p50_us, row.p99_us, row.p999_us,
-              static_cast<unsigned long long>(row.counters.fallback),
-              static_cast<unsigned long long>(row.counters.batches));
-  csv.row_text({mode, std::to_string(point.max_batch),
-                std::to_string(point.num_workers),
-                std::to_string(point.linger_us),
-                std::to_string(point.num_dispatchers),
-                std::to_string(point.num_shards),
-                util::format_number(row.qps),
-                util::format_number(row.qps_per_dispatcher()),
+void report(util::CsvWriter& csv, const Row& row) {
+  std::printf(
+      "%-15s %4d %4zu %5zu %6lld %8ld %10.0f %10.0f %10.0f %8.1f %8.1f "
+      "%8.1f %6.1f %7llu %7llu %6ld\n",
+      row.mode.c_str(), row.submitters, row.config.num_dispatchers,
+      row.config.max_batch,
+      static_cast<long long>(row.config.max_wait.count()), row.requests,
+      row.qps, row.qps_min, row.qps_max, row.p50_us, row.p99_us, row.p999_us,
+      row.rows_per_batch(),
+      static_cast<unsigned long long>(row.counters.fallback),
+      static_cast<unsigned long long>(row.counters.shed), row.mismatches);
+  csv.row_text({row.mode, std::to_string(row.submitters),
+                std::to_string(row.config.num_dispatchers),
+                std::to_string(row.config.max_batch),
+                std::to_string(row.config.max_wait.count()),
+                std::to_string(row.config.queue_capacity),
+                std::to_string(row.requests), std::to_string(row.repeats),
+                util::format_number(row.qps), util::format_number(row.qps_min),
+                util::format_number(row.qps_max),
                 util::format_number(row.p50_us),
                 util::format_number(row.p99_us),
                 util::format_number(row.p999_us),
+                util::format_number(row.rows_per_batch()),
                 util::format_number(row.shed_rate()),
                 std::to_string(row.counters.fallback),
-                std::to_string(row.counters.batches)});
-  return row;
+                std::to_string(row.counters.batches),
+                std::to_string(row.mismatches)});
 }
 
-void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
+/// Median flood QPS of the point with `submitters` and `dispatchers`.
+double flood_qps(const std::vector<Row>& rows, int submitters,
+                 std::size_t dispatchers) {
+  for (const Row& row : rows)
+    if (row.mode == "flood" && row.submitters == submitters &&
+        row.config.num_dispatchers == dispatchers)
+      return row.qps;
+  return 0.0;
+}
+
+void write_json(const std::vector<Row>& rows, bool smoke, bool answers_exact,
                 bool flood_exact, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
@@ -407,49 +467,53 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
     return;
   }
   out.precision(12);
-  out << "{\n  \"bench\": \"bench_serve\",\n  \"schema_version\": 1,\n"
+  out << "{\n  \"bench\": \"bench_serve\",\n  \"schema_version\": 2,\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"sweep\": [\n";
+      << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"build_type\": \"" << COCKTAIL_BUILD_TYPE << "\",\n"
+      << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const TrajectoryRow& row = rows[i];
-    out << "    {\"name\": \"" << row.name << "\", \"mode\": \"" << row.mode
-        << "\", \"max_batch\": " << row.point.max_batch
-        << ", \"num_workers\": " << row.point.num_workers
-        << ", \"linger_us\": " << row.point.linger_us
-        << ", \"num_dispatchers\": " << row.point.num_dispatchers
-        << ", \"num_shards\": " << row.point.num_shards
+    const Row& row = rows[i];
+    out << "    {\"name\": \"" << row.name() << "\", \"mode\": \"" << row.mode
+        << "\", \"submitters\": " << row.submitters
+        << ", \"num_dispatchers\": " << row.config.num_dispatchers
+        << ", \"max_batch\": " << row.config.max_batch
+        << ", \"linger_us\": " << row.config.max_wait.count()
+        << ", \"queue_capacity\": " << row.config.queue_capacity
         << ", \"requests\": " << row.requests
-        << ", \"seconds\": " << row.seconds
-        << ", \"qps\": " << row.qps
-        << ", \"qps_per_dispatcher\": " << row.qps_per_dispatcher()
-        << ", \"p50_us\": " << row.p50_us
-        << ", \"p99_us\": " << row.p99_us
-        << ", \"p999_us\": " << row.p999_us
+        << ", \"repeats\": " << row.repeats
+        << ", \"seconds\": " << row.seconds << ", \"qps\": " << row.qps
+        << ", \"qps_min\": " << row.qps_min
+        << ", \"qps_max\": " << row.qps_max << ", \"p50_us\": " << row.p50_us
+        << ", \"p99_us\": " << row.p99_us << ", \"p999_us\": " << row.p999_us
+        << ", \"rows_per_batch\": " << row.rows_per_batch()
         << ", \"shed_rate\": " << row.shed_rate()
         << ", \"accepted\": " << row.counters.accepted
         << ", \"shed\": " << row.counters.shed
         << ", \"rejected\": " << row.counters.rejected
         << ", \"fallback\": " << row.counters.fallback
         << ", \"batches\": " << row.counters.batches
-        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+        << ", \"mismatches\": " << row.mismatches << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"derived\": {";
-  // Headline numbers: best open/closed-loop QPS over the sweep, the flood
-  // run's shed rate, and whether its exact-accounting invariant held
-  // (1 = exact; the process also exits nonzero when it does not).
-  double open_peak = 0.0, closed_peak = 0.0;
-  const TrajectoryRow* flood = nullptr;
-  for (const TrajectoryRow& row : rows) {
-    if (row.mode == "open-loop") open_peak = std::max(open_peak, row.qps);
-    if (row.mode == "closed-loop") closed_peak = std::max(closed_peak, row.qps);
-    if (row.mode == "admission-flood") flood = &row;
-  }
-  out << "\n    \"open_loop_peak_qps\": " << open_peak
-      << ",\n    \"closed_loop_peak_qps\": " << closed_peak;
-  if (flood != nullptr) {
-    out << ",\n    \"flood_shed_rate\": " << flood->shed_rate()
-        << ",\n    \"flood_qps\": " << flood->qps
-        << ",\n    \"flood_exact_accounting\": " << (flood_exact ? "true" : "false");
+  // Headline numbers: the dispatcher curve of the one-submitter flood, the
+  // closed-loop rate, and the admission flood's shed rate and exactness.
+  const double d1 = flood_qps(rows, 1, 1);
+  const auto speedup = [&](std::size_t d) {
+    return d1 > 0.0 ? flood_qps(rows, 1, d) / d1 : 0.0;
+  };
+  out << "  ],\n  \"derived\": {\n"
+      << "    \"flood_dispatcher_speedup_2\": " << speedup(2) << ",\n"
+      << "    \"flood_dispatcher_speedup_4\": " << speedup(4) << ",\n"
+      << "    \"flood_answers_exact\": " << (answers_exact ? "true" : "false");
+  for (const Row& row : rows) {
+    if (row.mode == "closed-loop")
+      out << ",\n    \"closed_loop_qps\": " << row.qps;
+    if (row.mode == "admission-flood")
+      out << ",\n    \"admission_flood_qps\": " << row.qps
+          << ",\n    \"admission_flood_shed_rate\": " << row.shed_rate()
+          << ",\n    \"admission_flood_exact_accounting\": "
+          << (flood_exact ? "true" : "false");
   }
   out << "\n  }\n}\n";
   std::cout << "bench_serve: wrote trajectory point to " << path << "\n";
@@ -467,15 +531,17 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? std::atol(argv[++i]) : fallback;
     };
     if (arg == "--smoke") {
-      // Tiny counts for the CI Release smoke run: exercises every sweep
-      // point (and the flood accounting) end to end in seconds.
+      // Tiny counts for the CI Release smoke run: exercises every flood
+      // point, the closed loop and the admission accounting end to end in
+      // seconds.
       smoke = true;
-      options.requests = 200;
+      options.requests = 4000;
+      options.repeats = 1;
       options.clients = 4;
       options.steps = 20;
       options.flood = 20000;
     } else if (arg == "--requests") {
-      options.requests = static_cast<int>(next_long(options.requests));
+      options.requests = next_long(options.requests);
     } else if (arg == "--clients") {
       options.clients = static_cast<int>(next_long(options.clients));
     } else if (arg == "--steps") {
@@ -498,63 +564,57 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Sharded controller serving: micro-batched inference with "
-      "certified-safety fallback\n"
-      "open-loop: %d requests / %d clients; closed-loop: %d clients x %d "
-      "steps; flood: %ld simulated clients\n"
-      "(wall-clock dispatcher scaling needs multi-core hardware; on one "
-      "core the sweep measures overhead, not parallelism)\n\n",
-      options.requests, options.clients, options.clients, options.steps,
-      options.flood);
-  std::printf("%-11s %6s %7s %8s %5s %6s %11s %11s %9s %9s %9s %7s %8s\n",
-              "mode", "batch", "workers", "linger", "disp", "shards", "qps",
-              "qps/disp", "p50_us", "p99_us", "p999_us", "fallbk", "batches");
+      "Controller serving: micro-batched inference with certified-safety "
+      "fallback (nproc %u, %s build)\n"
+      "flood: %ld requests, %zu in flight, median of %d runs; closed-loop: "
+      "%d clients x %d steps; admission flood: %ld simulated clients\n\n",
+      std::thread::hardware_concurrency(), COCKTAIL_BUILD_TYPE,
+      options.requests, kWindow, options.repeats, options.clients,
+      options.steps, options.flood);
+  std::printf(
+      "%-15s %4s %4s %5s %6s %8s %10s %10s %10s %8s %8s %8s %6s %7s %7s "
+      "%6s\n",
+      "mode", "subm", "disp", "batch", "linger", "requests", "qps", "qps_min",
+      "qps_max", "p50_us", "p99_us", "p999_us", "rows/b", "fallbk", "shed",
+      "mism");
 
   util::CsvWriter csv(util::output_dir() + "/bench_serve.csv",
-                      {"mode", "max_batch", "num_workers", "linger_us",
-                       "num_dispatchers", "num_shards", "qps",
-                       "qps_per_dispatcher", "p50_us", "p99_us", "p999_us",
-                       "shed_rate", "fallback", "batches"});
+                      {"mode", "submitters", "num_dispatchers", "max_batch",
+                       "linger_us", "queue_capacity", "requests", "repeats",
+                       "qps", "qps_min", "qps_max", "p50_us", "p99_us",
+                       "p999_us", "rows_per_batch", "shed_rate", "fallback",
+                       "batches", "mismatches"});
 
-  // The sweep crosses batching shapes with the dispatcher/shard grid: the
-  // single-dispatcher points reproduce the PR 5 tier as the baseline, the
-  // sharded points exercise multi-dispatcher batch formation.
-  const std::vector<SweepPoint> sweep = {
-      {1, 1, 0, 1, 1},    {8, 1, 200, 1, 1},  {32, 1, 200, 1, 1},
-      {32, 2, 200, 1, 1}, {32, 2, 200, 2, 2}, {32, 4, 200, 2, 4},
-      {32, 4, 200, 4, 8},
-  };
-  std::vector<TrajectoryRow> rows;
-  for (const SweepPoint& point : sweep) {
-    rows.push_back(report(csv, "open-loop", point, open_loop(options, point)));
-    rows.push_back(
-        report(csv, "closed-loop", point, closed_loop(options, point)));
+  const Fixture fixture;
+  // One unmeasured flood first, so the first measured point does not pay
+  // for cold caches and a cold allocator.  Its answers are checked too.
+  const Row warmup = flood_once(fixture, 1, 1, options.requests);
+  bool answers_exact = warmup.mismatches == 0 && warmup.failed == 0;
+  std::vector<Row> rows;
+  for (const int submitters : {1, 2}) {
+    for (const std::size_t dispatchers : {1u, 2u, 4u}) {
+      rows.push_back(flood_point(fixture, options, dispatchers, submitters));
+      report(csv, rows.back());
+      answers_exact = answers_exact && rows.back().mismatches == 0 &&
+                      rows.back().failed == 0;
+    }
   }
+  rows.push_back(closed_loop(fixture, options));
+  report(csv, rows.back());
 
-  // The admission flood: open-loop, small rings, exact accounting or bust.
-  TrajectoryRow flood_row;
-  flood_row.name = "admission-flood/b32_w1_l0_d2_s4";
-  flood_row.mode = "admission-flood";
-  const bool flood_exact = admission_flood(options, flood_row);
-  std::printf(
-      "\n%-11s %ld simulated clients in %.2fs: %.0f answered/s, shed rate "
-      "%.4f, p50 %.1fus p99 %.1fus p999 %.1fus — accounting %s\n",
-      "flood", flood_row.requests, flood_row.seconds, flood_row.qps,
-      flood_row.shed_rate(), flood_row.p50_us, flood_row.p99_us,
-      flood_row.p999_us, flood_exact ? "EXACT" : "VIOLATED");
-  csv.row_text({"admission-flood", "32", "1", "0", "2", "4",
-                util::format_number(flood_row.qps),
-                util::format_number(flood_row.qps_per_dispatcher()),
-                util::format_number(flood_row.p50_us),
-                util::format_number(flood_row.p99_us),
-                util::format_number(flood_row.p999_us),
-                util::format_number(flood_row.shed_rate()),
-                std::to_string(flood_row.counters.fallback),
-                std::to_string(flood_row.counters.batches)});
+  Row flood_row;
+  const bool flood_exact = admission_flood(fixture, options, flood_row);
+  report(csv, flood_row);
   rows.push_back(flood_row);
 
-  write_json(rows, smoke, flood_exact, out_path);
+  std::printf(
+      "\nflood answers %s act_reference; admission flood: %ld simulated "
+      "clients in %.2fs, shed rate %.4f — accounting %s\n",
+      answers_exact ? "EQUAL" : "DIFFER FROM", flood_row.requests,
+      flood_row.seconds, flood_row.shed_rate(),
+      flood_exact ? "EXACT" : "VIOLATED");
+  write_json(rows, smoke, answers_exact, flood_exact, out_path);
   std::printf("CSV written to %s\n",
               (util::output_dir() + "/bench_serve.csv").c_str());
-  return flood_exact ? 0 : 1;
+  return answers_exact && flood_exact ? 0 : 1;
 }

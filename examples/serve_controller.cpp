@@ -42,18 +42,17 @@ int main() {
   std::printf("student: %zu parameters, certified Lipschitz %.2f\n",
               student->net().num_parameters(), student->lipschitz_bound());
 
-  // 3. The serving runtime: two dispatcher threads over two MPMC queue
-  //    shards, micro-batches of up to 16 requests, and a safety monitor
-  //    that only certifies states 0.2 inside the safe region X —
-  //    everything else is answered by the LQR fallback.  shard_capacity
-  //    bounds the queue depth: beyond it, submissions are load-shed with
+  // 3. The serving runtime: two dispatcher threads, each draining its own
+  //    MPMC ring into micro-batches of up to 16 requests, and a safety
+  //    monitor that only certifies states 0.2 inside the safe region X —
+  //    everything else is answered by the LQR fallback.  queue_capacity
+  //    bounds each ring's depth: beyond it, submissions are load-shed with
   //    RejectedError(kQueueFull) instead of queueing unboundedly.
   serve::ServeConfig config;
   config.max_batch = 16;
   config.max_wait = std::chrono::microseconds(200);
   config.num_dispatchers = 2;
-  config.num_shards = 2;
-  config.shard_capacity = 1024;
+  config.queue_capacity = 1024;
   serve::ControllerServer server(config);
   server.register_controller(
       "vdp", student, lqr,

@@ -76,10 +76,24 @@ NnController NnController::load_file(const std::string& path,
     throw std::runtime_error("NnController::load_file: bad header in " + path);
   std::size_t n = 0;
   in >> n;
+  // The scale has one entry or one per network output, so the network's
+  // width cap bounds it before anything is allocated.
+  if (!in || n == 0 || n > nn::Mlp::kMaxLoadWidth)
+    throw std::runtime_error("NnController::load_file: bad scale length in " +
+                             path);
   la::Vec scale(n);
   for (auto& v : scale) in >> v;
+  if (!in)
+    throw std::runtime_error("NnController::load_file: truncated scale in " +
+                             path);
   nn::Mlp net = nn::Mlp::load(in);
-  return NnController(std::move(net), std::move(scale), std::move(label));
+  try {
+    return NnController(std::move(net), std::move(scale), std::move(label));
+  } catch (const std::invalid_argument& error) {
+    // A scale that does not fit the network is a malformed file too.
+    throw std::runtime_error("NnController::load_file: " +
+                             std::string(error.what()) + " in " + path);
+  }
 }
 
 }  // namespace cocktail::ctrl

@@ -40,7 +40,9 @@ class NnController final : public Controller {
   [[nodiscard]] const la::Vec& out_scale() const noexcept { return scale_; }
 
   void save_file(const std::string& path) const;
-  /// Loads a controller saved by save_file().
+  /// Loads a controller saved by save_file().  Throws std::runtime_error
+  /// when the file is missing, its header or scale is malformed, truncated
+  /// or does not fit the network, or its network fails nn::Mlp::load.
   static NnController load_file(const std::string& path, std::string label);
 
  private:

@@ -31,16 +31,6 @@
 #include <immintrin.h>
 #endif
 
-#if defined(COCKTAIL_HAVE_BLAS)
-// Fortran BLAS interface: linked via find_package(BLAS); declared here so
-// no cblas header is required.
-extern "C" void dgemm_(const char* transa, const char* transb, const int* m,
-                       const int* n, const int* k, const double* alpha,
-                       const double* a, const int* lda, const double* b,
-                       const int* ldb, const double* beta, double* c,
-                       const int* ldc);
-#endif
-
 namespace cocktail::la::kernels {
 namespace {
 
@@ -131,8 +121,8 @@ double dot_strided_ref(const double* a, const double* b, std::size_t strideb,
 /// bt(n x k) = B(k x n)^T — the pack the NN product uses to reuse the NT
 /// kernel.  Pure data movement (no arithmetic), so it is bitwise neutral
 /// no matter how the copy is tiled or vectorized.
-[[maybe_unused]] void pack_bt(std::size_t n, std::size_t k, const double* b,
-                              std::size_t ldb, double* bt) {
+void pack_bt(std::size_t n, std::size_t k, const double* b, std::size_t ldb,
+             double* bt) {
   std::size_t j0 = 0;
 #if defined(COCKTAIL_LA_VECTOR)
   // 4x4 in-register transpose: both the loads and the stores run a full
@@ -165,37 +155,7 @@ double dot_strided_ref(const double* a, const double* b, std::size_t strideb,
     for (std::size_t t = 0; t < k; ++t) bt[j0 * k + t] = b[t * ldb + j0];
 }
 
-#if defined(COCKTAIL_HAVE_BLAS)
-/// Row-major C(m x n) = A(m x k) * op(B) through column-major dgemm via the
-/// transpose trick: compute C^T = op(B)^T * A^T.
-void blas_gemm(bool b_is_nt, std::size_t m, std::size_t n, std::size_t k,
-               const double* a, std::size_t lda, const double* b,
-               std::size_t ldb, double* c, std::size_t ldc) {
-  if (m == 0 || n == 0) return;
-  const int mi = static_cast<int>(n), ni = static_cast<int>(m),
-            ki = static_cast<int>(k);
-  const int ldai = static_cast<int>(ldb == 0 ? 1 : ldb),
-            ldbi = static_cast<int>(lda == 0 ? 1 : lda),
-            ldci = static_cast<int>(ldc == 0 ? 1 : ldc);
-  const double one = 1.0, zero = 0.0;
-  // Row-major B (n x k, to be used transposed) viewed column-major is
-  // k x n, so the NT product needs "T"; row-major B (k x n) viewed
-  // column-major is n x k, used as-is with "N".
-  const char* transa = b_is_nt ? "T" : "N";
-  dgemm_(transa, "N", &mi, &ni, &ki, &one, b, &ldai, a, &ldbi, &zero, c,
-         &ldci);
-}
-#endif
-
 }  // namespace
-
-bool blas_enabled() noexcept {
-#if defined(COCKTAIL_HAVE_BLAS)
-  return true;
-#else
-  return false;
-#endif
-}
 
 double dot_ref(const double* a, const double* b, std::size_t k) {
   return dot_strided_ref(a, b, 1, k);
@@ -223,9 +183,7 @@ void gemm_nt_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) {
-#if defined(COCKTAIL_HAVE_BLAS)
-  blas_gemm(/*b_is_nt=*/true, m, n, k, a, lda, b, ldb, c, ldc);
-#elif defined(COCKTAIL_LA_VECTOR)
+#if defined(COCKTAIL_LA_VECTOR)
   // Visit output columns in kGemmBlockCols-wide panels so the active rows
   // of B stay L2-resident across the whole sweep over A.  Pure iteration
   // order: each c(i,j) is still produced by exactly one dot_rows call.
@@ -262,9 +220,6 @@ void gemm_nn_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) {
-#if defined(COCKTAIL_HAVE_BLAS)
-  blas_gemm(/*b_is_nt=*/false, m, n, k, a, lda, b, ldb, c, ldc);
-#else
   // Pack B^T once (pure data movement — bitwise neutral) and run the NT
   // kernel, so the NN and NT products share one accumulation schedule.
   // The scratch is thread_local so repeated products (training loops,
@@ -275,13 +230,10 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   if (bt.size() < n * k) bt.resize(n * k);
   pack_bt(n, k, b, ldb, bt.data());
   gemm_nt(m, n, k, a, lda, bt.data(), k, c, ldc);
-#endif
 }
 
 void matvec(std::size_t m, std::size_t k, const double* a, std::size_t lda,
             const double* x, double* y) {
-  // Always the deterministic schedule, even in BLAS builds: the scalar
-  // serving/backprop paths stay the reproducible reference everywhere.
   for (std::size_t i = 0; i < m; ++i) y[i] = dot(a + i * lda, x, k);
 }
 

@@ -11,21 +11,11 @@
 // the schedule's operation sequence — and therefore every bit — is
 // identical across optimization levels, vector ISAs (the COCKTAIL_SIMD
 // toggle), and conforming compilers.
-//
-// With -DCOCKTAIL_BLAS=ON the two GEMM entry points route to an external
-// BLAS dgemm instead (peak FLOPS, vendor-defined accumulation order): the
-// bitwise-identity contract between batched and scalar paths is
-// deliberately given up.  matvec/matvec_transpose always stay on the
-// deterministic schedule.
 #pragma once
 
 #include <cstddef>
 
 namespace cocktail::la::kernels {
-
-/// True when this build routes GEMM through an external BLAS
-/// (-DCOCKTAIL_BLAS=ON) and the bitwise-identity guarantees are off.
-[[nodiscard]] bool blas_enabled() noexcept;
 
 /// One dot product of length `k` under the fixed dot schedule.
 [[nodiscard]] double dot(const double* a, const double* b, std::size_t k);
@@ -39,8 +29,7 @@ namespace cocktail::la::kernels {
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc);
-/// Scalar reference of the same schedule (bitwise identical to gemm_nt()
-/// in non-BLAS builds).
+/// Scalar reference of the same schedule (bitwise identical to gemm_nt()).
 void gemm_nt_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  std::size_t lda, const double* b, std::size_t ldb, double* c,
                  std::size_t ldc);
@@ -54,7 +43,7 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t ldc);
 /// Scalar reference of the same schedule, written directly against the
 /// strided column (no packing) — an independent implementation that must
-/// still match gemm_nn() bitwise in non-BLAS builds.
+/// still match gemm_nn() bitwise.
 void gemm_nn_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  std::size_t lda, const double* b, std::size_t ldb, double* c,
                  std::size_t ldc);

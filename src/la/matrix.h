@@ -6,8 +6,7 @@
 // blocked/SIMD kernels of la/kernels.h: every reduction follows the single
 // fixed accumulation schedule of la/kernel_config.h, so results are
 // bitwise identical across the scalar and batched paths, worker counts,
-// vector ISAs, and optimization levels.  No BLAS dependency by default;
-// -DCOCKTAIL_BLAS=ON trades the GEMM determinism contract for peak FLOPS.
+// vector ISAs, and optimization levels.  No BLAS dependency.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +61,7 @@ class Matrix {
   /// C = this * other^T without materializing the transpose.  Row r of the
   /// result accumulates exactly like `other.matvec(row r of this)` — the
   /// same fixed dot schedule — so batched NN layers built on this GEMM are
-  /// bitwise identical per row to the per-sample matvec path (not under
-  /// -DCOCKTAIL_BLAS=ON, which opts out of the contract).
+  /// bitwise identical per row to the per-sample matvec path.
   [[nodiscard]] Matrix matmul_nt(const Matrix& other) const;
   [[nodiscard]] Matrix transpose() const;
   [[nodiscard]] Matrix operator+(const Matrix& other) const;

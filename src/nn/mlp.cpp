@@ -305,6 +305,8 @@ Mlp Mlp::load(std::istream& in) {
   in >> num_layers;
   if (!in || num_layers == 0)
     throw std::runtime_error("Mlp::load: truncated stream");
+  if (num_layers > kMaxLoadLayers)
+    throw std::runtime_error("Mlp::load: layer count above kMaxLoadLayers");
   Mlp net;
   net.layers_.reserve(num_layers);
   for (std::size_t l = 0; l < num_layers; ++l) {
@@ -313,6 +315,8 @@ Mlp Mlp::load(std::istream& in) {
     in >> rows >> cols >> act_name;
     if (!in || rows == 0 || cols == 0)
       throw std::runtime_error("Mlp::load: truncated stream");
+    if (rows > kMaxLoadWidth || cols > kMaxLoadWidth)
+      throw std::runtime_error("Mlp::load: layer width above kMaxLoadWidth");
     DenseLayer layer;
     try {
       layer.act = activation_from_string(act_name);

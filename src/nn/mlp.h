@@ -83,7 +83,7 @@ class Mlp {
   /// the same fixed accumulation schedule (la/kernel_config.h), so row r is
   /// **bitwise identical** to forward(x.row(r)) — the contract the serving
   /// runtime's micro-batching rests on (pinned by test_nn's ForwardBatch
-  /// suites; waived only by the -DCOCKTAIL_BLAS=ON opt-in).
+  /// suites).
   [[nodiscard]] la::Matrix forward_batch(const la::Matrix& x) const;
 
   /// Per-sample forward pass cache for backpropagation.
@@ -132,11 +132,19 @@ class Mlp {
 
   [[nodiscard]] bool all_finite() const;
 
+  /// Caps on a serialized network's header, checked before anything is
+  /// allocated, so an oversized or corrupted header fails as
+  /// std::runtime_error instead of std::bad_alloc / std::length_error.
+  /// Far above every network this library builds (≤ 4 layers, ≤ 64 wide).
+  static constexpr std::size_t kMaxLoadLayers = 64;
+  static constexpr std::size_t kMaxLoadWidth = 4096;
+
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
-  /// Throws std::runtime_error on a bad header, a truncated stream,
-  /// inter-layer dimension mismatches, or non-finite parameters — a cached
-  /// artifact that fails any of these must never reach inference.
+  /// Throws std::runtime_error on a bad header, a layer count or width
+  /// above the caps, a truncated stream, inter-layer dimension mismatches,
+  /// or non-finite parameters — a cached artifact that fails any of these
+  /// must never reach inference.
   static Mlp load(std::istream& in);
   static Mlp load_file(const std::string& path);
 

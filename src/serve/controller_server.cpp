@@ -7,6 +7,10 @@
 namespace cocktail::serve {
 namespace {
 
+/// Idle-dispatcher doorbell timeout: the backstop poll period bounding the
+/// cost of any theoretically missed wakeup (util::Doorbell).
+constexpr std::chrono::microseconds kIdleWait{100};
+
 // Monotonic running max, relaxed per the Entry memory-order audit: the slot
 // is a standalone metric, so atomicity (no lost update between the load and
 // the CAS — compare_exchange_weak reloads `seen` on failure and the loop
@@ -24,22 +28,23 @@ double elapsed_us(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+/// Counts a refused request and resolves its promise with the reason.
+void reject(Counter* tally, std::promise<la::Vec>& result,
+            RejectReason reason) {
+  tally->increment();
+  result.set_exception(std::make_exception_ptr(RejectedError(reason)));
+}
+
 }  // namespace
 
 ControllerServer::ControllerServer(ServeConfig config,
                                    std::shared_ptr<MetricsRegistry> metrics)
     : config_(config),
-      workers_(config.synchronous ? 1 : config.num_workers),
       metrics_(metrics != nullptr ? std::move(metrics)
                                   : std::make_shared<MetricsRegistry>()) {
-  if (config_.max_batch == 0) config_.max_batch = 1;
-  if (config_.rows_per_chunk == 0) config_.rows_per_chunk = 1;
-  if (config_.num_shards == 0) config_.num_shards = 1;
-  if (config_.shard_capacity == 0) config_.shard_capacity = 1;
-  config_.num_dispatchers =
-      std::clamp<std::size_t>(config_.num_dispatchers, 1, config_.num_shards);
-  if (config_.idle_wait.count() <= 0)
-    config_.idle_wait = std::chrono::microseconds(100);
+  config_.max_batch = std::max<std::size_t>(config_.max_batch, 1);
+  config_.num_dispatchers = std::max<std::size_t>(config_.num_dispatchers, 1);
+  config_.queue_capacity = std::max<std::size_t>(config_.queue_capacity, 1);
 }
 
 ControllerServer::~ControllerServer() { stop(); }
@@ -64,16 +69,14 @@ void ControllerServer::register_controller(
   entry->primary_count = metrics_->counter(prefix + ".primary");
   entry->fallback_count = metrics_->counter(prefix + ".fallback");
   entry->batch_count = metrics_->counter(prefix + ".batches");
+  entry->accepted = metrics_->counter(prefix + ".accepted");
+  entry->shed = metrics_->counter(prefix + ".shed");
+  entry->rejected = metrics_->counter(prefix + ".rejected");
   entry->latency = metrics_->histogram(prefix + ".latency_us");
-  entry->shards.reserve(config_.num_shards);
-  for (std::size_t s = 0; s < config_.num_shards; ++s) {
-    auto shard = std::make_unique<ShardState>(config_.shard_capacity);
-    const std::string shard_prefix = prefix + ".shard" + std::to_string(s);
-    shard->accepted = metrics_->counter(shard_prefix + ".accepted");
-    shard->shed = metrics_->counter(shard_prefix + ".shed");
-    shard->rejected = metrics_->counter(shard_prefix + ".rejected");
-    entry->shards.push_back(std::move(shard));
-  }
+  entry->dispatchers.reserve(config_.num_dispatchers);
+  for (std::size_t d = 0; d < config_.num_dispatchers; ++d)
+    entry->dispatchers.push_back(
+        std::make_unique<Dispatcher>(config_.queue_capacity));
 
   util::MutexLock lock(registry_mutex_);
   if (stopping_.load())
@@ -88,14 +91,11 @@ void ControllerServer::register_controller(
   // registration (we threw above) or after the threads exist and will be
   // joined.  Dispatchers never take registry_mutex_, so holding it here
   // cannot deadlock with them.
-  if (!config_.synchronous) {
-    Entry* raw = it->second.get();
-    raw->dispatchers.reserve(config_.num_dispatchers);
-    for (std::size_t d = 0; d < config_.num_dispatchers; ++d)
-      raw->dispatchers.push_back(std::make_unique<DispatcherState>());
-    for (std::size_t d = 0; d < config_.num_dispatchers; ++d)
-      raw->dispatchers[d]->thread =
-          std::thread([this, raw, d] { dispatch_loop(*raw, d); });
+  Entry* raw = it->second.get();
+  for (auto& dispatcher : raw->dispatchers) {
+    Dispatcher* self = dispatcher.get();
+    self->thread =
+        std::thread([this, raw, self] { dispatch_loop(*raw, *self); });
   }
 }
 
@@ -109,20 +109,6 @@ ControllerServer::Entry& ControllerServer::find_entry(
   return *it->second;
 }
 
-std::future<la::Vec> ControllerServer::reject(Entry& entry, Request&& request,
-                                              RejectReason reason) {
-  const std::size_t home = static_cast<std::size_t>(entry.next_shard.fetch_add(
-                               1, std::memory_order_relaxed)) %
-                           entry.shards.size();
-  Counter* tally = reason == RejectReason::kQueueFull
-                       ? entry.shards[home]->shed
-                       : entry.shards[home]->rejected;
-  tally->increment();
-  std::future<la::Vec> future = request.result.get_future();
-  request.result.set_exception(std::make_exception_ptr(RejectedError(reason)));
-  return future;
-}
-
 std::future<la::Vec> ControllerServer::submit(const std::string& name,
                                               la::Vec state) {
   Entry& entry = find_entry(name);
@@ -131,66 +117,44 @@ std::future<la::Vec> ControllerServer::submit(const std::string& name,
         "ControllerServer::submit: state dimension mismatch for '" + name +
         "'");
   Request request;
-  request.entry = &entry;
   // Routing is decided per request at submission: the certificate either
   // covers this exact state or the fallback answers.  Batch composition can
   // never influence it.
   request.to_fallback = !entry.monitor.certified(state);
   request.state = std::move(state);
-
-  if (config_.synchronous) {
-    if (stopping_.load())
-      return reject(entry, std::move(request), RejectReason::kShutdown);
-    request.accepted_at = std::chrono::steady_clock::now();
-    const std::size_t home =
-        static_cast<std::size_t>(entry.next_shard.fetch_add(
-            1, std::memory_order_relaxed)) %
-        entry.shards.size();
-    entry.shards[home]->accepted->increment();
-    std::future<la::Vec> future = request.result.get_future();
-    execute_inline(request);
-    entry.latency->record_us(
-        elapsed_us(request.accepted_at, std::chrono::steady_clock::now()));
-    return future;
-  }
+  std::future<la::Vec> future = request.result.get_future();
 
   // Admission gate — see the shutdown-handshake audit in the header.  No
   // lock is held anywhere in this section.
   active_submitters_.fetch_add(1);
   if (stopping_.load()) {
     active_submitters_.fetch_sub(1);
-    return reject(entry, std::move(request), RejectReason::kShutdown);
+    reject(entry.rejected, request.result, RejectReason::kShutdown);
+    return future;
   }
-  std::future<la::Vec> future = request.result.get_future();
   request.accepted_at = std::chrono::steady_clock::now();
-  const std::size_t num_shards = entry.shards.size();
-  const std::size_t home = static_cast<std::size_t>(entry.next_shard.fetch_add(
+  const std::size_t rings = entry.dispatchers.size();
+  const std::size_t home = static_cast<std::size_t>(entry.next_ring.fetch_add(
                                1, std::memory_order_relaxed)) %
-                           num_shards;
+                           rings;
   // pending_ rises BEFORE the push so the dispatcher's decrement can never
   // run first and underflow it; backed out below on a shed.
   pending_.fetch_add(1);
-  std::size_t landed = num_shards;
-  for (std::size_t k = 0; k < num_shards; ++k) {
-    const std::size_t s = (home + k) % num_shards;
-    if (entry.shards[s]->queue.try_push(std::move(request))) {
-      landed = s;
-      break;
+  for (std::size_t k = 0; k < rings; ++k) {
+    Dispatcher& dispatcher = *entry.dispatchers[(home + k) % rings];
+    if (dispatcher.queue.try_push(std::move(request))) {
+      entry.accepted->increment();
+      active_submitters_.fetch_sub(1);
+      dispatcher.bell.ring();
+      return future;
     }
   }
-  if (landed == num_shards) {
-    // Every ring is full: shed.  The request was never published, so back
-    // out the pending count, leave the gate, and resolve the future here.
-    pending_.fetch_sub(1);
-    active_submitters_.fetch_sub(1);
-    entry.shards[home]->shed->increment();
-    request.result.set_exception(
-        std::make_exception_ptr(RejectedError(RejectReason::kQueueFull)));
-    return future;
-  }
-  entry.shards[landed]->accepted->increment();
+  // Every ring is full: shed.  A failed try_push leaves the request
+  // untouched and unpublished, so back out the pending count, leave the
+  // gate, and resolve the future here.
+  pending_.fetch_sub(1);
   active_submitters_.fetch_sub(1);
-  entry.dispatchers[landed % entry.dispatchers.size()]->bell.ring();
+  reject(entry.shed, request.result, RejectReason::kQueueFull);
   return future;
 }
 
@@ -212,172 +176,106 @@ ServeCounters ControllerServer::counters(const std::string& name) const {
   out.fallback = entry.fallback_count->value();
   out.batches = entry.batch_count->value();
   out.max_batch_rows = entry.max_batch_rows.load(std::memory_order_relaxed);
-  out.shards.reserve(entry.shards.size());
-  for (const auto& shard : entry.shards) {
-    AdmissionCounters a;
-    a.accepted = shard->accepted->value();
-    a.shed = shard->shed->value();
-    a.rejected = shard->rejected->value();
-    out.accepted += a.accepted;
-    out.shed += a.shed;
-    out.rejected += a.rejected;
-    out.shards.push_back(a);
-  }
+  out.accepted = entry.accepted->value();
+  out.shed = entry.shed->value();
+  out.rejected = entry.rejected->value();
   return out;
 }
 
-void ControllerServer::execute_inline(Request& request) {
-  try {
-    if (request.to_fallback) {
-      request.entry->fallback_count->increment();
-      request.result.set_value(request.entry->fallback->act(request.state));
-    } else {
-      request.entry->primary_count->increment();
-      request.entry->batch_count->increment();
-      bump_max(request.entry->max_batch_rows, 1);
-      request.result.set_value(request.entry->primary->act(request.state));
-    }
-  } catch (...) {
-    request.result.set_exception(std::current_exception());
-  }
-}
-
-void ControllerServer::execute_slice(Entry& entry,
-                                     std::vector<Request>& slice) {
-  // Partition the slice: fallback requests run per sample (a fallback is an
-  // arbitrary Controller with no batch path); certified requests form one
-  // GEMM batch, preserving arrival order.  All requests in a slice belong
-  // to `entry` — each dispatcher serves exactly one controller.
-  std::vector<Request*> fallbacks;
+void ControllerServer::execute_batch(Entry& entry,
+                                     std::vector<Request>& batch) {
+  // Certified requests form one GEMM batch in arrival order; fallback
+  // requests run one by one (a fallback is an arbitrary Controller with no
+  // batch path).  The state is dead once the batch is assembled: move,
+  // don't copy.
   std::vector<Request*> rows;
-  fallbacks.reserve(slice.size());
-  rows.reserve(slice.size());
-  for (Request& request : slice)
-    (request.to_fallback ? fallbacks : rows).push_back(&request);
-
-  util::ThreadPool* pool = workers_.pool();
-
-  if (!fallbacks.empty()) {
-    entry.fallback_count->add(fallbacks.size());
-    util::run_chunks(pool, fallbacks.size(), [&](std::size_t i) {
-      Request& request = *fallbacks[i];
-      try {
-        request.result.set_value(entry.fallback->act(request.state));
-      } catch (...) {
-        request.result.set_exception(std::current_exception());
-      }
-    });
+  std::vector<la::Vec> states;
+  rows.reserve(batch.size());
+  states.reserve(batch.size());
+  for (Request& request : batch) {
+    if (request.to_fallback) continue;
+    rows.push_back(&request);
+    states.push_back(std::move(request.state));
   }
 
+  // act_batch (and through it Matrix::from_rows, which rejects empty
+  // input) never sees an empty batch.
   if (!rows.empty()) {
     entry.primary_count->add(rows.size());
     entry.batch_count->increment();
     bump_max(entry.max_batch_rows, rows.size());
-    // Rows are independent and each row is bitwise identical to the scalar
-    // path, so slicing the batch across workers cannot change any answer.
-    // Every chunk covers a non-empty [lo, hi) — act_batch (and through it
-    // Matrix::from_rows, which rejects empty input) never sees an empty
-    // slice.
-    const std::size_t grain = config_.rows_per_chunk;
-    const std::size_t chunks = (rows.size() + grain - 1) / grain;
-    util::run_chunks(pool, chunks, [&](std::size_t c) {
-      const std::size_t lo = c * grain;
-      const std::size_t hi = std::min(rows.size(), lo + grain);
-      std::vector<la::Vec> states;
-      states.reserve(hi - lo);
-      // The state is dead once the batch is assembled: move, don't copy.
-      for (std::size_t i = lo; i < hi; ++i)
-        states.push_back(std::move(rows[i]->state));
-      try {
-        std::vector<la::Vec> actions = entry.primary->act_batch(states);
-        for (std::size_t i = lo; i < hi; ++i)
-          rows[i]->result.set_value(std::move(actions[i - lo]));
-      } catch (...) {
-        for (std::size_t i = lo; i < hi; ++i)
-          rows[i]->result.set_exception(std::current_exception());
-      }
-    });
+    try {
+      std::vector<la::Vec> actions = entry.primary->act_batch(states);
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i]->result.set_value(std::move(actions[i]));
+    } catch (...) {
+      for (Request* row : rows)
+        row->result.set_exception(std::current_exception());
+    }
+  }
+
+  entry.fallback_count->add(batch.size() - rows.size());
+  for (Request& request : batch) {
+    if (!request.to_fallback) continue;
+    try {
+      request.result.set_value(entry.fallback->act(request.state));
+    } catch (...) {
+      request.result.set_exception(std::current_exception());
+    }
   }
 }
 
-void ControllerServer::dispatch_loop(Entry& entry,
-                                     std::size_t dispatcher_index) {
-  const std::size_t num_shards = entry.shards.size();
-  const std::size_t num_dispatchers = entry.dispatchers.size();
-  util::Doorbell& bell = entry.dispatchers[dispatcher_index]->bell;
-
-  // Dispatcher d owns shards {s : s mod D == d}: no two dispatchers ever
-  // pop the same ring, and no lock is shared across dispatchers.
-  const auto owned_nonempty = [&] {
-    for (std::size_t s = dispatcher_index; s < num_shards;
-         s += num_dispatchers)
-      if (!entry.shards[s]->queue.empty()) return true;
-    return false;
+void ControllerServer::dispatch_loop(Entry& entry, Dispatcher& self) {
+  const auto fill = [&](std::vector<Request>& batch) {
+    Request request;
+    while (batch.size() < config_.max_batch && self.queue.try_pop(request))
+      batch.push_back(std::move(request));
   };
-  // Round-robin one pop per owned shard per lap, until the slice is full or
-  // every owned shard reads empty.
-  const auto drain_owned = [&](std::vector<Request>& slice) {
-    bool popped_any = true;
-    while (slice.size() < config_.max_batch && popped_any) {
-      popped_any = false;
-      for (std::size_t s = dispatcher_index; s < num_shards;
-           s += num_dispatchers) {
-        if (slice.size() >= config_.max_batch) break;
-        Request request;
-        if (entry.shards[s]->queue.try_pop(request)) {
-          slice.push_back(std::move(request));
-          popped_any = true;
-        }
-      }
-    }
+  const auto has_work = [&] {
+    return stopping_.load() || !self.queue.empty();
   };
 
-  std::vector<Request> slice;
-  slice.reserve(config_.max_batch);
+  std::vector<Request> batch;
+  batch.reserve(config_.max_batch);
   for (;;) {
-    slice.clear();
-    drain_owned(slice);
-    if (slice.empty()) {
+    batch.clear();
+    fill(batch);
+    if (batch.empty()) {
       // Exit-check read order matters (shutdown-handshake audit in the
       // header): stopping_ first, then active_submitters_ == 0, then a
-      // final emptiness sweep that is now exact because all producers are
-      // quiesced and this thread is the sole consumer of its shards.
+      // final emptiness check that is now exact because all producers are
+      // quiesced and this thread is the ring's sole consumer.
       if (stopping_.load() && active_submitters_.load() == 0 &&
-          !owned_nonempty())
+          self.queue.empty())
         return;
-      static_cast<void>(bell.wait_for(config_.idle_wait, [&] {
-        return stopping_.load() || owned_nonempty();
-      }));
+      static_cast<void>(self.bell.wait_for(kIdleWait, has_work));
       continue;
     }
     if (!stopping_.load() && config_.max_wait.count() > 0 &&
-        slice.size() < config_.max_batch) {
+        batch.size() < config_.max_batch) {
       // Linger briefly: bounded waits buy a fuller GEMM.  A full batch or
       // shutdown cuts the linger short; the deadline bounds it.
       const auto deadline = std::chrono::steady_clock::now() + config_.max_wait;
-      while (slice.size() < config_.max_batch && !stopping_.load()) {
+      while (batch.size() < config_.max_batch && !stopping_.load()) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) break;
         const auto nap = std::min<std::chrono::steady_clock::duration>(
-            deadline - now, config_.idle_wait);
-        static_cast<void>(bell.wait_for(nap, [&] {
-          return stopping_.load() || owned_nonempty();
-        }));
-        drain_owned(slice);
+            deadline - now, kIdleWait);
+        static_cast<void>(self.bell.wait_for(nap, has_work));
+        fill(batch);
       }
     }
-    execute_slice(entry, slice);
+    execute_batch(entry, batch);
     const auto done = std::chrono::steady_clock::now();
-    for (const Request& request : slice)
+    for (const Request& request : batch)
       entry.latency->record_us(elapsed_us(request.accepted_at, done));
     // The futures above are all satisfied; release the pending count and
     // wake drain() if this was the last outstanding work anywhere.
-    if (pending_.fetch_sub(slice.size()) == slice.size()) drain_bell_.ring();
+    if (pending_.fetch_sub(batch.size()) == batch.size()) drain_bell_.ring();
   }
 }
 
 void ControllerServer::drain() {
-  if (config_.synchronous) return;
   // Timed waits only (Doorbell contract): a wakeup racing the last
   // decrement costs at most one poll period, never a hang.
   while (!drain_bell_.wait_for(std::chrono::milliseconds(1),

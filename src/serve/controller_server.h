@@ -1,4 +1,4 @@
-// Controller-serving runtime: sharded micro-batched inference with a
+// Controller-serving runtime: micro-batched inference with a
 // certified-safety fallback, admission control, and SLO metrics.
 //
 // The pipeline's end product κ* is a single small network with a certified
@@ -6,33 +6,32 @@
 // requests collapse into one layer-wise GEMM (nn::Mlp::forward_batch).
 // Every registered controller gets its own serving tier:
 //
-//   submit() ── admission gate ──► MPMC shard queues ──► dispatcher threads
-//               (bounded depth,     (serve/mpmc_queue.h,  (one per shard
-//                shed-with-reason)   num_shards rings)     group; micro-batch
-//                                                          + linger, no
-//                                                          global lock)
+//   submit() ── admission gate ──► one MPMC ring ──► its dispatcher thread
+//               (bounded depth,     per dispatcher    (micro-batch + linger,
+//                shed-with-reason)  (mpmc_queue.h)     then one act_batch)
 //
-// Each controller runs `num_dispatchers` dispatcher threads; dispatcher d
-// owns shards {s : s mod D == d} and forms micro-batches (bounded by
-// `max_batch`, lingering up to `max_wait`) exclusively from its own shards,
-// so batch formation never takes a lock shared with other dispatchers or
-// with submitters.  A request whose home shard ring is full tries the
-// remaining shards once; if every ring is full it is *shed*: the future
-// resolves to a RejectedError(kQueueFull) and the shard's shed counter
-// bumps.  Requests whose state leaves the certified region are answered by
-// the trusted fallback expert (SafetyMonitor routing), and per-controller
-// routing/batch/admission counters plus a fixed-bucket latency histogram
-// are published through a serve::MetricsRegistry.
+// Dispatchers are the only parallelism: each controller runs
+// `num_dispatchers` threads, and dispatcher d is the sole consumer of ring
+// d.  It forms a micro-batch (bounded by `max_batch`, lingering up to
+// `max_wait`) from its own ring and runs it inline: one act_batch call over
+// the certified rows, then the fallbacks one by one.  Batch formation never
+// takes a lock shared with other dispatchers or with submitters.  A request
+// whose round-robin home ring is full tries every other ring once; if all
+// are full it is *shed*: the future resolves to a
+// RejectedError(kQueueFull).  Requests whose state leaves the certified
+// region are answered by the trusted fallback expert (SafetyMonitor
+// routing), and per-controller routing/batch/admission counters plus a
+// fixed-bucket latency histogram are published through a
+// serve::MetricsRegistry.
 //
 // Determinism: batching never changes an answer.  forward_batch rows are
 // bitwise identical to the scalar forward path, so every request receives
-// exactly the action the synchronous path (`synchronous = true`, or
-// act_reference) produces, for ANY dispatcher / shard / batch-size / worker
-// / arrival-order configuration — pinned by test_serve across the
-// {1,2,4} dispatchers × {1,2,8} shards sweep.  Only *which requests share a
-// GEMM* is scheduling-dependent, and that is observable solely through the
-// batch counters.  Certificate lookups route through SafetyMonitor's
-// verify::outward()-backed, NaN-closed predicates in every mode.
+// exactly the action act_reference produces, for ANY dispatcher count /
+// batch size / linger / arrival order — pinned by test_serve across {1,2,4}
+// dispatchers × a batch/linger sweep.  Only *which requests share a GEMM*
+// is scheduling-dependent, and that is observable solely through the batch
+// counters.  Certificate lookups route through SafetyMonitor's
+// verify::outward()-backed, NaN-closed predicates.
 #pragma once
 
 #include <atomic>
@@ -55,7 +54,6 @@
 #include "serve/safety_monitor.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace cocktail::serve {
 
@@ -65,33 +63,18 @@ struct ServeConfig {
   /// How long a dispatcher lingers for a partial batch to fill before
   /// executing what it has (0 = dispatch whatever is queued immediately).
   std::chrono::microseconds max_wait{200};
-  /// util::WorkerScope convention for batch execution: 0 = shared pool,
-  /// 1 = serial on the dispatcher thread, k > 1 = dedicated pool of k.
-  int num_workers = 1;
-  /// Rows per GEMM sub-batch when a primary batch fans across workers.
-  std::size_t rows_per_chunk = 16;
-  /// Dispatcher threads per registered controller.  Clamped to
-  /// [1, num_shards]: a dispatcher with no shards would have nothing to do.
+  /// Dispatcher threads per registered controller, each owning one ring.
   std::size_t num_dispatchers = 1;
-  /// MPMC submission-queue shards per registered controller.
-  std::size_t num_shards = 1;
-  /// Bounded depth of each shard ring (rounded up to a power of two).
-  /// num_shards * shard_capacity is the admission bound: beyond it,
-  /// submissions are shed with RejectedError(kQueueFull).
-  std::size_t shard_capacity = 1024;
-  /// Idle-dispatcher doorbell timeout: the backstop poll period bounding
-  /// the cost of any theoretically missed wakeup (util::Doorbell).
-  std::chrono::microseconds idle_wait{100};
-  /// Synchronous mode: submit() executes inline on the calling thread
-  /// (batch of one, no dispatcher threads, no queues) — the deterministic
-  /// reference configuration for tests.
-  bool synchronous = false;
+  /// Bounded depth of each dispatcher's ring (rounded up to a power of
+  /// two).  num_dispatchers * queue_capacity is the admission bound: beyond
+  /// it, submissions are shed with RejectedError(kQueueFull).
+  std::size_t queue_capacity = 1024;
 };
 
 /// Why an admitted-or-not request's future carries an exception instead of
 /// an action.
 enum class RejectReason {
-  kQueueFull,  ///< load shed: every shard ring was at capacity.
+  kQueueFull,  ///< load shed: every ring was at capacity.
   kShutdown,   ///< submitted after stop().
 };
 
@@ -105,7 +88,7 @@ class RejectedError : public std::runtime_error {
  public:
   explicit RejectedError(RejectReason reason)
       : std::runtime_error(reason == RejectReason::kQueueFull
-                               ? "ControllerServer: request shed (all shard "
+                               ? "ControllerServer: request shed (all "
                                  "queues full)"
                                : "ControllerServer: submit after stop()"),
         reason_(reason) {}
@@ -113,13 +96,6 @@ class RejectedError : public std::runtime_error {
 
  private:
   RejectReason reason_;
-};
-
-/// Per-shard admission tallies.
-struct AdmissionCounters {
-  std::uint64_t accepted = 0;  ///< enqueued (or executed inline) via this shard.
-  std::uint64_t shed = 0;      ///< load-shed with this shard as home.
-  std::uint64_t rejected = 0;  ///< refused after stop() with this shard as home.
 };
 
 /// Monotonic per-controller serving counters (the metrics surface).
@@ -132,10 +108,9 @@ struct ServeCounters {
   std::uint64_t fallback = 0;  ///< requests routed to the fallback expert.
   std::uint64_t batches = 0;   ///< primary micro-batches executed.
   std::uint64_t max_batch_rows = 0;  ///< largest primary batch observed.
-  std::uint64_t accepted = 0;  ///< admitted requests (sum over shards).
-  std::uint64_t shed = 0;      ///< load-shed requests (sum over shards).
-  std::uint64_t rejected = 0;  ///< post-stop() rejections (sum over shards).
-  std::vector<AdmissionCounters> shards;  ///< per-shard breakdown.
+  std::uint64_t accepted = 0;  ///< admitted requests.
+  std::uint64_t shed = 0;      ///< load-shed requests.
+  std::uint64_t rejected = 0;  ///< post-stop() rejections.
 };
 
 class ControllerServer {
@@ -194,7 +169,7 @@ class ControllerServer {
   // Counters/histograms: relaxed monotonic metrics — see serve/metrics.h.
   // max_batch_rows is the same class of standalone metric (relaxed CAS max).
   //
-  // Shard rings: serve/mpmc_queue.h documents the acquire/release payload
+  // Rings: serve/mpmc_queue.h documents the acquire/release payload
   // hand-off at its declaration.
   //
   // Shutdown handshake (the "shutdown-handshake audit" mpmc_queue.h points
@@ -207,7 +182,7 @@ class ControllerServer {
   //                        stopping_: if set it backs out and rejects; if
   //                        clear it pushes and decrements (seq_cst RMW).
   //   A dispatcher exits only when stopping_ && active_submitters_ == 0 &&
-  //   its shards are empty, in that read order.  Reading 0 from the seq_cst
+  //   its ring is empty, in that read order.  Reading 0 from the seq_cst
   //   decrement synchronizes-with it, so every counted submitter's push
   //   happens-before the final emptiness check — a request is either
   //   observed by the exit check or its submitter saw stopping_ and
@@ -224,32 +199,21 @@ class ControllerServer {
   //                        waits on pending_ == 0 via drain_bell_.
   //
   // Doorbells: util::Doorbell documents its own contract; all dispatcher
-  // waits are timed by config_.idle_wait, so no lost wakeup can hang.
+  // waits are timed by kIdleWait (controller_server.cpp), so no lost wakeup
+  // can hang.
   // -------------------------------------------------------------------------
 
-  struct Entry;
-
   struct Request {
-    Entry* entry = nullptr;
     la::Vec state;
     bool to_fallback = false;
     std::promise<la::Vec> result;
     std::chrono::steady_clock::time_point accepted_at{};
   };
 
-  /// One MPMC ring plus its admission tallies.  The Counter pointers alias
-  /// MetricsRegistry entries (stable for the registry's lifetime) so the
-  /// per-shard counters ARE the published metrics — one increment, no
-  /// double bookkeeping.
-  struct ShardState {
-    explicit ShardState(std::size_t capacity) : queue(capacity) {}
+  /// One dispatcher thread and the ring it alone pops.
+  struct Dispatcher {
+    explicit Dispatcher(std::size_t capacity) : queue(capacity) {}
     MpmcQueue<Request> queue;
-    Counter* accepted = nullptr;
-    Counter* shed = nullptr;
-    Counter* rejected = nullptr;
-  };
-
-  struct DispatcherState {
     util::Doorbell bell;
     std::thread thread;
   };
@@ -257,33 +221,33 @@ class ControllerServer {
   // The controller fields (primary/fallback/monitor) are immutable after
   // register_controller publishes the Entry under registry_mutex_; entries
   // are never erased and unique_ptr gives them a stable address, so
-  // references handed out by find_entry stay valid without the lock.
+  // references handed out by find_entry stay valid without the lock.  The
+  // Counter pointers alias MetricsRegistry entries (stable for the
+  // registry's lifetime), so each increment IS the published metric.
   struct Entry {
     std::shared_ptr<const ctrl::NnController> primary;
     ctrl::ControllerPtr fallback;
     SafetyMonitor monitor;
-    std::vector<std::unique_ptr<ShardState>> shards;
-    std::vector<std::unique_ptr<DispatcherState>> dispatchers;
-    // Round-robin home-shard cursor; relaxed — it only spreads load, and no
+    std::vector<std::unique_ptr<Dispatcher>> dispatchers;
+    // Round-robin home-ring cursor; relaxed — it only spreads load, and no
     // correctness property depends on its ordering.
-    std::atomic<std::uint64_t> next_shard{0};
-    Counter* primary_count = nullptr;   // registry-backed (relaxed monotonic)
+    std::atomic<std::uint64_t> next_ring{0};
+    Counter* primary_count = nullptr;
     Counter* fallback_count = nullptr;
     Counter* batch_count = nullptr;
+    Counter* accepted = nullptr;
+    Counter* shed = nullptr;
+    Counter* rejected = nullptr;
     std::atomic<std::uint64_t> max_batch_rows{0};
     LatencyHistogram* latency = nullptr;
   };
 
   [[nodiscard]] Entry& find_entry(const std::string& name) const
       COCKTAIL_EXCLUDES(registry_mutex_);
-  [[nodiscard]] std::future<la::Vec> reject(Entry& entry, Request&& request,
-                                            RejectReason reason);
-  void execute_inline(Request& request);
-  void execute_slice(Entry& entry, std::vector<Request>& slice);
-  void dispatch_loop(Entry& entry, std::size_t dispatcher_index);
+  static void execute_batch(Entry& entry, std::vector<Request>& batch);
+  void dispatch_loop(Entry& entry, Dispatcher& self);
 
   ServeConfig config_;
-  util::WorkerScope workers_;
   std::shared_ptr<MetricsRegistry> metrics_;
 
   // registry_mutex_ covers the name -> Entry map and the dispatcher

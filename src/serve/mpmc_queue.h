@@ -1,10 +1,10 @@
 // Bounded lock-free MPMC submission queue (Vyukov ring).
 //
-// The sharded serving tier gives every controller `num_shards` of these
-// queues: any number of submitter threads push requests, the shard's owning
-// dispatcher pops them into micro-batches, and a full ring is the admission
-// controller's load-shedding signal (try_push returns false; the caller
-// rejects the request with a reason instead of queueing unboundedly).
+// The serving tier gives every dispatcher thread one of these queues: any
+// number of submitter threads push requests, the owning dispatcher pops
+// them into micro-batches, and a full ring is the admission controller's
+// load-shedding signal (try_push returns false; the caller rejects the
+// request with a reason instead of queueing unboundedly).
 //
 // This is the standard Dmitry Vyukov bounded MPMC algorithm: a power-of-two
 // ring of cells, each carrying a sequence number, plus one push ticket and
@@ -32,7 +32,7 @@
 //                   the caller has externally quiesced one side — the
 //                   dispatcher shutdown path reads it after the submitter
 //                   gate in ControllerServer proves no producer is active,
-//                   and it is the shard's sole consumer (see the
+//                   and it is the ring's sole consumer (see the
 //                   shutdown-handshake audit in controller_server.h).
 //
 // No determinism burden: which requests share a queue (and hence a GEMM
@@ -103,7 +103,7 @@ class MpmcQueue {
   }
 
   /// Dequeues into `out`.  Returns false when the ring is empty.  Safe from
-  /// any number of threads (the serving tier uses one consumer per shard,
+  /// any number of threads (the serving tier uses one consumer per ring,
   /// but the algorithm does not require it).
   [[nodiscard]] bool try_pop(T& out) {
     std::size_t ticket = pop_ticket_.load(std::memory_order_relaxed);

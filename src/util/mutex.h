@@ -14,7 +14,7 @@
 // on a Mutex directly (std::condition_variable_any accepts any
 // BasicLockable, so no unannotated std::unique_lock has to appear at the
 // wait sites).  Doorbell composes Mutex + CondVar with an atomic sleeper
-// count into the wakeup primitive the sharded serving dispatchers sleep on.
+// count into the wakeup primitive the serving dispatchers sleep on.
 #pragma once
 
 #include <atomic>
@@ -132,9 +132,9 @@ class CondVar {
 
 /// Wakeup doorbell for threads that poll lock-free state.
 ///
-/// The sharded serving dispatchers pop from lock-free MPMC shards, so there
-/// is no queue mutex whose condition variable producers could signal.
-/// Doorbell fills that gap: a consumer that finds its shards empty sleeps in
+/// The serving dispatchers pop from lock-free MPMC rings, so there is no
+/// queue mutex whose condition variable producers could signal.  Doorbell
+/// fills that gap: a consumer that finds its ring empty sleeps in
 /// `wait_for`, and a producer `ring()`s after publishing work.
 ///
 /// Memory-order contract (documented here per the PR 7 policy):

@@ -4,10 +4,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "control/controller.h"
 #include "control/lqr_controller.h"
-#include "la/kernels.h"
 #include "control/mixed_controller.h"
 #include "control/mpc_controller.h"
 #include "control/nn_controller.h"
@@ -82,16 +83,39 @@ TEST(NnControllerTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A malformed scale vector fails closed as std::runtime_error; the length
+// cap keeps the 10^12-entry scale from escaping as std::bad_alloc.
+TEST(NnControllerTest, LoadRejectsMalformedScale) {
+  const std::string net =
+      "cocktail-mlp v1\n"
+      "1\n"
+      "1 2 identity\n"
+      "0.5 0.25\n"
+      "0.0\n";
+  const std::string path = "test_nnctl_bad_scale.nnctl";
+  for (const std::string scale :
+       {"1000000000000 1.0\n", "0\n", "2 1.0\n", "3 1.0 2.0 3.0\n"}) {
+    {
+      std::ofstream out(path);
+      out << "cocktail-nn-controller v1\n" << scale;
+      // The truncated scale ("2 1.0") ends the file; the others are
+      // followed by a valid network.
+      if (scale != "2 1.0\n") out << net;
+    }
+    EXPECT_THROW((void)ctrl::NnController::load_file(path, "k"),
+                 std::runtime_error)
+        << scale;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(NnControllerTest, ActBatchIsBitwiseIdenticalToAct) {
   // The serving contract at the controller layer: batch answers equal the
   // per-sample path exactly, including the non-unit out_scale broadcast.
   nn::Mlp net = nn::Mlp::make(3, {12, 12}, 2, nn::Activation::kTanh,
                               nn::Activation::kIdentity, 21);
   const ctrl::NnController c(std::move(net), {2.5, -0.75}, "k");
-  // The explicit empty-batch answer holds in every build configuration.
   EXPECT_TRUE(c.act_batch({}).empty());
-  if (la::kernels::blas_enabled())
-    GTEST_SKIP() << "COCKTAIL_BLAS waives the bitwise batching contract";
   util::Rng rng(8);
   std::vector<Vec> states;
   for (int k = 0; k < 33; ++k) states.push_back(rng.normal_vec(3));

@@ -237,8 +237,6 @@ TEST(KernelSchedule, DotMatchesReferenceAcrossLengths) {
 }
 
 TEST(KernelSchedule, GemmNtBitwiseMatchesReference) {
-  if (la::kernels::blas_enabled())
-    GTEST_SKIP() << "COCKTAIL_BLAS waives the bitwise GEMM contract";
   for (const auto& [m, n, k] : kernel_test_shapes()) {
     const Matrix a = random_matrix(m, k, 31 * m + n);
     const Matrix b = random_matrix(n, k, 57 * n + k);
@@ -253,8 +251,6 @@ TEST(KernelSchedule, GemmNtBitwiseMatchesReference) {
 }
 
 TEST(KernelSchedule, GemmNnBitwiseMatchesReference) {
-  if (la::kernels::blas_enabled())
-    GTEST_SKIP() << "COCKTAIL_BLAS waives the bitwise GEMM contract";
   for (const auto& [m, n, k] : kernel_test_shapes()) {
     const Matrix a = random_matrix(m, k, 71 * m + k);
     const Matrix b = random_matrix(k, n, 93 * n + m);
@@ -269,8 +265,6 @@ TEST(KernelSchedule, GemmNnBitwiseMatchesReference) {
 }
 
 TEST(KernelSchedule, MatvecBitwiseMatchesDotReference) {
-  // matvec never routes to BLAS (it stays deterministic even under
-  // COCKTAIL_BLAS), so this pin holds in every build configuration.
   for (const auto& [m, n, k] : kernel_test_shapes()) {
     (void)n;
     const Matrix a = random_matrix(m, k, 11 * m + k);

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "la/kernels.h"
 #include "nn/activation.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
@@ -265,6 +264,34 @@ TEST(MlpTest, LoadRejectsNonFiniteWeights) {
   EXPECT_THROW(Mlp::load(inf_bias), std::runtime_error);
 }
 
+// Oversized headers fail closed, as the documented std::runtime_error,
+// before anything is allocated: an uncapped loader would let the first
+// input escape as std::bad_alloc and the second as std::length_error.
+TEST(MlpTest, LoadRejectsOversizedHeaders) {
+  std::stringstream wide(
+      "cocktail-mlp v1\n"
+      "1\n"
+      "100000000 100000000 tanh\n");
+  EXPECT_THROW(Mlp::load(wide), std::runtime_error);
+  std::stringstream deep(
+      "cocktail-mlp v1\n"
+      "1000000000000000000\n"
+      "1 2 identity\n"
+      "0.5 0.25\n"
+      "0.0\n");
+  EXPECT_THROW(Mlp::load(deep), std::runtime_error);
+  // Just past each cap is refused too.
+  std::stringstream one_too_wide(
+      "cocktail-mlp v1\n"
+      "1\n"
+      "1 " + std::to_string(Mlp::kMaxLoadWidth + 1) + " identity\n");
+  EXPECT_THROW(Mlp::load(one_too_wide), std::runtime_error);
+  std::stringstream one_too_deep(
+      "cocktail-mlp v1\n" + std::to_string(Mlp::kMaxLoadLayers + 1) +
+      "\n1 2 identity\n0.5 0.25\n0.0\n");
+  EXPECT_THROW(Mlp::load(one_too_deep), std::runtime_error);
+}
+
 TEST(MlpTest, ForwardBatchIsBitwiseIdenticalToScalarForward) {
   // The serving runtime's contract: batching must never change an answer.
   // Sweep shapes and activations; every row of every batch must match the
@@ -274,8 +301,6 @@ TEST(MlpTest, ForwardBatchIsBitwiseIdenticalToScalarForward) {
     Activation hidden_act;
     Activation out_act;
   };
-  if (la::kernels::blas_enabled())
-    GTEST_SKIP() << "COCKTAIL_BLAS waives the bitwise batching contract";
   const std::vector<Case> cases = {
       {{16}, Activation::kTanh, Activation::kIdentity},
       {{24, 24}, Activation::kRelu, Activation::kTanh},
@@ -302,8 +327,6 @@ TEST(MlpTest, ForwardBatchIsBitwiseIdenticalToScalarForward) {
 TEST(MlpTest, ForwardBatchBitwiseOnPrimeWidthsAndBatches) {
   // Widths and batch sizes that are multiples of nothing: the blocked GEMM's
   // panel tails and the scalar matvec must still land on identical bits.
-  if (la::kernels::blas_enabled())
-    GTEST_SKIP() << "COCKTAIL_BLAS waives the bitwise batching contract";
   const Mlp net = Mlp::make(5, {31, 17}, 3, Activation::kTanh,
                             Activation::kIdentity, 123);
   util::Rng rng(41);

@@ -1,9 +1,9 @@
 // Tests for the serving runtime (src/serve): SafetyMonitor region
-// semantics, sharded micro-batched dispatch bitwise-matching the synchronous
-// reference path across dispatcher/shard/batch-size/worker/linger
-// configurations, fallback routing and admission control with exact
-// counters, the pinned submit-after-shutdown contract, the SLO metrics
-// registry, and cached-artifact loading.
+// semantics, micro-batched dispatch bitwise-matching the act_reference path
+// across dispatcher-count/batch-size/linger configurations, fallback routing
+// and admission control with exact counters, the pinned
+// submit-after-shutdown contract, the SLO metrics registry, and
+// cached-artifact loading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 
 #include "control/controller.h"
 #include "control/nn_controller.h"
-#include "la/kernels.h"
 #include "nn/mlp.h"
 #include "serve/controller_server.h"
 #include "serve/registry.h"
@@ -311,16 +310,19 @@ TEST(SafetyMonitor, ActionDeviationBoundUsesTheCertifiedLipschitz) {
             0.0);
 }
 
-// --- ControllerServer: synchronous mode ------------------------------------
+// --- ControllerServer: routing and contracts -------------------------------
 
-serve::ServeConfig sync_config() {
-  serve::ServeConfig config;
-  config.synchronous = true;
-  return config;
+/// The admission accounting every serving test pins once traffic quiesces:
+/// each valid submit() lands in exactly one admission bucket, and each
+/// admitted request took exactly one execution path.
+void expect_exact_accounting(const serve::ServeCounters& counters,
+                             std::uint64_t submitted) {
+  EXPECT_EQ(counters.accepted + counters.shed + counters.rejected, submitted);
+  EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
 }
 
-TEST(ControllerServer, SynchronousPrimaryAndFallbackRouting) {
-  serve::ControllerServer server(sync_config());
+TEST(ControllerServer, PrimaryAndFallbackRouting) {
+  serve::ControllerServer server;
   const auto student = make_student();
   server.register_controller(
       "vdp", student, std::make_shared<MarkerController>(2, 1),
@@ -330,19 +332,19 @@ TEST(ControllerServer, SynchronousPrimaryAndFallbackRouting) {
   const Vec outside = {2.0, 0.0};
   auto in_future = server.submit("vdp", inside);
   auto out_future = server.submit("vdp", outside);
-  ASSERT_EQ(in_future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
 
   // In-regime: exactly the network's action.  Out-of-regime: verifiably the
   // fallback's answer.
   EXPECT_EQ(in_future.get(), student->act(inside));
   EXPECT_EQ(out_future.get(), Vec{MarkerController::kMark});
+  server.drain();
 
   const auto counters = server.counters("vdp");
   EXPECT_EQ(counters.primary, 1u);
   EXPECT_EQ(counters.fallback, 1u);
   EXPECT_EQ(counters.batches, 1u);
   EXPECT_EQ(counters.max_batch_rows, 1u);
+  expect_exact_accounting(counters, 2);
 }
 
 // The serving half of the NaN-certified regression: corrupted observations
@@ -356,7 +358,7 @@ TEST(ControllerServer, NonFiniteSubmitsAreAnsweredByTheFallback) {
   for (const auto& monitor :
        {serve::SafetyMonitor::trust_all(),
         serve::SafetyMonitor::inside_box(unit_box())}) {
-    serve::ControllerServer server(sync_config());
+    serve::ControllerServer server;
     server.register_controller(
         "vdp", student, std::make_shared<MarkerController>(2, 1), monitor);
     const std::vector<Vec> bad_states = {
@@ -366,14 +368,16 @@ TEST(ControllerServer, NonFiniteSubmitsAreAnsweredByTheFallback) {
     // A finite in-regime request still reaches the primary.
     EXPECT_EQ(server.submit("vdp", {0.3, -0.4}).get(),
               student->act({0.3, -0.4}));
+    server.drain();
     const auto counters = server.counters("vdp");
     EXPECT_EQ(counters.fallback, bad_states.size());
     EXPECT_EQ(counters.primary, 1u);
+    expect_exact_accounting(counters, bad_states.size() + 1);
   }
 }
 
 TEST(ControllerServer, ReferencePathTakesNoCounters) {
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   const auto student = make_student();
   server.register_controller(
       "vdp", student, std::make_shared<MarkerController>(2, 1),
@@ -382,12 +386,14 @@ TEST(ControllerServer, ReferencePathTakesNoCounters) {
             student->act({0.3, -0.4}));
   EXPECT_EQ(server.act_reference("vdp", {2.0, 0.0}),
             Vec{MarkerController::kMark});
-  EXPECT_EQ(server.counters("vdp").primary, 0u);
-  EXPECT_EQ(server.counters("vdp").fallback, 0u);
+  const auto counters = server.counters("vdp");
+  EXPECT_EQ(counters.primary, 0u);
+  EXPECT_EQ(counters.fallback, 0u);
+  expect_exact_accounting(counters, 0);
 }
 
 TEST(ControllerServer, RegistrationAndSubmitValidation) {
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   const auto student = make_student();
   const auto fallback = std::make_shared<MarkerController>(2, 1);
   server.register_controller("vdp", student, fallback,
@@ -412,34 +418,31 @@ TEST(ControllerServer, RegistrationAndSubmitValidation) {
                                  std::make_shared<MarkerController>(3, 1),
                                  serve::SafetyMonitor::trust_all()),
       std::invalid_argument);
+  // Invalid submissions never reach admission.
+  expect_exact_accounting(server.counters("vdp"), 0);
 }
 
 TEST(ControllerServer, ControllerExceptionsTravelThroughTheFuture) {
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   server.register_controller("vdp", make_student(),
                              std::make_shared<ThrowingController>(),
                              serve::SafetyMonitor());  // everything falls back.
   auto future = server.submit("vdp", {0.0, 0.0});
   EXPECT_THROW((void)future.get(), std::runtime_error);
+  server.drain();
+  expect_exact_accounting(server.counters("vdp"), 1);
 }
 
-// --- ControllerServer: asynchronous micro-batching -------------------------
+// --- ControllerServer: micro-batching ---------------------------------------
 
-/// The acceptance pin: N concurrent submissions across the full
-/// {1,2,4} dispatchers × {1,2,8} shards grid — crossed with batch-size /
-/// worker / linger settings — return exactly the actions the synchronous
-/// path produces, out-of-invariant states are verifiably answered by the
+/// The acceptance pin: N concurrent submissions across {1,2,4} dispatchers
+/// × a batch-size / linger sweep return exactly the actions act_reference
+/// produces, out-of-invariant states are verifiably answered by the
 /// fallback, and the admission counters are exact (everything accepted,
-/// nothing shed or rejected, per-shard tallies summing to the totals).
-TEST(ControllerServer, AsyncMatchesSynchronousForAnyConfiguration) {
-  if (la::kernels::blas_enabled())
-    GTEST_SKIP() << "COCKTAIL_BLAS waives the bitwise batching contract";
-  // Reference answers from a synchronous server.
-  serve::ControllerServer reference(sync_config());
+/// nothing shed or rejected).
+TEST(ControllerServer, AsyncMatchesReferenceForAnyConfiguration) {
   const auto student = make_student();
   const auto monitor = serve::SafetyMonitor::inside_box(unit_box());
-  reference.register_controller(
-      "vdp", student, std::make_shared<MarkerController>(2, 1), monitor);
 
   // Mixed workload: ~2/3 certified states, ~1/3 outside the box.
   util::Rng rng(2024);
@@ -452,34 +455,20 @@ TEST(ControllerServer, AsyncMatchesSynchronousForAnyConfiguration) {
   }
   ASSERT_GT(expected_fallback, 0u);
   ASSERT_LT(expected_fallback, states.size());
-  std::vector<Vec> expected;
-  expected.reserve(states.size());
-  for (const Vec& s : states) expected.push_back(reference.act_reference("vdp", s));
 
   struct BatchSweep {
     std::size_t max_batch;
-    int num_workers;
     long linger_us;
   };
   const std::vector<BatchSweep> batch_sweeps = {
-      {1, 1, 0}, {4, 2, 200}, {64, 8, 200}, {16, 0, 50}};
-  const std::size_t dispatcher_sweep[] = {1, 2, 4};
-  const std::size_t shard_sweep[] = {1, 2, 8};
-  std::size_t combo = 0;
-  for (const std::size_t dispatchers : dispatcher_sweep) {
-    for (const std::size_t shards : shard_sweep) {
-      // Cycle the batch settings through the dispatcher x shard grid so the
-      // full cross stays cheap while every batch shape still meets every
-      // sharding shape over the sweep.
-      const BatchSweep& sweep = batch_sweeps[combo++ % batch_sweeps.size()];
+      {1, 0}, {4, 200}, {64, 200}, {16, 50}};
+  for (const std::size_t dispatchers : {1u, 2u, 4u}) {
+    for (const BatchSweep& sweep : batch_sweeps) {
       serve::ServeConfig config;
       config.max_batch = sweep.max_batch;
-      config.num_workers = sweep.num_workers;
       config.max_wait = std::chrono::microseconds(sweep.linger_us);
-      config.rows_per_chunk = 8;
       config.num_dispatchers = dispatchers;
-      config.num_shards = shards;
-      config.shard_capacity = 256;  // >> request count: nothing sheds.
+      config.queue_capacity = 256;  // >> request count: nothing sheds.
       serve::ControllerServer server(config);
       server.register_controller(
           "vdp", student, std::make_shared<MarkerController>(2, 1), monitor);
@@ -500,17 +489,18 @@ TEST(ControllerServer, AsyncMatchesSynchronousForAnyConfiguration) {
 
       for (std::size_t i = 0; i < states.size(); ++i) {
         const Vec action = futures[i].get();
-        ASSERT_EQ(action.size(), expected[i].size());
+        const Vec expected = server.act_reference("vdp", states[i]);
+        ASSERT_EQ(action.size(), expected.size());
         for (std::size_t c = 0; c < action.size(); ++c)
-          ASSERT_EQ(action[c], expected[i][c])
-              << "state " << i << ", max_batch " << sweep.max_batch << ", "
-              << sweep.num_workers << " workers, " << dispatchers
-              << " dispatchers, " << shards << " shards";
+          ASSERT_EQ(action[c], expected[c])
+              << "state " << i << ", max_batch " << sweep.max_batch
+              << ", linger " << sweep.linger_us << " us, " << dispatchers
+              << " dispatchers";
       }
+      server.drain();
 
-      // Counters are exact for any batching/sharding: every request took
-      // exactly one of the two paths, everything was admitted, and the
-      // per-shard admission tallies sum to the totals.
+      // Counters are exact for any batching: every request took exactly
+      // one of the two paths, and everything was admitted.
       const auto counters = server.counters("vdp");
       EXPECT_EQ(counters.fallback, expected_fallback);
       EXPECT_EQ(counters.primary, states.size() - expected_fallback);
@@ -519,12 +509,7 @@ TEST(ControllerServer, AsyncMatchesSynchronousForAnyConfiguration) {
       EXPECT_EQ(counters.accepted, states.size());
       EXPECT_EQ(counters.shed, 0u);
       EXPECT_EQ(counters.rejected, 0u);
-      EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
-      ASSERT_EQ(counters.shards.size(), shards);
-      std::uint64_t per_shard_accepted = 0;
-      for (const auto& shard : counters.shards)
-        per_shard_accepted += shard.accepted;
-      EXPECT_EQ(per_shard_accepted, counters.accepted);
+      expect_exact_accounting(counters, states.size());
     }
   }
 }
@@ -546,23 +531,25 @@ TEST(ControllerServer, DrainAnswersEverythingSubmitted) {
     EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
   EXPECT_EQ(server.counters("vdp").primary, 40u);
+  expect_exact_accounting(server.counters("vdp"), 40);
 }
 
 TEST(ControllerServer, DrainWithNoTrafficReturnsImmediately) {
-  serve::ControllerServer server;  // async defaults.
+  serve::ControllerServer server;
   server.register_controller("vdp", make_student(),
                              std::make_shared<MarkerController>(2, 1),
                              serve::SafetyMonitor::trust_all());
   server.drain();  // nothing queued, nothing in flight: must not block.
   EXPECT_EQ(server.counters("vdp").primary, 0u);
   EXPECT_EQ(server.counters("vdp").batches, 0u);
+  expect_exact_accounting(server.counters("vdp"), 0);
 }
 
-TEST(ControllerServer, AllFallbackSliceNeverBuildsAnEmptyBatch) {
+TEST(ControllerServer, AllFallbackBatchNeverBuildsAnEmptyGemm) {
   // Every request is uncertified (default monitor certifies nothing), so
-  // the drained slices contain zero certified requests.  from_rows({})
+  // the drained batches contain zero certified requests.  from_rows({})
   // throws (test_la pins this), so this sweep also proves the dispatcher
-  // never assembles an empty GEMM batch when a slice has no certified rows.
+  // never assembles an empty GEMM batch when a batch has no certified rows.
   serve::ServeConfig config;
   config.max_batch = 16;
   config.max_wait = std::chrono::microseconds(100);
@@ -575,10 +562,12 @@ TEST(ControllerServer, AllFallbackSliceNeverBuildsAnEmptyBatch) {
     futures.push_back(server.submit("vdp", {0.1 * k, -0.1 * k}));
   for (auto& future : futures)
     EXPECT_EQ(future.get(), Vec{MarkerController::kMark});
+  server.drain();
   const auto counters = server.counters("vdp");
   EXPECT_EQ(counters.fallback, 12u);
   EXPECT_EQ(counters.primary, 0u);
   EXPECT_EQ(counters.batches, 0u);  // the GEMM path never ran.
+  expect_exact_accounting(counters, 12);
 }
 
 /// Extracts the RejectReason a rejected future carries, failing the test if
@@ -599,7 +588,7 @@ serve::RejectReason reject_reason(std::future<Vec> future) {
 // counters.  Programmer errors (unknown name, wrong dimension) still throw
 // std::invalid_argument synchronously, stopped or not.
 TEST(ControllerServer, StopDrainsPendingAndRejectsNewWork) {
-  serve::ControllerServer server;  // async defaults.
+  serve::ControllerServer server;
   server.register_controller("vdp", make_student(),
                              std::make_shared<MarkerController>(2, 1),
                              serve::SafetyMonitor::trust_all());
@@ -621,18 +610,8 @@ TEST(ControllerServer, StopDrainsPendingAndRejectsNewWork) {
   EXPECT_EQ(counters.accepted, 1u);
   EXPECT_EQ(counters.rejected, 1u);
   EXPECT_EQ(counters.shed, 0u);
+  expect_exact_accounting(counters, 2);
   server.stop();  // idempotent.
-}
-
-TEST(ControllerServer, SynchronousSubmitIsAlsoRejectedAfterStop) {
-  serve::ControllerServer server(sync_config());
-  server.register_controller("vdp", make_student(),
-                             std::make_shared<MarkerController>(2, 1),
-                             serve::SafetyMonitor::trust_all());
-  server.stop();
-  EXPECT_EQ(reject_reason(server.submit("vdp", {0.1, 0.2})),
-            serve::RejectReason::kShutdown);
-  EXPECT_EQ(server.counters("vdp").rejected, 1u);
 }
 
 TEST(ControllerServer, RegistrationAfterStopThrows) {
@@ -651,7 +630,7 @@ TEST(ControllerServer, RegistrationAfterStopThrows) {
 // --- ControllerServer: admission control / load shedding --------------------
 
 /// Fallback that reports when act() starts and then blocks until released —
-/// lets the shed test wedge the dispatcher deterministically.
+/// lets the shed test wedge dispatchers deterministically.
 class GateController final : public ctrl::Controller {
  public:
   static constexpr double kGateMark = 7.5;
@@ -674,57 +653,68 @@ class GateController final : public ctrl::Controller {
   std::shared_future<void> release_;
 };
 
-// Exact load-shedding: wedge the single dispatcher inside a blocking
-// fallback, fill the one shard ring to its capacity, and verify that every
-// further submission sheds with RejectedError(kQueueFull) — with accepted /
-// shed counters exact and every accepted request still answered after the
-// dispatcher is released.
-TEST(ControllerServer, FullShardsShedWithExactCounters) {
+class FullRingsShed : public ::testing::TestWithParam<std::size_t> {};
+
+// Exact load-shedding: wedge every dispatcher inside a blocking fallback,
+// fill every ring to its capacity, and verify that each further submission
+// sheds with RejectedError(kQueueFull) — with accepted / shed counters
+// exact and every accepted request still answered after the dispatchers
+// are released.  With more than one dispatcher this pins the admission
+// bound at num_dispatchers x ring capacity.
+TEST_P(FullRingsShed, WithExactCounters) {
+  const std::size_t dispatchers = GetParam();
+  constexpr std::size_t kCapacity = 2;
   auto started = std::make_shared<std::atomic<int>>(0);
   std::promise<void> release;
   const std::shared_future<void> release_future =
       release.get_future().share();
 
   serve::ServeConfig config;
-  config.max_batch = 1;  // the wedged slice holds exactly one request.
+  config.max_batch = 1;  // a wedged batch holds exactly one request.
   config.max_wait = std::chrono::microseconds(0);
-  config.num_dispatchers = 1;
-  config.num_shards = 1;
-  config.shard_capacity = 2;
+  config.num_dispatchers = dispatchers;
+  config.queue_capacity = kCapacity;
   serve::ControllerServer server(config);
   server.register_controller(
       "vdp", make_student(),
       std::make_shared<GateController>(started, release_future),
       serve::SafetyMonitor());  // certifies nothing: everything falls back.
 
-  // The first request is popped by the dispatcher and blocks in act();
-  // waiting for started proves the ring is empty again.
-  auto wedged = server.submit("vdp", {0.0, 0.0});
-  while (started->load() == 0) std::this_thread::yield();
-
-  // Fill the ring (capacity 2) while the dispatcher is wedged...
-  auto queued_a = server.submit("vdp", {0.1, 0.1});
-  auto queued_b = server.submit("vdp", {0.2, 0.2});
-  // ...then overflow it: both submissions must shed immediately.
-  auto shed_a = server.submit("vdp", {0.3, 0.3});
-  auto shed_b = server.submit("vdp", {0.4, 0.4});
-  EXPECT_EQ(reject_reason(std::move(shed_a)), serve::RejectReason::kQueueFull);
-  EXPECT_EQ(reject_reason(std::move(shed_b)), serve::RejectReason::kQueueFull);
+  // Submission k's home ring is k mod D, so request d lands on ring d; its
+  // dispatcher pops it and blocks in act().  Waiting for `started` to count
+  // it proves that ring is empty again.
+  std::vector<std::future<Vec>> admitted;
+  for (std::size_t d = 0; d < dispatchers; ++d) {
+    admitted.push_back(server.submit("vdp", {0.0, 0.0}));
+    while (started->load() != static_cast<int>(d + 1))
+      std::this_thread::yield();
+  }
+  // Fill every ring while the dispatchers are wedged...
+  for (std::size_t k = 0; k < dispatchers * kCapacity; ++k)
+    admitted.push_back(server.submit("vdp", {0.1, 0.1}));
+  // ...then overflow them: both submissions must shed immediately.
+  EXPECT_EQ(reject_reason(server.submit("vdp", {0.3, 0.3})),
+            serve::RejectReason::kQueueFull);
+  EXPECT_EQ(reject_reason(server.submit("vdp", {0.4, 0.4})),
+            serve::RejectReason::kQueueFull);
 
   release.set_value();
   const Vec gate_action = la::constant(1, GateController::kGateMark);
-  EXPECT_EQ(wedged.get(), gate_action);
-  EXPECT_EQ(queued_a.get(), gate_action);
-  EXPECT_EQ(queued_b.get(), gate_action);
+  for (auto& future : admitted) EXPECT_EQ(future.get(), gate_action);
   server.drain();
 
+  const std::uint64_t accepted = dispatchers * (1 + kCapacity);
   const auto counters = server.counters("vdp");
-  EXPECT_EQ(counters.accepted, 3u);
+  EXPECT_EQ(counters.accepted, accepted);
   EXPECT_EQ(counters.shed, 2u);
   EXPECT_EQ(counters.rejected, 0u);
-  EXPECT_EQ(counters.fallback, 3u);
+  EXPECT_EQ(counters.fallback, accepted);
   EXPECT_EQ(counters.primary, 0u);
+  expect_exact_accounting(counters, accepted + 2);
 }
+
+INSTANTIATE_TEST_SUITE_P(Dispatchers, FullRingsShed,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}));
 
 // --- serve::MetricsRegistry --------------------------------------------------
 
@@ -791,7 +781,7 @@ TEST(ServeMetrics, RegistryCountersAndSnapshotRates) {
 TEST(ServeMetrics, ServerPublishesLatencyRoutingAndAdmissionMetrics) {
   serve::ServeConfig config;
   config.max_batch = 8;
-  config.num_shards = 2;
+  config.num_dispatchers = 2;
   serve::ControllerServer server(config);
   server.register_controller("vdp", make_student(),
                              std::make_shared<MarkerController>(2, 1),
@@ -807,18 +797,17 @@ TEST(ServeMetrics, ServerPublishesLatencyRoutingAndAdmissionMetrics) {
   for (const auto& h : snap.histograms)
     if (h.name == "serve.vdp.latency_us") latency_count = h.q.count;
   EXPECT_EQ(latency_count, 20u);
-  std::uint64_t primary = 0, shard_accepted = 0;
+  std::uint64_t primary = 0, accepted = 0;
   for (const auto& c : snap.counters) {
     if (c.name == "serve.vdp.primary") primary = c.value;
-    if (c.name == "serve.vdp.shard0.accepted" ||
-        c.name == "serve.vdp.shard1.accepted")
-      shard_accepted += c.value;
+    if (c.name == "serve.vdp.accepted") accepted = c.value;
   }
   EXPECT_EQ(primary, 20u);
-  EXPECT_EQ(shard_accepted, 20u);
+  EXPECT_EQ(accepted, 20u);
+  expect_exact_accounting(server.counters("vdp"), 20);
 }
 
-TEST(ControllerServer, ServesMultipleControllersFromOneQueue) {
+TEST(ControllerServer, ServesMultipleControllersIndependently) {
   serve::ServeConfig config;
   config.max_batch = 64;
   config.max_wait = std::chrono::microseconds(200);
@@ -834,8 +823,12 @@ TEST(ControllerServer, ServesMultipleControllersFromOneQueue) {
   auto fb = server.submit("b", s);
   EXPECT_EQ(fa.get(), a->act(s));
   EXPECT_EQ(fb.get(), b->act(s));
+  server.drain();
+  // Each controller counts only its own request.
   EXPECT_EQ(server.counters("a").primary, 1u);
   EXPECT_EQ(server.counters("b").primary, 1u);
+  expect_exact_accounting(server.counters("a"), 1);
+  expect_exact_accounting(server.counters("b"), 1);
 }
 
 // --- registry: cached-artifact loading -------------------------------------
@@ -876,12 +869,17 @@ TEST(ServeRegistry, RegistersThePipelineStudentWithExpertFallback) {
   artifacts.robust_student = student;
   artifacts.experts = {std::make_shared<MarkerController>(2, 1)};
 
-  serve::ControllerServer server(sync_config());
+  serve::ControllerServer server;
   serve::register_pipeline_student(server, "vdp", artifacts,
                                    serve::SafetyMonitor::inside_box(unit_box()));
   EXPECT_EQ(server.submit("vdp", {0.1, 0.1}).get(), student->act({0.1, 0.1}));
   EXPECT_EQ(server.submit("vdp", {5.0, 5.0}).get(),
             Vec{MarkerController::kMark});
+  server.drain();
+  const auto counters = server.counters("vdp");
+  EXPECT_EQ(counters.primary, 1u);
+  EXPECT_EQ(counters.fallback, 1u);
+  expect_exact_accounting(counters, 2);
 
   core::PipelineArtifacts empty;
   EXPECT_THROW(serve::register_pipeline_student(server, "x", empty,

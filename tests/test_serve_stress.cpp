@@ -7,8 +7,8 @@
 // annotate or document:
 //   - many external submitters against one ThreadPool, mixed with
 //     concurrent parallel_for batches and size() reads;
-//   - many ControllerServer submitters against sharded MPMC queues and
-//     multiple dispatcher threads, mixed with concurrent counters() stats
+//   - many ControllerServer submitters against per-dispatcher MPMC rings
+//     and multiple dispatcher threads, mixed with concurrent counters() stats
 //     reads, drain() calls, registration under traffic, a stop() racing
 //     live submitters (the Dekker shutdown gate), and genuine load shedding
 //     under contention with exact accept/shed/reject accounting.
@@ -140,10 +140,7 @@ TEST(ControllerServerStress, SubmittersStatsReadersDrainAndShutdown) {
   serve::ServeConfig config;
   config.max_batch = 8;
   config.max_wait = std::chrono::microseconds(50);
-  config.num_workers = 2;
-  config.rows_per_chunk = 4;
-  config.num_dispatchers = 2;
-  config.num_shards = 2;  // rings far larger than total traffic: no sheds.
+  config.num_dispatchers = 2;  // rings far larger than total traffic: no sheds.
   serve::ControllerServer server(config);
 
   const auto student = make_student(11);
@@ -228,12 +225,12 @@ TEST(ControllerServerStress, SubmittersStatsReadersDrainAndShutdown) {
   EXPECT_THROW((void)post_stop.get(), serve::RejectedError);
 }
 
-// The sharded-dispatcher acceptance stress: multiple dispatchers over more
-// shards, rings sized small enough that contention genuinely sheds, and the
-// admission accounting must still be exact — every submission ends up in
-// exactly one of {answered, shed}, the server-side counters agree with the
-// client-side tallies, and the per-shard breakdown sums to the totals.
-TEST(ControllerServerStress, ShardedDispatchersShedExactlyUnderContention) {
+// The multi-dispatcher acceptance stress: more closed-loop submitters than
+// the admission bound (2 dispatchers x 2-deep rings), so contention can
+// genuinely shed, and the admission accounting must still be exact — every
+// submission ends up in exactly one of {answered, shed}, and the
+// server-side counters agree with the client-side tallies.
+TEST(ControllerServerStress, DispatchersShedExactlyUnderContention) {
   constexpr int kSubmitters = 8;
   constexpr int kRequestsPerSubmitter = 200;
 
@@ -241,11 +238,10 @@ TEST(ControllerServerStress, ShardedDispatchersShedExactlyUnderContention) {
   config.max_batch = 4;
   config.max_wait = std::chrono::microseconds(20);
   config.num_dispatchers = 2;
-  config.num_shards = 4;
-  config.shard_capacity = 8;  // tiny rings: floods genuinely shed.
+  config.queue_capacity = 2;  // tiny rings: floods genuinely shed.
   serve::ControllerServer server(config);
   server.register_controller(
-      "sharded", make_student(23), std::make_shared<MarkController>(),
+      "contended", make_student(23), std::make_shared<MarkController>(),
       serve::SafetyMonitor::inside_box(sys::Box{{-1.0, -1.0}, {1.0, 1.0}}));
 
   std::atomic<long> answered{0};
@@ -255,7 +251,7 @@ TEST(ControllerServerStress, ShardedDispatchersShedExactlyUnderContention) {
     submitters.emplace_back([&, t] {
       for (int k = 0; k < kRequestsPerSubmitter; ++k) {
         const double x = (k % 2 == 0) ? 0.25 : 3.0;
-        auto future = server.submit("sharded", Vec{x, 0.01 * t});
+        auto future = server.submit("contended", Vec{x, 0.01 * t});
         try {
           const Vec action = future.get();
           answered.fetch_add(1);
@@ -273,20 +269,12 @@ TEST(ControllerServerStress, ShardedDispatchersShedExactlyUnderContention) {
   constexpr long kTotal = static_cast<long>(kSubmitters) *
                           kRequestsPerSubmitter;
   EXPECT_EQ(answered.load() + shed.load(), kTotal);
-  const auto counters = server.counters("sharded");
+  const auto counters = server.counters("contended");
   EXPECT_EQ(static_cast<long>(counters.accepted), answered.load());
   EXPECT_EQ(static_cast<long>(counters.shed), shed.load());
   EXPECT_EQ(counters.rejected, 0u);
   EXPECT_EQ(static_cast<long>(counters.accepted + counters.shed), kTotal);
   EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
-  ASSERT_EQ(counters.shards.size(), 4u);
-  std::uint64_t by_shard_accepted = 0, by_shard_shed = 0;
-  for (const auto& shard : counters.shards) {
-    by_shard_accepted += shard.accepted;
-    by_shard_shed += shard.shed;
-  }
-  EXPECT_EQ(by_shard_accepted, counters.accepted);
-  EXPECT_EQ(by_shard_shed, counters.shed);
 }
 
 TEST(ControllerServerStress, RegistrationUnderLiveTraffic) {
@@ -294,16 +282,17 @@ TEST(ControllerServerStress, RegistrationUnderLiveTraffic) {
   config.max_batch = 4;
   config.max_wait = std::chrono::microseconds(20);
   config.num_dispatchers = 2;
-  config.num_shards = 2;
   serve::ControllerServer server(config);
   server.register_controller("base", make_student(1),
                              std::make_shared<MarkController>(),
                              serve::SafetyMonitor::trust_all());
 
   std::atomic<bool> done{false};
+  std::uint64_t base_submitted = 0;
   std::thread traffic([&] {
     while (!done.load()) {
       auto future = server.submit("base", Vec{0.1, -0.1});
+      ++base_submitted;
       (void)future.get();
     }
   });
@@ -321,7 +310,20 @@ TEST(ControllerServerStress, RegistrationUnderLiveTraffic) {
 
   done.store(true);
   traffic.join();
-  EXPECT_GT(server.counters("base").primary, 0u);
+  server.drain();
+  // The rings are far larger than the traffic, so everything is admitted,
+  // and each controller counts only its own requests.
+  const auto base = server.counters("base");
+  EXPECT_GT(base.primary, 0u);
+  EXPECT_EQ(base.accepted, base_submitted);
+  EXPECT_EQ(base.shed + base.rejected, 0u);
+  EXPECT_EQ(base.primary + base.fallback, base.accepted);
+  for (int k = 0; k < 32; ++k) {
+    const auto counters = server.counters("ctl-" + std::to_string(k));
+    EXPECT_EQ(counters.accepted, 1u);
+    EXPECT_EQ(counters.shed + counters.rejected, 0u);
+    EXPECT_EQ(counters.primary + counters.fallback, counters.accepted);
+  }
 }
 
 }  // namespace

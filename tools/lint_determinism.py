@@ -24,7 +24,7 @@ fp-accumulate-parallel  Compound assignment (+=, -=, *=, /=) or ++/-- on a
                         variable captured from outside the body of a lambda
                         handed to parallel_for/run_chunks/chunked_for/
                         submit, or run as a std::thread body (the raw
-                        dispatch vector of the sharded serving tier: MPMC
+                        dispatch vector of the serving tier: MPMC
                         dispatcher threads draining try_pop loops).  A
                         shared accumulator mutated from parallel bodies is
                         both a data race and a scheduling-dependent FP
@@ -221,8 +221,8 @@ INCDEC_RE = re.compile(
 
 def scan_parallel_extents(path: str, text: str, offsets: list[int],
                           findings: list[Finding]) -> None:
-    # A std::thread constructor is a parallel extent too: the sharded
-    # serving tier's dispatcher threads drain lock-free MPMC queues in
+    # A std::thread constructor is a parallel extent too: the serving
+    # tier's dispatcher threads drain lock-free MPMC queues in
     # hand-rolled loops, and anything they accumulate into captured state
     # folds in scheduling (pop) order.
     for call in re.finditer(r"(?:\b(?:parallel_for|run_chunks|chunked_for|"
@@ -449,7 +449,7 @@ SELF_TEST_CASES = [
      "});\n",
      ["fp-accumulate-parallel"]),
     # MPMC raw-dispatch fixtures: a dispatcher thread draining a lock-free
-    # shard queue is a parallel extent — pop order is scheduling-dependent,
+    # ring is a parallel extent — pop order is scheduling-dependent,
     # so captured accumulation there is exactly the nondeterministic FP
     # fold the serving tier must not contain.
     ("mpmc dispatcher thread accumulating captured state",

@@ -601,7 +601,7 @@ SELF_TEST_CASES = [
     ("bool data member is not a declaration of interest",
      "serve/controller_server.h",
      "struct S {\n  bool stopping_ GUARDED_BY(mutex_) = false;\n"
-     "  bool synchronous = false;\n};\n",
+     "  bool draining = false;\n};\n",
      []),
     ("deleted operator returning bool is fine",
      "util/mutex.h",
