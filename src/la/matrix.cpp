@@ -160,15 +160,6 @@ void Matrix::add_outer(double k, const Vec& col, const Vec& row) {
   }
 }
 
-void Matrix::add_row_broadcast(const Vec& v) {
-  if (v.size() != cols_)
-    throw std::invalid_argument("Matrix::add_row_broadcast: length mismatch");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double* row = &data_[r * cols_];
-    for (std::size_t c = 0; c < cols_; ++c) row[c] += v[c];
-  }
-}
-
 void Matrix::scale_columns(const Vec& v) {
   if (v.size() != cols_)
     throw std::invalid_argument("Matrix::scale_columns: length mismatch");

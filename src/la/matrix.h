@@ -76,8 +76,6 @@ class Matrix {
   /// Rank-1 update: this += k * col * row^T  (outer product accumulate).
   void add_outer(double k, const Vec& col, const Vec& row);
 
-  /// Adds `v` to every row (bias broadcast): this(r, c) += v[c].
-  void add_row_broadcast(const Vec& v);
   /// Scales column c of every row by `v[c]` (per-output scaling broadcast).
   void scale_columns(const Vec& v);
   /// Copy of row r as a vector.

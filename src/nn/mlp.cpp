@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "la/kernels.h"
 #include "la/vec.h"
 #include "util/csv.h"
 
@@ -114,18 +115,47 @@ la::Vec Mlp::forward(const la::Vec& x) const {
 la::Matrix Mlp::forward_batch(const la::Matrix& x) const {
   if (x.cols() != input_dim())
     throw std::invalid_argument("Mlp::forward_batch: input dimension mismatch");
-  la::Matrix a = x;
-  for (const auto& layer : layers_) {
-    // z(r, i) = sum_c a(r, c) * w(i, c) + b[i]: the GEMM runs the same
-    // fixed accumulation schedule as the scalar path's matvec (IEEE
-    // multiplication commutes bitwise, so the operand order per product is
-    // immaterial), then the same bias add and element-wise activation.
-    la::Matrix z = a.matmul_nt(layer.w);
-    z.add_row_broadcast(layer.b);
-    for (auto& v : z.data()) v = activate(layer.act, v);
-    a = std::move(z);
+  la::Matrix y(x.rows(), output_dim());
+  forward_rows(x.data().data(), x.rows(), y.data().data());
+  return y;
+}
+
+void Mlp::forward_rows(const double* x, std::size_t rows, double* y) const {
+  const std::size_t in_dim = input_dim();
+  const std::size_t out_dim = output_dim();
+  // Hidden activations of a tile ping-pong between two buffers (one with a
+  // single hidden layer); the last layer writes straight into `y`.
+  std::size_t widest = 0;
+  for (std::size_t l = 0; l + 1 < layers_.size(); ++l)
+    widest = std::max(widest, layers_[l].w.rows());
+  const std::size_t half = kForwardTileRows * widest;
+  const std::size_t buffers = std::min<std::size_t>(layers_.size() - 1, 2);
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < buffers * half) scratch.resize(buffers * half);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kForwardTileRows) {
+    const std::size_t m = std::min(kForwardTileRows, rows - r0);
+    const double* a = x + r0 * in_dim;
+    std::size_t width = in_dim;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const auto& layer = layers_[l];
+      const std::size_t n = layer.w.rows();
+      double* z = l + 1 == layers_.size() ? y + r0 * out_dim
+                                          : scratch.data() + (l % 2) * half;
+      // z(r, i) = sum_c a(r, c) * w(i, c) + b[i]: the GEMM runs the same
+      // fixed accumulation schedule as the scalar path's matvec (IEEE
+      // multiplication commutes bitwise, so the operand order per product
+      // is immaterial), then the same bias add and element-wise activation.
+      la::kernels::gemm_nt(m, n, width, a, width, layer.w.data().data(),
+                           width, z, n);
+      for (std::size_t r = 0; r < m; ++r) {
+        double* zr = z + r * n;
+        for (std::size_t i = 0; i < n; ++i)
+          zr[i] = activate(layer.act, zr[i] + layer.b[i]);
+      }
+      a = z;
+      width = n;
+    }
   }
-  return a;
 }
 
 la::Vec Mlp::forward(const la::Vec& x, Workspace& ws) const {

@@ -78,13 +78,27 @@ class Mlp {
   [[nodiscard]] la::Vec forward(const la::Vec& x) const;
 
   /// Batched inference: `x` is N x input_dim (one sample per row); returns
-  /// N x output_dim.  Each layer is one blocked GEMM (la::Matrix::matmul_nt)
-  /// plus a bias broadcast; the GEMM and the scalar path's matvec follow
-  /// the same fixed accumulation schedule (la/kernel_config.h), so row r is
+  /// N x output_dim.  A thin wrapper over forward_rows(), so row r is
   /// **bitwise identical** to forward(x.row(r)) — the contract the serving
   /// runtime's micro-batching rests on (pinned by test_nn's ForwardBatch
   /// suites).
   [[nodiscard]] la::Matrix forward_batch(const la::Matrix& x) const;
+
+  /// Rows per tile of forward_rows().  A tile's hidden activations live in
+  /// a thread-local scratch of at most 2 x kForwardTileRows x (widest
+  /// hidden layer) doubles, which bounds memory per thread for any row
+  /// count.  Rows are independent, so the tile size never changes a bit.
+  static constexpr std::size_t kForwardTileRows = 64;
+
+  /// The one batched forward pass, on raw row-major buffers: `x` holds
+  /// `rows` x input_dim() doubles and `y` receives rows x output_dim().
+  /// Each layer of a tile is one blocked GEMM (la::kernels::gemm_nt) plus
+  /// the bias add and element-wise activation; the GEMM and the scalar
+  /// path's matvec follow the same fixed accumulation schedule
+  /// (la/kernel_config.h), so row r of `y` is bitwise identical to
+  /// forward(row r of x).  Allocates only when a thread's scratch must
+  /// grow.  `x` and `y` must not overlap.
+  void forward_rows(const double* x, std::size_t rows, double* y) const;
 
   /// Per-sample forward pass cache for backpropagation.
   struct Workspace {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 namespace cocktail::verify {
 
@@ -15,33 +17,67 @@ double binomial(int n, int k) {
   return out;
 }
 
-BernsteinPoly BernsteinPoly::fit(
-    const std::function<double(const la::Vec&)>& f, const IBox& box,
-    const std::vector<int>& degrees) {
+namespace {
+
+/// Π(d_i + 1): the number of grid points, after validating the degrees.
+std::size_t grid_points(const IBox& box, const std::vector<int>& degrees) {
   if (degrees.size() != box.size())
-    throw std::invalid_argument("BernsteinPoly::fit: degree arity mismatch");
-  BernsteinPoly poly;
-  poly.box_ = box;
-  poly.degrees_ = degrees;
+    throw std::invalid_argument("BernsteinPoly: degree arity mismatch");
   std::size_t total = 1;
   for (int d : degrees) {
-    if (d < 1) throw std::invalid_argument("BernsteinPoly::fit: degree < 1");
+    if (d < 1) throw std::invalid_argument("BernsteinPoly: degree < 1");
     total *= static_cast<std::size_t>(d + 1);
   }
-  poly.coeffs_.resize(total);
-  la::Vec x(box.size());
+  return total;
+}
+
+}  // namespace
+
+std::vector<double> BernsteinPoly::grid(const IBox& box,
+                                        const std::vector<int>& degrees) {
+  const std::size_t total = grid_points(box, degrees);
+  const std::size_t n = box.size();
+  std::vector<double> points(total * n);
   for (std::size_t index = 0; index < total; ++index) {
     std::size_t rem = index;
-    for (std::size_t dim = 0; dim < box.size(); ++dim) {
+    for (std::size_t dim = 0; dim < n; ++dim) {
       const auto d = static_cast<std::size_t>(degrees[dim]);
       const std::size_t k = rem % (d + 1);
       rem /= (d + 1);
-      x[dim] = box[dim].lo() + box[dim].width() * static_cast<double>(k) /
-                                   static_cast<double>(d);
+      points[index * n + dim] =
+          box[dim].lo() + box[dim].width() * static_cast<double>(k) /
+                              static_cast<double>(d);
     }
-    poly.coeffs_[index] = f(x);
   }
+  return points;
+}
+
+BernsteinPoly BernsteinPoly::from_samples(const IBox& box,
+                                          const std::vector<int>& degrees,
+                                          std::vector<double> samples) {
+  if (samples.size() != grid_points(box, degrees))
+    throw std::invalid_argument(
+        "BernsteinPoly::from_samples: sample count does not match the grid");
+  BernsteinPoly poly;
+  poly.box_ = box;
+  poly.degrees_ = degrees;
+  poly.coeffs_ = std::move(samples);
   return poly;
+}
+
+BernsteinPoly BernsteinPoly::fit(
+    const std::function<double(const la::Vec&)>& f, const IBox& box,
+    const std::vector<int>& degrees) {
+  const std::vector<double> points = grid(box, degrees);
+  const std::size_t n = box.size();
+  std::vector<double> samples(grid_points(box, degrees));
+  la::Vec x(n);
+  for (std::size_t j = 0; j < samples.size(); ++j) {
+    std::copy_n(points.begin() + static_cast<std::ptrdiff_t>(j * n), n,
+                x.begin());
+    samples[j] = f(x);
+  }
+  return from_samples(box, degrees, std::move(samples));
 }
 
 double BernsteinPoly::eval(const la::Vec& x) const {
@@ -96,8 +132,12 @@ std::vector<int> BernsteinPoly::degrees_for(double lipschitz, const IBox& box,
     // Equal error split: (L/2)·w_i/√d_i = ε/n  =>  d_i = (n·L·w_i/(2ε))².
     const double needed =
         n * lipschitz * box[i].width() / (2.0 * epsilon);
+    // Clamp in double before the cast: a large L/ε ratio puts d far past
+    // INT_MAX (the cast would be UB), and NaN maps to the cap.
     const double d = std::ceil(needed * needed);
-    degrees[i] = std::clamp(static_cast<int>(d), 1, max_degree);
+    degrees[i] = std::isnan(d) ? max_degree
+                               : static_cast<int>(std::clamp(
+                                     d, 1.0, static_cast<double>(max_degree)));
   }
   achieved = error_bound(lipschitz, box, degrees);
   return degrees;

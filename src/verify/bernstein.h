@@ -22,10 +22,26 @@ namespace cocktail::verify {
 
 class BernsteinPoly {
  public:
-  /// Fits B_d(f) on `box` by sampling `f` on the Bernstein grid.
-  /// `degrees[i] >= 1` is the polynomial degree along dimension i.
+  /// Fits B_d(f) on `box` by sampling `f` point by point on grid(box,
+  /// degrees).  `degrees[i] >= 1` is the polynomial degree along dimension
+  /// i.  The scalar reference for from_samples().
   static BernsteinPoly fit(const std::function<double(const la::Vec&)>& f,
                            const IBox& box, const std::vector<int>& degrees);
+
+  /// The Bernstein grid x_k = lo + (k/d)·(hi-lo) of `box` at `degrees`,
+  /// row-major in coefficient order (dimension 0 fastest): point j occupies
+  /// entries [j·n, (j+1)·n) for n = box.size().  Throws
+  /// std::invalid_argument on a degree arity mismatch or a degree < 1.
+  [[nodiscard]] static std::vector<double> grid(
+      const IBox& box, const std::vector<int>& degrees);
+
+  /// B_d from `samples[j]` = f(point j of grid(box, degrees)) — the same
+  /// polynomial fit() builds, for callers that evaluate the whole grid in
+  /// one batch.  Throws std::invalid_argument when the sample count does
+  /// not match the grid.
+  [[nodiscard]] static BernsteinPoly from_samples(
+      const IBox& box, const std::vector<int>& degrees,
+      std::vector<double> samples);
 
   /// Evaluates the polynomial at `x` (inside the box; de-normalization is
   /// handled internally).

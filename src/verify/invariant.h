@@ -11,6 +11,10 @@
 // scales with the controller's Lipschitz constant (degree and partition
 // growth); the wall-clock `seconds` of the result is the paper's
 // verifiability metric, and budget exhaustion reproduces the κD blow-up.
+// That phase runs on util::ThreadPool::shared() in fixed waves of cells
+// whose costs merge in cell order; the first cell that exhausts the budget
+// is re-run serially, so every field but `seconds` is bitwise identical to
+// a serial sweep for any pool width.
 #pragma once
 
 #include <string>
@@ -37,7 +41,10 @@ struct InvariantResult {
   double volume_fraction = 0.0;  ///< |XI| / |X|.
   bool completed = false;
   std::string failure;
-  double seconds = 0.0;   ///< verification time (Property 3).
+  /// Verification time (Property 3).  Like ReachResult::seconds it
+  /// depends on the pool width; nn_evaluations is the machine-independent
+  /// cost.
+  double seconds = 0.0;
   long nn_evaluations = 0;
   long partitions = 0;
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace cocktail::verify {
 
@@ -29,6 +32,31 @@ IBox NnAbstraction::ibp_output(const IBox& box) const {
   IBox out = ibp_enclose(*net_, box);
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = out[i] * out_scale_[i];
   return out;
+}
+
+std::vector<double> NnAbstraction::sample_grid(
+    const std::vector<double>& points, std::size_t rows) const {
+  const std::size_t outputs = controller_.control_dim();
+  std::vector<double> values(rows * outputs);
+  if (net_ != nullptr) {
+    // act(x) = out_scale ∘ net(x): the batched rows are bitwise identical
+    // to forward(x), and the scale is the same product act() takes.
+    net_->forward_rows(points.data(), rows, values.data());
+    for (std::size_t j = 0; j < rows; ++j)
+      for (std::size_t o = 0; o < outputs; ++o)
+        values[j * outputs + o] *= out_scale_[o];
+    return values;
+  }
+  const std::size_t n = points.size() / rows;
+  la::Vec x(n);
+  for (std::size_t j = 0; j < rows; ++j) {
+    std::copy_n(points.begin() + static_cast<std::ptrdiff_t>(j * n), n,
+                x.begin());
+    const la::Vec u = controller_.act(x);
+    std::copy_n(u.begin(), outputs,
+                values.begin() + static_cast<std::ptrdiff_t>(j * outputs));
+  }
+  return values;
 }
 
 ControlEnclosure NnAbstraction::enclose(const IBox& box,
@@ -75,12 +103,13 @@ void NnAbstraction::enclose_recursive(const IBox& box, int depth,
   const bool use_ibp =
       config_.method != AbstractionMethod::kBernstein && net_ != nullptr;
 
-  std::size_t samples = 0;
+  const std::size_t outputs = controller_.control_dim();
+  std::size_t grid_points = 0;
   if (use_bernstein) {
-    samples = 1;
-    for (int d : degrees) samples *= static_cast<std::size_t>(d + 1);
-    samples *= controller_.control_dim();
+    grid_points = 1;
+    for (int d : degrees) grid_points *= static_cast<std::size_t>(d + 1);
   }
+  std::size_t samples = grid_points * outputs;
   // One IBP pass costs about two forward passes of interval arithmetic.
   if (use_ibp) samples += 2;
   budget.partitions += 1;
@@ -99,15 +128,19 @@ void NnAbstraction::enclose_recursive(const IBox& box, int depth,
   IBox ibp_box;
   if (use_ibp) ibp_box = ibp_output(box);
 
-  // One Bernstein fit per control output; grids coincide so a shared
-  // evaluation cache would be possible, but control_dim is 1 in all the
-  // paper's systems and the clarity is worth more than the reuse.
-  for (std::size_t dim = 0; dim < controller_.control_dim(); ++dim) {
+  // Every control output's Bernstein fit samples the same grid: evaluate
+  // it once and give each output its column of the rows x outputs values.
+  std::vector<double> values;
+  if (use_bernstein)
+    values = sample_grid(BernsteinPoly::grid(box, degrees), grid_points);
+  for (std::size_t dim = 0; dim < outputs; ++dim) {
     Interval enclosure;
     if (use_bernstein) {
-      const BernsteinPoly poly = BernsteinPoly::fit(
-          [&](const la::Vec& x) { return controller_.act(x)[dim]; }, box,
-          degrees);
+      std::vector<double> column(grid_points);
+      for (std::size_t j = 0; j < grid_points; ++j)
+        column[j] = values[j * outputs + dim];
+      const BernsteinPoly poly =
+          BernsteinPoly::from_samples(box, degrees, std::move(column));
       enclosure = poly.range().inflate(achieved);
       // Hybrid: the true range lies in both enclosures, so the
       // intersection is sound and at least as tight as either.

@@ -11,8 +11,10 @@
 // paper's κD run (Fig 4) as a clean, reportable failure.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "control/nn_controller.h"
 #include "verify/bernstein.h"
@@ -90,11 +92,18 @@ class NnAbstraction {
   /// for NnController subjects; the constructor falls back to Bernstein
   /// otherwise).
   [[nodiscard]] IBox ibp_output(const IBox& box) const;
+  /// κ at each of the `rows` row-major `points`: rows x control_dim values,
+  /// row-major.  NnController subjects run one batched
+  /// nn::Mlp::forward_rows call; other controllers take one act() per
+  /// point.  Both give the bits act() gives.
+  [[nodiscard]] std::vector<double> sample_grid(
+      const std::vector<double>& points, std::size_t rows) const;
 
   const ctrl::Controller& controller_;
   AbstractionConfig config_;
   double lipschitz_;
-  /// Set when the controller is an NnController (enables IBP / hybrid).
+  /// Set when the controller is an NnController (enables IBP / hybrid and
+  /// batched Bernstein sampling).
   const nn::Mlp* net_ = nullptr;
   la::Vec out_scale_;
 };

@@ -327,11 +327,14 @@ TEST(MlpTest, ForwardBatchIsBitwiseIdenticalToScalarForward) {
 TEST(MlpTest, ForwardBatchBitwiseOnPrimeWidthsAndBatches) {
   // Widths and batch sizes that are multiples of nothing: the blocked GEMM's
   // panel tails and the scalar matvec must still land on identical bits.
+  // The batches around Mlp::kForwardTileRows cross forward_rows' row tiles.
   const Mlp net = Mlp::make(5, {31, 17}, 3, Activation::kTanh,
                             Activation::kIdentity, 123);
   util::Rng rng(41);
+  constexpr std::size_t kTile = Mlp::kForwardTileRows;
   for (const std::size_t batch :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{33}}) {
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{33},
+        kTile, kTile + 1, 2 * kTile + 3}) {
     la::Matrix x(batch, 5);
     for (auto& v : x.data()) v = rng.uniform(-2.0, 2.0);
     const la::Matrix y = net.forward_batch(x);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "control/nn_controller.h"
 #include "control/mixed_controller.h"
@@ -26,6 +28,27 @@ ctrl::NnController make_controller(std::uint64_t seed, double scale = 1.0) {
 IBox unbounded_u() {
   return {Interval(-1e18, 1e18)};
 }
+
+/// Hides an NnController behind the plain Controller interface, so the
+/// abstraction cannot see the network and samples it one act() per point.
+class OpaqueController final : public ctrl::Controller {
+ public:
+  explicit OpaqueController(const ctrl::NnController& inner) : inner_(inner) {}
+  [[nodiscard]] Vec act(const Vec& s) const override { return inner_.act(s); }
+  [[nodiscard]] std::size_t state_dim() const override {
+    return inner_.state_dim();
+  }
+  [[nodiscard]] std::size_t control_dim() const override {
+    return inner_.control_dim();
+  }
+  [[nodiscard]] std::string describe() const override { return "opaque"; }
+  [[nodiscard]] double lipschitz_bound() const override {
+    return inner_.lipschitz_bound();
+  }
+
+ private:
+  const ctrl::NnController& inner_;
+};
 
 TEST(NnAbstraction, EnclosureContainsSampledOutputs) {
   // Soundness property over several networks and boxes.
@@ -116,6 +139,60 @@ TEST(NnAbstraction, RejectsUncertifiedControllers) {
       {inner}, std::move(weight_net), 1.5,
       sys::Box::symmetric(1, 20.0));
   EXPECT_THROW(verify::NnAbstraction(mixed, {}), std::invalid_argument);
+}
+
+TEST(NnAbstraction, BatchedSamplingMatchesPerPointAct) {
+  // An NnController is sampled in one batched forward per partition; the
+  // same network behind an opaque Controller takes one act() per point.
+  // Enclosures, epsilon and the work counters must agree bit for bit: a
+  // 3-D net at degree 10 (1331 rows per partition, not a multiple of the
+  // row tile) and a 2-output net with per-output scales.
+  struct Case {
+    ctrl::NnController controller;
+    IBox box;
+    int max_partition_depth;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {ctrl::NnController(nn::Mlp::make(3, {16}, 1, nn::Activation::kTanh,
+                                        nn::Activation::kIdentity, 21),
+                          {1.5}, "3d"),
+       verify::make_box({-0.5, -0.2, 0.0}, {0.3, 0.4, 0.6}), 1});
+  cases.push_back(
+      {ctrl::NnController(nn::Mlp::make(2, {12, 12}, 2,
+                                        nn::Activation::kTanh,
+                                        nn::Activation::kIdentity, 22),
+                          {2.0, -0.5}, "2out"),
+       verify::make_box({-1.0, -1.0}, {1.0, 1.0}), 3});
+  for (const Case& c : cases) {
+    verify::AbstractionConfig config;
+    config.epsilon_target = 1e-3;  // the degree cap binds everywhere.
+    config.max_degree = 10;
+    config.max_partition_depth = c.max_partition_depth;
+    const OpaqueController opaque(c.controller);
+    verify::VerificationBudget batched_budget, opaque_budget;
+    const auto batched = verify::NnAbstraction(c.controller, config)
+                             .enclose(c.box, {}, batched_budget);
+    const auto per_point =
+        verify::NnAbstraction(opaque, config).enclose(c.box, {}, opaque_budget);
+    SCOPED_TRACE(c.controller.describe());
+    ASSERT_EQ(batched.u_range.size(), per_point.u_range.size());
+    for (std::size_t i = 0; i < batched.u_range.size(); ++i) {
+      EXPECT_EQ(batched.u_range[i].lo(), per_point.u_range[i].lo()) << i;
+      EXPECT_EQ(batched.u_range[i].hi(), per_point.u_range[i].hi()) << i;
+    }
+    EXPECT_EQ(batched.epsilon, per_point.epsilon);
+    EXPECT_EQ(batched.partitions, per_point.partitions);
+    EXPECT_EQ(batched.nn_evaluations, per_point.nn_evaluations);
+    EXPECT_EQ(batched_budget.nn_evaluations, opaque_budget.nn_evaluations);
+    EXPECT_EQ(batched_budget.partitions, opaque_budget.partitions);
+    // Π(d_i + 1) × control_dim per partition.
+    std::size_t grid = 1;
+    for (std::size_t d = 0; d < c.box.size(); ++d) grid *= 11;
+    EXPECT_EQ(batched.nn_evaluations,
+              static_cast<long>(grid * c.controller.control_dim()) *
+                  batched.partitions);
+  }
 }
 
 TEST(NnAbstraction, TighterEpsilonNeedsMoreWork) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "nn/mlp.h"
 #include "util/rng.h"
@@ -127,6 +128,45 @@ TEST(Bernstein, DegreeCapSignalsInsufficientPrecision) {
   (void)BernsteinPoly::degrees_for(100.0, box, 0.01, /*max_degree=*/4,
                                    achieved);
   EXPECT_GT(achieved, 0.01);  // cap binds -> caller must partition.
+}
+
+TEST(Bernstein, DegreesForClampsHugeRatiosToTheCap) {
+  // L = 1e6 on [-1,1]^2 at eps = 1e-3 needs d = 4e18 per dimension: the
+  // clamp must happen in double, before the int cast (casting 4e18 is UB;
+  // on x86 it yields {1, 1}).  A NaN Lipschitz bound maps to the cap too.
+  const IBox box = verify::make_box({-1.0, -1.0}, {1.0, 1.0});
+  double achieved = 0.0;
+  EXPECT_EQ(BernsteinPoly::degrees_for(1e6, box, 1e-3, 10, achieved),
+            (std::vector<int>{10, 10}));
+  EXPECT_GT(achieved, 1e-3);
+  EXPECT_EQ(BernsteinPoly::degrees_for(std::nan(""), box, 1e-3, 10, achieved),
+            (std::vector<int>{10, 10}));
+}
+
+TEST(Bernstein, FromSamplesOnTheGridEqualsFit) {
+  // Batched sampling contract: evaluating the grid in one forward_rows call
+  // and building from the samples gives fit()'s coefficients bit for bit.
+  // 3-D at degrees {10, 10, 10} is 1331 rows, not a multiple of the tile.
+  const nn::Mlp net = nn::Mlp::make(3, {9, 7}, 2, nn::Activation::kTanh,
+                                    nn::Activation::kIdentity, 5);
+  const IBox box = verify::make_box({-0.3, 0.1, -2.0}, {0.4, 0.2, 1.5});
+  for (const std::vector<int>& degrees :
+       {std::vector<int>{10, 10, 10}, std::vector<int>{1, 4, 2}}) {
+    const std::vector<double> points = BernsteinPoly::grid(box, degrees);
+    const std::size_t rows = points.size() / 3;
+    std::vector<double> values(rows * 2);
+    net.forward_rows(points.data(), rows, values.data());
+    for (std::size_t out = 0; out < 2; ++out) {
+      std::vector<double> column(rows);
+      for (std::size_t j = 0; j < rows; ++j) column[j] = values[j * 2 + out];
+      const auto batched = BernsteinPoly::from_samples(box, degrees, column);
+      const auto scalar = BernsteinPoly::fit(
+          [&](const Vec& x) { return net.forward(x)[out]; }, box, degrees);
+      EXPECT_EQ(batched.coefficients(), scalar.coefficients());
+    }
+  }
+  EXPECT_THROW((void)BernsteinPoly::from_samples(box, {1, 1, 1}, {0.0}),
+               std::invalid_argument);
 }
 
 TEST(Bernstein, SampleCountMatchesDegreeProduct) {

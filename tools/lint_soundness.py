@@ -25,8 +25,8 @@ raw-endpoint-arith      (src/verify only)  Interval/box constructions
                         (negation, min/max, clamp, copies) are not flagged.
 nan-blind-compare       (verify/serve/sys)  A certificate-decision predicate
                         (function named *certified*/*contains*/*inside*/
-                        *intersects*/*valid*/*member*/*is_safe* returning
-                        bool) that compares doubles without any
+                        *intersects*/*overlap*/*valid*/*member*/*is_safe*
+                        returning bool) that compares doubles without any
                         std::isfinite/std::isnan guard.  `a < lo || a > hi`
                         style exclusion chains are NaN-blind: every
                         comparison is false for NaN, so the garbage state
@@ -121,7 +121,7 @@ ENDPOINT_OP_RE = re.compile(ENDPOINT + r"\s*[-+*/]" + r"(?![-+*/=>])")
 OP_ENDPOINT_RE = re.compile(r"([-+*/])\s*" + ENDPOINT)
 
 PREDICATE_NAME_RE = re.compile(
-    r"certified|contains|intersects|inside|valid|member|is_safe")
+    r"certified|contains|intersects|overlap|inside|valid|member|is_safe")
 # Relational comparison, excluding <<, >>, ->, <=> and template-ish `<>`.
 COMPARISON_RE = re.compile(r"(?<![<>\-=&|])[<>]=?(?![<>=])")
 
@@ -552,6 +552,13 @@ SELF_TEST_CASES = [
      "    if (!box[i].contains(p[i])) return false;\n"
      "  return true;\n}\n",
      []),
+    ("NaN-blind domain check before an int cast flagged",
+     "verify/invariant.cpp",
+     "bool overlap_range(const IBox& box, std::vector<int>& k) const {\n"
+     "  if (box[0].lo() < lo || box[0].hi() > hi) return false;\n"
+     "  k[0] = static_cast<int>(std::floor(box[0].lo() / w));\n"
+     "  return true;\n}\n",
+     ["nan-blind-compare"]),
     ("template angle brackets are not comparisons",
      "verify/invariant.cpp",
      "bool InvariantResult::contains(const la::Vec& p) const {\n"
