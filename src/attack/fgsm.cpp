@@ -9,11 +9,15 @@ la::Vec fgsm_delta(const la::Vec& gradient, const la::Vec& bound) {
   if (gradient.size() != bound.size())
     throw std::invalid_argument("fgsm_delta: dimension mismatch");
   la::Vec delta(gradient.size());
-  for (std::size_t i = 0; i < delta.size(); ++i) {
+  fgsm_delta(gradient.data(), bound, delta.data());
+  return delta;
+}
+
+void fgsm_delta(const double* gradient, const la::Vec& bound, double* delta) {
+  for (std::size_t i = 0; i < bound.size(); ++i) {
     const double s = gradient[i] > 0.0 ? 1.0 : (gradient[i] < 0.0 ? -1.0 : 0.0);
     delta[i] = bound[i] * s;
   }
-  return delta;
 }
 
 FgsmAttack::FgsmAttack(la::Vec bound, FgsmConfig config)

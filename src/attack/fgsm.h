@@ -21,6 +21,9 @@ namespace cocktail::attack {
 /// Raw FGSM step: Δ ∘ sign(g) where g is a loss gradient w.r.t. the input.
 [[nodiscard]] la::Vec fgsm_delta(const la::Vec& gradient,
                                  const la::Vec& bound);
+/// The same step on a raw gradient row of bound.size() doubles, written to
+/// `delta` (which may alias `gradient`); fgsm_delta() wraps it.
+void fgsm_delta(const double* gradient, const la::Vec& bound, double* delta);
 
 struct FgsmConfig {
   /// Relative magnitude of the random linearization point δ0 (fraction of

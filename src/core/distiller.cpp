@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "attack/fgsm.h"
 #include "core/rollout.h"
@@ -15,6 +16,16 @@
 namespace cocktail::core {
 
 namespace {
+
+/// One thread's row tiles and tape for an SGD chunk.  thread_local in the
+/// chunk body: it grows to one chunk and is then reused, so the SGD loop
+/// allocates no per-sample buffers.
+struct ChunkScratch {
+  std::vector<double> x;   ///< (possibly perturbed) input rows.
+  std::vector<double> dy;  ///< loss cotangent rows.
+  std::vector<double> dx;  ///< input-gradient rows (FGSM).
+  nn::Mlp::Tape tape;
+};
 
 /// build_distill_dataset against an already-resolved pool (nullptr =
 /// serial), so distill() resolves its WorkerScope once for both the
@@ -74,6 +85,8 @@ DistillDataset build_distill_dataset(const sys::System& system,
 DistillResult distill(const sys::System& system,
                       const ctrl::Controller& teacher,
                       const DistillConfig& config, const std::string& label) {
+  if (config.minibatch == 0)
+    throw std::invalid_argument("distill: minibatch must be positive");
   // One pool for the whole call: dataset rollouts, SGD, and the final loss.
   util::WorkerScope workers(config.num_workers);
   const DistillDataset data =
@@ -108,13 +121,15 @@ DistillResult distill(const sys::System& system,
   const la::Vec delta_bound =
       attack::perturbation_bound(system, config.delta_fraction);
 
-  // Per-sample forward/FGSM/backward is RNG-free and independent, so each
-  // minibatch fans across the pool with per-chunk gradient buffers and a
-  // fixed-order merge (the util::chunked_reduce tree): gradients are
-  // bitwise identical for any worker count.  The grain is part of the
-  // reduction tree and must stay fixed.
+  // The per-sample forward/FGSM/backward is RNG-free and independent, so
+  // each minibatch fans across the pool as row-tile chunks with per-chunk
+  // gradient buffers and a fixed-order merge (the util::chunked_reduce
+  // tree): gradients are bitwise identical for any worker count.  The grain
+  // is part of the reduction tree and must stay fixed.
   constexpr std::size_t kSgdGrain = 8;
   constexpr std::size_t kLossGrain = 256;
+  const std::size_t state_dim = system.state_dim();
+  const std::size_t control_dim = system.control_dim();
 
   nn::ChunkedGradReducer<nn::Gradients> reducer(
       std::min(config.minibatch, data.size()), kSgdGrain,
@@ -130,23 +145,44 @@ DistillResult distill(const sys::System& system,
       // between direct distillation and adversarial training.
       const bool adversarial = rng.bernoulli(config.adversarial_prob);
       nn::Gradients& grads = reducer.reduce(
-          workers.pool(), end - start, [&](nn::Gradients& acc, std::size_t k) {
-            const std::size_t i = perm[start + k];
-            la::Vec input = data.states[i];
-            const la::Vec& target = targets[i];
+          workers.pool(), end - start,
+          [&](nn::Gradients& acc, std::size_t begin, std::size_t stop) {
+            thread_local ChunkScratch scratch;
+            const std::size_t m = stop - begin;
+            double* x = la::grow_to(scratch.x, m * state_dim);
+            double* dy = la::grow_to(scratch.dy, m * control_dim);
+            for (std::size_t k = 0; k < m; ++k) {
+              const la::Vec& s = data.states[perm[start + begin + k]];
+              std::copy(s.begin(), s.end(), x + k * state_dim);
+            }
             if (adversarial) {
               // Inner max (line 13): δ = Δ·sign(∇_s ℓ(κ*(s;q), u)).
-              const la::Vec pred = student.forward(input);
-              const la::Vec dl_dy = nn::mse_gradient(pred, target);
-              const la::Vec grad_s = student.input_gradient(input, dl_dy);
-              la::axpy(input, 1.0, attack::fgsm_delta(grad_s, delta_bound));
+              const double* pred = student.forward_tile(x, m, scratch.tape);
+              for (std::size_t k = 0; k < m; ++k)
+                nn::mse_gradient(pred + k * control_dim,
+                                 targets[perm[start + begin + k]].data(),
+                                 control_dim, dy + k * control_dim);
+              double* grad_s = la::grow_to(scratch.dx, m * state_dim);
+              student.backward_tile(scratch.tape, dy, m, nullptr, nullptr,
+                                    grad_s);
+              for (std::size_t row = 0; row < m * state_dim;
+                   row += state_dim) {
+                attack::fgsm_delta(grad_s + row, delta_bound, grad_s + row);
+                for (std::size_t d = 0; d < state_dim; ++d)
+                  x[row + d] += grad_s[row + d];
+              }
             }
             // Outer min (line 14): MSE on the (possibly perturbed) input.
-            nn::Mlp::Workspace ws;
-            const la::Vec pred = student.forward(input, ws);
-            la::Vec dl_dy = nn::mse_gradient(pred, target);
-            for (auto& g : dl_dy) g *= inv;
-            (void)student.backward(ws, dl_dy, acc);
+            const double* pred = student.forward_tile(x, m, scratch.tape);
+            for (std::size_t k = 0; k < m; ++k) {
+              double* dy_k = dy + k * control_dim;
+              nn::mse_gradient(pred + k * control_dim,
+                               targets[perm[start + begin + k]].data(),
+                               control_dim, dy_k);
+              for (std::size_t j = 0; j < control_dim; ++j) dy_k[j] *= inv;
+            }
+            student.backward_tile(scratch.tape, dy, m, nullptr, &acc,
+                                  nullptr);
           });
       if (config.lambda_l2 > 0.0)
         student.accumulate_l2_gradient(config.lambda_l2, grads);

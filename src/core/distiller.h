@@ -31,6 +31,8 @@ struct DistillConfig {
   nn::Activation hidden_activation = nn::Activation::kTanh;
   // --- optimization ---
   int epochs = 150;                ///< N - NE in Algorithm 1.
+  /// Samples per SGD step; must be positive (distill() throws
+  /// std::invalid_argument on 0, which would never advance an epoch).
   std::size_t minibatch = 64;
   double learning_rate = 1e-3;
   // --- robustness (Algorithm 1 lines 12-14) ---

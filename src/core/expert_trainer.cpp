@@ -25,6 +25,9 @@ std::string expert_cache_path(const std::string& system_name,
 
 ctrl::ControllerPtr train_ddpg_expert(sys::SystemPtr system,
                                       const ExpertSpec& spec) {
+  if (spec.eval_every_episodes <= 0)
+    throw std::invalid_argument(
+        "train_ddpg_expert: eval_every_episodes must be positive");
   ExpertTrainingEnv env(system, spec.env);
   rl::Ddpg ddpg(spec.ddpg);
   ddpg.initialize(env);

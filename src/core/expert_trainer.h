@@ -34,7 +34,8 @@ struct ExpertSpec {
   double target_safe_rate = 0.85;
   /// Snapshot/evaluation cadence.  Kept short: DDPG can jump from poor to
   /// near-perfect within a few tens of episodes, and a coarse cadence
-  /// overshoots the band.
+  /// overshoots the band.  Must be positive: train_ddpg_expert() throws
+  /// std::invalid_argument otherwise (a 0-episode chunk never advances).
   int eval_every_episodes = 10;
   int eval_states = 200;  ///< rollouts per evaluation.
   std::uint64_t eval_seed = 77177;

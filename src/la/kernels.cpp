@@ -8,6 +8,9 @@
 // fusing or splitting anything *else*, so the fixed accumulation schedule
 // of la/kernel_config.h produces the same bits at every optimization
 // level, with or without COCKTAIL_SIMD, on every conforming compiler.
+// add_outer_rows is the one kernel without an fma: its contract is the
+// rounded multiply, then rounded add, of Matrix::add_outer, and
+// -ffp-contract=off is what keeps the two unfused.
 //
 // The vectorized kernels pack four schedule lanes into one 256-bit
 // register: every vfmadd/vaddpd is the element-wise image of the scalar
@@ -305,6 +308,85 @@ void matvec_t(std::size_t m, std::size_t k, const double* a, std::size_t lda,
   }
 #else
   matvec_t_ref(m, k, a, lda, x, y);
+#endif
+}
+
+void add_outer_rows_ref(std::size_t rows, std::size_t m, std::size_t n,
+                        const double* x, std::size_t ldx, const double* y,
+                        std::size_t ldy, const std::size_t* y_rows, double* c,
+                        std::size_t ldc) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * ldx;
+    const double* yr = y + (y_rows != nullptr ? y_rows[r] : r) * ldy;
+    for (std::size_t i = 0; i < m; ++i) {
+      double* ci = c + i * ldc;
+      // A separate multiply and add: -ffp-contract=off keeps them unfused.
+      for (std::size_t j = 0; j < n; ++j) ci[j] = ci[j] + xr[i] * yr[j];
+    }
+  }
+}
+
+void add_outer_rows(std::size_t rows, std::size_t m, std::size_t n,
+                    const double* x, std::size_t ldx, const double* y,
+                    std::size_t ldy, const std::size_t* y_rows, double* c,
+                    std::size_t ldc) {
+#if defined(COCKTAIL_LA_VECTOR)
+  // Row pointers of Y, resolved once per call instead of once per C row.
+  constexpr std::size_t kMaxRows = 64;
+  if (rows > kMaxRows) {
+    // Consecutive row blocks keep every element's update sequence in order.
+    const bool mapped = y_rows != nullptr;
+    for (std::size_t r0 = 0; r0 < rows; r0 += kMaxRows)
+      add_outer_rows(std::min(kMaxRows, rows - r0), m, n, x + r0 * ldx, ldx,
+                     mapped ? y : y + r0 * ldy, ldy,
+                     mapped ? y_rows + r0 : nullptr, c, ldc);
+    return;
+  }
+  const double* yr[kMaxRows];
+  for (std::size_t r = 0; r < rows; ++r)
+    yr[r] = y + (y_rows != nullptr ? y_rows[r] : r) * ldy;
+  // Each C element stays in a register across all rows; the rows are
+  // applied in order with _mm256_mul_pd then _mm256_add_pd, the element-wise
+  // image of the reference's multiply-then-add.
+  for (std::size_t i = 0; i < m; ++i) {
+    double* ci = c + i * ldc;
+    std::size_t j = 0;
+    for (; j + 4 * WT <= n; j += 4 * WT) {
+      __m256d c0 = _mm256_loadu_pd(ci + j);
+      __m256d c1 = _mm256_loadu_pd(ci + j + WT);
+      __m256d c2 = _mm256_loadu_pd(ci + j + 2 * WT);
+      __m256d c3 = _mm256_loadu_pd(ci + j + 3 * WT);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const __m256d xv = _mm256_set1_pd(x[r * ldx + i]);
+        const double* yj = yr[r] + j;
+        c0 = _mm256_add_pd(c0, _mm256_mul_pd(xv, _mm256_loadu_pd(yj)));
+        c1 = _mm256_add_pd(c1, _mm256_mul_pd(xv, _mm256_loadu_pd(yj + WT)));
+        c2 = _mm256_add_pd(c2,
+                           _mm256_mul_pd(xv, _mm256_loadu_pd(yj + 2 * WT)));
+        c3 = _mm256_add_pd(c3,
+                           _mm256_mul_pd(xv, _mm256_loadu_pd(yj + 3 * WT)));
+      }
+      _mm256_storeu_pd(ci + j, c0);
+      _mm256_storeu_pd(ci + j + WT, c1);
+      _mm256_storeu_pd(ci + j + 2 * WT, c2);
+      _mm256_storeu_pd(ci + j + 3 * WT, c3);
+    }
+    for (; j + WT <= n; j += WT) {
+      __m256d c0 = _mm256_loadu_pd(ci + j);
+      for (std::size_t r = 0; r < rows; ++r)
+        c0 = _mm256_add_pd(c0, _mm256_mul_pd(_mm256_set1_pd(x[r * ldx + i]),
+                                             _mm256_loadu_pd(yr[r] + j)));
+      _mm256_storeu_pd(ci + j, c0);
+    }
+    for (; j < n; ++j) {
+      double cij = ci[j];
+      for (std::size_t r = 0; r < rows; ++r)
+        cij = cij + x[r * ldx + i] * yr[r][j];
+      ci[j] = cij;
+    }
+  }
+#else
+  add_outer_rows_ref(rows, m, n, x, ldx, y, ldy, y_rows, c, ldc);
 #endif
 }
 

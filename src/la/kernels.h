@@ -61,4 +61,22 @@ void matvec_t(std::size_t m, std::size_t k, const double* a, std::size_t lda,
 void matvec_t_ref(std::size_t m, std::size_t k, const double* a,
                   std::size_t lda, const double* x, double* y);
 
+/// C += sum_r x_r y_r^T, one rank-1 update per row pair in row order: the
+/// batched weight-gradient step of backpropagation.  X is rows x m (row
+/// stride ldx), C is m x n (row stride ldc); row r of Y is the n doubles at
+/// y + ldy * (y_rows ? y_rows[r] : r), so several X rows may share one Y
+/// row.  Each C(i, j) receives C(i, j) = C(i, j) + X(r, i) * Y(r, j) for
+/// r = 0, 1, ... — a rounded multiply, then a rounded add, never an fma —
+/// the exact sequence `rows` successive Matrix::add_outer(1.0, x_r, y_r)
+/// calls perform, so the two are bitwise identical.
+void add_outer_rows(std::size_t rows, std::size_t m, std::size_t n,
+                    const double* x, std::size_t ldx, const double* y,
+                    std::size_t ldy, const std::size_t* y_rows, double* c,
+                    std::size_t ldc);
+/// Scalar reference of the same sequence (bitwise identical).
+void add_outer_rows_ref(std::size_t rows, std::size_t m, std::size_t n,
+                        const double* x, std::size_t ldx, const double* y,
+                        std::size_t ldy, const std::size_t* y_rows, double* c,
+                        std::size_t ldc);
+
 }  // namespace cocktail::la::kernels

@@ -90,12 +90,9 @@ Vec sign(const Vec& a) {
   return c;
 }
 
-Vec concat(const Vec& a, const Vec& b) {
-  Vec c;
-  c.reserve(a.size() + b.size());
-  c.insert(c.end(), a.begin(), a.end());
-  c.insert(c.end(), b.begin(), b.end());
-  return c;
+double* grow_to(Vec& buf, std::size_t n) {
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
 }
 
 Vec constant(std::size_t n, double value) { return Vec(n, value); }

@@ -37,8 +37,9 @@ void axpy(Vec& a, double k, const Vec& b);
 [[nodiscard]] Vec clip(const Vec& a, double lo, double hi);
 /// Element-wise sign: -1, 0, or +1.
 [[nodiscard]] Vec sign(const Vec& a);
-/// Concatenation [a; b] (used for critic inputs Q(s, a)).
-[[nodiscard]] Vec concat(const Vec& a, const Vec& b);
+/// Grows `buf` to at least `n` entries (never shrinks) and returns its
+/// data: a reused scratch buffer allocates only when it grows.
+[[nodiscard]] double* grow_to(Vec& buf, std::size_t n);
 /// Constant vector.
 [[nodiscard]] Vec constant(std::size_t n, double value);
 /// All-zero vector.

@@ -35,8 +35,54 @@ double activate_grad(Activation act, double z, double a) noexcept {
 
 la::Vec activate(Activation act, const la::Vec& z) {
   la::Vec a(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) a[i] = activate(act, z[i]);
+  activate_rows(act, z.data(), a.data(), z.size());
   return a;
+}
+
+namespace {
+
+// One loop per activation: `A` is a constant, so the scalar functions above
+// inline with their switch folded away.
+template <Activation A>
+void activate_loop(const double* z, double* out, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) out[i] = activate(A, z[i]);
+}
+
+template <Activation A>
+void backprop_loop(const double* z, const double* a, const double* delta,
+                   double* dz, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i)
+    dz[i] = delta[i] * activate_grad(A, z[i], a[i]);
+}
+
+}  // namespace
+
+void activate_rows(Activation act, const double* z, double* out,
+                   std::size_t n) noexcept {
+  switch (act) {
+    case Activation::kIdentity:
+      return activate_loop<Activation::kIdentity>(z, out, n);
+    case Activation::kRelu:
+      return activate_loop<Activation::kRelu>(z, out, n);
+    case Activation::kTanh:
+      return activate_loop<Activation::kTanh>(z, out, n);
+    case Activation::kSigmoid:
+      return activate_loop<Activation::kSigmoid>(z, out, n);
+  }
+}
+
+void backprop_rows(Activation act, const double* z, const double* a,
+                   const double* delta, double* dz, std::size_t n) noexcept {
+  switch (act) {
+    case Activation::kIdentity:
+      return backprop_loop<Activation::kIdentity>(z, a, delta, dz, n);
+    case Activation::kRelu:
+      return backprop_loop<Activation::kRelu>(z, a, delta, dz, n);
+    case Activation::kTanh:
+      return backprop_loop<Activation::kTanh>(z, a, delta, dz, n);
+    case Activation::kSigmoid:
+      return backprop_loop<Activation::kSigmoid>(z, a, delta, dz, n);
+  }
 }
 
 double activation_lipschitz(Activation act) noexcept {

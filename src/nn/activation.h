@@ -24,6 +24,18 @@ enum class Activation { kIdentity, kRelu, kTanh, kSigmoid };
 /// Element-wise activation of a vector.
 [[nodiscard]] la::Vec activate(Activation act, const la::Vec& z);
 
+/// out[i] = activate(act, z[i]) for i < n: the activation of a block of
+/// rows, with the switch hoisted out of the loop (same bits as the scalar
+/// form).  `out` may alias `z`.
+void activate_rows(Activation act, const double* z, double* out,
+                   std::size_t n) noexcept;
+
+/// dz[i] = delta[i] * activate_grad(act, z[i], a[i]) for i < n: the
+/// backward step through the activation of a block of rows (same bits as
+/// the scalar form).
+void backprop_rows(Activation act, const double* z, const double* a,
+                   const double* delta, double* dz, std::size_t n) noexcept;
+
 /// Lipschitz constant of the activation itself (1 or 1/4).
 [[nodiscard]] double activation_lipschitz(Activation act) noexcept;
 

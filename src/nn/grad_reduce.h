@@ -7,6 +7,9 @@
 // util::chunked_reduce tree — fixed contiguous chunks, each folded in index
 // order into its own buffer, buffers merged in increasing chunk order — so
 // the bits are identical for any worker count, including the serial path.
+// The body receives a whole chunk [begin, end), so a trainer can run it as
+// one row tile (nn::Mlp::forward_tile / backward_tile), whose per-element
+// accumulation order is the index order the tree requires.
 //
 // The per-chunk buffers are allocated once (sized for the largest minibatch)
 // and reused across reduce() calls: the hot loop does no per-minibatch
@@ -15,7 +18,7 @@
 //
 // Thread-safety by disjointness (why this type carries no mutex and no
 // COCKTAIL_GUARDED_BY): during reduce(), worker w touches exactly the
-// chunks_[c] entries that chunked_for hands it, and no chunk is handed to
+// chunks_[c] entries that run_chunks hands it, and no chunk is handed to
 // two workers; the merge into total_ runs after the pool barrier, on the
 // calling thread only.  The reducer itself must not be shared across
 // concurrent reduce() calls — each trainer owns one.  This header is part
@@ -51,9 +54,12 @@ class ChunkedGradReducer {
     for (std::size_t c = 0; c < capacity; ++c) chunks_.push_back(make());
   }
 
-  /// Folds body(acc, k) for k in [0, count) on `pool` (nullptr = serial,
-  /// identical tree) and returns the merged total, valid until the next
-  /// reduce() call.  `body` must only read shared state and write `acc`.
+  /// Calls body(acc, begin, end) once per fixed chunk [begin, end) of
+  /// [0, count) on `pool` (nullptr = serial, identical tree) and returns the
+  /// merged total, valid until the next reduce() call.  `body` must fold
+  /// the chunk's indices into the zeroed `acc` in increasing index order,
+  /// only read shared state, and write nothing but `acc` and its own
+  /// thread's scratch.
   template <class Body>
   Acc& reduce(util::ThreadPool* pool, std::size_t count, const Body& body) {
     const std::size_t chunks = (count + grain_ - 1) / grain_;
@@ -63,8 +69,7 @@ class ChunkedGradReducer {
     util::run_chunks(pool, chunks, [&](std::size_t c) {
       Acc& acc = chunks_[c];
       acc.zero();
-      const std::size_t hi = std::min(count, (c + 1) * grain_);
-      for (std::size_t k = c * grain_; k < hi; ++k) body(acc, k);
+      body(acc, c * grain_, std::min(count, (c + 1) * grain_));
     });
     total_.zero();
     for (std::size_t c = 0; c < chunks; ++c) total_.axpy(1.0, chunks_[c]);

@@ -27,10 +27,15 @@ double mse(const la::Vec& prediction, const la::Vec& target) {
 la::Vec mse_gradient(const la::Vec& prediction, const la::Vec& target) {
   require_same(prediction, target, "mse_gradient");
   la::Vec g(prediction.size());
-  const double scale = 2.0 / static_cast<double>(prediction.size());
-  for (std::size_t i = 0; i < prediction.size(); ++i)
-    g[i] = scale * (prediction[i] - target[i]);
+  mse_gradient(prediction.data(), target.data(), prediction.size(), g.data());
   return g;
+}
+
+void mse_gradient(const double* prediction, const double* target,
+                  std::size_t n, double* out) {
+  const double scale = 2.0 / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = scale * (prediction[i] - target[i]);
 }
 
 double huber(const la::Vec& prediction, const la::Vec& target, double delta) {

@@ -11,6 +11,10 @@ namespace cocktail::nn {
 /// Gradient of mse() with respect to the prediction: (2/n) * (y - t).
 [[nodiscard]] la::Vec mse_gradient(const la::Vec& prediction,
                                    const la::Vec& target);
+/// The same gradient on raw rows of n doubles (a row of a tile), written
+/// to `out`; mse_gradient() wraps it.
+void mse_gradient(const double* prediction, const double* target,
+                  std::size_t n, double* out);
 
 /// Huber (smooth-L1) loss with threshold `delta`; more robust critic
 /// regression under outlier TD targets.

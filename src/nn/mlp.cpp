@@ -135,26 +135,114 @@ void Mlp::forward_rows(const double* x, std::size_t rows, double* y) const {
   for (std::size_t r0 = 0; r0 < rows; r0 += kForwardTileRows) {
     const std::size_t m = std::min(kForwardTileRows, rows - r0);
     const double* a = x + r0 * in_dim;
-    std::size_t width = in_dim;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-      const auto& layer = layers_[l];
-      const std::size_t n = layer.w.rows();
       double* z = l + 1 == layers_.size() ? y + r0 * out_dim
                                           : scratch.data() + (l % 2) * half;
-      // z(r, i) = sum_c a(r, c) * w(i, c) + b[i]: the GEMM runs the same
-      // fixed accumulation schedule as the scalar path's matvec (IEEE
-      // multiplication commutes bitwise, so the operand order per product
-      // is immaterial), then the same bias add and element-wise activation.
-      la::kernels::gemm_nt(m, n, width, a, width, layer.w.data().data(),
-                           width, z, n);
-      for (std::size_t r = 0; r < m; ++r) {
-        double* zr = z + r * n;
-        for (std::size_t i = 0; i < n; ++i)
-          zr[i] = activate(layer.act, zr[i] + layer.b[i]);
-      }
+      layer_rows(layers_[l], a, m, nullptr, z);
       a = z;
-      width = n;
     }
+  }
+}
+
+void Mlp::layer_rows(const DenseLayer& layer, const double* a, std::size_t m,
+                     double* pre, double* out) {
+  const std::size_t n = layer.w.rows();
+  const std::size_t width = layer.w.cols();
+  double* z = pre != nullptr ? pre : out;
+  // z(r, i) = sum_c a(r, c) * w(i, c) + b[i]: the GEMM runs the same fixed
+  // accumulation schedule as the scalar path's matvec (IEEE multiplication
+  // commutes bitwise, so the operand order per product is immaterial), then
+  // the same bias add and element-wise activation.
+  la::kernels::gemm_nt(m, n, width, a, width, layer.w.data().data(), width, z,
+                       n);
+  for (std::size_t r = 0; r < m; ++r) {
+    double* zr = z + r * n;
+    for (std::size_t i = 0; i < n; ++i) zr[i] += layer.b[i];
+  }
+  activate_rows(layer.act, z, out, m * n);
+}
+
+const double* Mlp::forward_tile(const double* x, std::size_t rows,
+                                Tape& tape) const {
+  const std::size_t in_dim = input_dim();
+  std::size_t total = rows * in_dim;
+  for (const auto& layer : layers_) total += 2 * rows * layer.w.rows();
+  double* a = la::grow_to(tape.values_, total);
+  tape.net_ = this;
+  tape.rows_ = rows;
+  std::copy(x, x + rows * in_dim, a);
+  for (const auto& layer : layers_) {
+    double* pre = a + rows * layer.w.cols();
+    double* out = pre + rows * layer.w.rows();
+    layer_rows(layer, a, rows, pre, out);
+    a = out;
+  }
+  return a;
+}
+
+void Mlp::backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
+                        const std::size_t* row_map, Gradients* grads,
+                        double* dl_dx) const {
+  const std::size_t rows = tape.rows_;
+  std::size_t widest = 0;
+  std::size_t total = rows * input_dim();
+  for (const auto& layer : layers_) {
+    widest = std::max(widest, layer.w.rows());
+    total += 2 * rows * layer.w.rows();
+  }
+  if (tape.net_ != this || tape.values_.size() < total)
+    throw std::invalid_argument(
+        "Mlp::backward_tile: tape recorded by another network");
+  if (grads != nullptr) {
+    bool shaped = grads->w.size() == layers_.size() &&
+                  grads->b.size() == layers_.size();
+    for (std::size_t l = 0; shaped && l < layers_.size(); ++l)
+      shaped = grads->w[l].rows() == layers_[l].w.rows() &&
+               grads->w[l].cols() == layers_[l].w.cols() &&
+               grads->b[l].size() == layers_[l].b.size();
+    if (!shaped)
+      throw std::invalid_argument(
+          "Mlp::backward_tile: gradient shape mismatch");
+  }
+  for (std::size_t k = 0; k < count; ++k)
+    if ((row_map != nullptr ? row_map[k] : k) >= rows)
+      throw std::invalid_argument(
+          "Mlp::backward_tile: cotangent row past the recorded rows");
+  double* dz = la::grow_to(tape.dz_, count * widest);
+  double* delta_rows = la::grow_to(tape.delta_, count * widest);
+  // The recorded blocks are walked from the end: each layer's output rows,
+  // its pre-activation rows, and before those its input rows.
+  const double* block_end = tape.values_.data() + total;
+  const double* delta = dl_dy;  // dL/da for the current layer's output rows.
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    const auto& layer = layers_[l];
+    const std::size_t n = layer.w.rows();
+    const std::size_t width = layer.w.cols();
+    const double* out = block_end - rows * n;
+    const double* pre = out - rows * n;
+    const double* in = pre - rows * width;
+    block_end = pre;
+    // dL/dz = dL/da ∘ σ'(z), each cotangent row against its recorded row.
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t r = row_map != nullptr ? row_map[k] : k;
+      backprop_rows(layer.act, pre + r * n, out + r * n, delta + k * n,
+                    dz + k * n, n);
+    }
+    if (grads != nullptr) {
+      // dL/dW += dz_k ⊗ a_k;  dL/db += dz_k — row by row, in row order.
+      la::kernels::add_outer_rows(count, n, width, dz, n, in, width, row_map,
+                                  grads->w[l].data().data(), width);
+      la::Vec& db = grads->b[l];
+      for (std::size_t k = 0; k < count; ++k)
+        for (std::size_t i = 0; i < n; ++i) db[i] += dz[k * n + i];
+    }
+    if (l == 0 && dl_dx == nullptr) break;
+    // dL/da_{l-1} = W^T dz, one matvec_t per row as in backward().
+    double* below = l > 0 ? delta_rows : dl_dx;
+    for (std::size_t k = 0; k < count; ++k)
+      la::kernels::matvec_t(n, width, layer.w.data().data(), width,
+                            dz + k * n, below + k * width);
+    delta = below;
   }
 }
 

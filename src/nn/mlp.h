@@ -9,7 +9,10 @@
 //   * a certified Lipschitz upper bound (product of layer spectral norms,
 //     scaled by 1/4 per sigmoid layer) — the quantity the paper's
 //     verifiability argument rests on (footnote 1);
-//   * text serialization so benches can cache trained controllers.
+//   * text serialization so benches can cache trained controllers;
+//   * a row-tile training pass (forward_tile / backward_tile): one GEMM per
+//     layer forward and one rank-k weight update per layer backward for a
+//     chunk of samples, bitwise equal to the per-sample forward/backward.
 #pragma once
 
 #include <cstdint>
@@ -119,6 +122,44 @@ class Mlp {
   [[nodiscard]] la::Vec input_gradient(const la::Vec& x,
                                        const la::Vec& dl_dy) const;
 
+  /// A recorded forward pass over a tile of rows — the tile analogue of
+  /// Workspace — plus the backward pass's scratch.  The caller owns it,
+  /// typically as one thread_local per network in a training chunk body.
+  /// Its buffers grow to the largest tile seen and are then reused, so
+  /// the tile passes allocate nothing once they have grown.
+  class Tape {
+    friend class Mlp;
+    const Mlp* net_ = nullptr;  ///< the network that recorded the pass.
+    std::size_t rows_ = 0;
+    /// The input rows, then per layer its pre-activation and activation
+    /// rows (each a rows x width block).
+    std::vector<double> values_;
+    std::vector<double> dz_, delta_;  ///< backward scratch.
+  };
+
+  /// Training forward pass over `rows` row-major input rows of x, recorded
+  /// into `tape`.  Each layer is forward_rows()' batched layer step, so
+  /// every value equals the per-sample forward(x, ws) bitwise.  Returns
+  /// the output rows (rows x output_dim()), valid until the tape records
+  /// again.
+  const double* forward_tile(const double* x, std::size_t rows,
+                             Tape& tape) const;
+
+  /// Backpropagates `count` cotangent rows dl_dy (count x output_dim())
+  /// through the pass recorded in `tape`.  Cotangent row k belongs to
+  /// recorded row row_map[k] (row_map == nullptr: row k), so two cotangent
+  /// rows may share one forward.  When `grads` is non-null the parameter
+  /// gradients accumulate into it row by row (la::kernels::add_outer_rows
+  /// for the weights); when `dl_dx` is non-null it receives the count x
+  /// input_dim() input gradients.  Every element performs the operations of
+  /// `count` successive backward() calls in row order, so the results are
+  /// bitwise identical to them (and dl_dx to input_gradient()).  Throws
+  /// std::invalid_argument for a tape recorded by another network, a
+  /// mis-shaped `grads`, or a row_map entry past the recorded rows.
+  void backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
+                     const std::size_t* row_map, Gradients* grads,
+                     double* dl_dx) const;
+
   /// Jacobian dy/dx (output_dim x input_dim) by row-wise backprop.
   [[nodiscard]] la::Matrix input_jacobian(const la::Vec& x) const;
 
@@ -163,6 +204,11 @@ class Mlp {
   static Mlp load_file(const std::string& path);
 
  private:
+  /// The one batched layer step: out = act(a W^T + b) over m rows of `a`.
+  /// A non-null `pre` also receives the pre-activations a W^T + b.
+  static void layer_rows(const DenseLayer& layer, const double* a,
+                         std::size_t m, double* pre, double* out);
+
   std::vector<DenseLayer> layers_;
 };
 

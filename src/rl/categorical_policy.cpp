@@ -7,10 +7,14 @@
 namespace cocktail::rl {
 
 la::Vec softmax(const la::Vec& logits) {
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  la::Vec p(logits.size());
+  return softmax(logits.data(), logits.size());
+}
+
+la::Vec softmax(const double* logits, std::size_t n) {
+  const double max_logit = *std::max_element(logits, logits + n);
+  la::Vec p(n);
   double sum = 0.0;
-  for (std::size_t i = 0; i < logits.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     p[i] = std::exp(logits[i] - max_logit);
     sum += p[i];
   }
@@ -44,13 +48,16 @@ CategoricalPolicy::Sample CategoricalPolicy::sample(const la::Vec& s,
       break;
     }
   }
-  out.log_prob = std::log(std::max(p[out.action], 1e-300));
+  out.log_prob = log_prob_of(p, out.action);
   return out;
 }
 
 double CategoricalPolicy::log_prob(const la::Vec& s,
                                    std::size_t action) const {
-  const la::Vec p = probabilities(s);
+  return log_prob_of(probabilities(s), action);
+}
+
+double CategoricalPolicy::log_prob_of(const la::Vec& p, std::size_t action) {
   if (action >= p.size())
     throw std::invalid_argument("CategoricalPolicy::log_prob: bad action");
   return std::log(std::max(p[action], 1e-300));
@@ -74,17 +81,30 @@ double CategoricalPolicy::kl_from(const la::Vec& probs_old,
   return std::max(kl, 0.0);
 }
 
+void CategoricalPolicy::log_prob_cotangent(const la::Vec& p,
+                                           std::size_t action, double coef,
+                                           double* dl_dlogits) {
+  // d log p(a) / d logit_j = 1[j==a] - p_j; accumulate -coef * that.
+  for (std::size_t j = 0; j < p.size(); ++j)
+    dl_dlogits[j] = -coef * ((j == action ? 1.0 : 0.0) - p[j]);
+}
+
+void CategoricalPolicy::kl_cotangent(const la::Vec& p,
+                                     const la::Vec& probs_old, double coef,
+                                     double* dl_dlogits) {
+  // d KL(p_old || p_new) / d logit_j = p_new_j - p_old_j.
+  for (std::size_t j = 0; j < p.size(); ++j)
+    dl_dlogits[j] = coef * (p[j] - probs_old[j]);
+}
+
 void CategoricalPolicy::accumulate_log_prob_gradient(const la::Vec& s,
                                                      std::size_t action,
                                                      double coef,
                                                      nn::Gradients& grads) const {
   nn::Mlp::Workspace ws;
-  const la::Vec logits = logits_net_.forward(s, ws);
-  const la::Vec p = softmax(logits);
-  // d log p(a) / d logit_j = 1[j==a] - p_j; accumulate -coef * that.
+  const la::Vec p = softmax(logits_net_.forward(s, ws));
   la::Vec dl(p.size());
-  for (std::size_t j = 0; j < p.size(); ++j)
-    dl[j] = -coef * ((j == action ? 1.0 : 0.0) - p[j]);
+  log_prob_cotangent(p, action, coef, dl.data());
   (void)logits_net_.backward(ws, dl, grads);
 }
 
@@ -92,12 +112,9 @@ void CategoricalPolicy::accumulate_kl_gradient(const la::Vec& probs_old,
                                                const la::Vec& s, double coef,
                                                nn::Gradients& grads) const {
   nn::Mlp::Workspace ws;
-  const la::Vec logits = logits_net_.forward(s, ws);
-  const la::Vec p = softmax(logits);
-  // d KL(p_old || p_new) / d logit_j = p_new_j - p_old_j.
+  const la::Vec p = softmax(logits_net_.forward(s, ws));
   la::Vec dl(p.size());
-  for (std::size_t j = 0; j < p.size(); ++j)
-    dl[j] = coef * (p[j] - probs_old[j]);
+  kl_cotangent(p, probs_old, coef, dl.data());
   (void)logits_net_.backward(ws, dl, grads);
 }
 

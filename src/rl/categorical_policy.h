@@ -4,12 +4,14 @@
 // the plant this sampling period — exactly the discrete adaptation space of
 // [4] that the paper's mixing action space strictly contains.
 //
-// Concurrency contract: PpoCategorical::update fans the per-sample gradient
-// work across the pool, so every const method here (probabilities,
-// log_prob, kl_from, the accumulate_* family) runs concurrently from chunk
-// workers.  They must stay free of hidden mutable state — each call owns
-// its Mlp::Workspace and writes only through the caller-provided
-// accumulators.
+// Concurrency contract: PpoCategorical::update fans its row-tile gradient
+// chunks across the pool, so every const method here (probabilities,
+// log_prob, kl_from, the *_cotangent helpers, the accumulate_* family)
+// runs concurrently from chunk workers.  They must stay free of hidden
+// mutable state: they read the network and write only through the
+// caller-provided outputs and accumulators.  The logits-net
+// forward/backward of a chunk runs on the caller's own Mlp::Tape (one per
+// thread), and the accumulate_* wrappers own their Mlp::Workspace.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +46,11 @@ class CategoricalPolicy {
   [[nodiscard]] Sample sample(const la::Vec& s, util::Rng& rng) const;
 
   [[nodiscard]] double log_prob(const la::Vec& s, std::size_t action) const;
+  /// log p(action) from p = probabilities(s): the one log-probability
+  /// formula, which log_prob() and sample() wrap.  Throws
+  /// std::invalid_argument for an action outside p.
+  [[nodiscard]] static double log_prob_of(const la::Vec& p,
+                                          std::size_t action);
   /// Greedy (argmax) action — evaluation-time behaviour of AS.
   [[nodiscard]] std::size_t greedy(const la::Vec& s) const;
 
@@ -51,10 +58,22 @@ class CategoricalPolicy {
   [[nodiscard]] double kl_from(const la::Vec& probs_old,
                                const la::Vec& s) const;
 
-  /// Accumulates d(-coef * log π(a|s))/dθ into `grads`.
+  /// The PPO loss cotangents w.r.t. the logits, given p = probabilities(s):
+  /// each writes num_actions() doubles to `dl_dlogits`; backpropagating
+  /// them through the logits net gives the network gradient.
+  /// Loss -coef * log π(action|s).
+  static void log_prob_cotangent(const la::Vec& p, std::size_t action,
+                                 double coef, double* dl_dlogits);
+  /// Loss coef * KL(p_old || p) for the current network.
+  static void kl_cotangent(const la::Vec& p, const la::Vec& probs_old,
+                           double coef, double* dl_dlogits);
+
+  /// log_prob_cotangent() plus one logits-net forward/backward of `s`:
+  /// accumulates d(-coef * log π(a|s))/dθ into `grads`.
   void accumulate_log_prob_gradient(const la::Vec& s, std::size_t action,
                                     double coef, nn::Gradients& grads) const;
-  /// Accumulates d(coef * KL(p_old || p_new))/dθ for the current network.
+  /// kl_cotangent() plus one logits-net forward/backward of `s`:
+  /// accumulates d(coef * KL(p_old || p_new))/dθ.
   void accumulate_kl_gradient(const la::Vec& probs_old, const la::Vec& s,
                               double coef, nn::Gradients& grads) const;
 
@@ -69,5 +88,7 @@ class CategoricalPolicy {
 
 /// Numerically-stable softmax.
 [[nodiscard]] la::Vec softmax(const la::Vec& logits);
+/// The same softmax over `n` raw logits (a logits row of a tile).
+[[nodiscard]] la::Vec softmax(const double* logits, std::size_t n);
 
 }  // namespace cocktail::rl

@@ -14,10 +14,32 @@ namespace cocktail::rl {
 namespace {
 
 /// Chunk grain of the per-sample gradient reduction inside one minibatch
-/// update (critic regression pass, actor dQ/da pass, and the target-value
-/// pre-pass).  Part of the fixed reduction tree: changing it changes
-/// low-order bits.
+/// update (the critic pass with its target values, and the actor dQ/da
+/// pass).  Part of the fixed reduction tree: changing it changes low-order
+/// bits.
 constexpr std::size_t kGradGrain = 8;
+
+/// One thread's row tiles and tapes for an update chunk.  thread_local in
+/// the chunk bodies: it grows to one chunk of the widest networks and is
+/// then reused, so the chunk bodies allocate nothing.
+struct ChunkScratch {
+  std::vector<double> states;     ///< state rows (s or s').
+  std::vector<double> actions;    ///< action rows.
+  std::vector<double> critic_in;  ///< critic input rows [s | a].
+  std::vector<double> values;     ///< one value per row.
+  std::vector<double> dy;         ///< cotangent rows.
+  std::vector<double> dx;         ///< critic input-gradient rows.
+  nn::Mlp::Tape tape, critic_tape;
+};
+
+/// Row k of `out` = [row k of a | row k of b], for k < m.
+void concat_rows(const double* a, std::size_t a_width, const double* b,
+                 std::size_t b_width, std::size_t m, double* out) {
+  for (std::size_t k = 0; k < m; ++k) {
+    out = std::copy_n(a + k * a_width, a_width, out);
+    out = std::copy_n(b + k * b_width, b_width, out);
+  }
+}
 
 /// One random-action warmup episode collected on a private env replica and
 /// RNG stream (the sharded exploration unit; see DdpgConfig::num_env_shards).
@@ -87,6 +109,8 @@ void Ddpg::polyak_update(nn::Mlp& target, const nn::Mlp& online,
 }
 
 void Ddpg::initialize(Env& env) {
+  if (config_.batch_size == 0)
+    throw std::invalid_argument("Ddpg: batch_size must be positive");
   rng_ = std::make_unique<util::Rng>(config_.seed);
   build_networks(env.state_dim(), env.action_dim());
   actor_opt_ = std::make_unique<nn::Adam>(config_.actor_lr);
@@ -96,8 +120,8 @@ void Ddpg::initialize(Env& env) {
       config_.batch_size, kGradGrain, [&] { return critic_.zero_gradients(); });
   actor_reducer_ = std::make_unique<nn::ChunkedGradReducer<nn::Gradients>>(
       config_.batch_size, kGradGrain, [&] { return actor_.zero_gradients(); });
-  targets_.assign(config_.batch_size, 0.0);
-  buffer_ = std::make_unique<ReplayBuffer>(config_.replay_capacity);
+  buffer_ = std::make_unique<ReplayBuffer>(
+      config_.replay_capacity, env.state_dim(), env.action_dim());
   noise_ = std::make_unique<OuNoise>(env.action_dim(), config_.ou_theta,
                                      config_.ou_sigma);
   total_steps_ = 0;
@@ -195,59 +219,86 @@ DdpgStats Ddpg::train(Env& env) {
   return run_episodes(env, config_.episodes);
 }
 
-void Ddpg::update(ReplayBuffer& buffer, util::Rng& rng) {
-  const auto batch = buffer.sample(config_.batch_size, rng);
+void Ddpg::update(const ReplayBuffer& buffer, util::Rng& rng) {
+  const std::vector<std::size_t> batch =
+      buffer.sample(config_.batch_size, rng);
   const double inv_batch = 1.0 / static_cast<double>(batch.size());
   util::ThreadPool* pool = workers_->pool();
+  const std::size_t state_dim = actor_.input_dim();
+  const std::size_t action_dim = actor_.output_dim();
+  const std::size_t critic_dim = state_dim + action_dim;
 
-  // --- Target pre-pass: y_i = r + gamma * Q'(s', mu'(s')). ---
-  // Batched up front so the critic chunk workers below touch only frozen
-  // read-only inputs (targets, transitions, network weights) plus their
-  // private gradient buffers.  Disjoint per-slot writes: worker-count
-  // independent by construction.
-  util::chunked_for(pool, batch.size(), kGradGrain, [&](std::size_t i) {
-    const Transition* tr = batch[i];
-    double target = tr->reward;
-    if (!tr->terminal) {
-      const la::Vec a_next = target_actor_.forward(tr->next_state);
-      const la::Vec q_next =
-          target_critic_.forward(la::concat(tr->next_state, a_next));
-      target += config_.gamma * q_next[0];
-    }
-    targets_[i] = target;
-  });
-
-  // --- Critic: regress Q(s,a) onto the precomputed targets. ---
+  // --- Critic: regress Q(s,a) onto y = r + gamma * Q'(s', mu'(s')). ---
+  // Each chunk first computes its rows' targets from the frozen target
+  // networks (a terminal row's value is computed and ignored: rows are
+  // independent), then runs the regression as one row tile.  Workers read
+  // only frozen inputs and write their private gradient buffers and
+  // thread_local scratch.
   nn::Gradients& critic_grads = critic_reducer_->reduce(
-      pool, batch.size(), [&](nn::Gradients& acc, std::size_t i) {
-        const Transition* tr = batch[i];
-        nn::Mlp::Workspace ws;
-        const la::Vec q =
-            critic_.forward(la::concat(tr->state, tr->action), ws);
-        const la::Vec dl = {inv_batch * 2.0 * (q[0] - targets_[i])};
-        (void)critic_.backward(ws, dl, acc);
+      pool, batch.size(),
+      [&](nn::Gradients& acc, std::size_t begin, std::size_t end) {
+        thread_local ChunkScratch scratch;
+        const std::size_t m = end - begin;
+        double* next = la::grow_to(scratch.states, m * state_dim);
+        for (std::size_t k = 0; k < m; ++k)
+          std::copy_n(buffer.row(batch[begin + k]) + buffer.next_state_offset(),
+                      state_dim, next + k * state_dim);
+        double* a_next = la::grow_to(scratch.actions, m * action_dim);
+        target_actor_.forward_rows(next, m, a_next);
+        double* x = la::grow_to(scratch.critic_in, m * critic_dim);
+        concat_rows(next, state_dim, a_next, action_dim, m, x);
+        double* targets = la::grow_to(scratch.values, m);
+        target_critic_.forward_rows(x, m, targets);
+        for (std::size_t k = 0; k < m; ++k) {
+          const double* row = buffer.row(batch[begin + k]);
+          double target = row[buffer.reward_offset()];
+          if (row[buffer.terminal_offset()] == 0.0)
+            target += config_.gamma * targets[k];
+          targets[k] = target;
+        }
+        // The critic input [s | a] is the prefix of each replay row.
+        for (std::size_t k = 0; k < m; ++k)
+          std::copy_n(buffer.row(batch[begin + k]), critic_dim,
+                      x + k * critic_dim);
+        const double* q = critic_.forward_tile(x, m, scratch.tape);
+        double* dl = la::grow_to(scratch.dy, m);
+        for (std::size_t k = 0; k < m; ++k)
+          dl[k] = inv_batch * 2.0 * (q[k] - targets[k]);
+        critic_.backward_tile(scratch.tape, dl, m, nullptr, &acc, nullptr);
       });
   critic_grads.clip_norm(config_.grad_clip);
   critic_opt_->step(critic_, critic_grads);
 
   // --- Actor: ascend Q(s, mu(s)) through the critic's action input. ---
   // Runs after the critic step (sequential dependency preserved); within
-  // the pass every sample reads the same frozen critic.
-  const std::size_t state_dim = actor_.input_dim();
+  // the pass every chunk reads the same frozen critic.
   nn::Gradients& actor_grads = actor_reducer_->reduce(
-      pool, batch.size(), [&](nn::Gradients& acc, std::size_t i) {
-        const Transition* tr = batch[i];
-        nn::Mlp::Workspace actor_ws;
-        const la::Vec a = actor_.forward(tr->state, actor_ws);
-        // dQ/d[s;a] via the critic input gradient; keep the action slice.
-        const la::Vec dq_dinput =
-            critic_.input_gradient(la::concat(tr->state, a), {1.0});
-        la::Vec dq_da(
-            dq_dinput.begin() + static_cast<std::ptrdiff_t>(state_dim),
-            dq_dinput.end());
+      pool, batch.size(),
+      [&](nn::Gradients& acc, std::size_t begin, std::size_t end) {
+        thread_local ChunkScratch scratch;
+        const std::size_t m = end - begin;
+        double* s = la::grow_to(scratch.states, m * state_dim);
+        for (std::size_t k = 0; k < m; ++k)
+          std::copy_n(buffer.row(batch[begin + k]), state_dim,
+                      s + k * state_dim);
+        const double* a = actor_.forward_tile(s, m, scratch.tape);
+        double* x = la::grow_to(scratch.critic_in, m * critic_dim);
+        concat_rows(s, state_dim, a, action_dim, m, x);
+        // dQ/d[s;a] via the critic's input gradient (no parameter
+        // gradients); keep the action slice.
+        critic_.forward_tile(x, m, scratch.critic_tape);
+        double* ones = la::grow_to(scratch.values, m);
+        std::fill_n(ones, m, 1.0);
+        double* dq_dx = la::grow_to(scratch.dx, m * critic_dim);
+        critic_.backward_tile(scratch.critic_tape, ones, m, nullptr, nullptr,
+                              dq_dx);
         // Gradient *descent* on -Q: dl/da = -dQ/da, averaged over the batch.
-        for (auto& v : dq_da) v *= -inv_batch;
-        (void)actor_.backward(actor_ws, dq_da, acc);
+        double* dl_da = la::grow_to(scratch.dy, m * action_dim);
+        for (std::size_t k = 0; k < m; ++k)
+          for (std::size_t j = 0; j < action_dim; ++j)
+            dl_da[k * action_dim + j] =
+                dq_dx[k * critic_dim + state_dim + j] * -inv_batch;
+        actor_.backward_tile(scratch.tape, dl_da, m, nullptr, &acc, nullptr);
       });
   actor_grads.clip_norm(config_.grad_clip);
   actor_opt_->step(actor_, actor_grads);

@@ -28,6 +28,8 @@ struct DdpgConfig {
   double polyak = 0.995;        ///< target-network averaging factor.
   double actor_lr = 1e-3;
   double critic_lr = 1e-3;
+  /// Replay rows per update; must be positive (initialize() throws
+  /// std::invalid_argument on 0, which would leave every update empty).
   std::size_t batch_size = 64;
   std::size_t replay_capacity = 100000;
   std::size_t warmup_steps = 500;   ///< uniform-random actions before learning.
@@ -37,7 +39,7 @@ struct DdpgConfig {
   double noise_decay = 0.995;   ///< per-episode exploration decay.
   double grad_clip = 5.0;
   std::uint64_t seed = 1;
-  /// Worker count for the per-sample gradient work inside one minibatch
+  /// Worker count for the row-tile gradient chunks of one minibatch
   /// update (util::WorkerScope convention: 0 = shared pool, 1 = serial,
   /// k > 1 = dedicated pool).  Training is bitwise identical for any value:
   /// per-chunk gradient buffers merge on the fixed chunked-reduce tree.
@@ -92,7 +94,7 @@ class Ddpg {
   /// num_env_shards); consumes up to `budget` episodes, returns how many it
   /// ran and appends their returns to `stats`.
   int run_warmup_episodes(Env& env, int budget, DdpgStats& stats);
-  void update(ReplayBuffer& buffer, util::Rng& rng);
+  void update(const ReplayBuffer& buffer, util::Rng& rng);
   static void polyak_update(nn::Mlp& target, const nn::Mlp& online,
                             double polyak);
 
@@ -111,7 +113,6 @@ class Ddpg {
   std::unique_ptr<util::WorkerScope> workers_;
   std::unique_ptr<nn::ChunkedGradReducer<nn::Gradients>> critic_reducer_;
   std::unique_ptr<nn::ChunkedGradReducer<nn::Gradients>> actor_reducer_;
-  std::vector<double> targets_;  ///< per-sample critic regression targets.
   std::size_t total_steps_ = 0;
   int episodes_done_ = 0;
   double sigma_ = 0.0;

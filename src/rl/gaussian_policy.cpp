@@ -36,16 +36,20 @@ GaussianPolicy::Sample GaussianPolicy::sample(const la::Vec& s,
   out.action.resize(mu.size());
   for (std::size_t i = 0; i < mu.size(); ++i)
     out.action[i] = mu[i] + std[i] * rng.normal();
-  out.log_prob = log_prob(s, out.action);
+  out.log_prob = log_prob_of_mean(mu.data(), out.action);
   return out;
 }
 
 double GaussianPolicy::log_prob(const la::Vec& s, const la::Vec& a) const {
-  const la::Vec mu = mean(s);
-  if (a.size() != mu.size())
+  return log_prob_of_mean(mean(s).data(), a);
+}
+
+double GaussianPolicy::log_prob_of_mean(const double* mu,
+                                        const la::Vec& a) const {
+  if (a.size() != log_std_.size())
     throw std::invalid_argument("GaussianPolicy::log_prob: bad action dim");
   double lp = 0.0;
-  for (std::size_t i = 0; i < mu.size(); ++i) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
     const double std = std::exp(log_std_[i]);
     const double z = (a[i] - mu[i]) / std;
     lp += -0.5 * z * z - log_std_[i] -
@@ -68,13 +72,10 @@ double GaussianPolicy::kl_from(const la::Vec& mu_old, const la::Vec& std_old,
   return kl;
 }
 
-void GaussianPolicy::accumulate_log_prob_gradient(
-    const la::Vec& s, const la::Vec& a, double coef, nn::Gradients& mean_grads,
-    la::Vec& log_std_grads) const {
-  nn::Mlp::Workspace ws;
-  const la::Vec mu = mean_net_.forward(s, ws);
-  la::Vec dl_dmu(mu.size());
-  for (std::size_t i = 0; i < mu.size(); ++i) {
+void GaussianPolicy::log_prob_cotangent(const double* mu, const la::Vec& a,
+                                        double coef, double* dl_dmu,
+                                        la::Vec& log_std_grads) const {
+  for (std::size_t i = 0; i < log_std_.size(); ++i) {
     const double var = std::exp(2.0 * log_std_[i]);
     // d logpi / d mu = (a - mu)/var; we accumulate -coef * dlogpi.
     dl_dmu[i] = -coef * (a[i] - mu[i]) / var;
@@ -83,6 +84,30 @@ void GaussianPolicy::accumulate_log_prob_gradient(
         (a[i] - mu[i]) * (a[i] - mu[i]) / var;
     log_std_grads[i] += -coef * (z2 - 1.0);
   }
+}
+
+void GaussianPolicy::kl_cotangent(const double* mu, const la::Vec& mu_old,
+                                  const la::Vec& std_old, double coef,
+                                  double* dl_dmu,
+                                  la::Vec& log_std_grads) const {
+  for (std::size_t i = 0; i < log_std_.size(); ++i) {
+    const double var_new = std::exp(2.0 * log_std_[i]);
+    const double diff = mu[i] - mu_old[i];
+    // dKL/dmu_new = (mu_new - mu_old)/var_new.
+    dl_dmu[i] = coef * diff / var_new;
+    // dKL/dlog_std_new = 1 - (var_old + diff^2)/var_new.
+    const double var_old = std_old[i] * std_old[i];
+    log_std_grads[i] += coef * (1.0 - (var_old + diff * diff) / var_new);
+  }
+}
+
+void GaussianPolicy::accumulate_log_prob_gradient(
+    const la::Vec& s, const la::Vec& a, double coef, nn::Gradients& mean_grads,
+    la::Vec& log_std_grads) const {
+  nn::Mlp::Workspace ws;
+  const la::Vec mu = mean_net_.forward(s, ws);
+  la::Vec dl_dmu(mu.size());
+  log_prob_cotangent(mu.data(), a, coef, dl_dmu.data(), log_std_grads);
   (void)mean_net_.backward(ws, dl_dmu, mean_grads);
 }
 
@@ -94,15 +119,8 @@ void GaussianPolicy::accumulate_kl_gradient(const la::Vec& mu_old,
   nn::Mlp::Workspace ws;
   const la::Vec mu = mean_net_.forward(s, ws);
   la::Vec dl_dmu(mu.size());
-  for (std::size_t i = 0; i < mu.size(); ++i) {
-    const double var_new = std::exp(2.0 * log_std_[i]);
-    const double diff = mu[i] - mu_old[i];
-    // dKL/dmu_new = (mu_new - mu_old)/var_new.
-    dl_dmu[i] = coef * diff / var_new;
-    // dKL/dlog_std_new = 1 - (var_old + diff^2)/var_new.
-    const double var_old = std_old[i] * std_old[i];
-    log_std_grads[i] += coef * (1.0 - (var_old + diff * diff) / var_new);
-  }
+  kl_cotangent(mu.data(), mu_old, std_old, coef, dl_dmu.data(),
+               log_std_grads);
   (void)mean_net_.backward(ws, dl_dmu, mean_grads);
 }
 

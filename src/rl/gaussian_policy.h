@@ -7,11 +7,14 @@
 // of the diagonal-Gaussian KL divergence used in the paper's penalized
 // surrogate objective.
 //
-// Concurrency contract: PpoGaussian::update fans the per-sample gradient
-// work across the pool, so every const method here (mean, log_prob,
-// kl_from, the accumulate_* family) runs concurrently from chunk workers.
-// They must stay free of hidden mutable state — each call owns its
-// Mlp::Workspace and writes only through the caller-provided accumulators.
+// Concurrency contract: PpoGaussian::update fans its row-tile gradient
+// chunks across the pool, so every const method here (mean, log_prob,
+// kl_from, the *_cotangent helpers, the accumulate_* family) runs
+// concurrently from chunk workers.  They must stay free of hidden mutable
+// state: they read the network and log_std and write only through the
+// caller-provided outputs and accumulators.  The mean-net forward/backward
+// of a chunk runs on the caller's own Mlp::Tape (one per thread), and the
+// accumulate_* wrappers own their Mlp::Workspace.
 #pragma once
 
 #include <cstdint>
@@ -49,19 +52,40 @@ class GaussianPolicy {
 
   /// log π(a | s).
   [[nodiscard]] double log_prob(const la::Vec& s, const la::Vec& a) const;
+  /// log π(a | s) from the mean-net output mu = mean(s) (action_dim()
+  /// doubles): the one log-density formula, which log_prob() and sample()
+  /// wrap.
+  [[nodiscard]] double log_prob_of_mean(const double* mu,
+                                        const la::Vec& a) const;
 
   /// KL( N(mu_old, std_old) || N(mean(s), std) ) for diagonal Gaussians.
   [[nodiscard]] double kl_from(const la::Vec& mu_old, const la::Vec& std_old,
                                const la::Vec& s) const;
 
-  /// Accumulates d(-coef * log π(a|s))/dθ into the network gradient and the
-  /// log_std gradient.  Positive `coef` therefore *increases* log-prob when
-  /// the optimizer descends — callers pass coef = ratio * advantage.
+  /// The PPO loss cotangents at the mean-net output mu = mean(s)
+  /// (action_dim() doubles).  Each writes dLoss/dmu to `dl_dmu`
+  /// (action_dim() doubles) and adds dLoss/dlog_std to `log_std_grads`;
+  /// backpropagating dl_dmu through the mean net gives the network part.
+  ///
+  /// Loss -coef * log π(a|s).  Positive `coef` therefore *increases*
+  /// log-prob when the optimizer descends — callers pass
+  /// coef = ratio * advantage.
+  void log_prob_cotangent(const double* mu, const la::Vec& a, double coef,
+                          double* dl_dmu, la::Vec& log_std_grads) const;
+  /// Loss coef * KL(old || new) for the *new* (current) policy.
+  void kl_cotangent(const double* mu, const la::Vec& mu_old,
+                    const la::Vec& std_old, double coef, double* dl_dmu,
+                    la::Vec& log_std_grads) const;
+
+  /// log_prob_cotangent() plus one mean-net forward/backward of `s`:
+  /// accumulates d(-coef * log π(a|s))/dθ into the network gradient and the
+  /// log_std gradient.
   void accumulate_log_prob_gradient(const la::Vec& s, const la::Vec& a,
                                     double coef, nn::Gradients& mean_grads,
                                     la::Vec& log_std_grads) const;
 
-  /// Accumulates d(coef * KL(old || new))/dθ for the *new* (current) policy.
+  /// kl_cotangent() plus one mean-net forward/backward of `s`: accumulates
+  /// d(coef * KL(old || new))/dθ.
   void accumulate_kl_gradient(const la::Vec& mu_old, const la::Vec& std_old,
                               const la::Vec& s, double coef,
                               nn::Gradients& mean_grads,

@@ -1,6 +1,7 @@
 #include "rl/ppo.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -22,6 +23,36 @@ constexpr double kLogStdMax = 1.0;
 /// (see util::chunked_reduce): changing either changes low-order bits.
 constexpr std::size_t kGradGrain = 8;
 constexpr std::size_t kKlGrain = 256;
+
+/// Row map of a chunk's policy cotangents: rows 2k and 2k+1 (the log-prob
+/// row, then the KL row, of sample k) share recorded row k, so one policy
+/// forward serves both backward rows.
+constexpr auto kPairedRows = [] {
+  std::array<std::size_t, 2 * kGradGrain> rows{};
+  for (std::size_t k = 0; k < rows.size(); ++k) rows[k] = k / 2;
+  return rows;
+}();
+
+/// One thread's row tiles and tapes for a minibatch chunk.  thread_local in
+/// the chunk bodies: it grows to one chunk of the widest networks and is
+/// then reused, so no row buffer is allocated per sample.
+struct ChunkScratch {
+  std::vector<double> x;        ///< state rows.
+  std::vector<double> dpolicy;  ///< 2 cotangent rows per sample.
+  std::vector<double> dvalue;   ///< value cotangent rows.
+  nn::Mlp::Tape policy, value;
+};
+
+/// Copies the states of samples perm[first], ..., perm[first + m - 1] into
+/// consecutive rows of `x`.
+void gather_states(const std::vector<la::Vec>& states,
+                   const std::vector<std::size_t>& perm, std::size_t first,
+                   std::size_t m, double* x) {
+  for (std::size_t k = 0; k < m; ++k) {
+    const la::Vec& s = states[perm[first + k]];
+    std::copy(s.begin(), s.end(), x + k * s.size());
+  }
+}
 
 /// Per-chunk accumulator of the Gaussian PPO minibatch: mean-net gradients,
 /// log-std gradients, and value-net gradients, merged in fixed chunk order.
@@ -66,6 +97,16 @@ double mean_episode_return(const std::vector<double>& returns) {
   double sum = 0.0;
   for (double r : returns) sum += r;
   return sum / static_cast<double>(returns.size());
+}
+
+/// Surrogate coefficient: d/dθ of ratio·Â is ratio·Â·dlogπ.  With clipping
+/// enabled the gradient vanishes outside the trust region (standard
+/// PPO-clip behaviour).
+double surrogate_coef(double ratio, double advantage, const PpoConfig& config) {
+  const bool outside =
+      (advantage > 0.0 && ratio > 1.0 + config.clip_epsilon) ||
+      (advantage < 0.0 && ratio < 1.0 - config.clip_epsilon);
+  return config.use_clip && outside ? 0.0 : ratio * advantage;
 }
 
 /// Adapts the KL penalty β as in the adaptive-KL PPO variant.
@@ -251,41 +292,52 @@ double PpoGaussian::update(const RolloutBatch& batch,
       const std::size_t end = std::min(start + config_.minibatch, perm.size());
       const double inv = 1.0 / static_cast<double>(end - start);
       // The per-sample surrogate/KL/entropy/value gradients have no
-      // sequential dependency within the minibatch, so they fan across the
-      // pool on the fixed chunked-reduce tree (bitwise identical for any
-      // worker count).
-      GaussianMinibatchGrads& grads =
-          reducer.reduce(pool, end - start, [&](GaussianMinibatchGrads& acc,
-                                                std::size_t k) {
-            const std::size_t i = perm[start + k];
-            const la::Vec& s = batch.states[i];
-            const la::Vec& a = batch.actions[i];
-            const double advantage = adv.advantages[i];
-            const double ratio =
-                std::exp(policy_->log_prob(s, a) - batch.log_probs[i]);
-            // Surrogate coefficient: d/dθ of ratio·Â is ratio·Â·dlogπ.  With
-            // clipping enabled the gradient vanishes outside the trust region
-            // (standard PPO-clip behaviour).
-            double coef = ratio * advantage;
-            if (config_.use_clip) {
-              const bool outside =
-                  (advantage > 0.0 && ratio > 1.0 + config_.clip_epsilon) ||
-                  (advantage < 0.0 && ratio < 1.0 - config_.clip_epsilon);
-              if (outside) coef = 0.0;
+      // sequential dependency within the minibatch, so its chunks fan across
+      // the pool on the fixed chunked-reduce tree (bitwise identical for any
+      // worker count).  A chunk is one row tile: one policy and one value
+      // forward, then each sample's log-prob and KL cotangent rows
+      // backpropagate together, in sample order.
+      GaussianMinibatchGrads& grads = reducer.reduce(
+          pool, end - start,
+          [&](GaussianMinibatchGrads& acc, std::size_t begin,
+              std::size_t stop) {
+            thread_local ChunkScratch scratch;
+            const std::size_t m = stop - begin;
+            const nn::Mlp& mean_net = policy_->mean_net();
+            const std::size_t action_dim = mean_net.output_dim();
+            double* x = la::grow_to(scratch.x, m * mean_net.input_dim());
+            gather_states(batch.states, perm, start + begin, m, x);
+            const double* mu = mean_net.forward_tile(x, m, scratch.policy);
+            const double* v = value_net_.forward_tile(x, m, scratch.value);
+            double* dmu = la::grow_to(scratch.dpolicy, 2 * m * action_dim);
+            double* dv = la::grow_to(scratch.dvalue, m);
+            for (std::size_t k = 0; k < m; ++k) {
+              const std::size_t i = perm[start + begin + k];
+              const double* mu_k = mu + k * action_dim;
+              const la::Vec& a = batch.actions[i];
+              const double ratio = std::exp(
+                  policy_->log_prob_of_mean(mu_k, a) - batch.log_probs[i]);
+              const double coef =
+                  surrogate_coef(ratio, adv.advantages[i], config_);
+              // acc.log_std takes each sample's log-prob, KL, then entropy
+              // term, in sample order.
+              policy_->log_prob_cotangent(mu_k, a, coef * inv,
+                                          dmu + 2 * k * action_dim,
+                                          acc.log_std);
+              policy_->kl_cotangent(mu_k, mu_old[i], std_old,
+                                    config_.kl_penalty_beta * inv,
+                                    dmu + (2 * k + 1) * action_dim,
+                                    acc.log_std);
+              if (config_.entropy_coef > 0.0)
+                policy_->accumulate_entropy_gradient(
+                    config_.entropy_coef * inv, acc.log_std);
+              // Value regression toward the GAE return.
+              dv[k] = inv * 2.0 * (v[k] - adv.returns[i]);
             }
-            policy_->accumulate_log_prob_gradient(s, a, coef * inv, acc.policy,
-                                                  acc.log_std);
-            policy_->accumulate_kl_gradient(mu_old[i], std_old, s,
-                                            config_.kl_penalty_beta * inv,
-                                            acc.policy, acc.log_std);
-            if (config_.entropy_coef > 0.0)
-              policy_->accumulate_entropy_gradient(config_.entropy_coef * inv,
-                                                   acc.log_std);
-            // Value regression toward the GAE return.
-            nn::Mlp::Workspace ws;
-            const la::Vec v = value_net_.forward(s, ws);
-            const la::Vec dl = {inv * 2.0 * (v[0] - adv.returns[i])};
-            (void)value_net_.backward(ws, dl, acc.value);
+            mean_net.backward_tile(scratch.policy, dmu, 2 * m,
+                                   kPairedRows.data(), &acc.policy, nullptr);
+            value_net_.backward_tile(scratch.value, dv, m, nullptr,
+                                     &acc.value, nullptr);
           });
       grads.policy.clip_norm(config_.grad_clip);
       grads.value.clip_norm(config_.grad_clip);
@@ -309,6 +361,8 @@ double PpoGaussian::update(const RolloutBatch& batch,
 }
 
 void PpoGaussian::initialize(Env& env) {
+  if (config_.minibatch == 0)
+    throw std::invalid_argument("PpoGaussian: minibatch must be positive");
   rng_ = std::make_unique<util::Rng>(config_.seed);
   policy_ = std::make_unique<GaussianPolicy>(
       env.state_dim(), config_.policy_hidden, env.action_dim(),
@@ -403,31 +457,43 @@ double PpoCategorical::update(const RolloutBatch& batch,
          start += config_.minibatch) {
       const std::size_t end = std::min(start + config_.minibatch, perm.size());
       const double inv = 1.0 / static_cast<double>(end - start);
+      // Same row-tile chunks as PpoGaussian::update.
       CategoricalMinibatchGrads& grads = reducer.reduce(
           pool, end - start,
-          [&](CategoricalMinibatchGrads& acc, std::size_t k) {
-            const std::size_t i = perm[start + k];
-            const la::Vec& s = batch.states[i];
-            const std::size_t a = batch.discrete_actions[i];
-            const double advantage = adv.advantages[i];
-            const double ratio =
-                std::exp(policy_->log_prob(s, a) - batch.log_probs[i]);
-            double coef = ratio * advantage;
-            if (config_.use_clip) {
-              const bool outside =
-                  (advantage > 0.0 && ratio > 1.0 + config_.clip_epsilon) ||
-                  (advantage < 0.0 && ratio < 1.0 - config_.clip_epsilon);
-              if (outside) coef = 0.0;
+          [&](CategoricalMinibatchGrads& acc, std::size_t begin,
+              std::size_t stop) {
+            thread_local ChunkScratch scratch;
+            const std::size_t m = stop - begin;
+            const nn::Mlp& logits_net = policy_->logits_net();
+            const std::size_t actions = logits_net.output_dim();
+            double* x = la::grow_to(scratch.x, m * logits_net.input_dim());
+            gather_states(batch.states, perm, start + begin, m, x);
+            const double* logits =
+                logits_net.forward_tile(x, m, scratch.policy);
+            const double* v = value_net_.forward_tile(x, m, scratch.value);
+            double* dlogits = la::grow_to(scratch.dpolicy, 2 * m * actions);
+            double* dv = la::grow_to(scratch.dvalue, m);
+            for (std::size_t k = 0; k < m; ++k) {
+              const std::size_t i = perm[start + begin + k];
+              const std::size_t a = batch.discrete_actions[i];
+              const la::Vec p = softmax(logits + k * actions, actions);
+              const double ratio =
+                  std::exp(CategoricalPolicy::log_prob_of(p, a) -
+                           batch.log_probs[i]);
+              const double coef =
+                  surrogate_coef(ratio, adv.advantages[i], config_);
+              CategoricalPolicy::log_prob_cotangent(
+                  p, a, coef * inv, dlogits + 2 * k * actions);
+              CategoricalPolicy::kl_cotangent(
+                  p, probs_old[i], config_.kl_penalty_beta * inv,
+                  dlogits + (2 * k + 1) * actions);
+              dv[k] = inv * 2.0 * (v[k] - adv.returns[i]);
             }
-            policy_->accumulate_log_prob_gradient(s, a, coef * inv,
-                                                  acc.policy);
-            policy_->accumulate_kl_gradient(probs_old[i], s,
-                                            config_.kl_penalty_beta * inv,
-                                            acc.policy);
-            nn::Mlp::Workspace ws;
-            const la::Vec v = value_net_.forward(s, ws);
-            const la::Vec dl = {inv * 2.0 * (v[0] - adv.returns[i])};
-            (void)value_net_.backward(ws, dl, acc.value);
+            logits_net.backward_tile(scratch.policy, dlogits, 2 * m,
+                                     kPairedRows.data(), &acc.policy,
+                                     nullptr);
+            value_net_.backward_tile(scratch.value, dv, m, nullptr,
+                                     &acc.value, nullptr);
           });
       grads.policy.clip_norm(config_.grad_clip);
       grads.value.clip_norm(config_.grad_clip);
@@ -447,6 +513,8 @@ double PpoCategorical::update(const RolloutBatch& batch,
 }
 
 void PpoCategorical::initialize(Env& env) {
+  if (config_.minibatch == 0)
+    throw std::invalid_argument("PpoCategorical: minibatch must be positive");
   rng_ = std::make_unique<util::Rng>(config_.seed);
   policy_ = std::make_unique<CategoricalPolicy>(
       env.state_dim(), config_.policy_hidden, env.action_dim(),

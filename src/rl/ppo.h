@@ -35,6 +35,8 @@ struct PpoConfig {
   int iterations = 60;          ///< outer loop count (epochs in Alg. 1).
   int steps_per_iteration = 2048;
   int update_epochs = 8;        ///< SGD passes per collected batch.
+  /// Samples per SGD step; must be positive (initialize() throws
+  /// std::invalid_argument on 0, which would never advance an epoch).
   std::size_t minibatch = 64;
   double kl_penalty_beta = 1.0;  ///< β, adapted toward kl_target.
   double kl_target = 0.01;
@@ -44,7 +46,7 @@ struct PpoConfig {
   double initial_std = 0.5;     ///< Gaussian exploration std (continuous).
   double grad_clip = 5.0;
   std::uint64_t seed = 2;
-  /// Worker count for the per-sample gradient work inside one minibatch
+  /// Worker count for the row-tile gradient chunks of one minibatch
   /// update (util::WorkerScope convention: 0 = shared pool, 1 = serial,
   /// k > 1 = dedicated pool).  Training is bitwise identical for any value:
   /// per-chunk gradient buffers merge on the fixed chunked-reduce tree.

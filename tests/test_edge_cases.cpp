@@ -9,9 +9,13 @@
 #include "attack/fgsm.h"
 #include "control/nn_controller.h"
 #include "core/distiller.h"
+#include "core/expert_trainer.h"
 #include "core/rollout.h"
 #include "la/matrix.h"
 #include "nn/mlp.h"
+#include "point_mass_envs.h"
+#include "rl/ddpg.h"
+#include "rl/ppo.h"
 #include "sys/cartpole.h"
 #include "sys/threed.h"
 #include "sys/vanderpol.h"
@@ -156,6 +160,63 @@ TEST(DistillEdge, UniformOnlyDataset) {
   config.uniform_samples = 100;
   const auto data = core::build_distill_dataset(vdp, zero, config);
   EXPECT_EQ(data.size(), 100u);
+}
+
+// --- zero-sized training loops fail closed --------------------------------
+//
+// Each of these sizes used to hang (a `start += 0` minibatch loop, a
+// 0-episode evaluation chunk) or train on nothing (1/0 batch weight); the
+// trainers now reject them with std::invalid_argument before any work.
+
+TEST(TrainingConfigEdge, PpoZeroMinibatchThrows) {
+  rl::PpoConfig config;
+  config.policy_hidden = {4};
+  config.value_hidden = {4};
+  config.steps_per_iteration = 16;
+  config.minibatch = 0;
+  testutil::PointMassEnv env;
+  rl::PpoGaussian gaussian(config);
+  EXPECT_THROW((void)gaussian.train(env), std::invalid_argument);
+  testutil::DiscretePointMassEnv discrete_env;
+  rl::PpoCategorical categorical(config);
+  EXPECT_THROW((void)categorical.train(discrete_env), std::invalid_argument);
+}
+
+TEST(TrainingConfigEdge, DdpgZeroBatchSizeThrows) {
+  rl::DdpgConfig config;
+  config.actor_hidden = {4};
+  config.critic_hidden = {4};
+  config.episodes = 2;
+  config.batch_size = 0;
+  testutil::PointMassEnv env;
+  rl::Ddpg ddpg(config);
+  EXPECT_THROW((void)ddpg.train(env), std::invalid_argument);
+}
+
+TEST(TrainingConfigEdge, DistillZeroMinibatchThrows) {
+  const sys::VanDerPol system;
+  const ctrl::ZeroController teacher(2, 1);
+  core::DistillConfig config;
+  config.teacher_rollouts = 1;
+  config.uniform_samples = 8;
+  config.epochs = 1;
+  config.minibatch = 0;
+  EXPECT_THROW((void)core::distill(system, teacher, config),
+               std::invalid_argument);
+}
+
+TEST(TrainingConfigEdge, ExpertNonPositiveEvalCadenceThrows) {
+  for (const int cadence : {0, -3}) {
+    core::ExpertSpec spec;
+    spec.ddpg.actor_hidden = {4};
+    spec.ddpg.critic_hidden = {4};
+    spec.ddpg.episodes = 2;
+    spec.eval_every_episodes = cadence;
+    EXPECT_THROW(
+        (void)core::train_ddpg_expert(std::make_shared<sys::VanDerPol>(), spec),
+        std::invalid_argument)
+        << "eval_every_episodes = " << cadence;
+  }
 }
 
 TEST(AbstractionEdge, PointBoxNeedsOnePartition) {

@@ -3,7 +3,10 @@
 // serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -352,7 +355,8 @@ TEST(MlpTest, ForwardBatchBitwiseOnPrimeWidthsAndBatches) {
 TEST(MlpTest, BackwardPropagatesNanIntoWeightGradients) {
   // Regression for the add_outer zero-skip: with dLoss/dy = 0 the weight
   // gradient is 0 * input.  If the input activation is NaN that product is
-  // NaN, and the old `kc == 0.0` skip silently dropped it.
+  // NaN, and the old `kc == 0.0` skip silently dropped it.  The tile path
+  // (la::kernels::add_outer_rows) must propagate it too.
   Mlp net = Mlp::make(1, {}, 1, Activation::kIdentity,
                       Activation::kIdentity, 1);
   Mlp::Workspace ws;
@@ -361,6 +365,183 @@ TEST(MlpTest, BackwardPropagatesNanIntoWeightGradients) {
   nn::Gradients grads = net.zero_gradients();
   net.backward(ws, {0.0}, grads);
   EXPECT_TRUE(std::isnan(grads.w[0](0, 0)));
+
+  // Tile path: the NaN row sits between two finite rows.
+  const double x[3] = {0.5, std::nan(""), -0.25};
+  const double dy[3] = {1.0, 0.0, 1.0};
+  Mlp::Tape tape;
+  const double* out = net.forward_tile(x, 3, tape);
+  ASSERT_TRUE(std::isnan(out[1]));
+  nn::Gradients tile_grads = net.zero_gradients();
+  net.backward_tile(tape, dy, 3, nullptr, &tile_grads, nullptr);
+  EXPECT_TRUE(std::isnan(tile_grads.w[0](0, 0)));
+}
+
+// --- row tiles: forward_tile/backward_tile against the per-sample path ----
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise(const double* got, const Vec& want, const char* what,
+                    std::size_t row) {
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(bits(got[i]), bits(want[i]))
+        << what << " row " << row << " entry " << i;
+}
+
+void expect_same_gradients(const nn::Gradients& got,
+                           const nn::Gradients& want) {
+  ASSERT_EQ(got.w.size(), want.w.size());
+  for (std::size_t l = 0; l < want.w.size(); ++l) {
+    const Vec& gw = got.w[l].data();
+    const Vec& ww = want.w[l].data();
+    for (std::size_t i = 0; i < ww.size(); ++i)
+      ASSERT_EQ(bits(gw[i]), bits(ww[i])) << "layer " << l << " w[" << i
+                                          << "]";
+    for (std::size_t i = 0; i < want.b[l].size(); ++i)
+      ASSERT_EQ(bits(got.b[l][i]), bits(want.b[l][i]))
+          << "layer " << l << " b[" << i << "]";
+  }
+}
+
+/// Row r of a row-major block of `width`-wide rows.
+Vec row_of(const Vec& rows, std::size_t r, std::size_t width) {
+  const auto first = rows.begin() + static_cast<std::ptrdiff_t>(r * width);
+  return Vec(first, first + static_cast<std::ptrdiff_t>(width));
+}
+
+/// Gradients with every entry nonzero, so the tile pass is checked
+/// accumulating onto an existing sum rather than onto zeros.
+nn::Gradients seeded_gradients(const Mlp& net, util::Rng& rng) {
+  nn::Gradients g = net.zero_gradients();
+  for (auto& m : g.w)
+    for (auto& v : m.data()) v = rng.uniform(-1.0, 1.0);
+  for (auto& b : g.b)
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  return g;
+}
+
+/// Records `rows` random input rows with forward_tile and backpropagates
+/// one cotangent row per entry of `row_map` (row k belongs to recorded row
+/// row_map[k]); everything must equal the per-sample oracle — forward(x,
+/// ws) then backward(ws, dy, grads) for each cotangent row in order —
+/// bitwise.
+void expect_tile_matches_per_sample(const Mlp& net, std::size_t rows,
+                                    const std::vector<std::size_t>& row_map,
+                                    bool mapped, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t in = net.input_dim();
+  const std::size_t out = net.output_dim();
+  const std::size_t count = row_map.size();
+  Vec x(rows * in), dy(count * out), dx(count * in);
+  for (auto& v : x) v = rng.uniform(-2.0, 2.0);
+  for (auto& v : dy) v = rng.uniform(-1.0, 1.0);
+  nn::Gradients tile_grads = seeded_gradients(net, rng);
+  nn::Gradients oracle_grads = tile_grads;
+
+  Mlp::Tape tape;
+  const double* y = net.forward_tile(x.data(), rows, tape);
+  for (std::size_t r = 0; r < rows; ++r)
+    expect_bitwise(y + r * out, net.forward(row_of(x, r, in)), "output", r);
+  net.backward_tile(tape, dy.data(), count,
+                    mapped ? row_map.data() : nullptr, &tile_grads,
+                    dx.data());
+
+  for (std::size_t k = 0; k < count; ++k) {
+    Mlp::Workspace ws;
+    (void)net.forward(row_of(x, row_map[k], in), ws);
+    const Vec dxk = net.backward(ws, row_of(dy, k, out), oracle_grads);
+    expect_bitwise(dx.data() + k * in, dxk, "dl_dx", k);
+  }
+  expect_same_gradients(tile_grads, oracle_grads);
+}
+
+TEST(MlpTile, BackwardMatchesSuccessiveBackwardCalls) {
+  // Widths off every 4- and 16-lane boundary of the kernels (1, 3, 17)
+  // next to a full one (64), every activation in a hidden and an output
+  // position, and tiles below, at and above the training grain of 8.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3, 17, 64, 1}, {1, 64, 3}, {17, 3, 17}, {64, 1, 64}};
+  const Activation acts[] = {Activation::kRelu, Activation::kTanh,
+                             Activation::kSigmoid, Activation::kIdentity};
+  std::uint64_t seed = 100;
+  for (const auto& widths : shapes) {
+    for (const Activation hidden : acts) {
+      for (const Activation output : acts) {
+        std::vector<Activation> layer_acts(widths.size() - 2, hidden);
+        layer_acts.push_back(output);
+        util::Rng init(++seed);
+        const Mlp net(widths, layer_acts, init);
+        for (const std::size_t rows : {1, 7, 8, 16}) {
+          std::vector<std::size_t> identity(rows);
+          for (std::size_t r = 0; r < rows; ++r) identity[r] = r;
+          SCOPED_TRACE(::testing::Message()
+                       << "widths " << widths.front() << ".." << widths.back()
+                       << " hidden " << nn::to_string(hidden) << " output "
+                       << nn::to_string(output) << " rows " << rows);
+          expect_tile_matches_per_sample(net, rows, identity, false, seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(MlpTile, RowMapLetsCotangentRowsShareAForward) {
+  // The PPO pattern (rows 2k and 2k+1 on recorded row k) and an arbitrary
+  // map with repeats out of order.
+  util::Rng init(7);
+  const Mlp net({3, 17, 64, 2},
+                {Activation::kTanh, Activation::kRelu, Activation::kTanh},
+                init);
+  std::vector<std::size_t> paired(16);
+  for (std::size_t k = 0; k < paired.size(); ++k) paired[k] = k / 2;
+  expect_tile_matches_per_sample(net, 8, paired, true, 71);
+  expect_tile_matches_per_sample(net, 5, {4, 0, 0, 3, 1, 4, 4, 2, 0}, true,
+                                 72);
+}
+
+TEST(MlpTile, InputGradientMatchesInputGradient) {
+  // grads == nullptr is the FGSM / dQ-da mode: dl_dx alone, equal to
+  // input_gradient() bitwise.
+  util::Rng init(8);
+  const Mlp net(
+      {3, 17, 17, 1},
+      {Activation::kSigmoid, Activation::kTanh, Activation::kIdentity}, init);
+  util::Rng rng(9);
+  const std::size_t rows = 7;
+  Vec x(rows * 3), dy(rows), dx(rows * 3);
+  for (auto& v : x) v = rng.uniform(-2.0, 2.0);
+  for (auto& v : dy) v = rng.uniform(-1.0, 1.0);
+  Mlp::Tape tape;
+  net.forward_tile(x.data(), rows, tape);
+  net.backward_tile(tape, dy.data(), rows, nullptr, nullptr, dx.data());
+  for (std::size_t r = 0; r < rows; ++r)
+    expect_bitwise(dx.data() + 3 * r,
+                   net.input_gradient(row_of(x, r, 3), {dy[r]}),
+                   "input gradient", r);
+}
+
+TEST(MlpTile, BackwardRejectsForeignTapesMapsAndGradients) {
+  const Mlp a = Mlp::make(2, {4}, 1, Activation::kTanh,
+                          Activation::kIdentity, 1);
+  const Mlp b = Mlp::make(2, {4}, 1, Activation::kTanh,
+                          Activation::kIdentity, 2);
+  const Mlp wide = Mlp::make(2, {5}, 1, Activation::kTanh,
+                             Activation::kIdentity, 3);
+  const double x[4] = {0.1, 0.2, 0.3, 0.4};
+  const double dy[3] = {1.0, 1.0, 1.0};
+  Mlp::Tape tape;
+  a.forward_tile(x, 2, tape);
+  nn::Gradients grads = a.zero_gradients();
+  EXPECT_THROW(b.backward_tile(tape, dy, 2, nullptr, &grads, nullptr),
+               std::invalid_argument);
+  const std::size_t past[2] = {0, 2};
+  EXPECT_THROW(a.backward_tile(tape, dy, 2, past, &grads, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(a.backward_tile(tape, dy, 3, nullptr, &grads, nullptr),
+               std::invalid_argument);
+  nn::Gradients wrong = wide.zero_gradients();
+  EXPECT_THROW(a.backward_tile(tape, dy, 2, nullptr, &wrong, nullptr),
+               std::invalid_argument);
 }
 
 TEST(MlpTest, ForwardBatchRejectsWrongInputWidth) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "rl/categorical_policy.h"
 #include "rl/gae.h"
@@ -17,30 +18,84 @@ namespace {
 
 using la::Vec;
 
+double reward_of(const rl::ReplayBuffer& buffer, std::size_t i) {
+  return buffer.row(i)[buffer.reward_offset()];
+}
+
 TEST(ReplayBuffer, EvictsOldestAtCapacity) {
-  rl::ReplayBuffer buffer(3);
+  rl::ReplayBuffer buffer(3, 1, 1);
   for (double k = 0; k < 5; ++k)
     buffer.add({{k}, {0.0}, k, {k + 1}, false});
   EXPECT_EQ(buffer.size(), 3u);
   // Only rewards 2, 3, 4 can be sampled now.
   util::Rng rng(1);
   for (int i = 0; i < 50; ++i) {
-    const auto batch = buffer.sample(4, rng);
-    for (const auto* tr : batch) EXPECT_GE(tr->reward, 2.0);
+    for (const std::size_t row : buffer.sample(4, rng))
+      EXPECT_GE(reward_of(buffer, row), 2.0);
   }
 }
 
+TEST(ReplayBuffer, RowsHoldTheTransitionsTheRingKeeps) {
+  // Flat rows [s | a | r | s' | done]: a sampled index reads back every
+  // field of the transition the ring holds in that slot, and the draws are
+  // plain Rng::uniform_index(size()) calls in order.
+  const std::size_t capacity = 8;
+  rl::ReplayBuffer buffer(capacity, 2, 1);
+  const int added = 20;
+  const auto transition = [](int i) {
+    const double v = static_cast<double>(i);
+    return rl::Transition{{v, -v}, {0.5 * v}, 10.0 + v, {v + 1.0, 2.0 * v},
+                          i % 3 == 0};
+  };
+  for (int i = 0; i < added; ++i) buffer.add(transition(i));
+  ASSERT_EQ(buffer.row_width(), 7u);
+  util::Rng rng(11), replay(11);
+  for (const std::size_t slot : buffer.sample(64, rng)) {
+    ASSERT_EQ(slot, replay.uniform_index(capacity));
+    // Slot j holds the newest add whose ring position was j.
+    int newest = static_cast<int>(slot);
+    while (newest + static_cast<int>(capacity) < added)
+      newest += static_cast<int>(capacity);
+    const rl::Transition expected = transition(newest);
+    const double* row = buffer.row(slot);
+    EXPECT_EQ(row[0], expected.state[0]);
+    EXPECT_EQ(row[1], expected.state[1]);
+    EXPECT_EQ(row[2], expected.action[0]);
+    EXPECT_EQ(row[buffer.reward_offset()], expected.reward);
+    EXPECT_EQ(row[buffer.next_state_offset()], expected.next_state[0]);
+    EXPECT_EQ(row[buffer.next_state_offset() + 1], expected.next_state[1]);
+    EXPECT_EQ(row[buffer.terminal_offset()], expected.terminal ? 1.0 : 0.0);
+  }
+}
+
+TEST(ReplayBuffer, RejectsMisShapedTransitionsAndZeroSizes) {
+  rl::ReplayBuffer buffer(4, 2, 1);
+  EXPECT_THROW(buffer.add({{0.0}, {0.0}, 0.0, {0.0, 0.0}, false}),
+               std::invalid_argument);
+  EXPECT_THROW(buffer.add({{0.0, 0.0}, {}, 0.0, {0.0, 0.0}, false}),
+               std::invalid_argument);
+  EXPECT_THROW(buffer.add({{0.0, 0.0}, {0.0}, 0.0, {0.0}, false}),
+               std::invalid_argument);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_THROW((void)rl::ReplayBuffer(0, 2, 1), std::invalid_argument);
+  EXPECT_THROW((void)rl::ReplayBuffer(4, 0, 1), std::invalid_argument);
+}
+
 TEST(ReplayBuffer, SampleFromEmptyThrows) {
-  rl::ReplayBuffer buffer(4);
+  rl::ReplayBuffer buffer(4, 1, 1);
   util::Rng rng(2);
   EXPECT_THROW((void)buffer.sample(1, rng), std::logic_error);
 }
 
 TEST(ReplayBuffer, ClearResets) {
-  rl::ReplayBuffer buffer(4);
+  rl::ReplayBuffer buffer(4, 1, 1);
   buffer.add({{0.0}, {0.0}, 0.0, {0.0}, false});
   buffer.clear();
   EXPECT_TRUE(buffer.empty());
+  // Refilling after clear() starts the ring over.
+  buffer.add({{1.0}, {0.0}, 7.0, {0.0}, false});
+  EXPECT_EQ(buffer.size(), 1u);
+  EXPECT_EQ(reward_of(buffer, 0), 7.0);
 }
 
 TEST(OuNoise, MeanRevertsToMu) {
@@ -304,6 +359,115 @@ TEST(CategoricalPolicy, KlOfItselfIsZero) {
   rl::CategoricalPolicy policy(1, {4}, 4, 30);
   const Vec s = {0.7};
   EXPECT_NEAR(policy.kl_from(policy.probabilities(s), s), 0.0, 1e-12);
+}
+
+// --- cotangent helpers: the tile path PPO runs vs the accumulate_* form ---
+
+void expect_same_gradients(const nn::Gradients& got,
+                           const nn::Gradients& want) {
+  ASSERT_EQ(got.w.size(), want.w.size());
+  for (std::size_t l = 0; l < want.w.size(); ++l) {
+    ASSERT_EQ(got.w[l].data(), want.w[l].data()) << "layer " << l;
+    ASSERT_EQ(got.b[l], want.b[l]) << "layer " << l;
+  }
+}
+
+/// Row map of the PPO chunk: cotangent rows 2k and 2k+1 on recorded row k.
+std::vector<std::size_t> paired_rows(std::size_t m) {
+  std::vector<std::size_t> rows(2 * m);
+  for (std::size_t k = 0; k < rows.size(); ++k) rows[k] = k / 2;
+  return rows;
+}
+
+TEST(GaussianPolicy, CotangentTileMatchesAccumulateWrappers) {
+  // One mean-net forward over a tile, then each sample's log-prob and KL
+  // cotangent rows backpropagated together, must equal the per-sample
+  // accumulate_* calls (log-prob, then KL, sample by sample) bitwise.
+  rl::GaussianPolicy policy(3, {12, 12}, 2, 0.4, 31);
+  util::Rng rng(31);
+  const std::size_t m = 7;
+  std::vector<Vec> states, actions, mus_old;
+  Vec x, coefs;
+  for (std::size_t k = 0; k < m; ++k) {
+    states.push_back(rng.uniform_vec(3, -1.0, 1.0));
+    actions.push_back(rng.uniform_vec(2, -1.0, 1.0));
+    mus_old.push_back(rng.uniform_vec(2, -0.5, 0.5));
+    coefs.push_back(rng.uniform(-2.0, 2.0));
+    x.insert(x.end(), states.back().begin(), states.back().end());
+  }
+  const Vec std_old = {0.3, 0.6};
+  const double beta = 0.7;
+
+  nn::Gradients oracle = policy.mean_net().zero_gradients();
+  Vec oracle_log_std = la::zeros(2);
+  for (std::size_t k = 0; k < m; ++k) {
+    policy.accumulate_log_prob_gradient(states[k], actions[k], coefs[k],
+                                        oracle, oracle_log_std);
+    policy.accumulate_kl_gradient(mus_old[k], std_old, states[k], beta,
+                                  oracle, oracle_log_std);
+  }
+
+  nn::Mlp::Tape tape;
+  const double* mu = policy.mean_net().forward_tile(x.data(), m, tape);
+  Vec dmu(2 * m * 2);
+  Vec log_std = la::zeros(2);
+  for (std::size_t k = 0; k < m; ++k) {
+    EXPECT_EQ(policy.log_prob_of_mean(mu + 2 * k, actions[k]),
+              policy.log_prob(states[k], actions[k]));
+    policy.log_prob_cotangent(mu + 2 * k, actions[k], coefs[k],
+                              dmu.data() + 4 * k, log_std);
+    policy.kl_cotangent(mu + 2 * k, mus_old[k], std_old, beta,
+                        dmu.data() + 4 * k + 2, log_std);
+  }
+  nn::Gradients tile = policy.mean_net().zero_gradients();
+  const auto rows = paired_rows(m);
+  policy.mean_net().backward_tile(tape, dmu.data(), 2 * m, rows.data(),
+                                  &tile, nullptr);
+  expect_same_gradients(tile, oracle);
+  EXPECT_EQ(log_std, oracle_log_std);
+}
+
+TEST(CategoricalPolicy, CotangentTileMatchesAccumulateWrappers) {
+  rl::CategoricalPolicy policy(2, {10, 10}, 3, 32);
+  util::Rng rng(32);
+  const std::size_t m = 8;
+  std::vector<Vec> states, probs_old;
+  std::vector<std::size_t> actions;
+  Vec x, coefs;
+  for (std::size_t k = 0; k < m; ++k) {
+    states.push_back(rng.uniform_vec(2, -1.0, 1.0));
+    actions.push_back(rng.uniform_index(3));
+    probs_old.push_back(rl::softmax(rng.uniform_vec(3, -1.0, 1.0)));
+    coefs.push_back(rng.uniform(-2.0, 2.0));
+    x.insert(x.end(), states.back().begin(), states.back().end());
+  }
+  const double beta = 1.3;
+
+  nn::Gradients oracle = policy.logits_net().zero_gradients();
+  for (std::size_t k = 0; k < m; ++k) {
+    policy.accumulate_log_prob_gradient(states[k], actions[k], coefs[k],
+                                        oracle);
+    policy.accumulate_kl_gradient(probs_old[k], states[k], beta, oracle);
+  }
+
+  nn::Mlp::Tape tape;
+  const double* logits = policy.logits_net().forward_tile(x.data(), m, tape);
+  Vec dlogits(2 * m * 3);
+  for (std::size_t k = 0; k < m; ++k) {
+    const Vec p = rl::softmax(logits + 3 * k, 3);
+    EXPECT_EQ(p, policy.probabilities(states[k]));
+    EXPECT_EQ(rl::CategoricalPolicy::log_prob_of(p, actions[k]),
+              policy.log_prob(states[k], actions[k]));
+    rl::CategoricalPolicy::log_prob_cotangent(p, actions[k], coefs[k],
+                                              dlogits.data() + 6 * k);
+    rl::CategoricalPolicy::kl_cotangent(p, probs_old[k], beta,
+                                        dlogits.data() + 6 * k + 3);
+  }
+  nn::Gradients tile = policy.logits_net().zero_gradients();
+  const auto rows = paired_rows(m);
+  policy.logits_net().backward_tile(tape, dlogits.data(), 2 * m, rows.data(),
+                                    &tile, nullptr);
+  expect_same_gradients(tile, oracle);
 }
 
 }  // namespace

@@ -43,7 +43,9 @@ rl::PpoConfig tiny_ppo(std::uint64_t seed) {
   config.iterations = 4;  // enough updates for any divergence to compound.
   config.steps_per_iteration = 200;
   config.update_epochs = 3;
-  config.minibatch = 48;  // not a multiple of the grain: ragged last chunk.
+  // 200 steps = 4 x 44 + 24, and 44 = 5 x 8 + 4: every full minibatch
+  // ends in a partial chunk of the grain-8 reduction tree.
+  config.minibatch = 44;
   config.entropy_coef = 0.01;
   config.seed = seed;
   return config;
@@ -115,7 +117,7 @@ TEST(DdpgParallel, BitwiseIdenticalForAnyWorkerCount) {
   config.critic_hidden = {16, 16};
   config.episodes = 12;
   config.warmup_steps = 120;
-  config.batch_size = 48;
+  config.batch_size = 52;  // 6 x 8 + 4: a partial last chunk.
   config.seed = 24;
   config.num_workers = 1;
   PointMassEnv env_ref;
@@ -190,7 +192,7 @@ TEST(DdpgSharded, BitwiseIdenticalForAnyShardCount) {
   config.critic_hidden = {16, 16};
   config.episodes = 12;
   config.warmup_steps = 150;  // ~5 warmup episodes: several waves at 2 shards.
-  config.batch_size = 48;
+  config.batch_size = 52;  // 6 x 8 + 4: a partial last chunk.
   config.seed = 33;
   config.num_workers = 1;
   config.num_env_shards = 1;
@@ -219,7 +221,7 @@ TEST(DdpgSharded, WarmupSplitAcrossRunCallsMatchesMonolithic) {
   config.critic_hidden = {12};
   config.episodes = 10;
   config.warmup_steps = 150;
-  config.batch_size = 32;
+  config.batch_size = 36;  // 4 x 8 + 4: a partial last chunk.
   config.seed = 34;
   config.num_env_shards = 4;
   PointMassEnv env_a, env_b;
@@ -252,7 +254,7 @@ TEST(ShardedPipelineGolden, MixingPlusDistillationIdenticalAcrossShardCounts) {
   mixing.ppo.iterations = 2;
   mixing.ppo.steps_per_iteration = 160;
   mixing.ppo.update_epochs = 2;
-  mixing.ppo.minibatch = 32;
+  mixing.ppo.minibatch = 36;  // 4 x 8 + 4: a partial last chunk.
   mixing.ppo.seed = 35;
   mixing.snapshot.checkpoints = 1;
   mixing.snapshot.eval_states = 16;
@@ -296,10 +298,13 @@ TEST(ChunkedGradReducer, MergeMatchesSerialChunkTree) {
     inputs[i] = rng.uniform_vec(3, -1.0, 1.0);
     targets[i] = rng.uniform_vec(2, -1.0, 1.0);
   }
-  const auto body = [&](nn::Gradients& acc, std::size_t i) {
-    nn::Mlp::Workspace ws;
-    const la::Vec y = net.forward(inputs[i], ws);
-    (void)net.backward(ws, nn::mse_gradient(y, targets[i]), acc);
+  const auto body = [&](nn::Gradients& acc, std::size_t begin,
+                        std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      nn::Mlp::Workspace ws;
+      const la::Vec y = net.forward(inputs[i], ws);
+      (void)net.backward(ws, nn::mse_gradient(y, targets[i]), acc);
+    }
   };
   nn::ChunkedGradReducer<nn::Gradients> serial_reducer(
       n, 8, [&] { return net.zero_gradients(); });
@@ -326,10 +331,13 @@ TEST(ChunkedGradReducer, MergeMatchesSerialChunkTree) {
 TEST(ChunkedGradReducer, PartialCountUsesPrefixOfChunks) {
   const nn::Mlp net = nn::Mlp::make(2, {6}, 1, nn::Activation::kTanh,
                                     nn::Activation::kIdentity, 9);
-  const auto body = [&](nn::Gradients& acc, std::size_t i) {
-    nn::Mlp::Workspace ws;
-    const la::Vec y = net.forward({0.1 * static_cast<double>(i), -0.2}, ws);
-    (void)net.backward(ws, nn::mse_gradient(y, {0.5}), acc);
+  const auto body = [&](nn::Gradients& acc, std::size_t begin,
+                        std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      nn::Mlp::Workspace ws;
+      const la::Vec y = net.forward({0.1 * static_cast<double>(i), -0.2}, ws);
+      (void)net.backward(ws, nn::mse_gradient(y, {0.5}), acc);
+    }
   };
   nn::ChunkedGradReducer<nn::Gradients> reducer(
       64, 8, [&] { return net.zero_gradients(); });

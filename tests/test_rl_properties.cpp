@@ -136,7 +136,7 @@ TEST(ReplayBufferProperties, WraparoundKeepsExactlyTheNewestCapacity) {
   // Overfill by 2.5x: only the newest `capacity` rewards may ever be
   // sampled, and all of them must be reachable.
   const std::size_t capacity = 8;
-  rl::ReplayBuffer buffer(capacity);
+  rl::ReplayBuffer buffer(capacity, 1, 1);
   const int added = 20;
   for (int i = 0; i < added; ++i)
     buffer.add({{static_cast<double>(i)}, {0.0}, static_cast<double>(i),
@@ -147,8 +147,9 @@ TEST(ReplayBufferProperties, WraparoundKeepsExactlyTheNewestCapacity) {
   util::Rng rng(7);
   std::set<int> seen;
   for (int draw = 0; draw < 400; ++draw) {
-    for (const auto* tr : buffer.sample(4, rng)) {
-      const int reward = static_cast<int>(tr->reward);
+    for (const std::size_t row : buffer.sample(4, rng)) {
+      const int reward =
+          static_cast<int>(buffer.row(row)[buffer.reward_offset()]);
       EXPECT_GE(reward, added - static_cast<int>(capacity));
       EXPECT_LT(reward, added);
       seen.insert(reward);
@@ -158,7 +159,7 @@ TEST(ReplayBufferProperties, WraparoundKeepsExactlyTheNewestCapacity) {
 }
 
 TEST(ReplayBufferProperties, SamplesStayWithinBounds) {
-  rl::ReplayBuffer buffer(64);
+  rl::ReplayBuffer buffer(64, 1, 1);
   util::Rng fill(8);
   for (int i = 0; i < 11; ++i)  // partially filled: bound is size, not cap.
     buffer.add({{fill.uniform(-1.0, 1.0)}, {0.0}, static_cast<double>(i),
@@ -167,16 +168,17 @@ TEST(ReplayBufferProperties, SamplesStayWithinBounds) {
   for (int draw = 0; draw < 100; ++draw) {
     const auto batch = buffer.sample(5, rng);
     ASSERT_EQ(batch.size(), 5u);
-    for (const auto* tr : batch) {
-      ASSERT_NE(tr, nullptr);
-      EXPECT_GE(tr->reward, 0.0);
-      EXPECT_LT(tr->reward, 11.0);
+    for (const std::size_t row : batch) {
+      ASSERT_LT(row, buffer.size());
+      const double reward = buffer.row(row)[buffer.reward_offset()];
+      EXPECT_GE(reward, 0.0);
+      EXPECT_LT(reward, 11.0);
     }
   }
 }
 
 TEST(ReplayBufferProperties, DrawsAreDeterministicPerRngStream) {
-  rl::ReplayBuffer buffer(16);
+  rl::ReplayBuffer buffer(16, 1, 1);
   for (int i = 0; i < 16; ++i)
     buffer.add({{0.0}, {0.0}, static_cast<double>(i), {0.0}, false});
 
@@ -184,8 +186,8 @@ TEST(ReplayBufferProperties, DrawsAreDeterministicPerRngStream) {
     util::Rng rng(seed);
     std::vector<double> rewards;
     for (int k = 0; k < 64; ++k)
-      for (const auto* tr : buffer.sample(3, rng))
-        rewards.push_back(tr->reward);
+      for (const std::size_t row : buffer.sample(3, rng))
+        rewards.push_back(buffer.row(row)[buffer.reward_offset()]);
     return rewards;
   };
   EXPECT_EQ(draw_rewards(5), draw_rewards(5));    // same stream, same draws.
