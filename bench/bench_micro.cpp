@@ -6,7 +6,7 @@
 // bench_micro is also the repo's TRACKED PERF TIER: it provides its own
 // main(), understands
 //   --smoke       tiny measurement times + only the tracked benchmarks
-//                 (GEMM / forward_batch / distill / PPO update /
+//                 (GEMM / forward_batch / tanh rows / distill / PPO update /
 //                 certified-lookup / reach fan-out) — the mode Release CI
 //                 runs every PR;
 //   --out=<path>  where to write the JSON trajectory point
@@ -33,6 +33,7 @@
 #include "control/polynomial_controller.h"
 #include "core/distiller.h"
 #include "core/rollout.h"
+#include "la/kernels.h"
 #include "la/matrix.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
@@ -143,13 +144,53 @@ void BM_MlpForwardBatch(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(net.forward_batch(x));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
-  // GEMM flops only (2*K per MAC over the 4->64->64->1 layers); the bias/
-  // activation work is negligible at these widths.
+  // GEMM flops only (2*K per MAC over the 4->64->64->1 layers).  The bias
+  // and tanh work is not counted, and it is not negligible: the 128 tanh
+  // values per row cost about as much as the GEMM (see BM_TanhRows).
   state.counters["FLOPS"] = benchmark::Counter(
       2.0 * static_cast<double>(batch) * (4.0 * 64 + 64.0 * 64 + 64.0 * 1),
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_MlpForwardBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+
+// The batched forward's tanh (la::kernels::tanh_rows) over Arg values, and
+// the libm std::tanh loop it replaced as the comparator — the same bits on
+// an FMA-capable x86-64 host with glibc 2.36.  2560 = one 64-row tile of a
+// 40-wide hidden layer.  Items/sec is tanh values/sec.
+std::vector<double> tanh_inputs(std::size_t n) {
+  std::vector<double> z(n);
+  util::Rng rng(5);
+  for (auto& v : z) v = rng.uniform(-3.0, 3.0);
+  return z;
+}
+
+void BM_TanhRows(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> z = tanh_inputs(n);
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    la::kernels::tanh_rows(z.data(), out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TanhRows)->Arg(2560);
+
+void BM_TanhRowsLibm(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> z = tanh_inputs(n);
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(z[i]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TanhRowsLibm)->Arg(2560);
 
 void BM_MlpBackward(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
@@ -661,6 +702,16 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
     first = false;
     out << "\n    \"certified_lookup_speedup_" << n << "\": " << flat / tree;
   }
+  // Batched tanh kernel over the libm loop it replaced.
+  {
+    const double libm = find_time(rows, "BM_TanhRowsLibm/2560");
+    const double kernel = find_time(rows, "BM_TanhRows/2560");
+    if (libm > 0.0 && kernel > 0.0) {
+      if (!first) out << ",";
+      first = false;
+      out << "\n    \"tanh_rows_speedup\": " << libm / kernel;
+    }
+  }
   // Single-giant-box frontier: fan-out speedup over the serialized
   // pre-fan-out schedule (Arg 0) at 8 workers.
   {
@@ -700,8 +751,9 @@ int main(int argc, char** argv) {
   // noisier than a full run but the same JSON shape lands in the artifact.
   std::string min_time = "--benchmark_min_time=0.01";
   std::string filter =
-      "--benchmark_filter=BM_Gemm|BM_MlpForwardBatch|BM_DistillSgd/1|"
-      "BM_PpoUpdate/1|BM_CertifiedLookup|BM_ReachFrontierFanout";
+      "--benchmark_filter=BM_Gemm|BM_MlpForwardBatch|BM_TanhRows|"
+      "BM_DistillSgd/1|BM_PpoUpdate/1|BM_CertifiedLookup|"
+      "BM_ReachFrontierFanout";
   if (smoke) {
     args.push_back(min_time.data());
     args.push_back(filter.data());

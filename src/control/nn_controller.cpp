@@ -63,6 +63,9 @@ void NnController::save_file(const std::string& path) const {
   for (double v : scale_) out << ' ' << v;
   out << '\n';
   net_.save(out);
+  out.close();
+  if (!out)
+    throw std::runtime_error("NnController::save_file: write failed: " + path);
 }
 
 NnController NnController::load_file(const std::string& path,

@@ -39,6 +39,9 @@ class NnController final : public Controller {
   [[nodiscard]] nn::Mlp& net() noexcept { return net_; }
   [[nodiscard]] const la::Vec& out_scale() const noexcept { return scale_; }
 
+  /// Throws std::runtime_error when the file cannot be opened or a write
+  /// or the final flush fails (a full disk, say); the file is then
+  /// incomplete.
   void save_file(const std::string& path) const;
   /// Loads a controller saved by save_file().  Throws std::runtime_error
   /// when the file is missing, its header or scale is malformed, truncated

@@ -20,10 +20,16 @@
 // optimized entry points fall back to the scalar reference — same
 // schedule, same bits (std::fma is correctly rounded even via libm's
 // software path).
+//
+// tanh/tanh_rows follow the same rule with a different contract: a fixed
+// operation sequence (fdlibm's, with explicit fmas) that the AVX2 path
+// evaluates for four lanes at once and the scalar path one at a time.
 #include "la/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -100,6 +106,46 @@ inline void dot_rows(const double* a, const double* const* b, std::size_t k,
     for (std::size_t j = 0; j < TR; ++j) acc[j] += reduce8(larr[j]);
   }
   for (std::size_t j = 0; j < TR; ++j) out[j] = acc[j];
+}
+
+/// C = A * B^T for a reduction shorter than one lane group (K < kDotLanes),
+/// where dot_rows would run entirely in its scalar tail.  `p` is B^T packed
+/// K x n (row t holds element t of every B row), so four consecutive output
+/// columns load as one vector.  Lane t of the schedule is
+/// fma(a_t, b_t, +0.0); lanes K..7 stay +0.0 and still enter the fixed
+/// tree, and the tree's sum is added to the +0.0 block accumulator — every
+/// operation of the schedule, so each element matches gemm_nt_ref bit for
+/// bit, signed zeros included.  The n mod 4 leftover columns run dot_rows.
+template <std::size_t K>
+void gemm_nt_short(std::size_t m, std::size_t n, const double* a,
+                   std::size_t lda, const double* p, const double* b,
+                   std::size_t ldb, double* c, std::size_t ldc) {
+  static_assert(K >= 1 && K < W, "short path is for one partial lane group");
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* ai = a + i * lda;
+    double* ci = c + i * ldc;
+    __m256d av[K];
+    for (std::size_t t = 0; t < K; ++t) av[t] = _mm256_set1_pd(ai[t]);
+    std::size_t j = 0;
+    for (; j + WT <= n; j += WT) {
+      __m256d l[W];
+      for (std::size_t t = 0; t < W; ++t)
+        l[t] = t < K ? _mm256_fmadd_pd(av[t], _mm256_loadu_pd(p + t * n + j),
+                                       zero)
+                     : zero;
+      const __m256d tree =
+          _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(l[0], l[1]),
+                                      _mm256_add_pd(l[2], l[3])),
+                        _mm256_add_pd(_mm256_add_pd(l[4], l[5]),
+                                      _mm256_add_pd(l[6], l[7])));
+      _mm256_storeu_pd(ci + j, _mm256_add_pd(zero, tree));
+    }
+    for (; j < n; ++j) {
+      const double* bp[1] = {b + j * ldb};
+      dot_rows<1>(ai, bp, K, ci + j);
+    }
+  }
 }
 
 #endif  // COCKTAIL_LA_VECTOR
@@ -187,6 +233,22 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) {
 #if defined(COCKTAIL_LA_VECTOR)
+  if (k >= 1 && k < W && n >= WT) {
+    // Pack B^T once per call (pure data movement; at most 7 x n doubles).
+    thread_local std::vector<double> panel;
+    if (panel.size() < k * n) panel.resize(k * n);
+    pack_bt(k, n, b, ldb, panel.data());
+    const double* p = panel.data();
+    switch (k) {
+      case 1: return gemm_nt_short<1>(m, n, a, lda, p, b, ldb, c, ldc);
+      case 2: return gemm_nt_short<2>(m, n, a, lda, p, b, ldb, c, ldc);
+      case 3: return gemm_nt_short<3>(m, n, a, lda, p, b, ldb, c, ldc);
+      case 4: return gemm_nt_short<4>(m, n, a, lda, p, b, ldb, c, ldc);
+      case 5: return gemm_nt_short<5>(m, n, a, lda, p, b, ldb, c, ldc);
+      case 6: return gemm_nt_short<6>(m, n, a, lda, p, b, ldb, c, ldc);
+      default: return gemm_nt_short<7>(m, n, a, lda, p, b, ldb, c, ldc);
+    }
+  }
   // Visit output columns in kGemmBlockCols-wide panels so the active rows
   // of B stay L2-resident across the whole sweep over A.  Pure iteration
   // order: each c(i,j) is still produced by exactly one dot_rows call.
@@ -388,6 +450,243 @@ void add_outer_rows(std::size_t rows, std::size_t m, std::size_t n,
 #else
   add_outer_rows_ref(rows, m, n, x, ldx, y, ldy, y_rows, c, ldc);
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// tanh: fdlibm's s_tanh.c/s_expm1.c, with the fused multiply-adds of
+// glibc 2.36's x86-64 FMA build of expm1.
+//
+// ====================================================
+// Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+//
+// Developed at SunPro, a Sun Microsystems, Inc. business.
+// Permission to use, copy, modify, and distribute this
+// software is freely granted, provided that this notice
+// is preserved.
+// ====================================================
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr double kLn2Hi = 6.93147180369123816490e-01;   // 0x3fe62e42fee00000
+constexpr double kLn2Lo = 1.90821492927058770002e-10;   // 0x3dea39ef35793c76
+constexpr double kInvLn2 = 1.44269504088896338700e+00;  // 0x3ff71547652b82fe
+constexpr double kQ1 = -3.33333333333331316428e-02;
+constexpr double kQ2 = 1.58730158725481460165e-03;
+constexpr double kQ3 = -7.93650757867487942473e-05;
+constexpr double kQ4 = 4.00821782732936239552e-06;
+constexpr double kQ5 = -2.01099218183624371326e-07;
+/// fdlibm's `one - tiny`, the saturated |tanh| for |x| >= 22 (it rounds to
+/// 1.0; the subtraction only raised inexact).
+constexpr double kTanhSaturated = 1.0 - 1.0e-300;
+
+inline std::uint32_t high_word(double x) {
+  return static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(x) >> 32);
+}
+
+/// y * 2^k by adding k to the exponent field (fdlibm's SET_HIGH_WORD step).
+inline double scale_k(double y, int k) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(y) +
+                               (static_cast<std::uint64_t>(k) << 52));
+}
+
+/// 2^-k for 0 <= k <= 1022.
+inline double pow2_neg(int k) {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(1023 - k) << 52);
+}
+
+/// fdlibm's expm1(u), restricted to the arguments tanh passes it:
+/// u in [2, 44) (from |x| in [1, 22)) or u in (-2, -2^-54] (from |x| in
+/// [2^-55, 1)).  That range never reaches fdlibm's non-finite, overflow,
+/// |u| < 2^-54 or k = 1, 2 branches, so they are left out.
+double expm1_tanh_arg(double u) {
+  const std::uint32_t hu = high_word(u) & 0x7fffffffU;
+  int k = 0;
+  double x = u;
+  double c = 0.0;
+  if (hu > 0x3fd62e42U) {  // |u| > 0.5 ln2
+    double hi;
+    double lo;
+    if (hu < 0x3ff0a2b2U) {  // and |u| < 1.5 ln2, so u < 0 here
+      k = -1;
+      hi = u + kLn2Hi;
+      lo = -kLn2Lo;
+    } else {
+      k = static_cast<int>(kInvLn2 * u + (u > 0.0 ? 0.5 : -0.5));
+      const double kd = k;
+      hi = std::fma(-kd, kLn2Hi, u);  // kd * kLn2Hi is exact
+      lo = kd * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  }
+  const double hfx = 0.5 * x;
+  const double hxs = x * hfx;
+  const double h2 = hxs * hxs;
+  const double h4 = h2 * h2;
+  const double r1 =
+      std::fma(h4, std::fma(hxs, kQ5, kQ4),
+               std::fma(h2, std::fma(hxs, kQ3, kQ2), std::fma(hxs, kQ1, 1.0)));
+  const double t = std::fma(-r1, hfx, 3.0);
+  double e = ((r1 - t) / std::fma(-x, t, 6.0)) * hxs;
+  if (k == 0) return x - std::fma(e, x, -hxs);
+  e = std::fma(e - c, x, -c) - hxs;
+  if (k == -1) return std::fma(x - e, 0.5, -0.5);
+  if (k <= -2 || k > 56) return scale_k(1.0 - (e - x), k) - 1.0;
+  if (k < 20) return scale_k((1.0 - pow2_neg(k)) - (e - x), k);
+  return scale_k((x - (e + pow2_neg(k))) + 1.0, k);
+}
+
+#if defined(COCKTAIL_LA_VECTOR)
+
+/// tanh of four finite lanes: every branch of the scalar sequence is
+/// evaluated for all lanes and the right one blended in per lane, so each
+/// lane performs exactly the scalar path's operations.  Two rules make the
+/// blend exact:
+///   * the expm1 reduction uses the general formulas with k = 0 or -1 on
+///     the short branches: with k = -1, fma(-k, ln2_hi, u) and k * ln2_lo
+///     are u + ln2_hi (one rounding) and -ln2_lo, as in the branch, and
+///     k = 0 lanes take the unreduced u;
+///   * lanes outside a branch's domain (|x| >= 22 overflowing u, say)
+///     compute garbage that is blended away; exceptions stay masked.
+inline __m256d tanh4(__m256d x) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d ax = _mm256_andnot_pd(sign, x);
+  const __m256d ge1 = _mm256_cmp_pd(ax, one, _CMP_GE_OQ);
+  // u = 2|x| (|x| >= 1) or -2|x|; its sign bit is set where |x| < 1.
+  const __m256d u = _mm256_blendv_pd(_mm256_mul_pd(ax, _mm256_set1_pd(-2.0)),
+                                     _mm256_add_pd(ax, ax), ge1);
+  const __m256d usign = _mm256_and_pd(sign, u);
+  const __m256d au = _mm256_andnot_pd(sign, u);
+
+  // expm1(u): range reduction.  hu <= 0x3fd62e42 <=> |u| below the double
+  // whose high word is 0x3fd62e43 (low word 0); likewise for 0x3ff0a2b1.
+  const __m256d k_zero = _mm256_cmp_pd(
+      au, _mm256_set1_pd(std::bit_cast<double>(0x3fd62e4300000000ULL)),
+      _CMP_LT_OQ);
+  const __m256d k_unit = _mm256_cmp_pd(
+      au, _mm256_set1_pd(std::bit_cast<double>(0x3ff0a2b200000000ULL)),
+      _CMP_LT_OQ);
+  const __m256d k_general = _mm256_round_pd(
+      _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kInvLn2), u),
+                    _mm256_or_pd(_mm256_set1_pd(0.5), usign)),
+      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256d kd = _mm256_blendv_pd(
+      _mm256_blendv_pd(k_general, _mm256_set1_pd(-1.0), k_unit),
+      _mm256_setzero_pd(), k_zero);
+  const __m256d hi = _mm256_fnmadd_pd(kd, _mm256_set1_pd(kLn2Hi), u);
+  const __m256d lo = _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo));
+  const __m256d xr = _mm256_blendv_pd(_mm256_sub_pd(hi, lo), u, k_zero);
+  const __m256d c = _mm256_sub_pd(_mm256_sub_pd(hi, xr), lo);
+
+  // expm1(u): polynomial on the reduced argument.
+  const __m256d hfx = _mm256_mul_pd(_mm256_set1_pd(0.5), xr);
+  const __m256d hxs = _mm256_mul_pd(xr, hfx);
+  const __m256d h2 = _mm256_mul_pd(hxs, hxs);
+  const __m256d h4 = _mm256_mul_pd(h2, h2);
+  const __m256d r1 = _mm256_fmadd_pd(
+      h4, _mm256_fmadd_pd(hxs, _mm256_set1_pd(kQ5), _mm256_set1_pd(kQ4)),
+      _mm256_fmadd_pd(
+          h2, _mm256_fmadd_pd(hxs, _mm256_set1_pd(kQ3), _mm256_set1_pd(kQ2)),
+          _mm256_fmadd_pd(hxs, _mm256_set1_pd(kQ1), one)));
+  const __m256d t = _mm256_fnmadd_pd(r1, hfx, _mm256_set1_pd(3.0));
+  const __m256d e0 = _mm256_mul_pd(
+      _mm256_div_pd(_mm256_sub_pd(r1, t),
+                    _mm256_fnmadd_pd(xr, t, _mm256_set1_pd(6.0))),
+      hxs);
+
+  // expm1(u): the result for every k, then the blend.
+  const __m128i k32 = _mm256_cvttpd_epi32(kd);
+  const __m256i k64 = _mm256_cvtepi32_epi64(k32);
+  const __m256i kexp = _mm256_slli_epi64(k64, 52);
+  const __m256d two_mk = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_sub_epi64(_mm256_set1_epi64x(1023), k64), 52));
+  auto scale = [&](__m256d y) {
+    return _mm256_castsi256_pd(_mm256_add_epi64(_mm256_castpd_si256(y), kexp));
+  };
+  const __m256d y_zero = _mm256_sub_pd(xr, _mm256_fmsub_pd(e0, xr, hxs));
+  const __m256d e = _mm256_sub_pd(
+      _mm256_fmsub_pd(_mm256_sub_pd(e0, c), xr, c), hxs);
+  const __m256d y_minus1 = _mm256_fmsub_pd(_mm256_sub_pd(xr, e),
+                                           _mm256_set1_pd(0.5),
+                                           _mm256_set1_pd(0.5));
+  const __m256d e_minus_x = _mm256_sub_pd(e, xr);
+  const __m256d y_outer =
+      _mm256_sub_pd(scale(_mm256_sub_pd(one, e_minus_x)), one);
+  const __m256d y_low =
+      scale(_mm256_sub_pd(_mm256_sub_pd(one, two_mk), e_minus_x));
+  const __m256d y_mid = scale(
+      _mm256_add_pd(_mm256_sub_pd(xr, _mm256_add_pd(e, two_mk)), one));
+  // k <= -2 or k > 56 -> y_outer; 20 <= k <= 56 -> y_mid; 3 <= k < 20 ->
+  // y_low; k = -1 -> y_minus1; k = 0 -> y_zero.
+  const __m256d is_outer = _mm256_or_pd(
+      _mm256_cmp_pd(kd, _mm256_set1_pd(-2.0), _CMP_LE_OQ),
+      _mm256_cmp_pd(kd, _mm256_set1_pd(56.0), _CMP_GT_OQ));
+  __m256d em1 = _mm256_blendv_pd(
+      y_low, y_mid, _mm256_cmp_pd(kd, _mm256_set1_pd(20.0), _CMP_GE_OQ));
+  em1 = _mm256_blendv_pd(em1, y_outer, is_outer);
+  em1 = _mm256_blendv_pd(
+      em1, y_minus1, _mm256_cmp_pd(kd, _mm256_set1_pd(-1.0), _CMP_EQ_OQ));
+  em1 = _mm256_blendv_pd(em1, y_zero, k_zero);
+
+  // tanh: z = 1 - 2/(t+2) for |x| >= 1, -t/(t+2) below, with x's sign.
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d q = _mm256_div_pd(
+      _mm256_blendv_pd(_mm256_xor_pd(em1, sign), two, ge1),
+      _mm256_add_pd(em1, two));
+  __m256d z = _mm256_blendv_pd(q, _mm256_sub_pd(one, q), ge1);
+  z = _mm256_blendv_pd(
+      z, _mm256_set1_pd(kTanhSaturated),
+      _mm256_cmp_pd(ax, _mm256_set1_pd(22.0), _CMP_GE_OQ));
+  z = _mm256_xor_pd(z, _mm256_and_pd(sign, x));
+  // |x| < 2^-55 (zeros and subnormals included): x * (1 + x).
+  return _mm256_blendv_pd(
+      z, _mm256_mul_pd(x, _mm256_add_pd(one, x)),
+      _mm256_cmp_pd(ax, _mm256_set1_pd(0x1p-55), _CMP_LT_OQ));
+}
+
+#endif  // COCKTAIL_LA_VECTOR
+
+}  // namespace
+
+double tanh(double x) noexcept {
+  const std::uint32_t jx = high_word(x);
+  const std::uint32_t ix = jx & 0x7fffffffU;
+  const bool negative = (jx >> 31) != 0;
+  if (ix >= 0x7ff00000U)  // Inf or NaN
+    return negative ? 1.0 / x - 1.0 : 1.0 / x + 1.0;
+  if (ix < 0x3c800000U) return x * (1.0 + x);  // |x| < 2^-55, zeros too
+  double z;
+  if (ix >= 0x40360000U) {  // |x| >= 22
+    z = kTanhSaturated;
+  } else if (ix >= 0x3ff00000U) {  // |x| >= 1
+    const double t = expm1_tanh_arg(std::fabs(x) + std::fabs(x));
+    z = 1.0 - 2.0 / (t + 2.0);
+  } else {
+    const double t = expm1_tanh_arg(std::fabs(x) * -2.0);
+    z = -t / (t + 2.0);
+  }
+  return negative ? -z : z;
+}
+
+void tanh_rows(const double* z, double* out, std::size_t n) noexcept {
+  std::size_t i = 0;
+#if defined(COCKTAIL_LA_VECTOR)
+  const __m256d inf = _mm256_set1_pd(HUGE_VAL);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (; i + WT <= n; i += WT) {
+    const __m256d x = _mm256_loadu_pd(z + i);
+    // Inf and NaN lanes (rare) take the scalar path for the whole vector.
+    if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_andnot_pd(sign, x), inf,
+                                         _CMP_NLT_UQ)) != 0) {
+      for (std::size_t q = i; q < i + WT; ++q) out[q] = tanh(z[q]);
+      continue;
+    }
+    _mm256_storeu_pd(out + i, tanh4(x));
+  }
+#endif
+  for (; i < n; ++i) out[i] = tanh(z[i]);
 }
 
 }  // namespace cocktail::la::kernels

@@ -25,7 +25,9 @@ namespace cocktail::la::kernels {
 /// C = A * B^T.  A is m x k (row stride lda), B is n x k (row stride ldb),
 /// C is m x n (row stride ldc).  C(i, j) = dot(row i of A, row j of B)
 /// under the fixed dot schedule; rows/columns are fully independent, so any
-/// row of C is bitwise identical to the corresponding matvec.
+/// row of C is bitwise identical to the corresponding matvec.  A reduction
+/// shorter than one lane group (k < kDotLanes, n >= 4) packs B^T and runs
+/// four output columns per vector, each still through the whole schedule.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc);
@@ -78,5 +80,17 @@ void add_outer_rows_ref(std::size_t rows, std::size_t m, std::size_t n,
                         const double* x, std::size_t ldx, const double* y,
                         std::size_t ldy, const std::size_t* y_rows, double* c,
                         std::size_t ldc);
+
+/// The repo-owned tanh: fdlibm's tanh/expm1 operation sequence, with fused
+/// multiply-adds exactly where glibc 2.36's x86-64 FMA build of expm1 fuses
+/// them — the bits std::tanh returns on an FMA-capable x86-64 host with
+/// that libm, on every host and in every build.  Odd, and non-decreasing
+/// along the doubles (test_verify_ibp sweeps every branch threshold), which
+/// is what lets IBP enclose its image by endpoint evaluation.
+[[nodiscard]] double tanh(double x) noexcept;
+
+/// out[i] = tanh(z[i]) for i < n, bit for bit; four lanes per AVX2 vector,
+/// the scalar kernel for the tail and for Inf/NaN.  `out` may equal `z`.
+void tanh_rows(const double* z, double* out, std::size_t n) noexcept;
 
 }  // namespace cocktail::la::kernels

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "la/kernels.h"
+
 namespace cocktail::nn {
 
 double activate(Activation act, double z) noexcept {
@@ -12,7 +14,7 @@ double activate(Activation act, double z) noexcept {
     case Activation::kRelu:
       return z > 0.0 ? z : 0.0;
     case Activation::kTanh:
-      return std::tanh(z);
+      return la::kernels::tanh(z);
     case Activation::kSigmoid:
       return 1.0 / (1.0 + std::exp(-z));
   }
@@ -65,7 +67,7 @@ void activate_rows(Activation act, const double* z, double* out,
     case Activation::kRelu:
       return activate_loop<Activation::kRelu>(z, out, n);
     case Activation::kTanh:
-      return activate_loop<Activation::kTanh>(z, out, n);
+      return la::kernels::tanh_rows(z, out, n);
     case Activation::kSigmoid:
       return activate_loop<Activation::kSigmoid>(z, out, n);
   }

@@ -13,7 +13,9 @@ namespace cocktail::nn {
 
 enum class Activation { kIdentity, kRelu, kTanh, kSigmoid };
 
-/// Scalar activation value.
+/// Scalar activation value.  tanh is la::kernels::tanh, whose bits do not
+/// depend on the host; sigmoid is the one activation left on the host libm
+/// (std::exp).
 [[nodiscard]] double activate(Activation act, double z) noexcept;
 
 /// Derivative dσ/dz expressed through the pre-activation `z` and the

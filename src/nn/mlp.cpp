@@ -412,6 +412,8 @@ void Mlp::save_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("Mlp::save_file: cannot open " + path);
   save(out);
+  out.close();
+  if (!out) throw std::runtime_error("Mlp::save_file: write failed: " + path);
 }
 
 Mlp Mlp::load(std::istream& in) {

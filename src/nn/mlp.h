@@ -195,6 +195,9 @@ class Mlp {
   static constexpr std::size_t kMaxLoadWidth = 4096;
 
   void save(std::ostream& out) const;
+  /// Throws std::runtime_error when the file cannot be opened or a write
+  /// or the final flush fails (a full disk, say); the file is then
+  /// incomplete.
   void save_file(const std::string& path) const;
   /// Throws std::runtime_error on a bad header, a layer count or width
   /// above the caps, a truncated stream, inter-layer dimension mismatches,

@@ -6,8 +6,11 @@ namespace cocktail::verify {
 
 Interval activate_interval(nn::Activation act, const Interval& z) {
   // All four activations are monotone non-decreasing: the image is the
-  // interval between the endpoint images, outward-rounded because the
-  // libm-backed activations (tanh, sigmoid) are only correct to ~1 ulp.
+  // interval between the endpoint images.  nn::activate is the function
+  // the network executes, so the endpoints carry no approximation error:
+  // tanh is la::kernels::tanh, non-decreasing along the doubles (swept by
+  // test_verify_ibp).  Sigmoid alone goes through the host libm's exp; the
+  // outward() inflation (at least 1e-12) absorbs a few ulps of any dip.
   return outward(nn::activate(act, z.lo()), nn::activate(act, z.hi()));
 }
 

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "control/controller.h"
@@ -127,6 +129,17 @@ TEST(NnControllerTest, ActBatchIsBitwiseIdenticalToAct) {
     for (std::size_t j = 0; j < expected.size(); ++j)
       ASSERT_EQ(actions[i][j], expected[j]) << "state " << i;
   }
+}
+
+TEST(NnControllerTest, SaveFileReportsWriteFailure) {
+  // /dev/full opens fine and fails every write with ENOSPC — a full disk.
+  // save_file must throw, not return as if a (truncated) file were saved.
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "needs /dev/full";
+  nn::Mlp net = nn::Mlp::make(2, {8}, 1, nn::Activation::kTanh,
+                              nn::Activation::kTanh, 9);
+  const ctrl::NnController controller(std::move(net), {2.0}, "k");
+  EXPECT_THROW(controller.save_file("/dev/full"), std::runtime_error);
 }
 
 TEST(NnControllerTest, SaveLoadRoundTripPreservesNonUnitOutScale) {

@@ -2,8 +2,10 @@
 // blocked/SIMD kernel schedule, solvers, DARE.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -194,16 +196,24 @@ TEST(MatrixTest, MatmulNtRowsAreBitwiseMatvecs) {
 // ---------------------------------------------------------------------------
 
 /// Shapes deliberately chosen to miss every panel boundary: 1x1, primes,
-/// tall/skinny, and inner dims straddling kDotBlockK.
+/// tall/skinny, and inner dims straddling kDotBlockK — plus every
+/// reduction shorter than one lane group that gemm_nt's short path takes
+/// (k < kDotLanes, n >= 4), with n mod 4 leftovers and row counts around
+/// Mlp::kForwardTileRows.
 std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>
 kernel_test_shapes() {
   const std::size_t bk = la::kernels::kDotBlockK;
-  return {
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes = {
       {1, 1, 1},        {2, 3, 5},         {7, 7, 7},
       {13, 17, 19},     {5, 4, 31},        {1, 3, bk + 1},
       {3, 1, bk - 1},   {2, 2, 2 * bk + 3}, {64, 64, 64},
       {33, 65, 127},
   };
+  for (const std::size_t k : {1u, 2u, 3u, 7u})
+    for (const std::size_t n : {4u, 5u, 24u, 40u, 41u})
+      for (const std::size_t m : {1u, 8u, 64u, 65u})
+        shapes.emplace_back(m, n, k);
+  return shapes;
 }
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
@@ -213,12 +223,67 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return m;
 }
 
+/// Operands for the schedule tests: each row is uniform, all -tiny, all
+/// +tiny (a -tiny row times a +tiny row underflows every product to -0.0),
+/// all signed zeros, or a per-element mix that adds +-Inf and NaN — so the
+/// outputs include signed zeros, underflowed sums, infinities and NaNs.
+Matrix special_matrix(std::size_t rows, std::size_t cols,
+                      std::uint64_t seed) {
+  constexpr double kTiny = 1e-200;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(seed);
+  Matrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int64_t kind = rng.uniform_int(0, 4);
+    for (std::size_t c = 0; c < cols; ++c) {
+      double& v = m(r, c);
+      const double u = rng.uniform(-1.0, 1.0);
+      switch (kind) {
+        case 0:
+          v = u;
+          break;
+        case 1:
+          v = -kTiny * (1.5 + u);
+          break;
+        case 2:
+          v = kTiny * (1.5 + u);
+          break;
+        case 3:
+          v = u < 0.0 ? -0.0 : 0.0;
+          break;
+        default: {
+          const std::int64_t pick = rng.uniform_int(0, 19);
+          v = pick < 12 ? u
+              : pick < 14 ? 0.0
+              : pick < 16 ? -0.0
+              : pick < 18 ? kTiny * u
+              : pick < 19 ? (u < 0.0 ? -inf : inf)
+                          : nan;
+        }
+      }
+    }
+  }
+  return m;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Bitwise equality: +0.0 and -0.0 differ.  Any two NaNs match — IEEE 754
+/// leaves which operand's payload a NaN result carries to the hardware, so
+/// NaN payloads are outside the schedule's contract (NaN-ness is not).
+bool same_bits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || bits(a) == bits(b);
+}
+
 void expect_bitwise_rows(const Matrix& got, const Matrix& want) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
   for (std::size_t r = 0; r < got.rows(); ++r)
     for (std::size_t c = 0; c < got.cols(); ++c)
-      ASSERT_EQ(got(r, c), want(r, c)) << "(" << r << ", " << c << ")";
+      ASSERT_TRUE(same_bits(got(r, c), want(r, c)))
+          << "(" << r << ", " << c << "): " << got(r, c) << " vs "
+          << want(r, c);
 }
 
 TEST(KernelSchedule, DotMatchesReferenceAcrossLengths) {
@@ -226,19 +291,25 @@ TEST(KernelSchedule, DotMatchesReferenceAcrossLengths) {
   for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
                         std::size_t{13}, std::size_t{31}, bk - 1, bk, bk + 1,
                         2 * bk + 3}) {
-    const Matrix a = random_matrix(1, k, 100 + k);
-    const Matrix b = random_matrix(1, k, 200 + k);
-    const double fast = la::kernels::dot(a.data().data(), b.data().data(), k);
-    const double ref =
-        la::kernels::dot_ref(a.data().data(), b.data().data(), k);
-    ASSERT_EQ(fast, ref) << "k = " << k;
+    for (const bool special : {false, true}) {
+      const Matrix a = special ? special_matrix(1, k, 100 + k)
+                               : random_matrix(1, k, 100 + k);
+      const Matrix b = special ? special_matrix(1, k, 200 + k)
+                               : random_matrix(1, k, 200 + k);
+      const double fast =
+          la::kernels::dot(a.data().data(), b.data().data(), k);
+      const double ref =
+          la::kernels::dot_ref(a.data().data(), b.data().data(), k);
+      ASSERT_TRUE(same_bits(fast, ref)) << "k = " << k << ": " << fast
+                                        << " vs " << ref;
+    }
   }
 }
 
 TEST(KernelSchedule, GemmNtBitwiseMatchesReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
-    const Matrix a = random_matrix(m, k, 31 * m + n);
-    const Matrix b = random_matrix(n, k, 57 * n + k);
+    const Matrix a = special_matrix(m, k, 31 * m + n);
+    const Matrix b = special_matrix(n, k, 57 * n + k);
     const Matrix fast = a.matmul_nt(b);
     Matrix ref(m, n);
     la::kernels::gemm_nt_ref(m, n, k, a.data().data(), k, b.data().data(), k,
@@ -251,8 +322,8 @@ TEST(KernelSchedule, GemmNtBitwiseMatchesReference) {
 
 TEST(KernelSchedule, GemmNnBitwiseMatchesReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
-    const Matrix a = random_matrix(m, k, 71 * m + k);
-    const Matrix b = random_matrix(k, n, 93 * n + m);
+    const Matrix a = special_matrix(m, k, 71 * m + k);
+    const Matrix b = special_matrix(k, n, 93 * n + m);
     const Matrix fast = a.matmul(b);
     Matrix ref(m, n);
     la::kernels::gemm_nn_ref(m, n, k, a.data().data(), k, b.data().data(), n,
@@ -266,15 +337,17 @@ TEST(KernelSchedule, GemmNnBitwiseMatchesReference) {
 TEST(KernelSchedule, MatvecBitwiseMatchesDotReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
     (void)n;
-    const Matrix a = random_matrix(m, k, 11 * m + k);
-    const Matrix x = random_matrix(1, k, 13 * k + m);
+    const Matrix a = special_matrix(m, k, 11 * m + k);
+    const Matrix x = special_matrix(1, k, 13 * k + m);
     Vec xv(x.data().begin(), x.data().end());
     const Vec y = a.matvec(xv);
     ASSERT_EQ(y.size(), m);
     for (std::size_t r = 0; r < m; ++r) {
       const double ref = la::kernels::dot_ref(a.data().data() + r * k,
                                               x.data().data(), k);
-      ASSERT_EQ(y[r], ref) << "row " << r << ", shape " << m << " x " << k;
+      ASSERT_TRUE(same_bits(y[r], ref))
+          << "row " << r << ", shape " << m << " x " << k << ": " << y[r]
+          << " vs " << ref;
     }
   }
 }
@@ -282,8 +355,8 @@ TEST(KernelSchedule, MatvecBitwiseMatchesDotReference) {
 TEST(KernelSchedule, MatvecTransposeBitwiseMatchesReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
     (void)n;
-    const Matrix a = random_matrix(m, k, 17 * m + k);
-    const Matrix x = random_matrix(1, m, 23 * m + k);
+    const Matrix a = special_matrix(m, k, 17 * m + k);
+    const Matrix x = special_matrix(1, m, 23 * m + k);
     Vec xv(x.data().begin(), x.data().end());
     const Vec y = a.matvec_transpose(xv);
     Vec ref(k, 0.0);
@@ -291,7 +364,198 @@ TEST(KernelSchedule, MatvecTransposeBitwiseMatchesReference) {
                               ref.data());
     ASSERT_EQ(y.size(), k);
     for (std::size_t c = 0; c < k; ++c)
-      ASSERT_EQ(y[c], ref[c]) << "col " << c << ", shape " << m << " x " << k;
+      ASSERT_TRUE(same_bits(y[c], ref[c]))
+          << "col " << c << ", shape " << m << " x " << k << ": " << y[c]
+          << " vs " << ref[c];
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The tanh kernel (la::kernels::tanh / tanh_rows).
+// ---------------------------------------------------------------------------
+
+/// (input bits, tanh bits) pairs, generated once with std::tanh from
+/// glibc 2.36 on an AVX2/FMA x86-64 machine — whose expm1 is the FMA build
+/// the kernel reproduces.  They cover the zeros, subnormals, every branch
+/// threshold of tanh and of expm1's reduction (the high words of 2|x|),
+/// one input per reachable k (-3..0 and 3..63) and the k boundaries where
+/// expm1's result formula changes, saturation, +-Inf and NaNs.  For each
+/// fma whose rounding can reach the result, one "unfused ... differs"
+/// input returns other bits when that fma is split into a multiply and an
+/// add.  (The others cannot be told apart: expm1's hi = u - k*ln2_hi and
+/// 0.5*(x-e) - 0.5 multiply exactly, and the four fmas of the polynomial's
+/// upper terms changed no output over 40M sampled inputs.)
+constexpr std::uint64_t kTanhGolden[][2] = {
+    {0x0000000000000000ULL, 0x0000000000000000ULL},  // +0
+    {0x8000000000000000ULL, 0x8000000000000000ULL},  // -0
+    {0x0000000000000001ULL, 0x0000000000000001ULL},  // min subnormal
+    {0x8000000000000001ULL, 0x8000000000000001ULL},  // -min subnormal
+    {0x000fffffffffffffULL, 0x000fffffffffffffULL},  // max subnormal
+    {0x8008000000000123ULL, 0x8008000000000123ULL},  // subnormal
+    {0x0010000000000000ULL, 0x0010000000000000ULL},  // min normal
+    {0x3c7fffffffffffffULL, 0x3c7fffffffffffffULL},  // below 2^-55: x*(1+x)
+    {0x3c80000000000000ULL, 0x3c80000000000000ULL},  // 2^-55: expm1 path, k = 0
+    {0xbc80000000000000ULL, 0xbc80000000000000ULL},  // -2^-55
+    {0x3c90000000000000ULL, 0x3c90000000000000ULL},  // 2^-54
+    {0x3fefffffffffffffULL, 0x3fe85efab514f394ULL},  // below 1: k = -3
+    {0x3ff0000000000000ULL, 0x3fe85efab514f394ULL},  // 1: k = 3
+    {0xbff0000000000000ULL, 0xbfe85efab514f394ULL},  // -1
+    {0x4035ffffffffffffULL, 0x3ff0000000000000ULL},  // below 22: k = 63
+    {0x4036000000000000ULL, 0x3ff0000000000000ULL},  // 22: saturated
+    {0xc036000000000000ULL, 0xbff0000000000000ULL},  // -22
+    {0x3fc62e41ffffffffULL, 0x3fc5f618a093875dULL},  // 2|x| just below 3fd62e42
+    {0x3fc62e4200000000ULL, 0x3fc5f618a093875dULL},  // 2|x| high word 3fd62e42
+    {0x3fc62e42ffffffffULL, 0x3fc5f619990a5491ULL},  // 2|x| just below 3fd62e43
+    {0x3fc62e4300000000ULL, 0x3fc5f619990a5491ULL},  // 2|x| high word 3fd62e43
+    {0x3fe0a2b0ffffffffULL, 0x3fde90dd28e2a645ULL},  // 2|x| just below 3ff0a2b1
+    {0x3fe0a2b100000000ULL, 0x3fde90dd28e2a645ULL},  // 2|x| high word 3ff0a2b1
+    {0x3fe0a2b1ffffffffULL, 0x3fde90deb419e67bULL},  // 2|x| just below 3ff0a2b2
+    {0x3fe0a2b200000000ULL, 0x3fde90deb419e67cULL},  // 2|x| high word 3ff0a2b2
+    {0x40336879ffffffffULL, 0x3ff0000000000000ULL},  // 2|x| just below 4043687a
+    {0x4033687a00000000ULL, 0x3ff0000000000000ULL},  // 2|x| high word 4043687a
+    {0x3fb999999999999aULL, 0x3fb983d7795f413aULL},  // k = 0
+    {0xbfd6666666666666ULL, 0xbfd5872d4a8651d6ULL},  // k = -1
+    {0x3fe6666666666666ULL, 0x3fe356fb17af2e92ULL},  // k = -2
+    {0xbfedc28f5c28f5c3ULL, 0xbfe76106734c7527ULL},  // k = -3
+    {0xbff0a2b23f3bab73ULL, 0xbfe8e38e38e38e38ULL},  // k = 3
+    {0x3ff62e42fefa39efULL, 0x3fec3c3c3c3c3c3cULL},  // k = 4
+    {0xbffbb9d3beb8c86bULL, 0xbfee0f83e0f83e10ULL},  // k = 5
+    {0x4000a2b23f3bab73ULL, 0x3fef03f03f03f03fULL},  // k = 6
+    {0xc003687a9f1af2b1ULL, 0xbfef80fe03f80fe0ULL},  // k = 7
+    {0x40062e42fefa39efULL, 0x3fefc03fc03fc040ULL},  // k = 8
+    {0xc008f40b5ed9812dULL, 0xbfefe00ff803fe01ULL},  // k = 9
+    {0x400bb9d3beb8c86bULL, 0x3feff003ff003ff0ULL},  // k = 10
+    {0xc00e7f9c1e980fa9ULL, 0xbfeff800ffe00400ULL},  // k = 11
+    {0x4010a2b23f3bab73ULL, 0x3feffc003ffc0040ULL},  // k = 12
+    {0xc01205966f2b4f12ULL, 0xbfeffe000fff8004ULL},  // k = 13
+    {0x4013687a9f1af2b1ULL, 0x3fefff0003fff000ULL},  // k = 14
+    {0xc014cb5ecf0a9650ULL, 0xbfefff8000fffe00ULL},  // k = 15
+    {0x40162e42fefa39efULL, 0x3fefffc0003fffc0ULL},  // k = 16
+    {0xc01791272ee9dd8eULL, 0xbfefffe0000ffff8ULL},  // k = 17
+    {0x4018f40b5ed9812dULL, 0x3feffff00003ffffULL},  // k = 18
+    {0xc01a56ef8ec924ccULL, 0xbfeffff800010000ULL},  // k = 19
+    {0x401bb9d3beb8c86bULL, 0x3feffffc00004000ULL},  // k = 20
+    {0xc01d1cb7eea86c0aULL, 0xbfeffffe00001000ULL},  // k = 21
+    {0x401e7f9c1e980fa9ULL, 0x3fefffff00000400ULL},  // k = 22
+    {0xc01fe2804e87b348ULL, 0xbfefffff80000100ULL},  // k = 23
+    {0x4020a2b23f3bab73ULL, 0x3fefffffc0000040ULL},  // k = 24
+    {0xc021542457337d43ULL, 0xbfefffffe0000010ULL},  // k = 25
+    {0x402205966f2b4f12ULL, 0x3feffffff0000004ULL},  // k = 26
+    {0xc022b708872320e2ULL, 0xbfeffffff8000001ULL},  // k = 27
+    {0x4023687a9f1af2b1ULL, 0x3feffffffc000000ULL},  // k = 28
+    {0xc02419ecb712c481ULL, 0xbfeffffffe000000ULL},  // k = 29
+    {0x4024cb5ecf0a9650ULL, 0x3fefffffff000000ULL},  // k = 30
+    {0xc0257cd0e7026820ULL, 0xbfefffffff800000ULL},  // k = 31
+    {0x40262e42fefa39efULL, 0x3fefffffffc00000ULL},  // k = 32
+    {0xc026dfb516f20bbeULL, 0xbfefffffffe00000ULL},  // k = 33
+    {0x402791272ee9dd8eULL, 0x3feffffffff00000ULL},  // k = 34
+    {0xc028429946e1af5dULL, 0xbfeffffffff80000ULL},  // k = 35
+    {0x4028f40b5ed9812dULL, 0x3feffffffffc0000ULL},  // k = 36
+    {0xc029a57d76d152fcULL, 0xbfeffffffffe0000ULL},  // k = 37
+    {0x402a56ef8ec924ccULL, 0x3fefffffffff0000ULL},  // k = 38
+    {0xc02b0861a6c0f69bULL, 0xbfefffffffff8000ULL},  // k = 39
+    {0x402bb9d3beb8c86bULL, 0x3fefffffffffc000ULL},  // k = 40
+    {0xc02c6b45d6b09a3aULL, 0xbfefffffffffe000ULL},  // k = 41
+    {0x402d1cb7eea86c0aULL, 0x3feffffffffff000ULL},  // k = 42
+    {0xc02dce2a06a03dd9ULL, 0xbfeffffffffff800ULL},  // k = 43
+    {0x402e7f9c1e980fa9ULL, 0x3feffffffffffc00ULL},  // k = 44
+    {0xc02f310e368fe178ULL, 0xbfeffffffffffe00ULL},  // k = 45
+    {0x402fe2804e87b348ULL, 0x3fefffffffffff00ULL},  // k = 46
+    {0xc03049f9333fc28cULL, 0xbfefffffffffff80ULL},  // k = 47
+    {0x4030a2b23f3bab73ULL, 0x3fefffffffffffc0ULL},  // k = 48
+    {0xc030fb6b4b37945bULL, 0xbfefffffffffffe0ULL},  // k = 49
+    {0x4031542457337d43ULL, 0x3feffffffffffff0ULL},  // k = 50
+    {0xc031acdd632f662aULL, 0xbfeffffffffffff8ULL},  // k = 51
+    {0x403205966f2b4f12ULL, 0x3feffffffffffffcULL},  // k = 52
+    {0xc0325e4f7b2737faULL, 0xbfeffffffffffffeULL},  // k = 53
+    {0x4032b708872320e2ULL, 0x3fefffffffffffffULL},  // k = 54
+    {0xc0330fc1931f09c9ULL, 0xbfefffffffffffffULL},  // k = 55
+    {0x4033687a9f1af2b1ULL, 0x3ff0000000000000ULL},  // k = 56
+    {0xc033c133ab16db99ULL, 0xbff0000000000000ULL},  // k = 57
+    {0x403419ecb712c481ULL, 0x3ff0000000000000ULL},  // k = 58
+    {0xc03472a5c30ead68ULL, 0xbff0000000000000ULL},  // k = 59
+    {0x4034cb5ecf0a9650ULL, 0x3ff0000000000000ULL},  // k = 60
+    {0xc0352417db067f38ULL, 0xbff0000000000000ULL},  // k = 61
+    {0x40357cd0e7026820ULL, 0x3ff0000000000000ULL},  // k = 62
+    {0xc035d589f2fe5107ULL, 0xbff0000000000000ULL},  // k = 63
+    {0x3ff3687a9f1af2b1ULL, 0x3feacd734cfa2558ULL},  // last k = 3
+    {0x3ff3687a9f1af2b2ULL, 0x3feacd734cfa2558ULL},  // first k = 4
+    {0x401b0861a6c0f69aULL, 0x3feffffa57d8e660ULL},  // last k = 19
+    {0x401b0861a6c0f69bULL, 0x3feffffa57d8e660ULL},  // first k = 20
+    {0x403394d72518e724ULL, 0x3ff0000000000000ULL},  // last k = 56
+    {0x403394d72518e725ULL, 0x3ff0000000000000ULL},  // first k = 57
+    {0x4039000000000000ULL, 0x3ff0000000000000ULL},  // 25
+    {0x7e37e43c8800759cULL, 0x3ff0000000000000ULL},  // 1e300
+    {0xffefffffffffffffULL, 0xbff0000000000000ULL},  // -max
+    {0x7ff0000000000000ULL, 0x3ff0000000000000ULL},  // +Inf
+    {0xfff0000000000000ULL, 0xbff0000000000000ULL},  // -Inf
+    {0x7ff8000000000000ULL, 0x7ff8000000000000ULL},  // qNaN
+    {0xfff8000000000000ULL, 0xfff8000000000000ULL},  // -qNaN
+    {0x7ff4000000000000ULL, 0x7ffc000000000000ULL},  // sNaN payload
+    {0x3fc7b8c148be4790ULL, 0x3fc7742c3f02fa92ULL},  // unfused hxs*Q1+1 differs
+    {0xbfca8f6c62acc2e8ULL, 0xbfca2f7cd473529cULL},  // unfused 3-r1*hfx differs
+    {0x3fc831c0325484f4ULL, 0x3fc7e906d2ac2a7eULL},  // unfused 6-x*t differs
+    {0x3fafe7cc863a01b4ULL, 0x3fafdd3e2f4a1b38ULL},  // unfused e*x-hxs differs
+    {0xbfdd462d75cd959fULL, 0xbfdb63da67035fb9ULL},  // unfused (e-c)x-c differs
+    {0x3fe0000000000000ULL, 0x3fdd9353d7568af3ULL},  // 0.5
+    {0xc000000000000000ULL, 0xbfeed9505e1bc3d4ULL},  // -2
+    {0x4008000000000000ULL, 0x3fefd77d111a0b00ULL},  // 3
+    {0xbfd0000000000000ULL, 0xbfcf597ea69a1c86ULL},  // -0.25
+    {0x3ddb7cdfd9d7bdbbULL, 0x3ddb7cdfd9d7bdbbULL},  // 1e-10
+    {0xbee4f8b588e368f1ULL, 0xbee4f8b588e06854ULL},  // -1e-5
+    {0x3f847ae147ae147bULL, 0x3f847ab48ae4595eULL},  // 0.01
+    {0xc01e000000000000ULL, 0xbfeffffeb78a3c73ULL},  // -7.5
+    {0x4028800000000000ULL, 0x3feffffffff9b4beULL},  // 12.25
+    {0xbfe62e42fefa39efULL, 0xbfe3333333333333ULL},  // -ln2
+};
+
+std::vector<double> tanh_golden_inputs() {
+  std::vector<double> x;
+  for (const auto& entry : kTanhGolden)
+    x.push_back(std::bit_cast<double>(entry[0]));
+  return x;
+}
+
+TEST(TanhKernel, MatchesGoldenTable) {
+  // Exact bits, NaNs included: each output has a single NaN source.  Each
+  // input also goes through tanh_rows in every lane of a 4-wide row whose
+  // other lanes are finite, so the vector path itself (not the scalar
+  // detour a non-finite neighbour forces) must reproduce it.
+  ASSERT_GE(std::size(kTanhGolden), 96u);
+  for (const auto& [in, want] : kTanhGolden) {
+    const double x = std::bit_cast<double>(in);
+    EXPECT_EQ(bits(la::kernels::tanh(x)), want)
+        << "scalar, x = " << std::hexfloat << x;
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      double row[4] = {0.5, -1.5, 3.0, -0.25};
+      row[lane] = x;
+      la::kernels::tanh_rows(row, row, 4);
+      EXPECT_EQ(bits(row[lane]), want)
+          << "rows, lane " << lane << ", x = " << std::hexfloat << x;
+    }
+  }
+}
+
+TEST(TanhKernel, RowsMatchScalarKernelAtEveryRowLength) {
+  // Every window of the golden corpus, so each input meets every vector
+  // lane and the scalar tail, next to finite and non-finite neighbours;
+  // also in place (out == z).
+  const std::vector<double> corpus = tanh_golden_inputs();
+  for (const std::size_t len : {1u, 3u, 4u, 7u, 8u, 9u, 65u}) {
+    for (std::size_t start = 0; start + len <= corpus.size(); ++start) {
+      const double* z = corpus.data() + start;
+      std::vector<double> out(len);
+      std::vector<double> in_place(z, z + len);
+      la::kernels::tanh_rows(z, out.data(), len);
+      la::kernels::tanh_rows(in_place.data(), in_place.data(), len);
+      for (std::size_t q = 0; q < len; ++q) {
+        const std::uint64_t want = bits(la::kernels::tanh(z[q]));
+        ASSERT_EQ(bits(out[q]), want)
+            << "len " << len << " start " << start << " lane " << q;
+        ASSERT_EQ(bits(in_place[q]), want)
+            << "in place, len " << len << " start " << start << " lane " << q;
+      }
+    }
   }
 }
 

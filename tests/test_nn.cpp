@@ -8,7 +8,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "nn/activation.h"
 #include "nn/loss.h"
@@ -22,6 +24,10 @@ namespace {
 using la::Vec;
 using nn::Activation;
 using nn::Mlp;
+
+/// Bit pattern of a double: comparing these, unlike ==, tells +0.0 from
+/// -0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(Activation, Values) {
   EXPECT_DOUBLE_EQ(nn::activate(Activation::kIdentity, -1.5), -1.5);
@@ -295,10 +301,20 @@ TEST(MlpTest, LoadRejectsOversizedHeaders) {
   EXPECT_THROW(Mlp::load(one_too_deep), std::runtime_error);
 }
 
+TEST(MlpTest, SaveFileReportsWriteFailure) {
+  // /dev/full opens fine and fails every write with ENOSPC — a full disk.
+  // save_file must throw, not return as if a (truncated) file were saved.
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "needs /dev/full";
+  const Mlp net = Mlp::make(3, {16}, 1, Activation::kTanh,
+                            Activation::kIdentity, 8);
+  EXPECT_THROW(net.save_file("/dev/full"), std::runtime_error);
+}
+
 TEST(MlpTest, ForwardBatchIsBitwiseIdenticalToScalarForward) {
   // The serving runtime's contract: batching must never change an answer.
   // Sweep shapes and activations; every row of every batch must match the
-  // per-sample path exactly (EXPECT_EQ, not NEAR).
+  // per-sample path bit for bit (signed zeros included).
   struct Case {
     std::vector<std::size_t> hidden;
     Activation hidden_act;
@@ -321,7 +337,8 @@ TEST(MlpTest, ForwardBatchIsBitwiseIdenticalToScalarForward) {
       for (std::size_t r = 0; r < batch; ++r) {
         const Vec row = net.forward(x.row(r));
         for (std::size_t i = 0; i < row.size(); ++i)
-          ASSERT_EQ(y(r, i), row[i]) << "row " << r << " out " << i;
+          ASSERT_EQ(bits(y(r, i)), bits(row[i]))
+              << "row " << r << " out " << i;
       }
     }
   }
@@ -346,8 +363,8 @@ TEST(MlpTest, ForwardBatchBitwiseOnPrimeWidthsAndBatches) {
     for (std::size_t r = 0; r < batch; ++r) {
       const Vec row = net.forward(x.row(r));
       for (std::size_t i = 0; i < row.size(); ++i)
-        ASSERT_EQ(y(r, i), row[i]) << "batch " << batch << " row " << r
-                                   << " out " << i;
+        ASSERT_EQ(bits(y(r, i)), bits(row[i]))
+            << "batch " << batch << " row " << r << " out " << i;
     }
   }
 }
@@ -378,8 +395,6 @@ TEST(MlpTest, BackwardPropagatesNanIntoWeightGradients) {
 }
 
 // --- row tiles: forward_tile/backward_tile against the per-sample path ----
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 void expect_bitwise(const double* got, const Vec& want, const char* what,
                     std::size_t row) {

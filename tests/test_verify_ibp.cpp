@@ -1,10 +1,14 @@
 // Tests for interval bound propagation and the hybrid abstraction engine.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "control/nn_controller.h"
 #include "control/polynomial_controller.h"
+#include "la/kernels.h"
 #include "util/rng.h"
 #include "verify/ibp.h"
 #include "verify/nn_abstraction.h"
@@ -18,8 +22,8 @@ using verify::Interval;
 
 TEST(Ibp, ActivationIntervalsEncloseMonotoneImageTightly) {
   // The image of a monotone activation is [act(lo), act(hi)], outward-
-  // rounded: libm-backed activations are only correct to ~1 ulp, so the
-  // enclosure must contain the endpoint images without collapsing to them.
+  // rounded, so the enclosure must contain the endpoint images without
+  // collapsing to them.  The tanh that executes is la::kernels::tanh.
   const Interval z(-1.0, 2.0);
   const double kSlack = 1e-11;  // a few outward steps at |x| ~ 2.
   const Interval relu = verify::activate_interval(nn::Activation::kRelu, z);
@@ -28,10 +32,71 @@ TEST(Ibp, ActivationIntervalsEncloseMonotoneImageTightly) {
   EXPECT_NEAR(relu.lo(), 0.0, kSlack);
   EXPECT_NEAR(relu.hi(), 2.0, kSlack);
   const Interval tanh = verify::activate_interval(nn::Activation::kTanh, z);
-  EXPECT_LE(tanh.lo(), std::tanh(-1.0));
-  EXPECT_GE(tanh.hi(), std::tanh(2.0));
-  EXPECT_NEAR(tanh.lo(), std::tanh(-1.0), kSlack);
-  EXPECT_NEAR(tanh.hi(), std::tanh(2.0), kSlack);
+  EXPECT_LE(tanh.lo(), la::kernels::tanh(-1.0));
+  EXPECT_GE(tanh.hi(), la::kernels::tanh(2.0));
+  EXPECT_NEAR(tanh.lo(), la::kernels::tanh(-1.0), kSlack);
+  EXPECT_NEAR(tanh.hi(), la::kernels::tanh(2.0), kSlack);
+}
+
+/// Where the tanh kernel switches formulas, for x > 0: tanh's own branches
+/// (2^-55, 1, 22), the high-word thresholds of expm1's reduction at
+/// u = -2x (0x3fd62e43, 0x3ff0a2b2), and every boundary of expm1's k —
+/// k = -3 below 1, and each k = 4..63 at u = 2x = (k - 1/2) ln2 — where
+/// the result formula also changes at k = 20 and k = 57.
+std::vector<double> tanh_branch_thresholds() {
+  constexpr double kLn2 = 0.69314718055994530942;
+  std::vector<double> t = {0x1p-55, 1.0, 22.0,
+                           std::bit_cast<double>(0x3fd62e4300000000ULL) / 2,
+                           std::bit_cast<double>(0x3ff0a2b200000000ULL) / 2,
+                           2.5 * kLn2 / 2};
+  for (int k = 4; k <= 63; ++k) t.push_back((k - 0.5) * kLn2 / 2);
+  return t;
+}
+
+TEST(Ibp, TanhKernelNeverDecreasesNearItsBranchThresholds) {
+  // activate_interval encloses tanh over [lo, hi] by its endpoint values,
+  // which is sound only if the executed function never decreases.  An
+  // exact-formula tanh is monotone; a rounded one could dip where it
+  // switches formulas, so walk +-20,000 ulps around every switch on both
+  // sides of zero.  The thresholds above are within a few ulps of exact.
+  constexpr std::int64_t kUlps = 20000;
+  for (const double c : tanh_branch_thresholds()) {
+    for (const double sign : {1.0, -1.0}) {
+      const double centre = sign * c;
+      double x = centre;
+      for (std::int64_t i = 0; i < kUlps; ++i) x = std::nextafter(x, -30.0);
+      double prev = la::kernels::tanh(x);
+      for (std::int64_t i = 0; i < 2 * kUlps; ++i) {
+        const double next_x = std::nextafter(x, 30.0);
+        const double next = la::kernels::tanh(next_x);
+        ASSERT_LE(prev, next) << std::hexfloat << "tanh decreases from x = "
+                              << x << " to " << next_x << " near " << centre;
+        x = next_x;
+        prev = next;
+      }
+    }
+  }
+}
+
+TEST(Ibp, TanhIntervalContainsExecutedValuesOnDenseGrid) {
+  // activate_interval(kTanh, [g_i, g_j]) must contain the values tanh_rows
+  // (the batched forward's tanh) produces at every grid point in between.
+  constexpr std::size_t kPoints = 50001;  // step 1e-3 over [-25, 25]
+  std::vector<double> grid(kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i)
+    grid[i] = -25.0 + 1e-3 * static_cast<double>(i);
+  std::vector<double> values(kPoints);
+  la::kernels::tanh_rows(grid.data(), values.data(), kPoints);
+  for (const std::size_t width : {1u, 7u, 64u}) {
+    for (std::size_t i = 0; i + width < kPoints; ++i) {
+      const Interval image = verify::activate_interval(
+          nn::Activation::kTanh, Interval(grid[i], grid[i + width]));
+      for (std::size_t j = i; j <= i + width; ++j)
+        ASSERT_TRUE(image.contains(values[j]))
+            << "z in [" << grid[i] << ", " << grid[i + width] << "], tanh("
+            << grid[j] << ") = " << values[j];
+    }
+  }
 }
 
 TEST(Ibp, PointBoxReproducesForwardPass) {
