@@ -539,16 +539,19 @@ double expm1_tanh_arg(double u) {
 
 #if defined(COCKTAIL_LA_VECTOR)
 
-/// tanh of four finite lanes: every branch of the scalar sequence is
-/// evaluated for all lanes and the right one blended in per lane, so each
-/// lane performs exactly the scalar path's operations.  Two rules make the
+/// tanh of four lanes: every branch of the scalar sequence is evaluated
+/// for all lanes and the right one blended in per lane, so each lane
+/// performs exactly the scalar path's operations.  Three rules make the
 /// blend exact:
 ///   * the expm1 reduction uses the general formulas with k = 0 or -1 on
 ///     the short branches: with k = -1, fma(-k, ln2_hi, u) and k * ln2_lo
 ///     are u + ln2_hi (one rounding) and -ln2_lo, as in the branch, and
 ///     k = 0 lanes take the unreduced u;
 ///   * lanes outside a branch's domain (|x| >= 22 overflowing u, say)
-///     compute garbage that is blended away; exceptions stay masked.
+///     compute garbage that is blended away; exceptions stay masked;
+///   * +-Inf lanes take the |x| >= 22 branch, whose +-1 is the scalar
+///     1/x +- 1, and NaN lanes take x + x, the same quieted x that 1/x +- 1
+///     returns (x86 propagates the NaN operand's payload and sign).
 inline __m256d tanh4(__m256d x) {
   const __m256d sign = _mm256_set1_pd(-0.0);
   const __m256d one = _mm256_set1_pd(1.0);
@@ -641,9 +644,11 @@ inline __m256d tanh4(__m256d x) {
       _mm256_cmp_pd(ax, _mm256_set1_pd(22.0), _CMP_GE_OQ));
   z = _mm256_xor_pd(z, _mm256_and_pd(sign, x));
   // |x| < 2^-55 (zeros and subnormals included): x * (1 + x).
-  return _mm256_blendv_pd(
+  z = _mm256_blendv_pd(
       z, _mm256_mul_pd(x, _mm256_add_pd(one, x)),
       _mm256_cmp_pd(ax, _mm256_set1_pd(0x1p-55), _CMP_LT_OQ));
+  return _mm256_blendv_pd(z, _mm256_add_pd(x, x),
+                          _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
 }
 
 #endif  // COCKTAIL_LA_VECTOR
@@ -673,18 +678,8 @@ double tanh(double x) noexcept {
 void tanh_rows(const double* z, double* out, std::size_t n) noexcept {
   std::size_t i = 0;
 #if defined(COCKTAIL_LA_VECTOR)
-  const __m256d inf = _mm256_set1_pd(HUGE_VAL);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  for (; i + WT <= n; i += WT) {
-    const __m256d x = _mm256_loadu_pd(z + i);
-    // Inf and NaN lanes (rare) take the scalar path for the whole vector.
-    if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_andnot_pd(sign, x), inf,
-                                         _CMP_NLT_UQ)) != 0) {
-      for (std::size_t q = i; q < i + WT; ++q) out[q] = tanh(z[q]);
-      continue;
-    }
-    _mm256_storeu_pd(out + i, tanh4(x));
-  }
+  for (; i + WT <= n; i += WT)
+    _mm256_storeu_pd(out + i, tanh4(_mm256_loadu_pd(z + i)));
 #endif
   for (; i < n; ++i) out[i] = tanh(z[i]);
 }

@@ -84,13 +84,14 @@ void add_outer_rows_ref(std::size_t rows, std::size_t m, std::size_t n,
 /// The repo-owned tanh: fdlibm's tanh/expm1 operation sequence, with fused
 /// multiply-adds exactly where glibc 2.36's x86-64 FMA build of expm1 fuses
 /// them — the bits std::tanh returns on an FMA-capable x86-64 host with
-/// that libm, on every host and in every build.  Odd, and non-decreasing
-/// along the doubles (test_verify_ibp sweeps every branch threshold), which
-/// is what lets IBP enclose its image by endpoint evaluation.
+/// that libm, on every host and in every build.  Odd.  Non-decreasing
+/// across every branch threshold (test_verify_ibp sweeps +-20,000 ulps
+/// around each); elsewhere it may dip by an ulp like any rounded tanh, and
+/// IBP's outward() inflation absorbs that.
 [[nodiscard]] double tanh(double x) noexcept;
 
 /// out[i] = tanh(z[i]) for i < n, bit for bit; four lanes per AVX2 vector,
-/// the scalar kernel for the tail and for Inf/NaN.  `out` may equal `z`.
+/// the scalar kernel for the tail.  `out` may equal `z`.
 void tanh_rows(const double* z, double* out, std::size_t n) noexcept;
 
 }  // namespace cocktail::la::kernels

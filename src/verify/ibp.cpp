@@ -7,10 +7,12 @@ namespace cocktail::verify {
 Interval activate_interval(nn::Activation act, const Interval& z) {
   // All four activations are monotone non-decreasing: the image is the
   // interval between the endpoint images.  nn::activate is the function
-  // the network executes, so the endpoints carry no approximation error:
-  // tanh is la::kernels::tanh, non-decreasing along the doubles (swept by
-  // test_verify_ibp).  Sigmoid alone goes through the host libm's exp; the
-  // outward() inflation (at least 1e-12) absorbs a few ulps of any dip.
+  // the network executes, so the endpoints are the values it computes.
+  // Its rounded tanh (la::kernels::tanh) and sigmoid (host libm exp) need
+  // not be monotone to the last ulp: the tanh kernel is non-decreasing
+  // across every branch threshold (swept by test_verify_ibp); elsewhere,
+  // and for sigmoid, the outward() inflation (at least 1e-12) absorbs any
+  // ulp-level dip.
   return outward(nn::activate(act, z.lo()), nn::activate(act, z.hi()));
 }
 

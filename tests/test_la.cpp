@@ -267,6 +267,16 @@ Matrix special_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+/// The schedule tests run every shape twice: on uniform operands, whose
+/// finite outputs check the rounding of every operation, and on
+/// special_matrix operands, which check signed zeros, underflow, Inf and
+/// NaN.
+Matrix operand_matrix(bool special, std::size_t rows, std::size_t cols,
+                      std::uint64_t seed) {
+  return special ? special_matrix(rows, cols, seed)
+                 : random_matrix(rows, cols, seed);
+}
+
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Bitwise equality: +0.0 and -0.0 differ.  Any two NaNs match — IEEE 754
@@ -292,10 +302,8 @@ TEST(KernelSchedule, DotMatchesReferenceAcrossLengths) {
                         std::size_t{13}, std::size_t{31}, bk - 1, bk, bk + 1,
                         2 * bk + 3}) {
     for (const bool special : {false, true}) {
-      const Matrix a = special ? special_matrix(1, k, 100 + k)
-                               : random_matrix(1, k, 100 + k);
-      const Matrix b = special ? special_matrix(1, k, 200 + k)
-                               : random_matrix(1, k, 200 + k);
+      const Matrix a = operand_matrix(special, 1, k, 100 + k);
+      const Matrix b = operand_matrix(special, 1, k, 200 + k);
       const double fast =
           la::kernels::dot(a.data().data(), b.data().data(), k);
       const double ref =
@@ -308,46 +316,54 @@ TEST(KernelSchedule, DotMatchesReferenceAcrossLengths) {
 
 TEST(KernelSchedule, GemmNtBitwiseMatchesReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
-    const Matrix a = special_matrix(m, k, 31 * m + n);
-    const Matrix b = special_matrix(n, k, 57 * n + k);
-    const Matrix fast = a.matmul_nt(b);
-    Matrix ref(m, n);
-    la::kernels::gemm_nt_ref(m, n, k, a.data().data(), k, b.data().data(), k,
-                             ref.data().data(), n);
-    SCOPED_TRACE(::testing::Message()
-                 << "shape " << m << " x " << n << " x " << k);
-    expect_bitwise_rows(fast, ref);
+    for (const bool special : {false, true}) {
+      const Matrix a = operand_matrix(special, m, k, 31 * m + n);
+      const Matrix b = operand_matrix(special, n, k, 57 * n + k);
+      const Matrix fast = a.matmul_nt(b);
+      Matrix ref(m, n);
+      la::kernels::gemm_nt_ref(m, n, k, a.data().data(), k, b.data().data(),
+                               k, ref.data().data(), n);
+      SCOPED_TRACE(::testing::Message() << "shape " << m << " x " << n
+                                        << " x " << k << ", special "
+                                        << special);
+      expect_bitwise_rows(fast, ref);
+    }
   }
 }
 
 TEST(KernelSchedule, GemmNnBitwiseMatchesReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
-    const Matrix a = special_matrix(m, k, 71 * m + k);
-    const Matrix b = special_matrix(k, n, 93 * n + m);
-    const Matrix fast = a.matmul(b);
-    Matrix ref(m, n);
-    la::kernels::gemm_nn_ref(m, n, k, a.data().data(), k, b.data().data(), n,
-                             ref.data().data(), n);
-    SCOPED_TRACE(::testing::Message()
-                 << "shape " << m << " x " << n << " x " << k);
-    expect_bitwise_rows(fast, ref);
+    for (const bool special : {false, true}) {
+      const Matrix a = operand_matrix(special, m, k, 71 * m + k);
+      const Matrix b = operand_matrix(special, k, n, 93 * n + m);
+      const Matrix fast = a.matmul(b);
+      Matrix ref(m, n);
+      la::kernels::gemm_nn_ref(m, n, k, a.data().data(), k, b.data().data(),
+                               n, ref.data().data(), n);
+      SCOPED_TRACE(::testing::Message() << "shape " << m << " x " << n
+                                        << " x " << k << ", special "
+                                        << special);
+      expect_bitwise_rows(fast, ref);
+    }
   }
 }
 
 TEST(KernelSchedule, MatvecBitwiseMatchesDotReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
     (void)n;
-    const Matrix a = special_matrix(m, k, 11 * m + k);
-    const Matrix x = special_matrix(1, k, 13 * k + m);
-    Vec xv(x.data().begin(), x.data().end());
-    const Vec y = a.matvec(xv);
-    ASSERT_EQ(y.size(), m);
-    for (std::size_t r = 0; r < m; ++r) {
-      const double ref = la::kernels::dot_ref(a.data().data() + r * k,
-                                              x.data().data(), k);
-      ASSERT_TRUE(same_bits(y[r], ref))
-          << "row " << r << ", shape " << m << " x " << k << ": " << y[r]
-          << " vs " << ref;
+    for (const bool special : {false, true}) {
+      const Matrix a = operand_matrix(special, m, k, 11 * m + k);
+      const Matrix x = operand_matrix(special, 1, k, 13 * k + m);
+      Vec xv(x.data().begin(), x.data().end());
+      const Vec y = a.matvec(xv);
+      ASSERT_EQ(y.size(), m);
+      for (std::size_t r = 0; r < m; ++r) {
+        const double ref = la::kernels::dot_ref(a.data().data() + r * k,
+                                                x.data().data(), k);
+        ASSERT_TRUE(same_bits(y[r], ref))
+            << "row " << r << ", shape " << m << " x " << k << ", special "
+            << special << ": " << y[r] << " vs " << ref;
+      }
     }
   }
 }
@@ -355,18 +371,20 @@ TEST(KernelSchedule, MatvecBitwiseMatchesDotReference) {
 TEST(KernelSchedule, MatvecTransposeBitwiseMatchesReference) {
   for (const auto& [m, n, k] : kernel_test_shapes()) {
     (void)n;
-    const Matrix a = special_matrix(m, k, 17 * m + k);
-    const Matrix x = special_matrix(1, m, 23 * m + k);
-    Vec xv(x.data().begin(), x.data().end());
-    const Vec y = a.matvec_transpose(xv);
-    Vec ref(k, 0.0);
-    la::kernels::matvec_t_ref(m, k, a.data().data(), k, xv.data(),
-                              ref.data());
-    ASSERT_EQ(y.size(), k);
-    for (std::size_t c = 0; c < k; ++c)
-      ASSERT_TRUE(same_bits(y[c], ref[c]))
-          << "col " << c << ", shape " << m << " x " << k << ": " << y[c]
-          << " vs " << ref[c];
+    for (const bool special : {false, true}) {
+      const Matrix a = operand_matrix(special, m, k, 17 * m + k);
+      const Matrix x = operand_matrix(special, 1, m, 23 * m + k);
+      Vec xv(x.data().begin(), x.data().end());
+      const Vec y = a.matvec_transpose(xv);
+      Vec ref(k, 0.0);
+      la::kernels::matvec_t_ref(m, k, a.data().data(), k, xv.data(),
+                                ref.data());
+      ASSERT_EQ(y.size(), k);
+      for (std::size_t c = 0; c < k; ++c)
+        ASSERT_TRUE(same_bits(y[c], ref[c]))
+            << "col " << c << ", shape " << m << " x " << k << ", special "
+            << special << ": " << y[c] << " vs " << ref[c];
+    }
   }
 }
 
@@ -518,9 +536,8 @@ std::vector<double> tanh_golden_inputs() {
 
 TEST(TanhKernel, MatchesGoldenTable) {
   // Exact bits, NaNs included: each output has a single NaN source.  Each
-  // input also goes through tanh_rows in every lane of a 4-wide row whose
-  // other lanes are finite, so the vector path itself (not the scalar
-  // detour a non-finite neighbour forces) must reproduce it.
+  // input also goes through tanh_rows in every lane of a 4-wide row, so
+  // the vector path must reproduce it too.
   ASSERT_GE(std::size(kTanhGolden), 96u);
   for (const auto& [in, want] : kTanhGolden) {
     const double x = std::bit_cast<double>(in);

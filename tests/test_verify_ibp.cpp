@@ -55,10 +55,12 @@ std::vector<double> tanh_branch_thresholds() {
 
 TEST(Ibp, TanhKernelNeverDecreasesNearItsBranchThresholds) {
   // activate_interval encloses tanh over [lo, hi] by its endpoint values,
-  // which is sound only if the executed function never decreases.  An
-  // exact-formula tanh is monotone; a rounded one could dip where it
-  // switches formulas, so walk +-20,000 ulps around every switch on both
-  // sides of zero.  The thresholds above are within a few ulps of exact.
+  // which is sound only if the executed function never decreases by more
+  // than outward()'s inflation.  An exact-formula tanh is monotone; a
+  // rounded one may dip by an ulp anywhere (outward() absorbs that) but
+  // could dip further where it switches formulas, so walk +-20,000 ulps
+  // around every switch on both sides of zero and require no dip at all.
+  // The thresholds above are within a few ulps of exact.
   constexpr std::int64_t kUlps = 20000;
   for (const double c : tanh_branch_thresholds()) {
     for (const double sign : {1.0, -1.0}) {
