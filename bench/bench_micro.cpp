@@ -7,14 +7,14 @@
 // main(), understands
 //   --smoke       tiny measurement times + only the tracked benchmarks
 //                 (GEMM / forward_batch / tanh rows / distill / PPO update /
-//                 certified-lookup / reach fan-out) — the mode Release CI
-//                 runs every PR;
+//                 certified-lookup) — the mode Release CI runs every PR;
 //   --out=<path>  where to write the JSON trajectory point
 //                 (default BENCH_micro.json in the working directory);
-// and emits one BENCH_micro.json per run: every benchmark's per-iteration
-// time plus GFLOP/s where a flop count is defined, and the headline
-// GEMM-vs-naive speedups.  Each PR's JSON is a point on the perf
-// trajectory; a shrinking speedup is a regression with a number attached.
+// and emits one BENCH_micro.json per run: nproc and the build type, every
+// benchmark's per-iteration time plus GFLOP/s where a flop count is
+// defined, and the headline GEMM-vs-naive speedups.  Each PR's JSON is a
+// point on the perf trajectory; a shrinking speedup is a regression with a
+// number attached.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "attack/fgsm.h"
@@ -343,9 +344,9 @@ BENCHMARK(BM_DistillSgd)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Scaling of the reachability frontier sweep with worker count (Arg; 1 =
-// serial).  The frontier boxes of each step are abstracted in parallel
-// against per-box budgets and merged in frontier order, so flowpipes and
-// budget counters are identical across Args.
+// serial).  Each step's sub-boxes are abstracted in parallel by
+// verify::sweep_in_order, whose counters are the serial loop's, so
+// flowpipes and budget counters are identical across Args.
 void BM_ReachSweep(benchmark::State& state) {
   auto system = std::make_shared<sys::ThreeD>();
   const auto lqr = ctrl::LqrController::synthesize(*system, 1.0, 8.0);
@@ -475,38 +476,6 @@ void BM_CertifiedLookupSfc(benchmark::State& state) {
                           static_cast<std::int64_t>(probes.size()));
 }
 BENCHMARK(BM_CertifiedLookupSfc)->Arg(16)->Arg(64)->Arg(256);
-
-// The single-box serialization hole (tracked): one giant initial box whose
-// ~216 sub-box enclosures are the whole first wave.  Arg 0 = fan-out
-// disabled at 8 workers (the pre-PR-9 schedule: one work item, zero
-// parallelism); Arg k>0 = fan-out enabled at k workers.  Results are
-// bitwise identical across all rows — only the wall-clock moves.
-void BM_ReachFrontierFanout(benchmark::State& state) {
-  auto system = std::make_shared<sys::ThreeD>();
-  const auto lqr = ctrl::LqrController::synthesize(*system, 1.0, 8.0);
-  const auto controller = std::make_shared<ctrl::PolynomialController>(
-      ctrl::PolynomialController::linear_feedback(lqr.gain(), "lin"));
-  verify::ReachConfig config;
-  config.steps = 1;
-  config.abstraction.epsilon_target = 0.08;
-  config.max_box_width = 0.05;
-  config.subbox_fanout = state.range(0) != 0;
-  config.num_workers =
-      state.range(0) != 0 ? static_cast<int>(state.range(0)) : 8;
-  const verify::ReachabilityAnalyzer analyzer(system, *controller, config);
-  const verify::IBox initial =
-      verify::make_box({-0.25, 0.05, -0.05}, {0.05, 0.35, 0.25});
-  for (auto _ : state) {
-    const auto result = analyzer.analyze(initial);
-    if (!result.completed) {
-      state.SkipWithError(result.failure.c_str());
-      break;
-    }
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_ReachFrontierFanout)->Arg(0)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Scaling of the PPO minibatch updates with worker count (Arg; 1 = serial).
 // Each iteration of the timed loop is one PPO training iteration — serial
@@ -662,8 +631,10 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
     return;
   }
   out.precision(12);
-  out << "{\n  \"bench\": \"bench_micro\",\n  \"schema_version\": 1,\n"
+  out << "{\n  \"bench\": \"bench_micro\",\n  \"schema_version\": 2,\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+      << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"build_type\": \"" << COCKTAIL_BUILD_TYPE << "\",\n"
       << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const TrajectoryRow& row = rows[i];
@@ -712,17 +683,6 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
       out << "\n    \"tanh_rows_speedup\": " << libm / kernel;
     }
   }
-  // Single-giant-box frontier: fan-out speedup over the serialized
-  // pre-fan-out schedule (Arg 0) at 8 workers.
-  {
-    const double serial = find_time(rows, "BM_ReachFrontierFanout/0/real_time");
-    const double fanned = find_time(rows, "BM_ReachFrontierFanout/8/real_time");
-    if (serial > 0.0 && fanned > 0.0) {
-      if (!first) out << ",";
-      first = false;
-      out << "\n    \"reach_fanout_speedup_8\": " << serial / fanned;
-    }
-  }
   out << (first ? "" : "\n  ") << "}\n}\n";
   std::cout << "bench_micro: wrote perf trajectory point to " << path << "\n";
 }
@@ -752,8 +712,7 @@ int main(int argc, char** argv) {
   std::string min_time = "--benchmark_min_time=0.01";
   std::string filter =
       "--benchmark_filter=BM_Gemm|BM_MlpForwardBatch|BM_TanhRows|"
-      "BM_DistillSgd/1|BM_PpoUpdate/1|BM_CertifiedLookup|"
-      "BM_ReachFrontierFanout";
+      "BM_DistillSgd/1|BM_PpoUpdate/1|BM_CertifiedLookup";
   if (smoke) {
     args.push_back(min_time.data());
     args.push_back(filter.data());

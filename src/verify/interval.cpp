@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -176,6 +177,26 @@ double slice_face(double lo, double hi, std::size_t k, std::size_t parts) {
   return lo + static_cast<double>(k) * w;
 }
 
+IBox box_subdivide_at(const IBox& box, const std::vector<int>& parts_per_dim,
+                      std::size_t index) {
+  if (parts_per_dim.size() != box.size())
+    throw std::invalid_argument("box_subdivide_at: dimension mismatch");
+  IBox sub(box.size());
+  std::size_t rem = index;
+  for (std::size_t d = 0; d < box.size(); ++d) {
+    if (parts_per_dim[d] < 1)
+      throw std::invalid_argument("box_subdivide_at: parts < 1");
+    const auto parts = static_cast<std::size_t>(parts_per_dim[d]);
+    const std::size_t k = rem % parts;
+    rem /= parts;
+    sub[d] = {slice_face(box[d].lo(), box[d].hi(), k, parts),
+              slice_face(box[d].lo(), box[d].hi(), k + 1, parts)};
+  }
+  if (rem != 0)
+    throw std::invalid_argument("box_subdivide_at: index out of range");
+  return sub;
+}
+
 std::vector<IBox> box_subdivide(const IBox& box,
                                 const std::vector<int>& parts_per_dim) {
   if (parts_per_dim.size() != box.size())
@@ -183,22 +204,17 @@ std::vector<IBox> box_subdivide(const IBox& box,
   std::size_t total = 1;
   for (int parts : parts_per_dim) {
     if (parts < 1) throw std::invalid_argument("box_subdivide: parts < 1");
+    // A wrapped product would return too few sub-boxes: their union would
+    // no longer cover the box.
+    if (total > std::numeric_limits<std::size_t>::max() /
+                    static_cast<std::size_t>(parts))
+      throw std::invalid_argument("box_subdivide: sub-box count overflows");
     total *= static_cast<std::size_t>(parts);
   }
   std::vector<IBox> out;
   out.reserve(total);
-  for (std::size_t index = 0; index < total; ++index) {
-    IBox sub(box.size());
-    std::size_t rem = index;
-    for (std::size_t d = 0; d < box.size(); ++d) {
-      const auto parts = static_cast<std::size_t>(parts_per_dim[d]);
-      const std::size_t k = rem % parts;
-      rem /= parts;
-      sub[d] = {slice_face(box[d].lo(), box[d].hi(), k, parts),
-                slice_face(box[d].lo(), box[d].hi(), k + 1, parts)};
-    }
-    out.push_back(std::move(sub));
-  }
+  for (std::size_t index = 0; index < total; ++index)
+    out.push_back(box_subdivide_at(box, parts_per_dim, index));
   return out;
 }
 

@@ -126,8 +126,16 @@ using IBox = std::vector<Interval>;
 [[nodiscard]] IBox box_hull(const IBox& a, const IBox& b);
 /// Splits the widest dimension in half.
 [[nodiscard]] std::pair<IBox, IBox> box_bisect(const IBox& box);
-/// Uniform subdivision into `parts_per_dim[i]` slices per dimension.
+/// Uniform subdivision into `parts_per_dim[i]` slices per dimension,
+/// dimension 0 fastest.  Throws std::invalid_argument on a dimension
+/// mismatch, a part count < 1, or a sub-box count that overflows size_t.
 [[nodiscard]] std::vector<IBox> box_subdivide(
     const IBox& box, const std::vector<int>& parts_per_dim);
+/// Sub-box `index` of box_subdivide(box, parts_per_dim), built alone.
+/// Throws std::invalid_argument on a dimension mismatch, a part count < 1,
+/// or an index past the last sub-box.
+[[nodiscard]] IBox box_subdivide_at(const IBox& box,
+                                    const std::vector<int>& parts_per_dim,
+                                    std::size_t index);
 
 }  // namespace cocktail::verify

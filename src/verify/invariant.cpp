@@ -12,12 +12,6 @@
 namespace cocktail::verify {
 namespace {
 
-/// Cells per phase-1 wave.  Results never depend on it (or on the worker
-/// count); it bounds the work a run that exhausts its budget wastes past
-/// the stop point — at most one wave of private budget caps — against the
-/// pool's idle time at wave ends.
-constexpr std::size_t kCellWave = 64;
-
 /// Flattened cell indexing over the grid (dimension 0 fastest).
 struct GridIndexer {
   std::vector<int> grid;
@@ -30,16 +24,7 @@ struct GridIndexer {
   }
 
   [[nodiscard]] IBox cell_box(std::size_t index) const {
-    IBox box(grid.size());
-    std::size_t rem = index;
-    for (std::size_t d = 0; d < grid.size(); ++d) {
-      const auto g = static_cast<std::size_t>(grid[d]);
-      const std::size_t k = rem % g;
-      rem /= g;
-      box[d] = {slice_face(domain.lo[d], domain.hi[d], k, g),
-                slice_face(domain.lo[d], domain.hi[d], k + 1, g)};
-    }
-    return box;
+    return box_subdivide_at(make_box(domain.lo, domain.hi), grid, index);
   }
 
   /// Index range [lo_k, hi_k] of cells overlapping the box of grid.size()
@@ -125,14 +110,8 @@ InvariantResult InvariantSetComputer::compute() const {
       make_box(system_->control_bounds().lo, system_->control_bounds().hi);
 
   // Phase 1 (expensive, Lipschitz-dependent): one-step image of every
-  // cell, on the shared pool in waves of kCellWave cells.  Each cell runs
-  // against a private budget capped at what remained when its wave
-  // started, and the costs merge in cell order.  A cell's work does not
-  // depend on the budget, so the merged counters equal the serial sweep's
-  // up to the first cell that fails or whose merged cost exhausts the
-  // budget.  That cell is re-run serially against the real budget, which
-  // stops where the serial sweep stops, with the same counters and
-  // failure text — for any pool width.
+  // cell, swept in cell order on the shared pool by sweep_in_order, which
+  // gives the serial sweep's counters and failure for any pool width.
   //
   // The images live in one flat block allocated here (cell i at [i·dim,
   // (i+1)·dim)): a per-cell IBox would be allocated by whichever worker
@@ -148,45 +127,8 @@ InvariantResult InvariantSetComputer::compute() const {
     std::copy(image.begin(), image.end(),
               images.begin() + static_cast<std::ptrdiff_t>(i * dim));
   };
-  struct CellCost {
-    long nn_evaluations = 0;
-    long partitions = 0;
-    bool failed = false;  ///< threw, e.g. on its private budget cap.
-  };
-  std::vector<CellCost> costs(kCellWave);
   try {
-    for (std::size_t wave = 0; wave < cells; wave += kCellWave) {
-      const std::size_t count = std::min(kCellWave, cells - wave);
-      const long nn_remaining =
-          budget.max_nn_evaluations - budget.nn_evaluations;
-      const long partitions_remaining =
-          budget.max_partitions - budget.partitions;
-      util::run_chunks(&util::ThreadPool::shared(), count, [&](std::size_t c) {
-        CellCost& cost = costs[c];
-        VerificationBudget local;
-        local.max_nn_evaluations = nn_remaining;
-        local.max_partitions = partitions_remaining;
-        try {
-          image_of(wave + c, local);
-          cost.failed = false;
-        } catch (...) {
-          cost.failed = true;  // reproduced by the serial re-run below.
-        }
-        cost.nn_evaluations = local.nn_evaluations;
-        cost.partitions = local.partitions;
-      });
-      for (std::size_t c = 0; c < count; ++c) {
-        const CellCost& cost = costs[c];
-        if (!cost.failed) {
-          budget.nn_evaluations += cost.nn_evaluations;
-          budget.partitions += cost.partitions;
-          if (!budget.exhausted()) continue;
-          budget.nn_evaluations -= cost.nn_evaluations;
-          budget.partitions -= cost.partitions;
-        }
-        image_of(wave + c, budget);
-      }
-    }
+    sweep_in_order(&util::ThreadPool::shared(), cells, budget, image_of);
   } catch (const BudgetExhausted& e) {
     result.completed = false;
     result.failure = e.what();

@@ -11,10 +11,10 @@
 // scales with the controller's Lipschitz constant (degree and partition
 // growth); the wall-clock `seconds` of the result is the paper's
 // verifiability metric, and budget exhaustion reproduces the κD blow-up.
-// That phase runs on util::ThreadPool::shared() in fixed waves of cells
-// whose costs merge in cell order; the first cell that exhausts the budget
-// is re-run serially, so every field but `seconds` is bitwise identical to
-// a serial sweep for any pool width.
+// That phase runs on util::ThreadPool::shared() through
+// verify::sweep_in_order (nn_abstraction.h), the exact-serial budgeted
+// sweep reachability shares, so every field but `seconds` is bitwise
+// identical to a serial sweep for any pool width.
 #pragma once
 
 #include <string>

@@ -7,7 +7,58 @@
 #include <utility>
 #include <vector>
 
+#include "util/thread_pool.h"
+
 namespace cocktail::verify {
+namespace {
+
+/// Items per sweep wave.  Results never depend on it (or on the worker
+/// count); it bounds the work a sweep that exhausts its budget wastes past
+/// the stop point — at most one wave of private budget caps — against the
+/// pool's idle time at wave ends.
+constexpr std::size_t kSweepWave = 64;
+
+}  // namespace
+
+void sweep_in_order(
+    util::ThreadPool* pool, std::size_t count, VerificationBudget& budget,
+    const std::function<void(std::size_t, VerificationBudget&)>& item) {
+  struct ItemCost {
+    long nn_evaluations = 0;
+    long partitions = 0;
+    bool failed = false;  ///< threw, e.g. on its private budget cap.
+  };
+  std::vector<ItemCost> costs(std::min(count, kSweepWave));
+  for (std::size_t wave = 0; wave < count; wave += kSweepWave) {
+    const std::size_t n = std::min(kSweepWave, count - wave);
+    VerificationBudget cap;
+    cap.max_nn_evaluations = budget.max_nn_evaluations - budget.nn_evaluations;
+    cap.max_partitions = budget.max_partitions - budget.partitions;
+    util::run_chunks(pool, n, [&](std::size_t c) {
+      ItemCost& cost = costs[c];
+      VerificationBudget local = cap;
+      try {
+        item(wave + c, local);
+        cost.failed = false;
+      } catch (...) {
+        cost.failed = true;  // reproduced by the re-run below.
+      }
+      cost.nn_evaluations = local.nn_evaluations;
+      cost.partitions = local.partitions;
+    });
+    for (std::size_t c = 0; c < n; ++c) {
+      const ItemCost& cost = costs[c];
+      if (!cost.failed) {
+        budget.nn_evaluations += cost.nn_evaluations;
+        budget.partitions += cost.partitions;
+        if (!budget.exhausted()) continue;
+        budget.nn_evaluations -= cost.nn_evaluations;
+        budget.partitions -= cost.partitions;
+      }
+      item(wave + c, budget);
+    }
+  }
+}
 
 NnAbstraction::NnAbstraction(const ctrl::Controller& controller,
                              AbstractionConfig config)

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -20,6 +21,10 @@
 #include "verify/bernstein.h"
 #include "verify/ibp.h"
 #include "verify/interval.h"
+
+namespace cocktail::util {
+class ThreadPool;  // util/thread_pool.h; only held by pointer here.
+}
 
 namespace cocktail::verify {
 
@@ -43,6 +48,26 @@ class BudgetExhausted : public std::runtime_error {
   explicit BudgetExhausted(const std::string& what)
       : std::runtime_error(what) {}
 };
+
+/// The budgeted sweep behind reachability and invariant sets: the same
+/// counters and the same exception as
+///
+///   for (i = 0; i < count; ++i) item(i, budget);
+///
+/// for any `pool` (nullptr = serial).  Items run on the pool in fixed
+/// waves, each against a private budget capped at what remained when its
+/// wave started, and their costs merge into `budget` in index order.  The
+/// first item that throws, or whose merged cost exhausts the budget, is
+/// re-run against `budget` itself, which stops where the serial loop stops
+/// and rethrows its exception; the items past it are discarded.
+///
+/// Items must behave like NnAbstraction::enclose: their work and output do
+/// not depend on the budget they are given, except that they charge it and
+/// then throw BudgetExhausted once it is exhausted.  An item may run twice
+/// and concurrently with other items, so each writes only its own output.
+void sweep_in_order(
+    util::ThreadPool* pool, std::size_t count, VerificationBudget& budget,
+    const std::function<void(std::size_t, VerificationBudget&)>& item);
 
 /// Which enclosure engine abstracts the controller over a box.
 enum class AbstractionMethod {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "util/logging.h"
@@ -163,35 +164,11 @@ ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
       make_box(system_->control_bounds().lo, system_->control_bounds().hi);
   util::WorkerScope workers(config_.num_workers);
 
-  // The image of one work item (a frontier box, or a chunk of one box's
-  // sub-boxes under fan-out): its successor boxes plus the work it
-  // consumed.  Items are processed in parallel, each against a private
-  // budget capped at the whole budget remaining when its *wave* started
-  // (the same cap for every item of the wave), and the per-item results
-  // are merged in fixed schedule order below — so counters, frontier
-  // ordering, and failures are bitwise identical for any worker count.
-  struct BoxImage {
-    std::vector<IBox> next;
-    long nn_evaluations = 0;
-    long partitions = 0;
-    std::string failure;  ///< non-empty when this item exhausted the cap.
-  };
-
-  // Frontier boxes are processed in fixed-size waves with the cumulative
-  // budget re-checked between waves, so a run overshoots an exhausted
-  // budget by at most one wave's concurrent work instead of a whole
-  // frontier's (the pre-wave serial loop overshot by a single box; exact
-  // serial stop points cannot survive parallel merge determinism).  The
-  // wave size bounds that overshoot AND caps the sweep's concurrency, and
-  // is part of the deterministic schedule: it must not depend on the
-  // worker count.
-  constexpr std::size_t kFrontierWave = 16;
-
   // Per-dimension subdivision counts against wrapping.  NaN-closed: a
   // corrupted (non-finite) width must not reach the int cast (UB) — such
   // boxes pass through unsubdivided and fail the safe-region sweep closed.
-  // The per-dim cap keeps the cast in range; the frontier cap below
-  // bounds the materialized sub-boxes either way.
+  // The per-dim cap keeps the cast in range; the max_boxes check below
+  // bounds the step either way.
   const auto subdivision_parts = [&](const IBox& box) {
     std::vector<int> parts(box.size(), 1);
     for (std::size_t d = 0; d < box.size(); ++d) {
@@ -202,161 +179,55 @@ ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
     }
     return parts;
   };
-  const std::string max_boxes_failure =
-      "reachable-set frontier exceeded max_boxes=" +
-      std::to_string(config_.max_boxes);
+  // Saturating size_t arithmetic: a count past SIZE_MAX reads SIZE_MAX.
+  constexpr auto kMaxCount = std::numeric_limits<std::size_t>::max();
+  const auto sat_mul = [](std::size_t a, std::size_t b) {
+    return a > kMaxCount / b ? kMaxCount : a * b;
+  };
+  const auto sat_add = [](std::size_t a, std::size_t b) {
+    return a > kMaxCount - b ? kMaxCount : a + b;
+  };
 
   bool all_safe = inside_safe_region(initial);
   std::string failure;
-  for (int t = 0; t < config_.steps && failure.empty(); ++t) {
+  for (int t = 0; t < config_.steps; ++t) {
     const auto& frontier = result.layers.back();
-    std::vector<IBox> next;
-    for (std::size_t wave = 0; wave < frontier.size() && failure.empty();
-         wave += kFrontierWave) {
-      const std::size_t wave_end =
-          std::min(frontier.size(), wave + kFrontierWave);
-      const std::size_t wave_count = wave_end - wave;
-      const long nn_remaining =
-          budget.max_nn_evaluations - budget.nn_evaluations;
-      const long partitions_remaining =
-          budget.max_partitions - budget.partitions;
-
-      if (config_.subbox_fanout && wave_count < kFrontierWave) {
-        // --- sub-box fan-out -----------------------------------------
-        // A wave with fewer boxes than kFrontierWave cannot occupy the
-        // pool by itself; the degenerate case is a single giant box whose
-        // hundreds of sub-box enclosures previously ran serially inside
-        // one work item.  Subdivide on the scheduling thread (fixed
-        // order), split each box's sub-box list into at most
-        // kFrontierWave contiguous chunks — a function of the counts
-        // only, never of the worker count — and run the chunks as
-        // independent items against wave-start budget caps.  The merge
-        // concatenates images in (box, chunk) order: exactly the serial
-        // enumeration, so layers/counters/failures are bitwise identical
-        // across worker counts and, on completing runs, to the
-        // non-fanned schedule.
-        std::vector<std::vector<IBox>> subs(wave_count);
-        try {
-          for (std::size_t w = 0; w < wave_count; ++w)
-            subs[w] = box_subdivide(frontier[wave + w],
-                                    subdivision_parts(frontier[wave + w]));
-        } catch (const std::invalid_argument& e) {
-          failure = e.what();  // corrupted box: fail closed, never crash.
-          break;
-        }
-        struct SubChunk {
-          std::size_t slot = 0;   ///< index of the box within the wave.
-          std::size_t first = 0;  ///< sub-box range [first, last).
-          std::size_t last = 0;
-        };
-        std::vector<SubChunk> chunks;
-        for (std::size_t w = 0; w < wave_count; ++w) {
-          const std::size_t n = subs[w].size();
-          const std::size_t grain = (n + kFrontierWave - 1) / kFrontierWave;
-          for (std::size_t first = 0; first < n; first += grain)
-            chunks.push_back({w, first, std::min(n, first + grain)});
-        }
-        std::vector<BoxImage> images(chunks.size());
-        const auto process_chunk = [&](std::size_t c) {
-          BoxImage& image = images[c];
-          VerificationBudget local;
-          local.max_nn_evaluations = nn_remaining;
-          local.max_partitions = partitions_remaining;
-          try {
-            const SubChunk& chunk = chunks[c];
-            for (std::size_t s = chunk.first; s < chunk.last; ++s) {
-              const IBox& sub = subs[chunk.slot][s];
-              const ControlEnclosure u =
-                  abstraction.enclose(sub, u_bounds, local);
-              image.next.push_back(dynamics_->step(sub, u.u_range));
-              if (image.next.size() > config_.max_boxes)
-                throw BudgetExhausted(max_boxes_failure);
-            }
-          } catch (const BudgetExhausted& e) {
-            image.failure = e.what();
-          }
-          image.nn_evaluations = local.nn_evaluations;
-          image.partitions = local.partitions;
-        };
-        util::run_chunks(workers.pool(), images.size(), process_chunk);
-
-        // Fixed-order merge in (box, chunk) order, reconstructing each
-        // frontier box's cumulative image size so the max_boxes failure
-        // fires at the same box the per-box schedule reports.
-        std::size_t current_slot = 0;
-        std::size_t slot_boxes = 0;
-        for (std::size_t c = 0; c < images.size(); ++c) {
-          BoxImage& image = images[c];
-          budget.nn_evaluations += image.nn_evaluations;
-          budget.partitions += image.partitions;
-          if (!failure.empty()) continue;
-          if (chunks[c].slot != current_slot) {
-            current_slot = chunks[c].slot;
-            slot_boxes = 0;
-          }
-          if (!image.failure.empty()) {
-            failure = image.failure;
-            continue;
-          }
-          slot_boxes += image.next.size();
-          if (slot_boxes > config_.max_boxes) {
-            failure = max_boxes_failure;
-            continue;
-          }
-          for (IBox& box : image.next) next.push_back(std::move(box));
-          if (next.size() > config_.max_boxes) failure = max_boxes_failure;
-        }
-      } else {
-        // --- per-box schedule (full waves) ---------------------------
-        std::vector<BoxImage> images(wave_count);
-        const auto process_box = [&](std::size_t w) {
-          BoxImage& image = images[w];
-          VerificationBudget local;
-          local.max_nn_evaluations = nn_remaining;
-          local.max_partitions = partitions_remaining;
-          try {
-            const IBox& box = frontier[wave + w];
-            // Subdivide against wrapping before abstracting the controller.
-            for (const IBox& sub :
-                 box_subdivide(box, subdivision_parts(box))) {
-              const ControlEnclosure u =
-                  abstraction.enclose(sub, u_bounds, local);
-              image.next.push_back(dynamics_->step(sub, u.u_range));
-              if (image.next.size() > config_.max_boxes)
-                throw BudgetExhausted(max_boxes_failure);
-            }
-          } catch (const BudgetExhausted& e) {
-            image.failure = e.what();
-          } catch (const std::invalid_argument& e) {
-            image.failure = e.what();  // corrupted box: fail closed.
-          }
-          image.nn_evaluations = local.nn_evaluations;
-          image.partitions = local.partitions;
-        };
-        util::run_chunks(workers.pool(), images.size(), process_box);
-
-        // Fixed-order merge: charge every box's work to the shared budget,
-        // keep the first failure in frontier order, and concatenate the
-        // successor boxes exactly as the serial loop would have.
-        for (BoxImage& image : images) {
-          budget.nn_evaluations += image.nn_evaluations;
-          budget.partitions += image.partitions;
-          if (!failure.empty()) continue;
-          if (!image.failure.empty()) {
-            failure = image.failure;
-            continue;
-          }
-          for (IBox& box : image.next) next.push_back(std::move(box));
-          if (next.size() > config_.max_boxes) failure = max_boxes_failure;
-        }
-      }
-      if (failure.empty() && budget.exhausted())
-        failure = "verification budget exhausted while abstracting '" +
-                  controller_.describe() +
-                  "' (partitions=" + std::to_string(budget.partitions) +
-                  ", nn_evals=" + std::to_string(budget.nn_evaluations) + ")";
+    // One successor per sub-box; frontier box b owns the flat sub-box
+    // indices [first[b], first[b + 1]).  A step over max_boxes fails
+    // before any enclosure.
+    std::vector<std::size_t> first(frontier.size() + 1, 0);
+    for (std::size_t b = 0; b < frontier.size(); ++b) {
+      std::size_t n = 1;
+      for (const int p : subdivision_parts(frontier[b]))
+        n = sat_mul(n, static_cast<std::size_t>(p));
+      first[b + 1] = sat_add(first[b], n);
     }
-    if (!failure.empty()) break;
+    if (first.back() > config_.max_boxes) {
+      failure = "reachable-set frontier exceeded max_boxes=" +
+                std::to_string(config_.max_boxes);
+      break;
+    }
+
+    // Sweep the step's sub-boxes in (frontier box, sub-box) order.  Item i
+    // builds its own sub-box, so the step never holds the sub-box list.
+    std::vector<IBox> next(first.back());
+    const auto image_of = [&](std::size_t i, VerificationBudget& item_budget) {
+      const auto b = static_cast<std::size_t>(
+          std::upper_bound(first.begin(), first.end(), i) - first.begin() - 1);
+      const IBox sub = box_subdivide_at(
+          frontier[b], subdivision_parts(frontier[b]), i - first[b]);
+      const ControlEnclosure u = abstraction.enclose(sub, u_bounds, item_budget);
+      next[i] = dynamics_->step(sub, u.u_range);
+    };
+    try {
+      sweep_in_order(workers.pool(), next.size(), budget, image_of);
+    } catch (const BudgetExhausted& e) {
+      failure = e.what();
+      break;
+    } catch (const std::invalid_argument& e) {
+      failure = e.what();  // corrupted box: fail closed, never crash.
+      break;
+    }
 
     // Bound the frontier: re-pave onto a regular grid once it grows past
     // the merge threshold (sound union cover, emitted in SFC key order).

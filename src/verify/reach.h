@@ -22,34 +22,21 @@ struct ReachConfig {
   int steps = 15;                    ///< Fig 4 uses the first 15 steps.
   AbstractionConfig abstraction;
   double max_box_width = 0.05;       ///< subdivision threshold per dim.
-  std::size_t max_boxes = 20000;     ///< frontier cap per step.
+  /// Successor cap per step (one successor per sub-box): a step whose
+  /// sub-box count exceeds it fails before any enclosure.
+  std::size_t max_boxes = 20000;
   /// When the frontier exceeds this count, it is re-paved onto a regular
   /// grid (cells of ~max_box_width), which soundly merges overlapping
   /// boxes and bounds the frontier size.  0 disables merging.
   std::size_t merge_threshold = 1024;
   VerificationBudget budget;
-  /// Worker count for the per-box frontier sweep (the BatchRolloutConfig
-  /// convention: 0 = shared pool, 1 = serial).  Frontier ordering, budget
-  /// counters, and failures are identical for any value: boxes run in
-  /// fixed-size waves, each box against a private budget capped at the
-  /// wave's remaining budget, and per-box results merge in frontier
-  /// order (so a run overshoots an exhausted budget by at most one
-  /// wave's concurrent work — including fanned-out sub-boxes, see
-  /// `subbox_fanout` — the wave schedule is identical for every worker
-  /// count, serial included).
+  /// Worker count for the frontier sweep (util::WorkerScope convention:
+  /// 0 = shared pool, 1 = serial, k > 1 = a dedicated pool).  Each step's
+  /// sub-boxes run through verify::sweep_in_order, the exact-serial
+  /// budgeted sweep invariant sets share, so layers, counters and failures
+  /// are the serial loop's for any value — an exhausted budget included,
+  /// which stops at the very partition that exhausts it.
   int num_workers = 0;
-  /// When a wave holds fewer boxes than the wave size, fan each box's
-  /// *sub-box* enclosures out as independent work items (closing the
-  /// single-box serialization hole: one giant frontier box used to run
-  /// hundreds of enclosures inside a single work item with zero
-  /// parallelism).  The fan-out schedule is a function of box/sub-box
-  /// counts only — never of the worker count — so layers, counters, and
-  /// failures stay bitwise identical across workers; on completing runs
-  /// they also equal the non-fanned schedule's.  An exhausted budget may
-  /// overshoot by the wave's concurrent chunks (the documented wave
-  /// caveat, now including fanned-out sub-boxes).  Disable to reproduce
-  /// the strictly per-box schedule.
-  bool subbox_fanout = true;
 };
 
 struct ReachResult {

@@ -1,15 +1,19 @@
 // Tests for the NN-controller Bernstein abstraction: enclosure soundness,
-// clipping, Lipschitz-driven cost growth, and the budget failure mode that
-// reproduces the paper's κD blow-up.
+// clipping, Lipschitz-driven cost growth, the budget failure mode that
+// reproduces the paper's κD blow-up, and the budgeted sweep that stops
+// where a serial loop stops for any pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "control/nn_controller.h"
 #include "control/mixed_controller.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "verify/nn_abstraction.h"
 
 namespace cocktail {
@@ -208,6 +212,98 @@ TEST(NnAbstraction, TighterEpsilonNeedsMoreWork) {
   (void)verify::NnAbstraction(controller, tight)
       .enclose(box, unbounded_u(), b_tight);
   EXPECT_GT(b_tight.nn_evaluations, b_loose.nn_evaluations);
+}
+
+/// Sweep item i of a fake workload: (1 + i % 3) partitions of
+/// (1 + 7i % 5) evaluations each, charged to the budget and checked the
+/// way NnAbstraction::enclose charges and checks them.
+void fake_item(std::size_t i, verify::VerificationBudget& budget) {
+  for (std::size_t p = 0; p <= i % 3; ++p) {
+    budget.partitions += 1;
+    budget.nn_evaluations += static_cast<long>(1 + (7 * i) % 5);
+    if (budget.exhausted()) throw verify::BudgetExhausted(std::to_string(i));
+  }
+}
+
+/// The budget counters a run leaves and the exception it throws, as
+/// "<type>:<index>" (empty when the run completes).
+struct SweepOutcome {
+  long nn_evaluations = 0;
+  long partitions = 0;
+  std::string thrown;
+};
+
+template <class Run>
+SweepOutcome run_sweep(verify::VerificationBudget budget, const Run& run) {
+  SweepOutcome out;
+  try {
+    run(budget);
+  } catch (const verify::BudgetExhausted& e) {
+    out.thrown = std::string("budget:") + e.what();
+  } catch (const std::invalid_argument& e) {
+    out.thrown = std::string("invalid:") + e.what();
+  }
+  out.nn_evaluations = budget.nn_evaluations;
+  out.partitions = budget.partitions;
+  return out;
+}
+
+/// Checks sweep_in_order against the plain serial loop on `budget`, for
+/// no pool and pools of 2 and 8 workers.
+void expect_serial_outcome(
+    std::size_t count, const verify::VerificationBudget& budget,
+    const std::function<void(std::size_t, verify::VerificationBudget&)>&
+        item) {
+  static util::ThreadPool two(2), eight(8);
+  const SweepOutcome serial =
+      run_sweep(budget, [&](verify::VerificationBudget& b) {
+        for (std::size_t i = 0; i < count; ++i) item(i, b);
+      });
+  util::ThreadPool* const pools[] = {nullptr, &two, &eight};
+  for (util::ThreadPool* pool : pools) {
+    const SweepOutcome swept =
+        run_sweep(budget, [&](verify::VerificationBudget& b) {
+          verify::sweep_in_order(pool, count, b, item);
+        });
+    const std::size_t workers = pool == nullptr ? 1 : pool->size();
+    EXPECT_EQ(swept.thrown, serial.thrown) << workers << " workers";
+    EXPECT_EQ(swept.nn_evaluations, serial.nn_evaluations)
+        << workers << " workers";
+    EXPECT_EQ(swept.partitions, serial.partitions) << workers << " workers";
+  }
+}
+
+TEST(SweepInOrder, StopsWhereTheSerialLoopStopsAtEveryCap) {
+  constexpr std::size_t kItems = 150;  // two full sweep waves and a part.
+  const SweepOutcome total = run_sweep({}, [](verify::VerificationBudget& b) {
+    for (std::size_t i = 0; i < kItems; ++i) fake_item(i, b);
+  });
+  ASSERT_TRUE(total.thrown.empty());
+  for (long cap = 0; cap <= total.nn_evaluations + 1; ++cap) {
+    SCOPED_TRACE("max_nn_evaluations " + std::to_string(cap));
+    verify::VerificationBudget budget;
+    budget.max_nn_evaluations = cap;
+    expect_serial_outcome(kItems, budget, fake_item);
+  }
+  for (long cap = 0; cap <= total.partitions + 1; ++cap) {
+    SCOPED_TRACE("max_partitions " + std::to_string(cap));
+    verify::VerificationBudget budget;
+    budget.max_partitions = cap;
+    expect_serial_outcome(kItems, budget, fake_item);
+  }
+}
+
+TEST(SweepInOrder, PropagatesAnItemsExceptionFromTheSameIndex) {
+  // An item that fails for a reason of its own, after charging its work,
+  // must surface from the same index with the serial loop's counters.
+  for (const std::size_t bad : {0, 5, 63, 64, 149}) {
+    SCOPED_TRACE(bad);
+    const auto item = [bad](std::size_t i, verify::VerificationBudget& b) {
+      fake_item(i, b);
+      if (i == bad) throw std::invalid_argument(std::to_string(i));
+    };
+    expect_serial_outcome(150, {}, item);
+  }
 }
 
 }  // namespace

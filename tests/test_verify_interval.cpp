@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "sys/cartpole.h"
 #include "sys/threed.h"
@@ -211,6 +213,35 @@ TEST(BoxUtils, SubdivideFacesPinParentEndpointsExactly) {
   EXPECT_EQ(parts.back()[0].hi(), 0.9);
   for (std::size_t k = 0; k + 1 < parts.size(); ++k)
     EXPECT_EQ(parts[k][0].hi(), parts[k + 1][0].lo());  // shared bitwise.
+}
+
+TEST(BoxUtils, SubdivideRejectsAWrappingPartCount) {
+  // 2^21 * 2^21 * 2^22 = 2^64 used to wrap size_t to 0 and return no
+  // sub-boxes at all, so the "subdivision" no longer covered the box.
+  const IBox box = verify::make_box({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0});
+  EXPECT_THROW(
+      (void)verify::box_subdivide(box, {1 << 21, 1 << 21, 1 << 22}),
+      std::invalid_argument);
+}
+
+TEST(BoxUtils, SubdivideAtBuildsEachSubBoxAlone) {
+  const IBox box = verify::make_box({-1.0, 0.0, 2.0}, {1.0, 0.3, 2.5});
+  const std::vector<int> parts_per_dim = {3, 1, 4};
+  const auto parts = verify::box_subdivide(box, parts_per_dim);
+  ASSERT_EQ(parts.size(), 12u);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const IBox sub = verify::box_subdivide_at(box, parts_per_dim, i);
+    for (std::size_t d = 0; d < box.size(); ++d) {
+      EXPECT_EQ(sub[d].lo(), parts[i][d].lo()) << i;
+      EXPECT_EQ(sub[d].hi(), parts[i][d].hi()) << i;
+    }
+  }
+  EXPECT_THROW((void)verify::box_subdivide_at(box, parts_per_dim, 12),
+               std::invalid_argument);
+  EXPECT_THROW((void)verify::box_subdivide_at(box, {3, 1}, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)verify::box_subdivide_at(box, {3, 0, 4}, 0),
+               std::invalid_argument);
 }
 
 TEST(BoxUtils, HullContainsBoth) {

@@ -118,8 +118,8 @@ void expect_same_reach(const verify::ReachResult& a,
   EXPECT_EQ(a.completed, b.completed) << workers << " workers";
   EXPECT_EQ(a.safe, b.safe) << workers << " workers";
   EXPECT_EQ(a.failure, b.failure) << workers << " workers";
-  // Budget counters must be exact, not approximate: per-box counters merge
-  // in frontier order.
+  // Budget counters must be exact, not approximate: per-sub-box counters
+  // merge in sweep order.
   EXPECT_EQ(a.nn_evaluations, b.nn_evaluations) << workers << " workers";
   EXPECT_EQ(a.partitions, b.partitions) << workers << " workers";
   ASSERT_EQ(a.layers.size(), b.layers.size()) << workers << " workers";
@@ -287,25 +287,24 @@ TEST(Reach, NanInitialBoxIsNeverSafe) {
   EXPECT_FALSE(result.safe) << "NaN enclosure certified as safe";
 }
 
-TEST(Reach, SingleGiantBoxFanoutAgreesAcrossWorkerCounts) {
-  // The single-box serialization hole: one giant frontier box fans its
-  // sub-box enclosures out as independent work items, and the fanned
-  // schedule must stay bitwise identical for any worker count.
+TEST(Reach, SingleGiantBoxAgreesAcrossWorkerCounts) {
+  // One giant initial box: its sub-box enclosures are the whole first
+  // step's sweep, and they must stay bitwise identical for any worker
+  // count.
   auto system = std::make_shared<sys::ThreeD>();
   const auto controller = threed_linear_controller();
   verify::ReachConfig config;
   config.steps = 2;
   config.abstraction.epsilon_target = 0.15;
-  config.max_box_width = 0.06;  // 5^3 = 125 sub-boxes in the first wave.
+  config.max_box_width = 0.06;  // 5^3 = 125 sub-boxes in the first step.
   config.num_workers = 1;
-  ASSERT_TRUE(config.subbox_fanout) << "fan-out should be the default";
   const verify::ReachabilityAnalyzer serial(system, *controller, config);
   const IBox initial =
       verify::make_box({-0.25, 0.05, -0.05}, {0.05, 0.35, 0.25});
   const auto reference = serial.analyze(initial);
   ASSERT_TRUE(reference.completed) << reference.failure;
   ASSERT_GT(reference.layers[1].size(), 100u)
-      << "workload too small to exercise the fan-out";
+      << "workload too small to exercise the parallel sweep";
   for (const int workers : {0, 2, 8}) {
     config.num_workers = workers;
     const verify::ReachabilityAnalyzer parallel(system, *controller, config);
@@ -313,25 +312,56 @@ TEST(Reach, SingleGiantBoxFanoutAgreesAcrossWorkerCounts) {
   }
 }
 
-TEST(Reach, FanoutMatchesPerBoxScheduleWhenCompleting) {
-  // On completing runs the fanned-out schedule is defined to equal the
-  // strictly per-box schedule: same layers, same counters, same verdict.
+TEST(Reach, BudgetExhaustionStopsAtTheSerialPoint) {
+  // A serial loop charges one partition per enclosure and stops at the
+  // first one past the cap: the run must charge exactly cap + 1
+  // partitions on any worker count, not a wave's worth more.
   auto system = std::make_shared<sys::ThreeD>();
-  const auto controller = threed_linear_controller();
+  nn::Mlp net = nn::Mlp::make(3, {16, 16}, 1, nn::Activation::kTanh,
+                              nn::Activation::kIdentity, 5);
+  const ctrl::NnController big(std::move(net), {30.0}, "bigL");
   verify::ReachConfig config;
-  config.steps = 2;
-  config.abstraction.epsilon_target = 0.15;
-  config.max_box_width = 0.06;
-  config.num_workers = 2;
-  config.subbox_fanout = false;
-  const verify::ReachabilityAnalyzer per_box(system, *controller, config);
+  config.steps = 15;
+  config.abstraction.epsilon_target = 0.05;
+  config.abstraction.max_degree = 3;
+  config.budget.max_nn_evaluations = std::numeric_limits<long>::max();
   const IBox initial =
-      verify::make_box({-0.25, 0.05, -0.05}, {0.05, 0.35, 0.25});
-  const auto reference = per_box.analyze(initial);
-  ASSERT_TRUE(reference.completed) << reference.failure;
-  config.subbox_fanout = true;
-  const verify::ReachabilityAnalyzer fanned(system, *controller, config);
-  expect_same_reach(fanned.analyze(initial), reference, /*workers=*/2);
+      verify::make_box({-0.11, 0.205, 0.1}, {-0.105, 0.21, 0.11});
+  for (const long cap : {1'000L, 3'000L}) {
+    config.budget.max_partitions = cap;
+    for (const int workers : {1, 2, 8, 0}) {
+      config.num_workers = workers;
+      const verify::ReachabilityAnalyzer analyzer(system, big, config);
+      const auto result = analyzer.analyze(initial);
+      EXPECT_FALSE(result.completed) << cap << ", " << workers << " workers";
+      EXPECT_EQ(result.partitions, cap + 1)
+          << cap << ", " << workers << " workers";
+    }
+  }
+}
+
+TEST(Reach, MaxBoxesFailsBeforeAnyEnclosure) {
+  // A step with more sub-boxes than max_boxes fails closed before it
+  // abstracts a single one.  The ±1e8 box caps each dimension at 1e9
+  // parts, and their product passes SIZE_MAX: the count must saturate, not
+  // wrap or reach an allocation.
+  auto system = std::make_shared<sys::ThreeD>();
+  const ctrl::ZeroController zero(3, 1);
+  verify::ReachConfig config;
+  config.steps = 1;
+  ASSERT_EQ(config.max_boxes, 20000u);
+  const verify::ReachabilityAnalyzer analyzer(system, zero, config);
+  for (const double r : {2.0, 1e8}) {  // ±2: 80^3 sub-boxes.
+    SCOPED_TRACE(r);
+    const auto result =
+        analyzer.analyze(verify::make_box({-r, -r, -r}, {r, r, r}));
+    EXPECT_FALSE(result.completed);
+    EXPECT_FALSE(result.safe);
+    EXPECT_EQ(result.failure,
+              "reachable-set frontier exceeded max_boxes=20000");
+    EXPECT_EQ(result.partitions, 0);
+    EXPECT_EQ(result.nn_evaluations, 0);
+  }
 }
 
 TEST(Reach, VanDerPolOneStepMatchesIntervalStep) {
