@@ -520,61 +520,6 @@ void BM_DdpgUpdate(benchmark::State& state) {
 BENCHMARK(BM_DdpgUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Scaling of sharded PPO collection with the env-shard count (Arg; 1 = one
-// env replica, serial).  Each timed iteration is one PPO training iteration
-// with update_epochs = 0, i.e. almost pure collection: episode slots run in
-// waves of Arg env clones on a dedicated Arg-worker pool.  Every Arg
-// collects bitwise-identical batches (the slot decomposition is fixed);
-// only the wall-clock moves.
-void BM_PpoCollect(benchmark::State& state) {
-  testutil::PointMassEnv env;
-  rl::PpoConfig config;
-  config.policy_hidden = {64, 64};
-  config.value_hidden = {64, 64};
-  config.steps_per_iteration = 2048;
-  config.update_epochs = 0;  // isolate collection from the update passes.
-  config.num_workers = static_cast<int>(state.range(0));
-  config.num_env_shards = static_cast<int>(state.range(0));
-  rl::PpoGaussian ppo(config);
-  ppo.initialize(env);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ppo.run_iterations(env, 1));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          config.steps_per_iteration);
-}
-BENCHMARK(BM_PpoCollect)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Scaling of DDPG's sharded warmup exploration with the env-shard count
-// (Arg).  Each timed iteration consumes a fresh trainer's random-action
-// warmup (the exploration phase that fans across env clones); the episode
-// budget is sized to stay inside the warmup, so no learned-phase updates
-// pollute the measurement.  As with BM_PpoCollect, every Arg produces
-// bitwise-identical replay contents.
-void BM_DdpgCollect(benchmark::State& state) {
-  testutil::PointMassEnv env;
-  rl::DdpgConfig config;
-  config.actor_hidden = {64, 64};
-  config.critic_hidden = {64, 64};
-  config.batch_size = 64;
-  config.warmup_steps = 2048;
-  config.num_workers = static_cast<int>(state.range(0));
-  config.num_env_shards = static_cast<int>(state.range(0));
-  // 68 episodes * <= 30 steps stays at or under the 2048-step warmup.
-  const int warmup_episodes = 68;
-  for (auto _ : state) {
-    state.PauseTiming();
-    rl::Ddpg ddpg(config);
-    ddpg.initialize(env);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(ddpg.run_episodes(env, warmup_episodes));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(warmup_episodes) * 30);
-}
-BENCHMARK(BM_DdpgCollect)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
 // --- tracked perf tier: JSON trajectory output ----------------------------
 
 /// One emitted row of BENCH_micro.json.

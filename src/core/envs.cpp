@@ -1,7 +1,6 @@
 #include "core/envs.h"
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 namespace cocktail::core {
@@ -76,11 +75,6 @@ std::size_t ExpertTrainingEnv::action_dim() const {
 
 int ExpertTrainingEnv::max_episode_steps() const { return system_->horizon(); }
 
-std::unique_ptr<rl::Env> ExpertTrainingEnv::do_clone() const {
-  // Copy construction: private episode state, shared (const-used) system.
-  return std::make_unique<ExpertTrainingEnv>(*this);
-}
-
 la::Vec ExpertTrainingEnv::do_reset(util::Rng& rng) {
   true_state_ = system_->sample_initial_state(rng);
   return observe(true_state_, config_.observation_noise, rng);
@@ -144,12 +138,6 @@ std::size_t MixingEnv::action_dim() const { return experts_.size(); }
 
 int MixingEnv::max_episode_steps() const { return system_->horizon(); }
 
-std::unique_ptr<rl::Env> MixingEnv::do_clone() const {
-  // Copy construction: private episode state; system and experts are shared
-  // by reference (const-used, concurrent-step safe per batch_rollout).
-  return std::make_unique<MixingEnv>(*this);
-}
-
 la::Vec MixingEnv::do_reset(util::Rng& rng) {
   true_state_ = system_->sample_initial_state(rng);
   return observe(true_state_, reward_.observation_noise, rng);
@@ -209,10 +197,6 @@ std::size_t FiniteWeightedEnv::action_dim() const {
 
 int FiniteWeightedEnv::max_episode_steps() const { return system_->horizon(); }
 
-std::unique_ptr<rl::Env> FiniteWeightedEnv::do_clone() const {
-  return std::make_unique<FiniteWeightedEnv>(*this);
-}
-
 la::Vec FiniteWeightedEnv::do_reset(util::Rng& rng) {
   true_state_ = system_->sample_initial_state(rng);
   return observe(true_state_, reward_.observation_noise, rng);
@@ -261,10 +245,6 @@ std::size_t SwitchingEnv::state_dim() const { return system_->state_dim(); }
 std::size_t SwitchingEnv::action_dim() const { return experts_.size(); }
 
 int SwitchingEnv::max_episode_steps() const { return system_->horizon(); }
-
-std::unique_ptr<rl::Env> SwitchingEnv::do_clone() const {
-  return std::make_unique<SwitchingEnv>(*this);
-}
 
 la::Vec SwitchingEnv::do_reset(util::Rng& rng) {
   true_state_ = system_->sample_initial_state(rng);

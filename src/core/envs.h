@@ -73,13 +73,10 @@ class ExpertTrainingEnv final : public rl::Env {
   [[nodiscard]] std::size_t action_dim() const override;
   [[nodiscard]] int max_episode_steps() const override;
 
-  [[nodiscard]] double action_scale() const { return config_.action_scale; }
-
  protected:
   la::Vec do_reset(util::Rng& rng) override;
   [[nodiscard]] rl::StepResult do_step(const la::Vec& action,
                                        util::Rng& rng) override;
-  [[nodiscard]] std::unique_ptr<rl::Env> do_clone() const override;
 
  private:
   sys::SystemPtr system_;
@@ -98,15 +95,11 @@ class MixingEnv final : public rl::Env {
   [[nodiscard]] std::size_t action_dim() const override;
   [[nodiscard]] int max_episode_steps() const override;
 
-  [[nodiscard]] double weight_bound() const { return weight_bound_; }
-  [[nodiscard]] double energy_coef() const { return energy_coef_; }
-
  protected:
   la::Vec do_reset(util::Rng& rng) override;
   /// `action` in [-1,1]^n; the env scales by the weight bound AB.
   [[nodiscard]] rl::StepResult do_step(const la::Vec& action,
                                        util::Rng& rng) override;
-  [[nodiscard]] std::unique_ptr<rl::Env> do_clone() const override;
 
  private:
   sys::SystemPtr system_;
@@ -138,7 +131,6 @@ class FiniteWeightedEnv final : public rl::Env {
   /// `action` holds the table index in action[0].
   [[nodiscard]] rl::StepResult do_step(const la::Vec& action,
                                        util::Rng& rng) override;
-  [[nodiscard]] std::unique_ptr<rl::Env> do_clone() const override;
 
  private:
   sys::SystemPtr system_;
@@ -164,7 +156,6 @@ class SwitchingEnv final : public rl::Env {
   /// `action` holds the selected expert index in action[0].
   [[nodiscard]] rl::StepResult do_step(const la::Vec& action,
                                        util::Rng& rng) override;
-  [[nodiscard]] std::unique_ptr<rl::Env> do_clone() const override;
 
  private:
   sys::SystemPtr system_;

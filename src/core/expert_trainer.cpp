@@ -199,12 +199,10 @@ std::vector<ExpertSpec> default_expert_specs(const std::string& system_name,
 std::vector<ctrl::ControllerPtr> load_or_train_experts(sys::SystemPtr system,
                                                        std::uint64_t seed,
                                                        bool use_cache,
-                                                       int num_workers,
-                                                       int num_env_shards) {
+                                                       int num_workers) {
   std::vector<ctrl::ControllerPtr> experts;
   for (ExpertSpec spec : default_expert_specs(system->name(), seed)) {
     spec.ddpg.num_workers = num_workers;
-    if (num_env_shards > 0) spec.ddpg.num_env_shards = num_env_shards;
     const std::string path =
         expert_cache_path(system->name(), spec.label, seed);
     if (use_cache && util::file_exists(path)) {

@@ -59,11 +59,9 @@ struct ExpertSpec {
 /// Returns the system's two experts, loading from the model cache when
 /// possible and training + saving otherwise.  `cache_tag` keys the files.
 /// `num_workers` is the DdpgConfig worker knob applied to every spec;
-/// `num_env_shards` > 0 overrides every spec's warmup env-shard count
-/// (0 keeps the spec default).  Experts are bitwise identical for any
-/// worker or shard count.
+/// experts are bitwise identical for any worker count.
 [[nodiscard]] std::vector<ctrl::ControllerPtr> load_or_train_experts(
     sys::SystemPtr system, std::uint64_t seed, bool use_cache = true,
-    int num_workers = 0, int num_env_shards = 0);
+    int num_workers = 0);
 
 }  // namespace cocktail::core

@@ -1,12 +1,14 @@
 // Step 1 of Cocktail: RL-based adaptive mixing (paper Section III-A), plus
-// the switching baseline AS and the DDPG mixing variant of Remark 1.
+// the switching baseline AS, the finite-weighted baseline FW and the DDPG
+// mixing variant of Remark 1.
 //
-// All four trainers collect experience through the sharded collectors: the
-// embedded rl::PpoConfig / rl::DdpgConfig `num_env_shards` field replicates
-// the adaptation env (MixingEnv / SwitchingEnv / FiniteWeightedEnv) per
-// shard via Env::clone(), and `num_workers` parallelizes the minibatch
-// gradient work.  Trained controllers are bitwise identical for any shard
-// or worker count.
+// The three PPO trainers share one driver, rl::Ppo, and differ only in the
+// adaptation env (MixingEnv / SwitchingEnv / FiniteWeightedEnv) and the
+// policy head — Proposition 1's chain of action spaces.  All four trainers
+// collect serially on the adaptation env; the embedded rl::PpoConfig /
+// rl::DdpgConfig `num_workers` field parallelizes the minibatch gradient
+// work, and trained controllers are bitwise identical for any worker
+// count.
 #pragma once
 
 #include <cstdint>

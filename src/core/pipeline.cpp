@@ -152,16 +152,8 @@ PipelineArtifacts run_pipeline(sys::SystemPtr system,
     distill.num_workers = config.num_workers;
     expert_workers = config.num_workers;
   }
-  // Env-shard knob: applies to every experience-collecting stage (PPO
-  // collection, expert DDPG warmup); results are bitwise identical for any
-  // value, so this is purely a throughput lever.
-  if (config.num_env_shards > 0) {
-    mixing.ppo.num_env_shards = config.num_env_shards;
-    switching.ppo.num_env_shards = config.num_env_shards;
-  }
-  artifacts.experts =
-      load_or_train_experts(system, config.seed, config.use_cache,
-                            expert_workers, config.num_env_shards);
+  artifacts.experts = load_or_train_experts(system, config.seed,
+                                            config.use_cache, expert_workers);
 
   // Training-time observation noise: the MDP's state perturbation δ
   // (Section III-A "may be maliciously attacked or affected by noises").

@@ -31,13 +31,6 @@ struct PipelineConfig {
   /// shared pool) leaves the per-stage fields untouched.  Artifacts are
   /// bitwise identical for any value.
   int num_workers = 0;
-  /// Pipeline-wide env-shard knob: when > 0, run_pipeline applies it to
-  /// every stage that collects experience — PPO mixing/switching collection
-  /// and the experts' DDPG warmup exploration — overriding the per-stage
-  /// num_env_shards fields (0, the default, leaves them untouched).  Like
-  /// num_workers, artifacts are bitwise identical for any value: collection
-  /// decomposes into per-episode RNG slots independent of the shard count.
-  int num_env_shards = 0;
 };
 
 /// Baseline set of Table I for one system.

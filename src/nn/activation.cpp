@@ -1,6 +1,5 @@
 #include "nn/activation.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "la/kernels.h"
@@ -15,8 +14,6 @@ double activate(Activation act, double z) noexcept {
       return z > 0.0 ? z : 0.0;
     case Activation::kTanh:
       return la::kernels::tanh(z);
-    case Activation::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-z));
   }
   return z;
 }
@@ -29,8 +26,6 @@ double activate_grad(Activation act, double z, double a) noexcept {
       return z > 0.0 ? 1.0 : 0.0;
     case Activation::kTanh:
       return 1.0 - a * a;
-    case Activation::kSigmoid:
-      return a * (1.0 - a);
   }
   return 1.0;
 }
@@ -68,8 +63,6 @@ void activate_rows(Activation act, const double* z, double* out,
       return activate_loop<Activation::kRelu>(z, out, n);
     case Activation::kTanh:
       return la::kernels::tanh_rows(z, out, n);
-    case Activation::kSigmoid:
-      return activate_loop<Activation::kSigmoid>(z, out, n);
   }
 }
 
@@ -82,13 +75,7 @@ void backprop_rows(Activation act, const double* z, const double* a,
       return backprop_loop<Activation::kRelu>(z, a, delta, dz, n);
     case Activation::kTanh:
       return backprop_loop<Activation::kTanh>(z, a, delta, dz, n);
-    case Activation::kSigmoid:
-      return backprop_loop<Activation::kSigmoid>(z, a, delta, dz, n);
   }
-}
-
-double activation_lipschitz(Activation act) noexcept {
-  return act == Activation::kSigmoid ? 0.25 : 1.0;
 }
 
 std::string to_string(Activation act) {
@@ -99,8 +86,6 @@ std::string to_string(Activation act) {
       return "relu";
     case Activation::kTanh:
       return "tanh";
-    case Activation::kSigmoid:
-      return "sigmoid";
   }
   return "identity";
 }
@@ -109,7 +94,6 @@ Activation activation_from_string(const std::string& name) {
   if (name == "identity") return Activation::kIdentity;
   if (name == "relu") return Activation::kRelu;
   if (name == "tanh") return Activation::kTanh;
-  if (name == "sigmoid") return Activation::kSigmoid;
   throw std::invalid_argument("unknown activation: " + name);
 }
 

@@ -1,8 +1,7 @@
 // Activation functions for the dense layers.
 //
-// The set matches the paper's Lipschitz-constant table (footnote 1): a layer
-// with weights W contributes ||W|| for ReLU/Tanh/Identity and ||W||/4 for
-// Sigmoid, because those activations are 1- (resp. 1/4-) Lipschitz.
+// Every activation here is 1-Lipschitz, so in the paper's Lipschitz-constant
+// table (footnote 1) a layer with weights W contributes ||W||.
 #pragma once
 
 #include <string>
@@ -11,15 +10,14 @@
 
 namespace cocktail::nn {
 
-enum class Activation { kIdentity, kRelu, kTanh, kSigmoid };
+enum class Activation { kIdentity, kRelu, kTanh };
 
 /// Scalar activation value.  tanh is la::kernels::tanh, whose bits do not
-/// depend on the host; sigmoid is the one activation left on the host libm
-/// (std::exp).
+/// depend on the host.
 [[nodiscard]] double activate(Activation act, double z) noexcept;
 
 /// Derivative dσ/dz expressed through the pre-activation `z` and the
-/// already-computed output `a = σ(z)` (cheaper for tanh/sigmoid).
+/// already-computed output `a = σ(z)` (cheaper for tanh).
 [[nodiscard]] double activate_grad(Activation act, double z,
                                    double a) noexcept;
 
@@ -37,9 +35,6 @@ void activate_rows(Activation act, const double* z, double* out,
 /// the scalar form).
 void backprop_rows(Activation act, const double* z, const double* a,
                    const double* delta, double* dz, std::size_t n) noexcept;
-
-/// Lipschitz constant of the activation itself (1 or 1/4).
-[[nodiscard]] double activation_lipschitz(Activation act) noexcept;
 
 [[nodiscard]] std::string to_string(Activation act);
 [[nodiscard]] Activation activation_from_string(const std::string& name);

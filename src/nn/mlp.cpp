@@ -345,7 +345,7 @@ double Mlp::sum_squares() const {
 double Mlp::lipschitz_upper_bound() const {
   double lip = 1.0;
   for (const auto& layer : layers_)
-    lip *= activation_lipschitz(layer.act) * layer.w.spectral_norm();
+    lip *= layer.w.spectral_norm();
   return lip;
 }
 

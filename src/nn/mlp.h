@@ -6,8 +6,8 @@
 // exposes:
 //   * gradients with respect to the *input* — required by FGSM adversarial
 //     example generation (Algorithm 1, line 13) and by closed-loop attacks;
-//   * a certified Lipschitz upper bound (product of layer spectral norms,
-//     scaled by 1/4 per sigmoid layer) — the quantity the paper's
+//   * a certified Lipschitz upper bound (product of layer spectral norms;
+//     every activation is 1-Lipschitz) — the quantity the paper's
 //     verifiability argument rests on (footnote 1);
 //   * text serialization so benches can cache trained controllers;
 //   * a row-tile training pass (forward_tile / backward_tile): one GEMM per

@@ -11,6 +11,7 @@ la::Vec softmax(const la::Vec& logits) {
 }
 
 la::Vec softmax(const double* logits, std::size_t n) {
+  if (n == 0) throw std::invalid_argument("rl::softmax: empty logit row");
   const double max_logit = *std::max_element(logits, logits + n);
   la::Vec p(n);
   double sum = 0.0;
@@ -28,7 +29,10 @@ CategoricalPolicy::CategoricalPolicy(std::size_t state_dim,
                                      std::uint64_t seed)
     : logits_net_(nn::Mlp::make(state_dim, hidden, num_actions,
                                 nn::Activation::kTanh,
-                                nn::Activation::kIdentity, seed)) {}
+                                nn::Activation::kIdentity, seed)) {
+  if (num_actions == 0)
+    throw std::invalid_argument("CategoricalPolicy: no actions");
+}
 
 la::Vec CategoricalPolicy::probabilities(const la::Vec& s) const {
   return softmax(logits_net_.forward(s));

@@ -4,12 +4,12 @@
 // the plant this sampling period — exactly the discrete adaptation space of
 // [4] that the paper's mixing action space strictly contains.
 //
-// Concurrency contract: PpoCategorical::update fans its row-tile gradient
-// chunks across the pool, so every const method here (probabilities,
-// log_prob, kl_from, the *_cotangent helpers, the accumulate_* family)
-// runs concurrently from chunk workers.  They must stay free of hidden
-// mutable state: they read the network and write only through the
-// caller-provided outputs and accumulators.  The logits-net
+// Concurrency contract: Ppo<CategoricalPolicy>::update fans its row-tile
+// gradient chunks across the pool, so every const method here
+// (probabilities, log_prob, kl_from, the *_cotangent helpers, the
+// accumulate_* family) runs concurrently from chunk workers.  They must stay
+// free of hidden mutable state: they read the network and write only
+// through the caller-provided outputs and accumulators.  The logits-net
 // forward/backward of a chunk runs on the caller's own Mlp::Tape (one per
 // thread), and the accumulate_* wrappers own their Mlp::Workspace.
 #pragma once
@@ -25,6 +25,7 @@ namespace cocktail::rl {
 class CategoricalPolicy {
  public:
   /// Logit network [state_dim, hidden..., num_actions], identity head.
+  /// Throws std::invalid_argument for num_actions == 0.
   CategoricalPolicy(std::size_t state_dim,
                     const std::vector<std::size_t>& hidden,
                     std::size_t num_actions, std::uint64_t seed);
@@ -86,7 +87,8 @@ class CategoricalPolicy {
   nn::Mlp logits_net_;
 };
 
-/// Numerically-stable softmax.
+/// Numerically-stable softmax.  Throws std::invalid_argument for an empty
+/// logit row.
 [[nodiscard]] la::Vec softmax(const la::Vec& logits);
 /// The same softmax over `n` raw logits (a logits row of a tile).
 [[nodiscard]] la::Vec softmax(const double* logits, std::size_t n);

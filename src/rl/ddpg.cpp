@@ -6,9 +6,7 @@
 
 #include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "rl/episode_shards.h"
 #include "rl/noise.h"
-#include "util/logging.h"
 
 namespace cocktail::rl {
 namespace {
@@ -39,29 +37,6 @@ void concat_rows(const double* a, std::size_t a_width, const double* b,
     out = std::copy_n(a + k * a_width, a_width, out);
     out = std::copy_n(b + k * b_width, b_width, out);
   }
-}
-
-/// One random-action warmup episode collected on a private env replica and
-/// RNG stream (the sharded exploration unit; see DdpgConfig::num_env_shards).
-struct WarmupEpisode {
-  std::vector<Transition> transitions;
-  double episode_return = 0.0;
-};
-
-WarmupEpisode run_warmup_episode(Env& env, util::Rng& rng) {
-  WarmupEpisode episode;
-  la::Vec s = env.reset(rng);
-  for (int t = 0; t < env.max_episode_steps(); ++t) {
-    la::Vec a = rng.uniform_vec(env.action_dim(), -1.0, 1.0);
-    const StepResult result = env.step(a, rng);
-    episode.episode_return += result.reward;
-    episode.transitions.push_back(
-        {std::move(s), std::move(a), result.reward, result.next_state,
-         result.terminal});
-    if (result.terminal) break;
-    s = result.next_state;
-  }
-  return episode;
 }
 
 }  // namespace
@@ -125,54 +100,12 @@ void Ddpg::initialize(Env& env) {
   noise_ = std::make_unique<OuNoise>(env.action_dim(), config_.ou_theta,
                                      config_.ou_sigma);
   total_steps_ = 0;
-  episodes_done_ = 0;
   sigma_ = config_.ou_sigma;
   // One draw seeds every warmup episode slot stream (the split mirrors
-  // batch_rollout's per-job seeds), so the trainer stream advances
-  // identically no matter how many env clones run the warmup.
+  // batch_rollout's per-job seeds).
   warmup_seed_ = rng_->next();
   warmup_slot_next_ = 0;
   initialized_ = true;
-}
-
-int Ddpg::run_warmup_episodes(Env& env, int budget, DdpgStats& stats) {
-  // Episode slots run in waves of num_env_shards env clones on the pool
-  // (rl::run_slot_wave), then merge in fixed slot order until warmup_steps
-  // transitions accumulated or the episode budget runs out.  Inclusion
-  // depends only on the slot-order cumulative counts, so the collected
-  // replay prefix is bitwise identical for any shard/worker count; surplus
-  // wave episodes are discarded (a budget-cut slot replays its identical
-  // stream on the next call).
-  std::vector<std::unique_ptr<Env>> clones =
-      clone_shards(env, config_.num_env_shards);
-  util::ThreadPool* pool = workers_->pool();
-
-  int ran = 0;
-  std::vector<WarmupEpisode> wave(clones.size());
-  while (ran < budget && total_steps_ < config_.warmup_steps) {
-    const std::uint64_t base = warmup_slot_next_;
-    run_slot_wave(clones, pool, warmup_seed_, base, wave,
-                  [](Env& shard, util::Rng& slot_rng) {
-                    return run_warmup_episode(shard, slot_rng);
-                  });
-    for (std::size_t j = 0; j < wave.size(); ++j) {
-      if (ran >= budget || total_steps_ >= config_.warmup_steps) {
-        warmup_slot_next_ = base + static_cast<std::uint64_t>(j);
-        break;
-      }
-      total_steps_ += wave[j].transitions.size();
-      for (auto& transition : wave[j].transitions)
-        buffer_->add(std::move(transition));
-      sigma_ *= config_.noise_decay;
-      stats.episode_returns.push_back(wave[j].episode_return);
-      if (progress_) progress_(episodes_done_, wave[j].episode_return);
-      ++episodes_done_;
-      ++ran;
-      warmup_slot_next_ = base + static_cast<std::uint64_t>(j) + 1;
-      wave[j] = WarmupEpisode{};
-    }
-  }
-  return ran;
 }
 
 DdpgStats Ddpg::run_episodes(Env& env, int episodes) {
@@ -181,14 +114,29 @@ DdpgStats Ddpg::run_episodes(Env& env, int episodes) {
   DdpgStats stats;
   int remaining = episodes;
 
-  // Phase 1 — sharded random-action warmup: whole episodes on env clones
-  // with per-slot RNG streams, no updates (the old loop never updated
-  // before warmup_steps either).  May span several run_episodes calls.
-  if (remaining > 0 && total_steps_ < config_.warmup_steps)
-    remaining -= run_warmup_episodes(env, remaining, stats);
+  // Phase 1 — random-action warmup: whole episodes, slot k on its own
+  // stream derive_seed(warmup_seed_, k), no updates.  May span several
+  // run_episodes calls; the slot cursor carries over.
+  for (; remaining > 0 && total_steps_ < config_.warmup_steps; --remaining) {
+    util::Rng rng(util::derive_seed(warmup_seed_, warmup_slot_next_++));
+    la::Vec s = env.reset(rng);
+    double episode_return = 0.0;
+    for (int t = 0; t < env.max_episode_steps(); ++t) {
+      la::Vec a = rng.uniform_vec(env.action_dim(), -1.0, 1.0);
+      const StepResult result = env.step(a, rng);
+      episode_return += result.reward;
+      buffer_->add({std::move(s), std::move(a), result.reward,
+                    result.next_state, result.terminal});
+      ++total_steps_;
+      if (result.terminal) break;
+      s = result.next_state;
+    }
+    sigma_ *= config_.noise_decay;
+    stats.episode_returns.push_back(episode_return);
+  }
 
-  // Phase 2 — serial learned episodes: every step samples from the actor
-  // the previous step just updated, so this loop is serial by construction.
+  // Phase 2 — learned episodes: every step samples from the actor the
+  // previous step just updated.
   for (; remaining > 0; --remaining) {
     la::Vec s = env.reset(*rng_);
     noise_->reset();
@@ -208,8 +156,6 @@ DdpgStats Ddpg::run_episodes(Env& env, int episodes) {
     }
     sigma_ *= config_.noise_decay;
     stats.episode_returns.push_back(episode_return);
-    if (progress_) progress_(episodes_done_, episode_return);
-    ++episodes_done_;
   }
   return stats;
 }

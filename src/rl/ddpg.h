@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -32,7 +31,10 @@ struct DdpgConfig {
   /// std::invalid_argument on 0, which would leave every update empty).
   std::size_t batch_size = 64;
   std::size_t replay_capacity = 100000;
-  std::size_t warmup_steps = 500;   ///< uniform-random actions before learning.
+  /// Uniform-random-action transitions before learning: whole episodes,
+  /// no updates, slot k on the stream derive_seed(s, k) for one seed s
+  /// drawn at initialize().
+  std::size_t warmup_steps = 500;
   int episodes = 150;
   double ou_theta = 0.15;
   double ou_sigma = 0.2;
@@ -44,17 +46,6 @@ struct DdpgConfig {
   /// k > 1 = dedicated pool).  Training is bitwise identical for any value:
   /// per-chunk gradient buffers merge on the fixed chunked-reduce tree.
   int num_workers = 0;
-  /// Env replicas stepping concurrently during the random-action warmup
-  /// phase (values < 1 behave as 1).  Warmup is decomposed into per-episode
-  /// RNG slots (streams derived from one seed drawn at initialize()) whose
-  /// full episodes merge into the replay buffer in fixed slot order until
-  /// `warmup_steps` transitions accumulated; the slot decomposition never
-  /// depends on this knob, so training is bitwise identical for ANY shard
-  /// count and any worker count.  The learned phase stays serial by
-  /// construction: every post-warmup step updates the actor the next action
-  /// is sampled from (the same optimizer-state dependency that keeps the
-  /// outer minibatch sequence serial).  Shards run on the num_workers pool.
-  int num_env_shards = 1;
 };
 
 struct DdpgStats {
@@ -78,22 +69,11 @@ class Ddpg {
   /// Runs `episodes` further episodes; appends to the returned stats.
   [[nodiscard]] DdpgStats run_episodes(Env& env, int episodes);
 
-  /// Optional per-episode progress callback (episode index, return).
-  void set_progress_callback(std::function<void(int, double)> cb) {
-    progress_ = std::move(cb);
-  }
-
   [[nodiscard]] const nn::Mlp& actor() const { return actor_; }
   [[nodiscard]] const nn::Mlp& critic() const { return critic_; }
-  /// Moves the trained tanh-headed actor out (state -> action in [-1,1]).
-  [[nodiscard]] nn::Mlp take_actor() { return std::move(actor_); }
 
  private:
   void build_networks(std::size_t state_dim, std::size_t action_dim);
-  /// Sharded random-action warmup collection (see DdpgConfig::
-  /// num_env_shards); consumes up to `budget` episodes, returns how many it
-  /// ran and appends their returns to `stats`.
-  int run_warmup_episodes(Env& env, int budget, DdpgStats& stats);
   void update(const ReplayBuffer& buffer, util::Rng& rng);
   static void polyak_update(nn::Mlp& target, const nn::Mlp& online,
                             double polyak);
@@ -101,7 +81,6 @@ class Ddpg {
   DdpgConfig config_;
   nn::Mlp actor_, critic_;
   nn::Mlp target_actor_, target_critic_;
-  std::function<void(int, double)> progress_;
   // Persistent training state for the incremental interface.
   std::unique_ptr<nn::Adam> actor_opt_, critic_opt_;
   std::unique_ptr<ReplayBuffer> buffer_;
@@ -114,11 +93,10 @@ class Ddpg {
   std::unique_ptr<nn::ChunkedGradReducer<nn::Gradients>> critic_reducer_;
   std::unique_ptr<nn::ChunkedGradReducer<nn::Gradients>> actor_reducer_;
   std::size_t total_steps_ = 0;
-  int episodes_done_ = 0;
   double sigma_ = 0.0;
   // Warmup slot-stream state: seed drawn once at initialize(); the next
-  // episode slot to merge persists across run_episodes calls so a warmup
-  // split over several calls replays the identical slot sequence.
+  // episode slot persists across run_episodes calls so a warmup split over
+  // several calls replays the identical slot sequence.
   std::uint64_t warmup_seed_ = 0;
   std::uint64_t warmup_slot_next_ = 0;
   bool initialized_ = false;

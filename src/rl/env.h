@@ -4,26 +4,25 @@
 // (the AS baseline), and the per-expert DDPG training tasks are all
 // implemented as Envs in src/core; the algorithms here are generic.
 //
-// The interface is non-virtual (NVI): `reset`/`step`/`clone` are the public
-// entry points and enforce the episode contract below; implementations
-// override the protected `do_*` hooks.  The contract — pinned for every
+// The interface is non-virtual (NVI): `reset`/`step` are the public entry
+// points and enforce the episode contract below; implementations override
+// the protected `do_*` hooks.  The contract — pinned for every
 // implementation by the conformance suite in tests/env_conformance.h — is:
 //   * `reset`/`step` are deterministic functions of the env state and the
 //     caller-supplied RNG stream (all stochasticity flows through `rng`);
+//   * `reset` leaves no cross-episode state: an episode is a function of its
+//     RNG stream and actions alone, which is what lets the collectors
+//     (rl::Ppo::collect, DDPG's warmup) run every episode slot on the
+//     caller's env;
 //   * `StepResult::terminal` marks genuine terminal states only; hitting
 //     `max_episode_steps` is time-limit truncation, which the training loop
 //     owns — an env never flags (and never forbids) stepping at the limit;
 //   * once a step returned `terminal`, the episode is over: stepping again
 //     without an intervening `reset` throws std::logic_error (this used to
-//     be silently undefined per-env behavior);
-//   * `clone` yields an independent replica (same configuration, own
-//     episode state) — stepping a clone never perturbs the original.  The
-//     sharded collectors (rl::PpoGaussian/PpoCategorical::collect, DDPG's
-//     warmup exploration) replicate one env per shard through this hook.
+//     be silently undefined per-env behavior).
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <stdexcept>
 
 #include "la/vec.h"
@@ -72,23 +71,15 @@ class Env {
     return result;
   }
 
-  /// Independent replica: same configuration, own copy of the episode state
-  /// (including the terminal guard).  Underlying plant models / experts are
-  /// shared by reference — they are const-used and safe for concurrent
-  /// stepping (the same contract core::batch_rollout relies on).
-  [[nodiscard]] std::unique_ptr<Env> clone() const { return do_clone(); }
-
  protected:
   Env() = default;
-  // Copyable so implementations can do_clone via their copy constructor
-  // (the guard state travels with the episode state).
+  // Copyable only through the concrete type (no slicing through an Env&).
   Env(const Env&) = default;
   Env& operator=(const Env&) = default;
 
   virtual la::Vec do_reset(util::Rng& rng) = 0;
   [[nodiscard]] virtual StepResult do_step(const la::Vec& action,
                                            util::Rng& rng) = 0;
-  [[nodiscard]] virtual std::unique_ptr<Env> do_clone() const = 0;
 
  private:
   bool terminal_pending_ = false;

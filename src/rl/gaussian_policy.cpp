@@ -14,8 +14,10 @@ GaussianPolicy::GaussianPolicy(std::size_t state_dim,
                               nn::Activation::kTanh, nn::Activation::kTanh,
                               seed)),
       log_std_(action_dim, std::log(initial_std)) {
-  if (initial_std <= 0.0)
-    throw std::invalid_argument("GaussianPolicy: initial_std must be > 0");
+  // NaN fails the comparison; +Inf would make every sample NaN.
+  if (!(initial_std > 0.0) || !std::isfinite(initial_std))
+    throw std::invalid_argument(
+        "GaussianPolicy: initial_std must be finite and > 0");
 }
 
 la::Vec GaussianPolicy::mean(const la::Vec& s) const {

@@ -7,9 +7,9 @@
 // of the diagonal-Gaussian KL divergence used in the paper's penalized
 // surrogate objective.
 //
-// Concurrency contract: PpoGaussian::update fans its row-tile gradient
-// chunks across the pool, so every const method here (mean, log_prob,
-// kl_from, the *_cotangent helpers, the accumulate_* family) runs
+// Concurrency contract: Ppo<GaussianPolicy>::update fans its row-tile
+// gradient chunks across the pool, so every const method here (mean,
+// log_prob, kl_from, the *_cotangent helpers, the accumulate_* family) runs
 // concurrently from chunk workers.  They must stay free of hidden mutable
 // state: they read the network and log_std and write only through the
 // caller-provided outputs and accumulators.  The mean-net forward/backward
@@ -28,7 +28,8 @@ namespace cocktail::rl {
 class GaussianPolicy {
  public:
   /// Builds a tanh-headed mean network [state_dim, hidden..., action_dim]
-  /// and initializes log_std to log(initial_std).
+  /// and initializes log_std to log(initial_std).  Throws
+  /// std::invalid_argument unless initial_std is finite and positive.
   GaussianPolicy(std::size_t state_dim,
                  const std::vector<std::size_t>& hidden,
                  std::size_t action_dim, double initial_std,

@@ -7,10 +7,7 @@
 #include <stdexcept>
 
 #include "nn/grad_reduce.h"
-#include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "rl/episode_shards.h"
-#include "util/logging.h"
 
 namespace cocktail::rl {
 namespace {
@@ -54,9 +51,10 @@ void gather_states(const std::vector<la::Vec>& states,
   }
 }
 
-/// Per-chunk accumulator of the Gaussian PPO minibatch: mean-net gradients,
-/// log-std gradients, and value-net gradients, merged in fixed chunk order.
-struct GaussianMinibatchGrads {
+/// Per-chunk accumulator of one minibatch: policy-net gradients, log-std
+/// gradients (empty for the categorical head), and value-net gradients,
+/// merged in fixed chunk order.
+struct MinibatchGrads {
   nn::Gradients policy;
   la::Vec log_std;
   nn::Gradients value;
@@ -66,37 +64,27 @@ struct GaussianMinibatchGrads {
     std::fill(log_std.begin(), log_std.end(), 0.0);
     value.zero();
   }
-  void axpy(double k, const GaussianMinibatchGrads& other) {
+  void axpy(double k, const MinibatchGrads& other) {
     policy.axpy(k, other.policy);
     la::axpy(log_std, k, other.log_std);
     value.axpy(k, other.value);
   }
 };
 
-/// Categorical equivalent: logits-net and value-net gradients.
-struct CategoricalMinibatchGrads {
-  nn::Gradients policy;
-  nn::Gradients value;
-
-  void zero() {
-    policy.zero();
-    value.zero();
+/// Mean return of the episodes that end inside the batch (split at terminal
+/// and truncation flags); 0 if none does.
+double mean_episode_return(const RolloutBatch& batch) {
+  double sum = 0.0, episode = 0.0;
+  std::size_t episodes = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    episode += batch.rewards[i];
+    if (batch.terminal[i] || batch.truncated[i]) {
+      sum += episode;
+      episode = 0.0;
+      ++episodes;
+    }
   }
-  void axpy(double k, const CategoricalMinibatchGrads& other) {
-    policy.axpy(k, other.policy);
-    value.axpy(k, other.value);
-  }
-};
-
-void clamp_log_std(la::Vec& log_std) {
-  for (auto& v : log_std) v = std::clamp(v, kLogStdMin, kLogStdMax);
-}
-
-double mean_episode_return(const std::vector<double>& returns) {
-  if (returns.empty()) return 0.0;
-  double sum = 0.0;
-  for (double r : returns) sum += r;
-  return sum / static_cast<double>(returns.size());
+  return episodes == 0 ? 0.0 : sum / static_cast<double>(episodes);
 }
 
 /// Surrogate coefficient: d/dθ of ratio·Â is ratio·Â·dlogπ.  With clipping
@@ -115,103 +103,155 @@ void adapt_beta(double& beta, double observed_kl, double target) {
   else if (observed_kl < target / 1.5) beta = std::max(beta * 0.5, 1e-3);
 }
 
-// --- sharded on-policy collection ------------------------------------------
+// --- the head adapters ------------------------------------------------------
 //
-// The RNG-split recipe mirrors batch_rollout's per-job seeds: one collect
-// seed per iteration (a single draw from the trainer RNG, so the trainer
-// stream advances identically no matter how collection executes), one
-// derived stream per episode *slot*, and fixed slot-order concatenation cut
-// at steps_per_iteration.  Which episodes end up in the batch depends only
-// on the slot-order cumulative step counts — never on how many env clones
-// (num_env_shards) or pool workers ran them — so collection is bitwise
-// identical for any shard/worker count, including the serial path.
+// Everything Ppo<Policy> does differently per action space.  `net` is the
+// policy network the optimizer steps; its output row (the Gaussian mean or
+// the categorical logits) is what `cotangent_rows` reads and writes.
 
-/// Runs one full episode (to a terminal state or the env time limit) on a
-/// private env replica and RNG stream.  `sample` records the policy action
-/// and log-prob into the batch and returns the action to execute.
-template <class SampleFn>
-RolloutBatch run_episode(Env& env, const nn::Mlp& value_net,
-                         const SampleFn& sample, util::Rng& rng) {
-  RolloutBatch batch;
-  la::Vec s = env.reset(rng);
-  // Carry V(s) across steps: while the episode continues, next_values[t]
-  // and values[t+1] are the same forward on the same state, so the cached
-  // value is bitwise identical and halves the value forwards.
-  double value_s = value_net.forward(s)[0];
-  const int horizon = env.max_episode_steps();
-  for (int t = 1;; ++t) {
-    const la::Vec executed = sample(batch, s, rng);
-    const StepResult result = env.step(executed, rng);
-    const bool time_limit = t >= horizon && !result.terminal;
-    const double value_next = value_net.forward(result.next_state)[0];
-    batch.states.push_back(s);
-    batch.rewards.push_back(result.reward);
-    batch.values.push_back(value_s);
-    batch.next_values.push_back(value_next);
-    batch.terminal.push_back(result.terminal);
-    batch.truncated.push_back(time_limit);
-    if (result.terminal || time_limit) break;
-    s = result.next_state;
-    value_s = value_next;
-  }
-  return batch;
-}
+template <class Policy>
+struct Head;
 
-/// Appends the first `take` samples of `from` to `into` (the fixed
-/// slot-order concatenation; the final included episode may be cut at the
-/// step budget, exactly like the serial collector always cut its last
-/// episode mid-flight).
-void append_prefix(RolloutBatch& into, const RolloutBatch& from,
-                   std::size_t take) {
-  const auto copy_prefix = [take](auto& dst, const auto& src) {
-    dst.insert(dst.end(), src.begin(),
-               src.begin() + static_cast<std::ptrdiff_t>(take));
+template <>
+struct Head<GaussianPolicy> {
+  static constexpr std::uint64_t kPolicySeedTag = 301;
+  static constexpr std::uint64_t kValueSeedTag = 302;
+
+  /// π_old: the batch states' means and the std at collection time.
+  struct Old {
+    std::vector<la::Vec> mu;
+    la::Vec std;
   };
-  copy_prefix(into.states, from.states);
-  if (!from.actions.empty()) copy_prefix(into.actions, from.actions);
-  if (!from.discrete_actions.empty())
-    copy_prefix(into.discrete_actions, from.discrete_actions);
-  copy_prefix(into.rewards, from.rewards);
-  copy_prefix(into.values, from.values);
-  copy_prefix(into.next_values, from.next_values);
-  copy_prefix(into.log_probs, from.log_probs);
-  copy_prefix(into.terminal, from.terminal);
-  copy_prefix(into.truncated, from.truncated);
-}
 
-/// The sharded collector shared by both PPO drivers: episode slots run in
-/// waves of `num_env_shards` env clones on `pool` (rl::run_slot_wave), then
-/// merge in slot order until the step budget is met.  Surplus episodes of
-/// the final wave are discarded; recomputing or skipping them can never
-/// change the included prefix.
-template <class SampleFn>
-RolloutBatch collect_sharded(Env& env, const nn::Mlp& value_net,
-                             const PpoConfig& config, util::ThreadPool* pool,
-                             std::uint64_t collect_seed,
-                             const SampleFn& sample) {
-  const auto target =
-      static_cast<std::size_t>(std::max(config.steps_per_iteration, 1));
-  std::vector<std::unique_ptr<Env>> clones =
-      clone_shards(env, config.num_env_shards);
-
-  RolloutBatch batch;
-  std::vector<RolloutBatch> wave(clones.size());
-  std::uint64_t next_slot = 0;
-  while (batch.size() < target) {
-    run_slot_wave(clones, pool, collect_seed, next_slot, wave,
-                  [&](Env& shard, util::Rng& slot_rng) {
-                    return run_episode(shard, value_net, sample, slot_rng);
-                  });
-    for (auto& episode : wave) {
-      if (batch.size() < target)
-        append_prefix(batch, episode,
-                      std::min(episode.size(), target - batch.size()));
-      episode = RolloutBatch{};
-    }
-    next_slot += static_cast<std::uint64_t>(clones.size());
+  static std::unique_ptr<GaussianPolicy> make(const Env& env,
+                                              const PpoConfig& config,
+                                              std::uint64_t seed) {
+    return std::make_unique<GaussianPolicy>(
+        env.state_dim(), config.policy_hidden, env.action_dim(),
+        config.initial_std, seed);
   }
-  return batch;
-}
+  static const nn::Mlp& net(const GaussianPolicy& p) { return p.mean_net(); }
+  static nn::Mlp& net(GaussianPolicy& p) { return p.mean_net(); }
+  static std::size_t log_std_dim(const GaussianPolicy& p) {
+    return p.log_std().size();
+  }
+
+  /// Samples a ~ π(·|s) into the batch; the env executes it clipped.
+  static la::Vec record(const GaussianPolicy& p, const la::Vec& s,
+                        util::Rng& rng, RolloutBatch& batch) {
+    GaussianPolicy::Sample sample = p.sample(s, rng);
+    la::Vec executed = la::clip(sample.action, -1.0, 1.0);
+    batch.actions.push_back(std::move(sample.action));
+    batch.log_probs.push_back(sample.log_prob);
+    return executed;
+  }
+
+  static Old freeze(const GaussianPolicy& p, const RolloutBatch& batch,
+                    util::ThreadPool* pool) {
+    Old old{std::vector<la::Vec>(batch.size()), p.stddev()};
+    util::chunked_for(pool, batch.size(), kKlGrain, [&](std::size_t i) {
+      old.mu[i] = p.mean(batch.states[i]);
+    });
+    return old;
+  }
+
+  /// Writes sample i's log-prob row, then its KL row, at `rows` from the
+  /// mean-net output `mu`, and adds its log-prob, KL, then entropy terms to
+  /// `log_std`, in that order.
+  static void cotangent_rows(const GaussianPolicy& p, const double* mu,
+                             const RolloutBatch& batch, std::size_t i,
+                             const Old& old, double advantage, double inv,
+                             const PpoConfig& config, double* rows,
+                             la::Vec& log_std) {
+    const la::Vec& a = batch.actions[i];
+    const double ratio =
+        std::exp(p.log_prob_of_mean(mu, a) - batch.log_probs[i]);
+    p.log_prob_cotangent(mu, a, surrogate_coef(ratio, advantage, config) * inv,
+                         rows, log_std);
+    p.kl_cotangent(mu, old.mu[i], old.std, config.kl_penalty_beta * inv,
+                   rows + p.action_dim(), log_std);
+    if (config.entropy_coef > 0.0)
+      p.accumulate_entropy_gradient(config.entropy_coef * inv, log_std);
+  }
+
+  static void step_log_std(GaussianPolicy& p, nn::AdamVec& opt,
+                           const la::Vec& grads) {
+    opt.step(p.log_std(), grads);
+    for (double& v : p.log_std()) v = std::clamp(v, kLogStdMin, kLogStdMax);
+  }
+
+  static double kl(const GaussianPolicy& p, const Old& old, const la::Vec& s,
+                   std::size_t i) {
+    return p.kl_from(old.mu[i], old.std, s);
+  }
+};
+
+template <>
+struct Head<CategoricalPolicy> {
+  static constexpr std::uint64_t kPolicySeedTag = 401;
+  static constexpr std::uint64_t kValueSeedTag = 402;
+
+  /// π_old: the batch states' action probabilities at collection time.
+  struct Old {
+    std::vector<la::Vec> probs;
+  };
+
+  static std::unique_ptr<CategoricalPolicy> make(const Env& env,
+                                                 const PpoConfig& config,
+                                                 std::uint64_t seed) {
+    return std::make_unique<CategoricalPolicy>(
+        env.state_dim(), config.policy_hidden, env.action_dim(), seed);
+  }
+  static const nn::Mlp& net(const CategoricalPolicy& p) {
+    return p.logits_net();
+  }
+  static nn::Mlp& net(CategoricalPolicy& p) { return p.logits_net(); }
+  static std::size_t log_std_dim(const CategoricalPolicy&) { return 0; }
+
+  /// Samples a choice into the batch; the env receives its index.
+  static la::Vec record(const CategoricalPolicy& p, const la::Vec& s,
+                        util::Rng& rng, RolloutBatch& batch) {
+    const CategoricalPolicy::Sample sample = p.sample(s, rng);
+    batch.discrete_actions.push_back(sample.action);
+    batch.log_probs.push_back(sample.log_prob);
+    return la::Vec{static_cast<double>(sample.action)};
+  }
+
+  static Old freeze(const CategoricalPolicy& p, const RolloutBatch& batch,
+                    util::ThreadPool* pool) {
+    Old old{std::vector<la::Vec>(batch.size())};
+    util::chunked_for(pool, batch.size(), kKlGrain, [&](std::size_t i) {
+      old.probs[i] = p.probabilities(batch.states[i]);
+    });
+    return old;
+  }
+
+  /// Writes sample i's log-prob row, then its KL row, at `rows` from the
+  /// logits-net output `logits`.
+  static void cotangent_rows(const CategoricalPolicy& p, const double* logits,
+                             const RolloutBatch& batch, std::size_t i,
+                             const Old& old, double advantage, double inv,
+                             const PpoConfig& config, double* rows,
+                             la::Vec& /*log_std*/) {
+    const std::size_t a = batch.discrete_actions[i];
+    const la::Vec probs = softmax(logits, p.num_actions());
+    const double ratio = std::exp(CategoricalPolicy::log_prob_of(probs, a) -
+                                  batch.log_probs[i]);
+    CategoricalPolicy::log_prob_cotangent(
+        probs, a, surrogate_coef(ratio, advantage, config) * inv, rows);
+    CategoricalPolicy::kl_cotangent(probs, old.probs[i],
+                                    config.kl_penalty_beta * inv,
+                                    rows + p.num_actions());
+  }
+
+  static void step_log_std(CategoricalPolicy&, nn::AdamVec&,
+                           const la::Vec&) {}
+
+  static double kl(const CategoricalPolicy& p, const Old& old,
+                   const la::Vec& s, std::size_t i) {
+    return p.kl_from(old.probs[i], s);
+  }
+};
 
 }  // namespace
 
@@ -228,65 +268,76 @@ double PpoStats::final_return_mean(std::size_t window) const {
   return sum / static_cast<double>(n);
 }
 
-// ---------------------------------------------------------------------------
-// Continuous (Gaussian) PPO — the adaptive mixing learner.
-// ---------------------------------------------------------------------------
+template <class Policy>
+Ppo<Policy>::Ppo(PpoConfig config) : config_(std::move(config)) {}
 
-PpoGaussian::PpoGaussian(PpoConfig config) : config_(std::move(config)) {}
-
-nn::Mlp PpoGaussian::take_mean_net() {
-  return std::move(policy_->mean_net());
+template <class Policy>
+RolloutBatch Ppo<Policy>::collect(Env& env) {
+  // The RNG-split recipe mirrors batch_rollout's per-job seeds: one trainer
+  // RNG draw per iteration, episode slot k on the stream derive_seed(seed,
+  // k).  The batch stops mid-episode at the step budget.  Reset leaves no
+  // cross-episode state in an env, so each episode is a function of its
+  // slot stream alone.
+  const std::uint64_t seed = rng_->next();
+  const auto budget =
+      static_cast<std::size_t>(std::max(config_.steps_per_iteration, 1));
+  const int horizon = env.max_episode_steps();
+  RolloutBatch batch;
+  for (std::uint64_t slot = 0; batch.size() < budget; ++slot) {
+    util::Rng rng(util::derive_seed(seed, slot));
+    la::Vec s = env.reset(rng);
+    // Carry V(s) across steps: while the episode continues, next_values[t]
+    // and values[t+1] are the same forward on the same state, so the cached
+    // value is bitwise identical and halves the value forwards.
+    double value_s = value_net_.forward(s)[0];
+    for (int t = 1; batch.size() < budget; ++t) {
+      const la::Vec action = Head<Policy>::record(*policy_, s, rng, batch);
+      const StepResult result = env.step(action, rng);
+      const bool time_limit = t >= horizon && !result.terminal;
+      const double value_next = value_net_.forward(result.next_state)[0];
+      batch.states.push_back(std::move(s));
+      batch.rewards.push_back(result.reward);
+      batch.values.push_back(value_s);
+      batch.next_values.push_back(value_next);
+      batch.terminal.push_back(result.terminal);
+      batch.truncated.push_back(time_limit);
+      if (result.terminal || time_limit) break;
+      s = result.next_state;
+      value_s = value_next;
+    }
+  }
+  return batch;
 }
 
-RolloutBatch PpoGaussian::collect(Env& env, util::Rng& rng) {
-  // One trainer-RNG draw per iteration seeds every episode slot stream, so
-  // the trainer stream advances identically for any shard count.
-  const std::uint64_t collect_seed = rng.next();
-  const GaussianPolicy* policy = policy_.get();
-  return collect_sharded(
-      env, value_net_, config_, workers_->pool(), collect_seed,
-      [policy](RolloutBatch& batch, const la::Vec& s, util::Rng& slot_rng) {
-        const auto sample = policy->sample(s, slot_rng);
-        const la::Vec executed = la::clip(sample.action, -1.0, 1.0);
-        batch.actions.push_back(sample.action);
-        batch.log_probs.push_back(sample.log_prob);
-        return executed;
-      });
-}
-
-double PpoGaussian::update(const RolloutBatch& batch,
-                           const AdvantageResult& adv, util::Rng& rng) {
+template <class Policy>
+double Ppo<Policy>::update(const RolloutBatch& batch,
+                           const AdvantageResult& adv) {
   // Zero epochs leave the policy untouched: KL(pi_old || pi) is exactly 0
   // and no permutation is drawn, so skipping the passes outright is bitwise
-  // identical and keeps collection-only runs (BM_PpoCollect) undiluted.
+  // identical.
   if (config_.update_epochs <= 0) return 0.0;
+  using H = Head<Policy>;
   util::ThreadPool* pool = workers_->pool();
-  // Freeze pi_old: means and stds at collection time.  Frozen per-minibatch
-  // inputs (mu_old, std_old, adv.advantages, adv.returns) are read-only
-  // below, so chunk workers touch only shared immutable state plus their
-  // private gradient buffers.
-  std::vector<la::Vec> mu_old(batch.size());
-  util::chunked_for(pool, batch.size(), kKlGrain, [&](std::size_t i) {
-    mu_old[i] = policy_->mean(batch.states[i]);
-  });
-  const la::Vec std_old = policy_->stddev();
-
-  nn::Adam* policy_opt = policy_opt_.get();
-  nn::Adam* value_opt = value_opt_.get();
-  nn::AdamVec* log_std_opt = log_std_opt_.get();
+  const Policy& policy = *policy_;
+  const nn::Mlp& net = H::net(policy);
+  const std::size_t width = net.output_dim();
+  // Frozen pi_old, like the batch and advantages, is read-only below, so
+  // chunk workers touch only shared immutable state plus their private
+  // gradient buffers.
+  const typename H::Old old = H::freeze(policy, batch, pool);
 
   // One reducer per update(), reused by every minibatch of every epoch
   // below (update_epochs * batch/minibatch reduces amortize the buffer
   // allocation); update() itself runs once per training iteration.
-  nn::ChunkedGradReducer<GaussianMinibatchGrads> reducer(
+  nn::ChunkedGradReducer<MinibatchGrads> reducer(
       std::min(config_.minibatch, batch.size()), kGradGrain, [&] {
-        return GaussianMinibatchGrads{policy_->mean_net().zero_gradients(),
-                                      la::zeros(policy_->log_std().size()),
-                                      value_net_.zero_gradients()};
+        return MinibatchGrads{net.zero_gradients(),
+                              la::zeros(H::log_std_dim(policy)),
+                              value_net_.zero_gradients()};
       });
 
   for (int epoch = 0; epoch < config_.update_epochs; ++epoch) {
-    const auto perm = rng.permutation(batch.size());
+    const auto perm = rng_->permutation(batch.size());
     for (std::size_t start = 0; start < perm.size();
          start += config_.minibatch) {
       const std::size_t end = std::min(start + config_.minibatch, perm.size());
@@ -297,54 +348,35 @@ double PpoGaussian::update(const RolloutBatch& batch,
       // worker count).  A chunk is one row tile: one policy and one value
       // forward, then each sample's log-prob and KL cotangent rows
       // backpropagate together, in sample order.
-      GaussianMinibatchGrads& grads = reducer.reduce(
+      MinibatchGrads& grads = reducer.reduce(
           pool, end - start,
-          [&](GaussianMinibatchGrads& acc, std::size_t begin,
-              std::size_t stop) {
+          [&](MinibatchGrads& acc, std::size_t begin, std::size_t stop) {
             thread_local ChunkScratch scratch;
             const std::size_t m = stop - begin;
-            const nn::Mlp& mean_net = policy_->mean_net();
-            const std::size_t action_dim = mean_net.output_dim();
-            double* x = la::grow_to(scratch.x, m * mean_net.input_dim());
+            double* x = la::grow_to(scratch.x, m * net.input_dim());
             gather_states(batch.states, perm, start + begin, m, x);
-            const double* mu = mean_net.forward_tile(x, m, scratch.policy);
+            const double* out = net.forward_tile(x, m, scratch.policy);
             const double* v = value_net_.forward_tile(x, m, scratch.value);
-            double* dmu = la::grow_to(scratch.dpolicy, 2 * m * action_dim);
+            double* dout = la::grow_to(scratch.dpolicy, 2 * m * width);
             double* dv = la::grow_to(scratch.dvalue, m);
             for (std::size_t k = 0; k < m; ++k) {
               const std::size_t i = perm[start + begin + k];
-              const double* mu_k = mu + k * action_dim;
-              const la::Vec& a = batch.actions[i];
-              const double ratio = std::exp(
-                  policy_->log_prob_of_mean(mu_k, a) - batch.log_probs[i]);
-              const double coef =
-                  surrogate_coef(ratio, adv.advantages[i], config_);
-              // acc.log_std takes each sample's log-prob, KL, then entropy
-              // term, in sample order.
-              policy_->log_prob_cotangent(mu_k, a, coef * inv,
-                                          dmu + 2 * k * action_dim,
-                                          acc.log_std);
-              policy_->kl_cotangent(mu_k, mu_old[i], std_old,
-                                    config_.kl_penalty_beta * inv,
-                                    dmu + (2 * k + 1) * action_dim,
-                                    acc.log_std);
-              if (config_.entropy_coef > 0.0)
-                policy_->accumulate_entropy_gradient(
-                    config_.entropy_coef * inv, acc.log_std);
+              H::cotangent_rows(policy, out + k * width, batch, i, old,
+                                adv.advantages[i], inv, config_,
+                                dout + 2 * k * width, acc.log_std);
               // Value regression toward the GAE return.
               dv[k] = inv * 2.0 * (v[k] - adv.returns[i]);
             }
-            mean_net.backward_tile(scratch.policy, dmu, 2 * m,
-                                   kPairedRows.data(), &acc.policy, nullptr);
+            net.backward_tile(scratch.policy, dout, 2 * m, kPairedRows.data(),
+                              &acc.policy, nullptr);
             value_net_.backward_tile(scratch.value, dv, m, nullptr,
                                      &acc.value, nullptr);
           });
       grads.policy.clip_norm(config_.grad_clip);
       grads.value.clip_norm(config_.grad_clip);
-      policy_opt->step(policy_->mean_net(), grads.policy);
-      log_std_opt->step(policy_->log_std(), grads.log_std);
-      clamp_log_std(policy_->log_std());
-      value_opt->step(value_net_, grads.value);
+      policy_opt_->step(H::net(*policy_), grads.policy);
+      H::step_log_std(*policy_, *log_std_opt_, grads.log_std);
+      value_opt_->step(value_net_, grads.value);
     }
   }
   // Mean KL over the batch after the updates (for β adaptation); the same
@@ -352,7 +384,7 @@ double PpoGaussian::update(const RolloutBatch& batch,
   double observed_kl = util::chunked_reduce(
       pool, batch.size(), kKlGrain, [] { return 0.0; },
       [&](double& acc, std::size_t i) {
-        acc += policy_->kl_from(mu_old[i], std_old, batch.states[i]);
+        acc += H::kl(policy, old, batch.states[i], i);
       },
       [](double& into, const double& from) { into += from; });
   observed_kl /= static_cast<double>(batch.size());
@@ -360,204 +392,45 @@ double PpoGaussian::update(const RolloutBatch& batch,
   return observed_kl;
 }
 
-void PpoGaussian::initialize(Env& env) {
+template <class Policy>
+void Ppo<Policy>::initialize(Env& env) {
   if (config_.minibatch == 0)
-    throw std::invalid_argument("PpoGaussian: minibatch must be positive");
+    throw std::invalid_argument("rl::Ppo: minibatch must be positive");
+  using H = Head<Policy>;
   rng_ = std::make_unique<util::Rng>(config_.seed);
-  policy_ = std::make_unique<GaussianPolicy>(
-      env.state_dim(), config_.policy_hidden, env.action_dim(),
-      config_.initial_std, util::derive_seed(config_.seed, 301));
+  policy_ = H::make(env, config_,
+                    util::derive_seed(config_.seed, H::kPolicySeedTag));
   value_net_ = nn::Mlp::make(env.state_dim(), config_.value_hidden, 1,
                              nn::Activation::kTanh, nn::Activation::kIdentity,
-                             util::derive_seed(config_.seed, 302));
+                             util::derive_seed(config_.seed, H::kValueSeedTag));
   policy_opt_ = std::make_unique<nn::Adam>(config_.policy_lr);
   value_opt_ = std::make_unique<nn::Adam>(config_.value_lr);
   log_std_opt_ = std::make_unique<nn::AdamVec>(config_.policy_lr);
   workers_ = std::make_unique<util::WorkerScope>(config_.num_workers);
-  iterations_done_ = 0;
 }
 
-PpoStats PpoGaussian::run_iterations(Env& env, int iterations) {
+template <class Policy>
+PpoStats Ppo<Policy>::run_iterations(Env& env, int iterations) {
   if (!policy_)
-    throw std::logic_error("PpoGaussian::run_iterations: not initialized");
+    throw std::logic_error("rl::Ppo::run_iterations: not initialized");
   PpoStats stats;
   for (int iter = 0; iter < iterations; ++iter) {
-    const RolloutBatch batch = collect(env, *rng_);
+    const RolloutBatch batch = collect(env);
     const AdvantageResult adv =
         compute_gae(batch, config_.gamma, config_.gae_lambda);
-    const double kl = update(batch, adv, *rng_);
-    // Episode returns within the batch (split at boundaries).
-    std::vector<double> returns;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      acc += batch.rewards[i];
-      if (batch.terminal[i] || batch.truncated[i]) {
-        returns.push_back(acc);
-        acc = 0.0;
-      }
-    }
-    const double mean_ret = mean_episode_return(returns);
-    stats.iteration_mean_returns.push_back(mean_ret);
-    stats.iteration_kls.push_back(kl);
-    if (progress_) progress_(iterations_done_, mean_ret);
-    ++iterations_done_;
+    stats.iteration_kls.push_back(update(batch, adv));
+    stats.iteration_mean_returns.push_back(mean_episode_return(batch));
   }
   return stats;
 }
 
-PpoStats PpoGaussian::train(Env& env) {
+template <class Policy>
+PpoStats Ppo<Policy>::train(Env& env) {
   initialize(env);
   return run_iterations(env, config_.iterations);
 }
 
-// ---------------------------------------------------------------------------
-// Categorical PPO — the switching baseline AS.
-// ---------------------------------------------------------------------------
-
-PpoCategorical::PpoCategorical(PpoConfig config) : config_(std::move(config)) {}
-
-nn::Mlp PpoCategorical::take_logits_net() {
-  return std::move(policy_->logits_net());
-}
-
-RolloutBatch PpoCategorical::collect(Env& env, util::Rng& rng) {
-  // Same per-iteration seed split as PpoGaussian::collect.
-  const std::uint64_t collect_seed = rng.next();
-  const CategoricalPolicy* policy = policy_.get();
-  return collect_sharded(
-      env, value_net_, config_, workers_->pool(), collect_seed,
-      [policy](RolloutBatch& batch, const la::Vec& s, util::Rng& slot_rng) {
-        const auto sample = policy->sample(s, slot_rng);
-        batch.discrete_actions.push_back(sample.action);
-        batch.log_probs.push_back(sample.log_prob);
-        return la::Vec{static_cast<double>(sample.action)};
-      });
-}
-
-double PpoCategorical::update(const RolloutBatch& batch,
-                              const AdvantageResult& adv, util::Rng& rng) {
-  // Same no-op shortcut as PpoGaussian::update (bitwise identical).
-  if (config_.update_epochs <= 0) return 0.0;
-  util::ThreadPool* pool = workers_->pool();
-  // Frozen pi_old probabilities: read-only for the chunk workers below.
-  std::vector<la::Vec> probs_old(batch.size());
-  util::chunked_for(pool, batch.size(), kKlGrain, [&](std::size_t i) {
-    probs_old[i] = policy_->probabilities(batch.states[i]);
-  });
-
-  nn::ChunkedGradReducer<CategoricalMinibatchGrads> reducer(
-      std::min(config_.minibatch, batch.size()), kGradGrain, [&] {
-        return CategoricalMinibatchGrads{policy_->logits_net().zero_gradients(),
-                                         value_net_.zero_gradients()};
-      });
-
-  for (int epoch = 0; epoch < config_.update_epochs; ++epoch) {
-    const auto perm = rng.permutation(batch.size());
-    for (std::size_t start = 0; start < perm.size();
-         start += config_.minibatch) {
-      const std::size_t end = std::min(start + config_.minibatch, perm.size());
-      const double inv = 1.0 / static_cast<double>(end - start);
-      // Same row-tile chunks as PpoGaussian::update.
-      CategoricalMinibatchGrads& grads = reducer.reduce(
-          pool, end - start,
-          [&](CategoricalMinibatchGrads& acc, std::size_t begin,
-              std::size_t stop) {
-            thread_local ChunkScratch scratch;
-            const std::size_t m = stop - begin;
-            const nn::Mlp& logits_net = policy_->logits_net();
-            const std::size_t actions = logits_net.output_dim();
-            double* x = la::grow_to(scratch.x, m * logits_net.input_dim());
-            gather_states(batch.states, perm, start + begin, m, x);
-            const double* logits =
-                logits_net.forward_tile(x, m, scratch.policy);
-            const double* v = value_net_.forward_tile(x, m, scratch.value);
-            double* dlogits = la::grow_to(scratch.dpolicy, 2 * m * actions);
-            double* dv = la::grow_to(scratch.dvalue, m);
-            for (std::size_t k = 0; k < m; ++k) {
-              const std::size_t i = perm[start + begin + k];
-              const std::size_t a = batch.discrete_actions[i];
-              const la::Vec p = softmax(logits + k * actions, actions);
-              const double ratio =
-                  std::exp(CategoricalPolicy::log_prob_of(p, a) -
-                           batch.log_probs[i]);
-              const double coef =
-                  surrogate_coef(ratio, adv.advantages[i], config_);
-              CategoricalPolicy::log_prob_cotangent(
-                  p, a, coef * inv, dlogits + 2 * k * actions);
-              CategoricalPolicy::kl_cotangent(
-                  p, probs_old[i], config_.kl_penalty_beta * inv,
-                  dlogits + (2 * k + 1) * actions);
-              dv[k] = inv * 2.0 * (v[k] - adv.returns[i]);
-            }
-            logits_net.backward_tile(scratch.policy, dlogits, 2 * m,
-                                     kPairedRows.data(), &acc.policy,
-                                     nullptr);
-            value_net_.backward_tile(scratch.value, dv, m, nullptr,
-                                     &acc.value, nullptr);
-          });
-      grads.policy.clip_norm(config_.grad_clip);
-      grads.value.clip_norm(config_.grad_clip);
-      policy_opt_->step(policy_->logits_net(), grads.policy);
-      value_opt_->step(value_net_, grads.value);
-    }
-  }
-  double observed_kl = util::chunked_reduce(
-      pool, batch.size(), kKlGrain, [] { return 0.0; },
-      [&](double& acc, std::size_t i) {
-        acc += policy_->kl_from(probs_old[i], batch.states[i]);
-      },
-      [](double& into, const double& from) { into += from; });
-  observed_kl /= static_cast<double>(batch.size());
-  adapt_beta(config_.kl_penalty_beta, observed_kl, config_.kl_target);
-  return observed_kl;
-}
-
-void PpoCategorical::initialize(Env& env) {
-  if (config_.minibatch == 0)
-    throw std::invalid_argument("PpoCategorical: minibatch must be positive");
-  rng_ = std::make_unique<util::Rng>(config_.seed);
-  policy_ = std::make_unique<CategoricalPolicy>(
-      env.state_dim(), config_.policy_hidden, env.action_dim(),
-      util::derive_seed(config_.seed, 401));
-  value_net_ = nn::Mlp::make(env.state_dim(), config_.value_hidden, 1,
-                             nn::Activation::kTanh, nn::Activation::kIdentity,
-                             util::derive_seed(config_.seed, 402));
-  policy_opt_ = std::make_unique<nn::Adam>(config_.policy_lr);
-  value_opt_ = std::make_unique<nn::Adam>(config_.value_lr);
-  workers_ = std::make_unique<util::WorkerScope>(config_.num_workers);
-  iterations_done_ = 0;
-}
-
-PpoStats PpoCategorical::run_iterations(Env& env, int iterations) {
-  if (!policy_)
-    throw std::logic_error("PpoCategorical::run_iterations: not initialized");
-  PpoStats stats;
-  for (int iter = 0; iter < iterations; ++iter) {
-    const RolloutBatch batch = collect(env, *rng_);
-    const AdvantageResult adv =
-        compute_gae(batch, config_.gamma, config_.gae_lambda);
-    const double kl = update(batch, adv, *rng_);
-    std::vector<double> returns;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      acc += batch.rewards[i];
-      if (batch.terminal[i] || batch.truncated[i]) {
-        returns.push_back(acc);
-        acc = 0.0;
-      }
-    }
-    const double mean_ret = mean_episode_return(returns);
-    stats.iteration_mean_returns.push_back(mean_ret);
-    stats.iteration_kls.push_back(kl);
-    if (progress_) progress_(iterations_done_, mean_ret);
-    ++iterations_done_;
-  }
-  return stats;
-}
-
-PpoStats PpoCategorical::train(Env& env) {
-  initialize(env);
-  return run_iterations(env, config_.iterations);
-}
+template class Ppo<GaussianPolicy>;
+template class Ppo<CategoricalPolicy>;
 
 }  // namespace cocktail::rl

@@ -5,13 +5,21 @@
 //
 // β adapts toward a KL target as in the original PPO paper; an optional
 // clipped-surrogate term is available too (both variants are exercised by
-// tests).  Two drivers share the machinery:
-//   * PpoGaussian  — continuous actions (the adaptive mixing weights);
-//   * PpoCategorical — discrete actions (the switching baseline AS).
+// tests).  One driver, rl::Ppo<Policy>, serves both action spaces:
+//   * Ppo<GaussianPolicy> (PpoGaussian)       — continuous actions (the
+//     adaptive mixing weights AW);
+//   * Ppo<CategoricalPolicy> (PpoCategorical) — discrete actions (the
+//     switching baseline AS and the finite-weighted baseline FW).
+// The head-specific steps (building the policy, recording a sampled action,
+// freezing π_old, a sample's cotangent rows, the Gaussian log-std step and
+// KL(π_old‖π)) live in one small adapter per head in ppo.cpp.
+//
+// Collection is serial and slot-ordered on the caller's env: each iteration
+// draws one seed s from the trainer RNG, episode slot k runs on the stream
+// derive_seed(s, k), and the batch stops mid-episode at steps_per_iteration.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,15 +59,6 @@ struct PpoConfig {
   /// k > 1 = dedicated pool).  Training is bitwise identical for any value:
   /// per-chunk gradient buffers merge on the fixed chunked-reduce tree.
   int num_workers = 0;
-  /// Env replicas stepping concurrently during collect() (values < 1 behave
-  /// as 1).  Collection is decomposed into per-episode RNG *slots* — slot k
-  /// of an iteration owns the stream derive_seed(s, k) for one seed s drawn
-  /// from the trainer RNG — and slot batches concatenate in fixed slot
-  /// order, cut at steps_per_iteration.  The slot decomposition never
-  /// depends on this knob (it only widens the wave of Env::clone()s running
-  /// on the pool), so training is bitwise identical for ANY shard count and
-  /// any worker count.  Sharded episodes execute on the num_workers pool.
-  int num_env_shards = 1;
 };
 
 struct PpoStats {
@@ -70,12 +69,15 @@ struct PpoStats {
   [[nodiscard]] double final_return_mean(std::size_t window = 5) const;
 };
 
-class PpoGaussian {
+template <class Policy>
+class Ppo {
  public:
-  explicit PpoGaussian(PpoConfig config);
+  explicit Ppo(PpoConfig config);
 
-  /// Trains on `env`; actions are sampled in (roughly) [-1,1]^dim — the
-  /// tanh mean plus Gaussian noise, clipped — and the env scales them.
+  /// initialize() then run_iterations(config.iterations).  A Gaussian head
+  /// samples actions around its tanh mean and sends them to the env clipped
+  /// to [-1,1]^dim (the env scales them); a categorical head sends the
+  /// choice index as a one-element vector.
   [[nodiscard]] PpoStats train(Env& env);
 
   /// Incremental interface: initialize once, then run iteration chunks
@@ -83,61 +85,27 @@ class PpoGaussian {
   void initialize(Env& env);
   [[nodiscard]] PpoStats run_iterations(Env& env, int iterations);
 
-  void set_progress_callback(std::function<void(int, double)> cb) {
-    progress_ = std::move(cb);
-  }
-
-  [[nodiscard]] const GaussianPolicy& policy() const { return *policy_; }
-  [[nodiscard]] GaussianPolicy& policy() { return *policy_; }
+  [[nodiscard]] const Policy& policy() const { return *policy_; }
+  [[nodiscard]] Policy& policy() { return *policy_; }
   [[nodiscard]] const nn::Mlp& value_net() const { return value_net_; }
-  /// Moves the trained tanh mean network out (the adaptive weight net of
-  /// the MixedController).
-  [[nodiscard]] nn::Mlp take_mean_net();
 
  private:
-  RolloutBatch collect(Env& env, util::Rng& rng);
-  double update(const RolloutBatch& batch, const AdvantageResult& adv,
-                util::Rng& rng);
+  RolloutBatch collect(Env& env);
+  double update(const RolloutBatch& batch, const AdvantageResult& adv);
 
   PpoConfig config_;
-  std::unique_ptr<GaussianPolicy> policy_;
+  std::unique_ptr<Policy> policy_;
   nn::Mlp value_net_;
   std::unique_ptr<nn::Adam> policy_opt_, value_opt_;
-  std::unique_ptr<nn::AdamVec> log_std_opt_;
+  std::unique_ptr<nn::AdamVec> log_std_opt_;  ///< used by the Gaussian head.
   std::unique_ptr<util::Rng> rng_;
   std::unique_ptr<util::WorkerScope> workers_;  ///< resolved num_workers.
-  int iterations_done_ = 0;
-  std::function<void(int, double)> progress_;
 };
 
-class PpoCategorical {
- public:
-  explicit PpoCategorical(PpoConfig config);
+extern template class Ppo<GaussianPolicy>;
+extern template class Ppo<CategoricalPolicy>;
 
-  [[nodiscard]] PpoStats train(Env& env);
-  void initialize(Env& env);
-  [[nodiscard]] PpoStats run_iterations(Env& env, int iterations);
-
-  void set_progress_callback(std::function<void(int, double)> cb) {
-    progress_ = std::move(cb);
-  }
-
-  [[nodiscard]] const CategoricalPolicy& policy() const { return *policy_; }
-  [[nodiscard]] nn::Mlp take_logits_net();
-
- private:
-  RolloutBatch collect(Env& env, util::Rng& rng);
-  double update(const RolloutBatch& batch, const AdvantageResult& adv,
-                util::Rng& rng);
-
-  PpoConfig config_;
-  std::unique_ptr<CategoricalPolicy> policy_;
-  nn::Mlp value_net_;
-  std::unique_ptr<nn::Adam> policy_opt_, value_opt_;
-  std::unique_ptr<util::Rng> rng_;
-  std::unique_ptr<util::WorkerScope> workers_;  ///< resolved num_workers.
-  int iterations_done_ = 0;
-  std::function<void(int, double)> progress_;
-};
+using PpoGaussian = Ppo<GaussianPolicy>;
+using PpoCategorical = Ppo<CategoricalPolicy>;
 
 }  // namespace cocktail::rl

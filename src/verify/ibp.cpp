@@ -5,14 +5,13 @@
 namespace cocktail::verify {
 
 Interval activate_interval(nn::Activation act, const Interval& z) {
-  // All four activations are monotone non-decreasing: the image is the
+  // All three activations are monotone non-decreasing: the image is the
   // interval between the endpoint images.  nn::activate is the function
   // the network executes, so the endpoints are the values it computes.
-  // Its rounded tanh (la::kernels::tanh) and sigmoid (host libm exp) need
-  // not be monotone to the last ulp: the tanh kernel is non-decreasing
-  // across every branch threshold (swept by test_verify_ibp); elsewhere,
-  // and for sigmoid, the outward() inflation (at least 1e-12) absorbs any
-  // ulp-level dip.
+  // Its rounded tanh (la::kernels::tanh) need not be monotone to the last
+  // ulp: the kernel is non-decreasing across every branch threshold (swept
+  // by test_verify_ibp); elsewhere the outward() inflation (at least 1e-12)
+  // absorbs any ulp-level dip.
   return outward(nn::activate(act, z.lo()), nn::activate(act, z.hi()));
 }
 

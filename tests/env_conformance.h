@@ -7,10 +7,8 @@
 //   * state/action dimensions and the horizon are positive and consistent
 //     with what reset/step actually produce;
 //   * reset and whole trajectories are deterministic functions of the
-//     caller's RNG stream;
-//   * clone() yields an independent replica: stepping a clone never
-//     perturbs the original, and a mid-episode clone continues exactly as
-//     the original would;
+//     caller's RNG stream, and reset leaves no cross-episode state (the
+//     collectors run every episode slot on the caller's env);
 //   * terminal means terminal: the env never flags (or forbids) stepping at
 //     the time limit — truncation belongs to the training loop — and
 //     stepping a finished episode throws until the next reset.
@@ -102,13 +100,6 @@ TEST_P(EnvConformance, DimensionsAndHorizonAreConsistent) {
   const rl::StepResult result =
       env->step(GetParam().benign_action(s0, 0), rng);
   EXPECT_EQ(result.next_state.size(), env->state_dim());
-
-  // The clone reports the identical interface.
-  const auto copy = env->clone();
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->state_dim(), env->state_dim());
-  EXPECT_EQ(copy->action_dim(), env->action_dim());
-  EXPECT_EQ(copy->max_episode_steps(), env->max_episode_steps());
 }
 
 TEST_P(EnvConformance, ResetIsDeterministicPerRngStream) {
@@ -131,57 +122,21 @@ TEST_P(EnvConformance, TrajectoriesAreDeterministicPerRngStream) {
   expect_same_trace(benign_trace(*a, rng_a, 3), benign_trace(*b, rng_b, 3));
 }
 
-TEST_P(EnvConformance, CloneDoesNotPerturbTheOriginal) {
-  // `original` and `control` are put in identical states; a clone of
-  // `original` is then hammered.  If the clone shared any mutable state
-  // with its source, the original's subsequent trajectory would diverge
-  // from the control's.
+TEST_P(EnvConformance, EpisodesCarryNoStateAcrossReset) {
+  // The collectors run every episode slot on the caller's env, so an
+  // instance that already ran episodes — and was left mid-episode — must
+  // replay a fresh instance's episodes under the same stream.
   const auto& param = GetParam();
-  const auto original = param.make();
-  const auto control = param.make();
-  {
-    util::Rng rng_o(13), rng_c(13);
-    ASSERT_EQ(original->reset(rng_o), control->reset(rng_c));
-  }
-  const auto clone = original->clone();
-  util::Rng hammer(99);
-  (void)benign_trace(*clone, hammer, 2);
+  const auto used = param.make();
+  const auto fresh = param.make();
+  util::Rng earlier(41);
+  (void)benign_trace(*used, earlier, 2);
+  la::Vec s = used->reset(earlier);
+  (void)used->step(param.benign_action(s, 0), earlier);
 
-  util::Rng rng_o(31), rng_c(31);
-  expect_same_trace(benign_trace(*original, rng_o, 2),
-                    benign_trace(*control, rng_c, 2));
-}
-
-TEST_P(EnvConformance, MidEpisodeCloneContinuesLikeTheOriginal) {
-  const auto& param = GetParam();
-  const auto env = param.make();
-  util::Rng rng(7);
-  la::Vec s = env->reset(rng);
-  for (int t = 0; t < 3; ++t) {
-    const rl::StepResult result = env->step(param.benign_action(s, t), rng);
-    if (result.terminal) {
-      s = env->reset(rng);
-      continue;
-    }
-    s = result.next_state;
-  }
-  const auto clone = env->clone();
-  // From here both instances must evolve identically under identical
-  // streams and actions (the clone copied the full mid-episode state).
-  util::Rng rng_env(55), rng_clone(55);
-  la::Vec s_env = s, s_clone = s;
-  for (int t = 0; t < 5; ++t) {
-    const rl::StepResult r_env =
-        env->step(param.benign_action(s_env, t), rng_env);
-    const rl::StepResult r_clone =
-        clone->step(param.benign_action(s_clone, t), rng_clone);
-    EXPECT_EQ(r_env.next_state, r_clone.next_state) << "step " << t;
-    EXPECT_EQ(r_env.reward, r_clone.reward) << "step " << t;
-    EXPECT_EQ(r_env.terminal, r_clone.terminal) << "step " << t;
-    if (r_env.terminal || r_clone.terminal) break;
-    s_env = r_env.next_state;
-    s_clone = r_clone.next_state;
-  }
+  util::Rng rng_used(43), rng_fresh(43);
+  expect_same_trace(benign_trace(*used, rng_used, 2),
+                    benign_trace(*fresh, rng_fresh, 2));
 }
 
 TEST_P(EnvConformance, TimeLimitIsTruncationNotTermination) {

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <memory>
 
 #include "rl/env.h"
 #include "util/rng.h"
@@ -37,10 +36,6 @@ class PointMassEnv final : public rl::Env {
     return result;
   }
 
-  [[nodiscard]] std::unique_ptr<rl::Env> do_clone() const override {
-    return std::make_unique<PointMassEnv>(*this);
-  }
-
  private:
   double x_ = 0.0;
 };
@@ -65,10 +60,6 @@ class DiscretePointMassEnv final : public rl::Env {
     result.next_state = {x_};
     result.reward = 1.0 - x_ * x_;
     return result;
-  }
-
-  [[nodiscard]] std::unique_ptr<rl::Env> do_clone() const override {
-    return std::make_unique<DiscretePointMassEnv>(*this);
   }
 
  private:

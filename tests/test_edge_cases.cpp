@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "attack/fgsm.h"
@@ -14,7 +15,10 @@
 #include "la/matrix.h"
 #include "nn/mlp.h"
 #include "point_mass_envs.h"
+#include "rl/categorical_policy.h"
 #include "rl/ddpg.h"
+#include "rl/env.h"
+#include "rl/gaussian_policy.h"
 #include "rl/ppo.h"
 #include "sys/cartpole.h"
 #include "sys/threed.h"
@@ -217,6 +221,51 @@ TEST(TrainingConfigEdge, ExpertNonPositiveEvalCadenceThrows) {
         std::invalid_argument)
         << "eval_every_episodes = " << cadence;
   }
+}
+
+// --- policy inputs fail closed --------------------------------------------
+//
+// Each of these used to crash or sample NaN: softmax of an empty logit row
+// dereferenced max_element of an empty range, a categorical head without
+// actions did the same on its first sample, and a NaN or infinite
+// initial_std made every Gaussian action and log-prob NaN.
+
+/// A well-formed env that offers no actions.
+class ZeroActionEnv final : public rl::Env {
+ public:
+  [[nodiscard]] std::size_t state_dim() const override { return 1; }
+  [[nodiscard]] std::size_t action_dim() const override { return 0; }
+  [[nodiscard]] int max_episode_steps() const override { return 5; }
+
+ protected:
+  la::Vec do_reset(util::Rng&) override { return {0.0}; }
+  rl::StepResult do_step(const la::Vec&, util::Rng&) override {
+    return {{0.0}, 0.0, false};
+  }
+};
+
+TEST(PolicyInputEdge, SoftmaxOfEmptyRowThrows) {
+  EXPECT_THROW((void)rl::softmax(Vec{}), std::invalid_argument);
+  EXPECT_THROW((void)rl::softmax(nullptr, 0), std::invalid_argument);
+}
+
+TEST(PolicyInputEdge, CategoricalWithoutActionsThrows) {
+  EXPECT_THROW(rl::CategoricalPolicy(1, {4}, 0, 1), std::invalid_argument);
+  rl::PpoConfig config;
+  config.policy_hidden = {4};
+  config.value_hidden = {4};
+  config.steps_per_iteration = 16;
+  ZeroActionEnv env;
+  rl::PpoCategorical ppo(config);
+  EXPECT_THROW((void)ppo.train(env), std::invalid_argument);
+}
+
+TEST(PolicyInputEdge, GaussianInitialStdMustBeFiniteAndPositive) {
+  for (const double bad : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(rl::GaussianPolicy(1, {4}, 1, bad, 1), std::invalid_argument)
+        << bad;
+  EXPECT_NO_THROW(rl::GaussianPolicy(1, {4}, 1, 0.5, 1));
 }
 
 TEST(AbstractionEdge, PointBoxNeedsOnePartition) {

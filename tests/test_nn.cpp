@@ -34,13 +34,12 @@ TEST(Activation, Values) {
   EXPECT_DOUBLE_EQ(nn::activate(Activation::kRelu, -1.5), 0.0);
   EXPECT_DOUBLE_EQ(nn::activate(Activation::kRelu, 2.0), 2.0);
   EXPECT_NEAR(nn::activate(Activation::kTanh, 0.5), std::tanh(0.5), 1e-15);
-  EXPECT_NEAR(nn::activate(Activation::kSigmoid, 0.0), 0.5, 1e-15);
 }
 
 TEST(Activation, DerivativesMatchFiniteDifference) {
   const double h = 1e-6;
-  for (const auto act : {Activation::kIdentity, Activation::kRelu,
-                         Activation::kTanh, Activation::kSigmoid}) {
+  for (const auto act :
+       {Activation::kIdentity, Activation::kRelu, Activation::kTanh}) {
     for (const double z : {-1.3, 0.4, 2.1}) {
       const double a = nn::activate(act, z);
       const double numeric =
@@ -52,8 +51,8 @@ TEST(Activation, DerivativesMatchFiniteDifference) {
 }
 
 TEST(Activation, StringRoundTrip) {
-  for (const auto act : {Activation::kIdentity, Activation::kRelu,
-                         Activation::kTanh, Activation::kSigmoid})
+  for (const auto act :
+       {Activation::kIdentity, Activation::kRelu, Activation::kTanh})
     EXPECT_EQ(nn::activation_from_string(nn::to_string(act)), act);
   EXPECT_THROW((void)nn::activation_from_string("swish"),
                std::invalid_argument);
@@ -142,8 +141,7 @@ TEST_P(MlpGradient, MatchesFiniteDifference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Activations, MlpGradient,
-    ::testing::Combine(::testing::Values(Activation::kRelu, Activation::kTanh,
-                                         Activation::kSigmoid),
+    ::testing::Combine(::testing::Values(Activation::kRelu, Activation::kTanh),
                        ::testing::Values(Activation::kIdentity,
                                          Activation::kTanh)));
 
@@ -195,14 +193,6 @@ TEST(MlpTest, LipschitzBoundIsSound) {
     EXPECT_GE(certified, sampled) << "seed " << seed;
     EXPECT_GT(sampled, 0.0);
   }
-}
-
-TEST(MlpTest, LipschitzSigmoidQuartersBound) {
-  Mlp relu = Mlp::make(2, {4}, 1, Activation::kRelu, Activation::kIdentity, 4);
-  Mlp sigm = relu;
-  sigm.layers()[0].act = Activation::kSigmoid;
-  EXPECT_NEAR(sigm.lipschitz_upper_bound(),
-              0.25 * relu.lipschitz_upper_bound(), 1e-12);
 }
 
 TEST(MlpTest, SerializationRoundTrip) {
@@ -273,6 +263,25 @@ TEST(MlpTest, LoadRejectsNonFiniteWeights) {
   EXPECT_THROW(Mlp::load(inf_bias), std::runtime_error);
 }
 
+TEST(MlpTest, LoadRejectsSigmoidLayer) {
+  // sigmoid is not an activation: a file naming it fails to load like any
+  // unknown activation, while the same layer with tanh loads.
+  std::stringstream sigmoid(
+      "cocktail-mlp v1\n"
+      "1\n"
+      "1 2 sigmoid\n"
+      "0.5 0.25\n"
+      "0.0\n");
+  EXPECT_THROW(Mlp::load(sigmoid), std::runtime_error);
+  std::stringstream tanh_layer(
+      "cocktail-mlp v1\n"
+      "1\n"
+      "1 2 tanh\n"
+      "0.5 0.25\n"
+      "0.0\n");
+  EXPECT_EQ(Mlp::load(tanh_layer).layers()[0].act, Activation::kTanh);
+}
+
 // Oversized headers fail closed, as the documented std::runtime_error,
 // before anything is allocated: an uncapped loader would let the first
 // input escape as std::bad_alloc and the second as std::length_error.
@@ -323,7 +332,7 @@ TEST(MlpTest, ForwardBatchIsBitwiseIdenticalToScalarForward) {
   const std::vector<Case> cases = {
       {{16}, Activation::kTanh, Activation::kIdentity},
       {{24, 24}, Activation::kRelu, Activation::kTanh},
-      {{8, 8, 8}, Activation::kSigmoid, Activation::kIdentity},
+      {{8, 8, 8}, Activation::kTanh, Activation::kIdentity},
   };
   util::Rng rng(31);
   for (const Case& c : cases) {
@@ -477,7 +486,7 @@ TEST(MlpTile, BackwardMatchesSuccessiveBackwardCalls) {
   const std::vector<std::vector<std::size_t>> shapes = {
       {3, 17, 64, 1}, {1, 64, 3}, {17, 3, 17}, {64, 1, 64}};
   const Activation acts[] = {Activation::kRelu, Activation::kTanh,
-                             Activation::kSigmoid, Activation::kIdentity};
+                             Activation::kIdentity};
   std::uint64_t seed = 100;
   for (const auto& widths : shapes) {
     for (const Activation hidden : acts) {
@@ -520,7 +529,7 @@ TEST(MlpTile, InputGradientMatchesInputGradient) {
   util::Rng init(8);
   const Mlp net(
       {3, 17, 17, 1},
-      {Activation::kSigmoid, Activation::kTanh, Activation::kIdentity}, init);
+      {Activation::kRelu, Activation::kTanh, Activation::kIdentity}, init);
   util::Rng rng(9);
   const std::size_t rows = 7;
   Vec x(rows * 3), dy(rows), dx(rows * 3);

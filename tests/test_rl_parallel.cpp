@@ -1,14 +1,12 @@
-// Bitwise regression tests for the parallel PPO/DDPG training paths:
-//   * minibatch gradients — the per-sample gradient work inside one update
-//     fans across the pool with per-chunk buffers merged on the fixed
-//     chunked-reduce tree, so a trained network must be bitwise identical
-//     for any worker count (the same contract test_core_distill pins for
-//     the distiller);
-//   * sharded collection — PPO collect() and DDPG's warmup exploration
-//     decompose into per-episode RNG slots merged in fixed slot order, so
-//     training must also be bitwise identical for any num_env_shards
-//     (1/2/8 sweeps below) and any worker count, including end-to-end
-//     through adaptive mixing + distillation (the golden pipeline check).
+// Bitwise regression tests for the parallel PPO/DDPG training paths: the
+// per-sample gradient work inside one minibatch update fans across the pool
+// with per-chunk buffers merged on the fixed chunked-reduce tree, so a
+// trained network must be bitwise identical for any worker count (the same
+// contract test_core_distill pins for the distiller), including end to end
+// through adaptive mixing + distillation (the golden pipeline check).
+// Experience collection is serial: PPO's collect() and DDPG's warmup run
+// episode slot k on its own derived RNG stream, and a warmup split across
+// run_episodes calls must replay the same slots.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -135,84 +133,7 @@ TEST(DdpgParallel, BitwiseIdenticalForAnyWorkerCount) {
   }
 }
 
-// --- sharded collection golden-determinism sweeps --------------------------
-
-TEST(PpoGaussianSharded, BitwiseIdenticalForAnyShardCount) {
-  rl::PpoConfig config = tiny_ppo(31);
-  config.num_workers = 1;
-  config.num_env_shards = 1;
-  PointMassEnv env_ref;
-  rl::PpoGaussian reference(config);
-  const rl::PpoStats ref_stats = reference.train(env_ref);
-  // Shard and worker counts sweep together: the episode-slot decomposition
-  // must shield the results from both.
-  for (const auto& [shards, workers] : {std::pair{2, 2}, std::pair{8, 4}}) {
-    config.num_env_shards = shards;
-    config.num_workers = workers;
-    PointMassEnv env;
-    rl::PpoGaussian sharded(config);
-    const rl::PpoStats stats = sharded.train(env);
-    expect_same_net(sharded.policy().mean_net(), reference.policy().mean_net(),
-                    shards);
-    expect_same_net(sharded.value_net(), reference.value_net(), shards);
-    EXPECT_EQ(sharded.policy().log_std(), reference.policy().log_std())
-        << shards << " shards";
-    EXPECT_EQ(stats.iteration_mean_returns, ref_stats.iteration_mean_returns)
-        << shards << " shards";
-    EXPECT_EQ(stats.iteration_kls, ref_stats.iteration_kls)
-        << shards << " shards";
-  }
-}
-
-TEST(PpoCategoricalSharded, BitwiseIdenticalForAnyShardCount) {
-  rl::PpoConfig config = tiny_ppo(32);
-  config.num_workers = 1;
-  config.num_env_shards = 1;
-  DiscretePointMassEnv env_ref;
-  rl::PpoCategorical reference(config);
-  const rl::PpoStats ref_stats = reference.train(env_ref);
-  for (const auto& [shards, workers] : {std::pair{2, 2}, std::pair{8, 4}}) {
-    config.num_env_shards = shards;
-    config.num_workers = workers;
-    DiscretePointMassEnv env;
-    rl::PpoCategorical sharded(config);
-    const rl::PpoStats stats = sharded.train(env);
-    expect_same_net(sharded.policy().logits_net(),
-                    reference.policy().logits_net(), shards);
-    EXPECT_EQ(stats.iteration_mean_returns, ref_stats.iteration_mean_returns)
-        << shards << " shards";
-    EXPECT_EQ(stats.iteration_kls, ref_stats.iteration_kls)
-        << shards << " shards";
-  }
-}
-
-TEST(DdpgSharded, BitwiseIdenticalForAnyShardCount) {
-  rl::DdpgConfig config;
-  config.actor_hidden = {12, 12};
-  config.critic_hidden = {16, 16};
-  config.episodes = 12;
-  config.warmup_steps = 150;  // ~5 warmup episodes: several waves at 2 shards.
-  config.batch_size = 52;  // 6 x 8 + 4: a partial last chunk.
-  config.seed = 33;
-  config.num_workers = 1;
-  config.num_env_shards = 1;
-  PointMassEnv env_ref;
-  rl::Ddpg reference(config);
-  const rl::DdpgStats ref_stats = reference.train(env_ref);
-  for (const auto& [shards, workers] : {std::pair{2, 2}, std::pair{8, 4}}) {
-    config.num_env_shards = shards;
-    config.num_workers = workers;
-    PointMassEnv env;
-    rl::Ddpg sharded(config);
-    const rl::DdpgStats stats = sharded.train(env);
-    expect_same_net(sharded.actor(), reference.actor(), shards);
-    expect_same_net(sharded.critic(), reference.critic(), shards);
-    EXPECT_EQ(stats.episode_returns, ref_stats.episode_returns)
-        << shards << " shards";
-  }
-}
-
-TEST(DdpgSharded, WarmupSplitAcrossRunCallsMatchesMonolithic) {
+TEST(DdpgWarmup, SplitAcrossRunCallsMatchesMonolithic) {
   // The warmup slot cursor persists across run_episodes calls: consuming
   // the warmup in two chunks (the checkpointed-trainer pattern) must replay
   // the identical slot streams as one call.
@@ -223,22 +144,21 @@ TEST(DdpgSharded, WarmupSplitAcrossRunCallsMatchesMonolithic) {
   config.warmup_steps = 150;
   config.batch_size = 36;  // 4 x 8 + 4: a partial last chunk.
   config.seed = 34;
-  config.num_env_shards = 4;
   PointMassEnv env_a, env_b;
   rl::Ddpg mono(config), chunked(config);
   (void)mono.train(env_a);
   chunked.initialize(env_b);
   (void)chunked.run_episodes(env_b, 3);  // splits mid-warmup.
   (void)chunked.run_episodes(env_b, 7);
-  expect_same_net(mono.actor(), chunked.actor(), 4);
-  expect_same_net(mono.critic(), chunked.critic(), 4);
+  expect_same_net(mono.actor(), chunked.actor(), 0);
+  expect_same_net(mono.critic(), chunked.critic(), 0);
 }
 
-TEST(ShardedPipelineGolden, MixingPlusDistillationIdenticalAcrossShardCounts) {
-  // End-to-end golden check: adaptive mixing (sharded PPO collection on the
-  // real MixingEnv) followed by robust distillation must produce bitwise
-  // identical distilled students for any env-shard count and for repeated
-  // same-seed runs.
+TEST(PipelineGolden, MixingPlusDistillationIdenticalAcrossWorkerCounts) {
+  // End-to-end golden check: adaptive mixing (PPO on the real MixingEnv)
+  // followed by robust distillation must produce bitwise identical
+  // distilled students for any worker count and for repeated same-seed
+  // runs.
   const auto make_experts = [] {
     la::Matrix stab(1, 2);
     stab(0, 0) = 3.0;
@@ -266,14 +186,16 @@ TEST(ShardedPipelineGolden, MixingPlusDistillationIdenticalAcrossShardCounts) {
   distill.epochs = 3;
   distill.seed = 36;
 
-  const auto run_once = [&](int shards) {
+  const auto run_once = [&](int workers) {
     auto system = std::make_shared<sys::VanDerPol>();
     core::MixingConfig config = mixing;
-    config.ppo.num_env_shards = shards;
+    config.ppo.num_workers = workers;
+    core::DistillConfig distill_config = distill;
+    distill_config.num_workers = workers;
     const auto mixed =
         core::train_adaptive_mixing(system, make_experts(), config);
     const auto student =
-        core::distill(*system, *mixed.controller, distill, "golden");
+        core::distill(*system, *mixed.controller, distill_config, "golden");
     return std::pair{mixed.controller, student.student};
   };
 
