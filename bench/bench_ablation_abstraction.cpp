@@ -1,7 +1,7 @@
 // Ablation G (extension): NN-abstraction engine comparison on the
-// oscillator's κ* — Bernstein polynomial (ReachNN-style, the paper's
-// Section III-C), interval bound propagation (Verisig-adjacent), and the
-// hybrid intersection of both.
+// oscillator's κ* — Bernstein grid samples widened by their covering
+// radius (ReachNN-style, the paper's Section III-C), interval bound
+// propagation (Verisig-adjacent), and the hybrid intersection of both.
 //
 // Expected shape: IBP is cheapest but loosest (smaller certified invariant
 // set / may fail), Bernstein is tight but pays Π(dᵢ+1) samples per box,

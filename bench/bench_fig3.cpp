@@ -21,7 +21,7 @@ namespace {
 cocktail::verify::InvariantConfig fig3_config() {
   cocktail::verify::InvariantConfig config;
   // 80x80 cells with eps = 0.4: fine enough that the enclosure slack
-  // (cell width + Bernstein error + disturbance) stays below the closed
+  // (cell width + covering radius + disturbance) stays below the closed
   // loop's one-step inward progress at the invariant-set boundary — the
   // empirical threshold where the fixed point stops eroding to nothing.
   config.grid = {80, 80};

@@ -7,6 +7,13 @@
 // Lipschitz constant blows up the partition count.  Our substrate bounds
 // that blow-up with an explicit verification budget, so κD's failure is
 // reported cleanly instead of crashing — same mechanism, observable result.
+//
+// Remark 2's mechanism here: each partition's enclosure is its Bernstein
+// grid samples widened by the grid's covering radius L·‖(wᵢ/(2dᵢ))ᵢ‖₂
+// (verify/bernstein.h), so the degree a target ε needs grows linearly in
+// L, and a partition whose capped degree cannot reach ε is bisected.
+// κD's much larger L still costs many times κ*'s work, and at this
+// budget its run still fails.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -20,9 +27,10 @@ namespace {
 cocktail::verify::ReachConfig fig4_config() {
   cocktail::verify::ReachConfig config;
   config.steps = 15;
-  // Tight eps: the Bernstein slack enters the flowpipe as ±eps on u every
-  // step (tau * 2 * eps of state growth), so a loose enclosure inflates the
-  // reachable set linearly in time even under a contracting controller.
+  // Tight eps: the covering-radius slack enters the flowpipe as ±eps on u
+  // every step (tau * 2 * eps of state growth), so a loose enclosure
+  // inflates the reachable set linearly in time even under a contracting
+  // controller.
   config.abstraction.epsilon_target = 0.1;
   config.abstraction.max_degree = 10;
   config.abstraction.max_partition_depth = 10;

@@ -47,7 +47,6 @@
 #include "sys/threed.h"
 #include "sys/vanderpol.h"
 #include "util/thread_pool.h"
-#include "verify/bernstein.h"
 #include "verify/interval_dynamics.h"
 #include "verify/nn_abstraction.h"
 #include "verify/reach.h"
@@ -242,18 +241,6 @@ void BM_CartPoleIntervalStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CartPoleIntervalStep);
 
-void BM_BernsteinFit(benchmark::State& state) {
-  const int degree = static_cast<int>(state.range(0));
-  const nn::Mlp net = nn::Mlp::make(2, {24}, 1, nn::Activation::kTanh,
-                                    nn::Activation::kIdentity, 1);
-  const verify::IBox box = verify::make_box({-1.0, -1.0}, {1.0, 1.0});
-  for (auto _ : state)
-    benchmark::DoNotOptimize(verify::BernsteinPoly::fit(
-        [&](const la::Vec& x) { return net.forward(x)[0]; }, box,
-        {degree, degree}));
-}
-BENCHMARK(BM_BernsteinFit)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_NnAbstractionEnclose(benchmark::State& state) {
   nn::Mlp net = nn::Mlp::make(2, {24}, 1, nn::Activation::kTanh,
                               nn::Activation::kIdentity, 1);
@@ -395,7 +382,7 @@ verify::InvariantResult disk_invariant(int n) {
       const double x = -1.0 + (static_cast<double>(i) + 0.5) * w;
       const double y = -1.0 + (static_cast<double>(j) + 0.5) * w;
       result.member[static_cast<std::size_t>(j) * n + i] =
-          x * x + y * y <= 0.8 * 0.8 ? 1 : 0;
+          x * x + y * y <= 0.8 * 0.8;
     }
   result.completed = true;
   return result;

@@ -116,7 +116,7 @@ bool SafetyMonitor::window_all_members_flat(
       index += static_cast<std::size_t>(k[d]) * stride;
       stride *= static_cast<std::size_t>(invariant_->grid[d]);
     }
-    if (invariant_->member[index] == 0) return false;
+    if (!invariant_->member[index]) return false;
     std::size_t d = 0;
     while (d < k.size() && ++k[d] > hi_k[d]) {
       k[d] = lo_k[d];

@@ -37,7 +37,7 @@ bool CellSetTree::supports(const std::vector<int>& grid) {
 }
 
 CellSetTree CellSetTree::build(const std::vector<int>& grid,
-                               const std::vector<char>& member) {
+                               const std::vector<bool>& member) {
   if (!supports(grid))
     throw std::invalid_argument(
         "CellSetTree: grid does not pack into a 64-bit Morton key");
@@ -57,7 +57,7 @@ CellSetTree CellSetTree::build(const std::vector<int>& grid,
   std::vector<std::uint64_t> keys;
   std::vector<std::uint32_t> coords(tree.dim_);
   for (std::size_t flat = 0; flat < member.size(); ++flat) {
-    if (member[flat] == 0) continue;
+    if (!member[flat]) continue;
     std::size_t rem = flat;
     for (std::size_t d = 0; d < tree.dim_; ++d) {
       coords[d] = static_cast<std::uint32_t>(

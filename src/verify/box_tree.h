@@ -65,7 +65,7 @@ class CellSetTree {
   /// InvariantResult layout).  Throws std::invalid_argument when
   /// !supports(grid) or member.size() != prod(grid).
   [[nodiscard]] static CellSetTree build(const std::vector<int>& grid,
-                                         const std::vector<char>& member);
+                                         const std::vector<bool>& member);
 
   /// True iff *every* cell of the window [lo_k, hi_k] (inclusive, per
   /// dimension) is a member.  An empty window (lo > hi anywhere) holds no

@@ -3,11 +3,12 @@
 // A second, Bernstein-free enclosure of the network output over a box:
 // each dense layer maps an interval vector through W·x + b using interval
 // arithmetic, and monotone activations map endpoint-wise.  IBP is much
-// cheaper than a Bernstein fit (one pass instead of Π(dᵢ+1) samples) but
-// looser on wide boxes — the wrapping effect compounds per layer.  The
-// NnAbstraction can intersect both enclosures (`AbstractionMethod::kHybrid`)
-// for the best of each; the comparison is itself an ablation
-// (Remark 2 discusses Verisig-style propagation as the alternative family).
+// cheaper than Bernstein-grid sampling (one pass instead of Π(dᵢ+1)
+// samples) but looser on wide boxes — the wrapping effect compounds per
+// layer.  The NnAbstraction can intersect both enclosures
+// (`AbstractionMethod::kHybrid`) for the best of each; the comparison is
+// itself an ablation (Remark 2 discusses Verisig-style propagation as the
+// alternative family).
 #pragma once
 
 #include "nn/mlp.h"

@@ -4,9 +4,10 @@
 // Each adapter instantiates the system's scalar-templated step function
 // with verify::Interval, so the verified transition relation is the
 // simulated one by construction.  The external disturbance Ω enters as its
-// full interval every step (worst case), and the controller's Bernstein
-// approximation error has already been folded into the control interval by
-// NnAbstraction — together this realizes the paper's Ω̂ = Ω ⊕ ε.
+// full interval every step (worst case), and the controller's abstraction
+// error (the Bernstein grid's covering radius) has already been folded into
+// the control interval by NnAbstraction — together this realizes the
+// paper's Ω̂ = Ω ⊕ ε.
 #pragma once
 
 #include <memory>

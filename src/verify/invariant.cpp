@@ -76,7 +76,7 @@ bool InvariantResult::contains(const sys::Box& domain,
     index += static_cast<std::size_t>(k) * stride;
     stride *= static_cast<std::size_t>(grid[d]);
   }
-  return member[index] != 0;
+  return member[index];
 }
 
 InvariantSetComputer::InvariantSetComputer(sys::SystemPtr system,
@@ -101,7 +101,7 @@ InvariantResult InvariantSetComputer::compute() const {
   if (result.grid.empty()) result.grid.assign(system_->state_dim(), 40);
   const GridIndexer indexer{result.grid, domain};
   const std::size_t cells = indexer.cell_count();
-  result.member.assign(cells, 1);
+  result.member.assign(cells, true);
 
   NnAbstraction abstraction(controller_, config_.abstraction);
   VerificationBudget budget = config_.budget;
@@ -174,14 +174,14 @@ InvariantResult InvariantSetComputer::compute() const {
         }
       }
       if (!stays) {
-        result.member[i] = 0;
+        result.member[i] = false;
         changed = true;
       }
     }
   }
 
-  std::size_t surviving = 0;
-  for (char m : result.member) surviving += (m != 0);
+  const auto surviving = static_cast<std::size_t>(
+      std::count(result.member.begin(), result.member.end(), true));
   result.volume_fraction =
       static_cast<double>(surviving) / static_cast<double>(cells);
   result.completed = true;

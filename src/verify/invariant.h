@@ -36,7 +36,11 @@ struct InvariantConfig {
 
 struct InvariantResult {
   std::vector<int> grid;
-  std::vector<char> member;  ///< flattened (dim 0 fastest); 1 = in XI.
+  /// Flattened (dim 0 fastest); true = in XI.  Bit-packed, so neighbouring
+  /// cells share a word: no writer may run concurrently with readers
+  /// (compute() writes it only in its serial fixed-point phase; the serving
+  /// monitor only reads it).
+  std::vector<bool> member;
   int iterations = 0;
   double volume_fraction = 0.0;  ///< |XI| / |X|.
   bool completed = false;

@@ -64,6 +64,11 @@ NnAbstraction::NnAbstraction(const ctrl::Controller& controller,
                              AbstractionConfig config)
     : controller_(controller), config_(config),
       lipschitz_(controller.lipschitz_bound()) {
+  if (config_.max_degree < 1)
+    throw std::invalid_argument("NnAbstraction: max_degree must be >= 1");
+  if (!std::isfinite(config_.epsilon_target) || config_.epsilon_target <= 0.0)
+    throw std::invalid_argument(
+        "NnAbstraction: epsilon_target must be finite and positive");
   if (lipschitz_ < 0.0)
     throw std::invalid_argument(
         "NnAbstraction: controller '" + controller.describe() +
@@ -128,13 +133,15 @@ void NnAbstraction::enclose_recursive(const IBox& box, int depth,
                                       ControlEnclosure& out,
                                       VerificationBudget& budget) const {
   // Partition-refinement criterion.  Bernstein/hybrid split while the
-  // capped degree cannot reach the target ε; pure IBP has no degrees, so
-  // the Lipschitz width proxy (L/2)·Σ wᵢ plays the same role.
+  // capped degree cannot bring the grid's covering radius down to the
+  // target ε; pure IBP has no degrees, so the Lipschitz width proxy
+  // (L/2)·Σ wᵢ plays the same role.
   double achieved = 0.0;
   std::vector<int> degrees;
   if (config_.method == AbstractionMethod::kIntervalPropagation) {
-    achieved = BernsteinPoly::error_bound(lipschitz_, box,
-                                          std::vector<int>(box.size(), 1));
+    double width_sum = 0.0;
+    for (const Interval& side : box) width_sum += side.width();
+    achieved = 0.5 * lipschitz_ * width_sum;
   } else {
     degrees = BernsteinPoly::degrees_for(
         lipschitz_, box, config_.epsilon_target, config_.max_degree, achieved);
@@ -179,20 +186,25 @@ void NnAbstraction::enclose_recursive(const IBox& box, int depth,
   IBox ibp_box;
   if (use_ibp) ibp_box = ibp_output(box);
 
-  // Every control output's Bernstein fit samples the same grid: evaluate
-  // it once and give each output its column of the rows x outputs values.
+  // Every control output samples the same grid: evaluate it once and
+  // give each output its column of the rows x outputs values.
   std::vector<double> values;
   if (use_bernstein)
     values = sample_grid(BernsteinPoly::grid(box, degrees), grid_points);
   for (std::size_t dim = 0; dim < outputs; ++dim) {
     Interval enclosure;
     if (use_bernstein) {
-      std::vector<double> column(grid_points);
-      for (std::size_t j = 0; j < grid_points; ++j)
-        column[j] = values[j * outputs + dim];
-      const BernsteinPoly poly =
-          BernsteinPoly::from_samples(box, degrees, std::move(column));
-      enclosure = poly.range().inflate(achieved);
+      // [min, max] of the output's column, widened by the covering radius
+      // (outward-rounded).  A NaN sample sticks in both ends, so a
+      // corrupted network yields an invalid enclosure and fails closed.
+      double lo = values[dim];
+      double hi = lo;
+      for (std::size_t j = 1; j < grid_points; ++j) {
+        const double v = values[j * outputs + dim];
+        lo = std::isnan(v) ? v : std::min(lo, v);
+        hi = std::isnan(v) ? v : std::max(hi, v);
+      }
+      enclosure = Interval(lo, hi).inflate(achieved);
       // Hybrid: the true range lies in both enclosures, so the
       // intersection is sound and at least as tight as either.
       if (use_ibp) enclosure = enclosure.intersect(ibp_box[dim]);

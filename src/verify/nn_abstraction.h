@@ -1,14 +1,18 @@
 // Bernstein abstraction of a neural-network controller over a state box
 // (Section III-C with the ReachNN-style partitioning of [21]):
 //
-//   κ*(x) ∈ B^p_d(x) + [-ε̂_p, ε̂_p]   for x ∈ X_p,  p = 1..P,
+//   κ*(x) ∈ [min_k κ*(x_k), max_k κ*(x_k)] + [-ε̂_p, ε̂_p]   for x ∈ X_p,
 //
-// where the partition P and degrees d are chosen from the controller's
-// certified Lipschitz constant so that ε̂_p ≤ ε_target.  The per-box work
-// (NN samples = Π(d_i+1), partitions) grows quickly with the Lipschitz
-// constant, reproducing the paper's verifiability ordering; the
-// `VerificationBudget` models the resource exhaustion that crashed the
-// paper's κD run (Fig 4) as a clean, reportable failure.
+// p = 1..P, where x_k runs over the Bernstein grid of degrees d on X_p and
+// ε̂_p is the grid's covering radius L·‖(w_i/(2·d_i))_i‖₂
+// (verify/bernstein.h) — a bound on the samples themselves, not the
+// Bernstein polynomial's approximation error.  The partition P and degrees
+// d are chosen from the controller's certified Lipschitz constant L so that
+// ε̂_p ≤ ε_target; the degrees grow linearly in L, so the per-box work (NN
+// samples = Π(d_i+1), partitions) still grows with it, reproducing the
+// paper's verifiability ordering (Remark 2); the `VerificationBudget`
+// models the resource exhaustion that crashed the paper's κD run (Fig 4)
+// as a clean, reportable failure.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +75,7 @@ void sweep_in_order(
 
 /// Which enclosure engine abstracts the controller over a box.
 enum class AbstractionMethod {
-  kBernstein,            ///< Bernstein fit + Lipschitz error bound (ReachNN).
+  kBernstein,            ///< Bernstein-grid samples ± their covering radius.
   kIntervalPropagation,  ///< IBP through the network layers (Verisig-style).
   kHybrid,               ///< both, intersected (tightest, costs the sum).
 };
@@ -85,7 +89,7 @@ struct AbstractionConfig {
 
 struct ControlEnclosure {
   IBox u_range;          ///< per-output interval (already includes ±ε).
-  double epsilon = 0.0;  ///< achieved max approximation error bound.
+  double epsilon = 0.0;  ///< max sample covering radius used (0 for IBP).
   int partitions = 0;    ///< boxes used for this query.
   long nn_evaluations = 0;
 };
@@ -96,6 +100,9 @@ struct ControlEnclosure {
 /// "cannot be verified with current tools").
 class NnAbstraction {
  public:
+  /// Throws std::invalid_argument when the controller has no certified
+  /// Lipschitz bound, when `config.max_degree` < 1, or when
+  /// `config.epsilon_target` is not finite and positive.
   NnAbstraction(const ctrl::Controller& controller, AbstractionConfig config);
 
   /// Interval enclosure of clip(κ(x), U) for x ∈ box.  `control_bounds`

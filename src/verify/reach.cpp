@@ -45,9 +45,10 @@ std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
   // 2^32 cells per dimension in 2-D wrapped the product to zero).
   constexpr auto kMaxCellsPerDim = std::size_t{1} << 31;
   std::vector<std::size_t> cells(dim);
+  std::size_t total = 1;
   for (;;) {
     bool over = false;
-    std::size_t total = 1;
+    total = 1;
     for (std::size_t d = 0; d < dim && !over; ++d) {
       const double want = std::ceil(hull[d].width() / resolution);
       if (!(want >= 1.0)) {  // degenerate widths pave as a single cell.
@@ -67,33 +68,20 @@ std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
     resolution *= 1.5;
   }
 
-  // Mark covered cells as SFC keys — Morton-interleaved when the grid
-  // packs into 63 bits, flat row-major otherwise (the flat key fits by
-  // construction: total <= max_cells).  The sorted-unique key set is the
-  // linearized leaf level of the paving tree: dedup is a sort, and the
-  // emission order is the key order — deterministic and invariant under
-  // permutations of the input boxes.
+  // Mark the covered cells in a bitmap over the grid (one bit per cell,
+  // total <= max_cells), then list them as SFC keys — Morton-interleaved
+  // when the grid packs into 63 bits, flat row-major otherwise (the flat
+  // key fits by construction).  The sorted key set is the linearized leaf
+  // level of the paving tree: the emission order is the key order —
+  // deterministic and invariant under permutations of the input boxes.
+  // Marking first holds each cell once, not once per box overlapping it.
   int levels = 0;
   const std::size_t widest = *std::max_element(cells.begin(), cells.end());
   while ((std::size_t{1} << levels) < widest) ++levels;
   const bool morton = sfc_fits(dim, levels);
 
   std::vector<std::size_t> lo_idx(dim), hi_idx(dim), idx(dim);
-  std::vector<std::uint32_t> coords(dim);
-  std::vector<std::uint64_t> keys;
-  const auto cell_key = [&]() {
-    if (morton) {
-      for (std::size_t d = 0; d < dim; ++d)
-        coords[d] = static_cast<std::uint32_t>(idx[d]);
-      return sfc_encode(coords, levels);
-    }
-    std::uint64_t flat = 0, stride = 1;
-    for (std::size_t d = 0; d < dim; ++d) {
-      flat += idx[d] * stride;
-      stride *= cells[d];
-    }
-    return flat;
-  };
+  std::vector<bool> covered(total);
   for (const IBox& box : boxes) {
     for (std::size_t d = 0; d < dim; ++d) {
       const double w = hull[d].width() / static_cast<double>(cells[d]);
@@ -106,7 +94,12 @@ std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
     }
     idx = lo_idx;
     for (;;) {
-      keys.push_back(cell_key());
+      std::size_t flat = 0, stride = 1;
+      for (std::size_t d = 0; d < dim; ++d) {
+        flat += idx[d] * stride;
+        stride *= cells[d];
+      }
+      covered[flat] = true;
       std::size_t d = 0;
       while (d < dim && ++idx[d] > hi_idx[d]) {
         idx[d] = lo_idx[d];
@@ -115,8 +108,24 @@ std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
       if (d == dim) break;
     }
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<std::uint64_t> keys;
+  keys.reserve(static_cast<std::size_t>(
+      std::count(covered.begin(), covered.end(), true)));
+  std::vector<std::uint32_t> coords(dim);
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    if (!covered[flat]) continue;
+    if (!morton) {
+      keys.push_back(flat);
+      continue;
+    }
+    std::size_t rem = flat;
+    for (std::size_t d = 0; d < dim; ++d) {
+      coords[d] = static_cast<std::uint32_t>(rem % cells[d]);
+      rem /= cells[d];
+    }
+    keys.push_back(sfc_encode(coords, levels));
+  }
+  if (morton) std::sort(keys.begin(), keys.end());
 
   std::vector<IBox> out;
   out.reserve(keys.size());

@@ -83,7 +83,8 @@ class ReachabilityAnalyzer {
 /// sizing is overflow-checked: a wide hull over a tiny resolution coarsens
 /// instead of wrapping size_t.  Cells are keyed on the space-filling curve
 /// (verify/sfc.h) and emitted in ascending key order — deterministic, and
-/// invariant under permutations of the input boxes.
+/// invariant under permutations of the input boxes.  Scratch: one bit per
+/// grid cell (at most `max_cells` bits) plus one key per covered cell.
 [[nodiscard]] std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
                                            double resolution,
                                            std::size_t max_cells = 200000);

@@ -117,7 +117,7 @@ verify::InvariantResult checkerboard_invariant() {
   // invariant members (flattened dim-0-fastest: cells 0 and 3).
   verify::InvariantResult result;
   result.grid = {2, 2};
-  result.member = {1, 0, 0, 1};
+  result.member = {true, false, false, true};
   result.completed = true;
   return result;
 }
@@ -178,8 +178,8 @@ TEST(SafetyMonitor, WideMarginCannotSkipInteriorCells) {
   // the certificate must NOT cover the request.
   verify::InvariantResult result;
   result.grid = {3, 3};
-  result.member.assign(9, 1);
-  result.member[4] = 0;  // center cell (k = (1,1), dim-0-fastest).
+  result.member.assign(9, true);
+  result.member[4] = false;  // center cell (k = (1,1), dim-0-fastest).
   result.completed = true;
   const sys::Box domain{{-1.5, -1.5}, {1.5, 1.5}};
   const auto wide =
@@ -205,7 +205,7 @@ TEST(SafetyMonitor, IncompleteInvariantIsRejected) {
 /// over the member window, verbatim — the SFC-keyed CellSetTree path must
 /// return bitwise-identical verdicts.
 bool flat_margin_certified(const std::vector<int>& grid,
-                           const std::vector<char>& member,
+                           const std::vector<bool>& member,
                            const sys::Box& domain, double margin,
                            const Vec& state) {
   for (std::size_t d = 0; d < state.size(); ++d)
@@ -258,8 +258,8 @@ TEST(SafetyMonitor, SfcIndexMatchesFlatOdometerOnRandomizedInvariants) {
     result.grid = grid;
     result.completed = true;
     result.member.resize(total);
-    for (auto& m : result.member)
-      m = rng.uniform(0.0, 1.0) < 0.6 ? 1 : 0;
+    for (std::size_t c = 0; c < total; ++c)
+      result.member[c] = rng.uniform(0.0, 1.0) < 0.6;
     const sys::Box domain = sys::Box::symmetric(dim, 1.0);
     const double margin = rng.uniform(0.05, 0.5);
     const auto monitor =
@@ -284,8 +284,8 @@ TEST(SafetyMonitor, OutsizedGridsFallBackToTheFlatWalk) {
   verify::InvariantResult result;
   result.grid.assign(dim, 2);
   result.completed = true;
-  result.member.assign(std::size_t{1} << dim, 1);
-  result.member[0] = 0;  // the all-lo corner cell is not a member.
+  result.member.assign(std::size_t{1} << dim, true);
+  result.member[0] = false;  // the all-lo corner cell is not a member.
   const sys::Box domain = sys::Box::symmetric(dim, 1.0);
   const auto monitor =
       serve::SafetyMonitor::inside_invariant(result, domain, 0.1);

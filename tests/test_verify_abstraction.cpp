@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,6 +144,58 @@ TEST(NnAbstraction, RejectsUncertifiedControllers) {
       {inner}, std::move(weight_net), 1.5,
       sys::Box::symmetric(1, 20.0));
   EXPECT_THROW(verify::NnAbstraction(mixed, {}), std::invalid_argument);
+}
+
+TEST(NnAbstraction, RejectsConfigsThatCannotBoundTheError) {
+  // No partition can meet a degree cap below 1 (degrees_for would clamp
+  // into an empty range); ε <= 0 would send every query to the depth cap,
+  // and a NaN ε would switch the split test off.
+  const auto controller = make_controller(4);
+  const auto rejects = [&](const verify::AbstractionConfig& config) {
+    EXPECT_THROW(verify::NnAbstraction(controller, config),
+                 std::invalid_argument);
+  };
+  for (const auto method : {verify::AbstractionMethod::kBernstein,
+                            verify::AbstractionMethod::kIntervalPropagation,
+                            verify::AbstractionMethod::kHybrid}) {
+    verify::AbstractionConfig config;
+    config.method = method;
+    for (const int cap : {0, -1}) {
+      config.max_degree = cap;
+      rejects(config);
+    }
+    config.max_degree = 6;
+    for (const double eps : {0.0, -0.1, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+      config.epsilon_target = eps;
+      rejects(config);
+    }
+  }
+}
+
+TEST(NnAbstraction, NanSampleFailsClosed) {
+  // A controller that returns NaN at one grid point has no enclosure: the
+  // min/max over the samples must not drop the NaN and certify the rest.
+  class NanAtOrigin final : public ctrl::Controller {
+   public:
+    [[nodiscard]] Vec act(const Vec& s) const override {
+      return {s[0] == 0.0 ? std::nan("") : s[0]};
+    }
+    [[nodiscard]] std::size_t state_dim() const override { return 1; }
+    [[nodiscard]] std::size_t control_dim() const override { return 1; }
+    [[nodiscard]] std::string describe() const override { return "nan"; }
+    [[nodiscard]] double lipschitz_bound() const override { return 1.0; }
+  };
+  const NanAtOrigin controller;
+  verify::AbstractionConfig config;
+  config.epsilon_target = 0.3;  // degree 4 on [-1, 1]: 0 is a grid point.
+  config.max_partition_depth = 0;
+  verify::VerificationBudget budget;
+  const auto enclosure = verify::NnAbstraction(controller, config)
+                             .enclose(verify::make_box({-1.0}, {1.0}), {},
+                                      budget);
+  EXPECT_FALSE(enclosure.u_range[0].valid())
+      << enclosure.u_range[0].to_string();
 }
 
 TEST(NnAbstraction, BatchedSamplingMatchesPerPointAct) {

@@ -1,14 +1,18 @@
-// Tests for the Bernstein approximation layer: exactness on low-degree
-// polynomials, the range-enclosure property, and soundness of the
-// Lipschitz error bound on real MLPs (the core of Section III-C).
+// Tests for the Bernstein-grid layer: the covering-radius formula, the
+// degree rule that makes the needed degree linear in the Lipschitz
+// constant, and soundness of the sampled enclosure on real MLPs (the core
+// of Section III-C).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
+#include "control/nn_controller.h"
 #include "nn/mlp.h"
 #include "util/rng.h"
 #include "verify/bernstein.h"
+#include "verify/nn_abstraction.h"
 
 namespace cocktail {
 namespace {
@@ -18,84 +22,54 @@ using verify::BernsteinPoly;
 using verify::IBox;
 using verify::Interval;
 
-TEST(Binomial, KnownValues) {
-  EXPECT_DOUBLE_EQ(verify::binomial(4, 2), 6.0);
-  EXPECT_DOUBLE_EQ(verify::binomial(5, 0), 1.0);
-  EXPECT_DOUBLE_EQ(verify::binomial(5, 5), 1.0);
-  EXPECT_DOUBLE_EQ(verify::binomial(3, 5), 0.0);
-  EXPECT_DOUBLE_EQ(verify::binomial(10, 3), 120.0);
-}
-
-TEST(Bernstein, ReproducesLinearFunctionExactly) {
-  // Degree-1 Bernstein of an affine function is the function itself.
-  const IBox box = verify::make_box({-1.0, 2.0}, {3.0, 5.0});
-  const auto f = [](const Vec& x) { return 2.0 * x[0] - x[1] + 0.5; };
-  const auto poly = BernsteinPoly::fit(f, box, {1, 1});
-  util::Rng rng(1);
-  for (int k = 0; k < 50; ++k) {
-    const Vec x = {rng.uniform(-1.0, 3.0), rng.uniform(2.0, 5.0)};
-    EXPECT_NEAR(poly.eval(x), f(x), 1e-10);
-  }
-}
-
-TEST(Bernstein, ConvergesToQuadratic) {
-  const IBox box = verify::make_box({0.0}, {1.0});
-  const auto f = [](const Vec& x) { return x[0] * x[0]; };
-  // B_n(x^2) = x^2 + x(1-x)/n: error shrinks like 1/n.
-  const auto p4 = BernsteinPoly::fit(f, box, {4});
-  const auto p32 = BernsteinPoly::fit(f, box, {32});
-  const Vec mid = {0.5};
-  EXPECT_NEAR(p4.eval(mid), 0.25 + 0.25 / 4.0, 1e-10);
-  EXPECT_NEAR(p32.eval(mid), 0.25 + 0.25 / 32.0, 1e-10);
-}
-
-TEST(Bernstein, RangeEnclosesFunctionValues) {
-  // Property: hull of coefficients encloses B_d(x) for all x, and (since
-  // coefficients are samples of f) the fit values stay within range().
-  const IBox box = verify::make_box({-2.0, -2.0}, {2.0, 2.0});
-  const auto f = [](const Vec& x) {
-    return std::sin(x[0]) * x[1] + 0.3 * x[0];
-  };
-  const auto poly = BernsteinPoly::fit(f, box, {5, 5});
-  const Interval range = poly.range();
-  util::Rng rng(2);
-  for (int k = 0; k < 300; ++k) {
-    const Vec x = {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
-    const double value = poly.eval(x);
-    EXPECT_GE(value, range.lo() - 1e-9);
-    EXPECT_LE(value, range.hi() + 1e-9);
-  }
-}
-
 TEST(Bernstein, ErrorBoundFormula) {
-  const IBox box = verify::make_box({0.0, 0.0}, {1.0, 2.0});
-  // (L/2) * (w0/sqrt(d0) + w1/sqrt(d1)).
-  const double bound = BernsteinPoly::error_bound(4.0, box, {4, 16});
-  EXPECT_NEAR(bound, 2.0 * (1.0 / 2.0 + 2.0 / 4.0), 1e-12);
+  // L·‖(w_i/(2·d_i))_i‖₂: half spacings 1.2/4 = 0.3 and 3.2/8 = 0.4 have
+  // norm 0.5, so L = 4 gives 2 (the ℓ1 form would give 2.8).
+  const IBox box = verify::make_box({0.0, 0.0}, {1.2, 3.2});
+  const double bound = BernsteinPoly::error_bound(4.0, box, {2, 4});
+  EXPECT_NEAR(bound, 2.0, 1e-12);
 }
 
 class BernsteinSoundness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BernsteinSoundness, LipschitzBoundHoldsOnMlps) {
-  // Property: |f(x) - B_d(f)(x)| <= error_bound(L, box, d) for real
-  // networks, sampled densely.  This is the inequality every verification
-  // result in this library leans on.
+  // Property: κ(x) ∈ NnAbstraction::enclose(box) for real networks, at
+  // uniform points and at the centres of the grid cells — the points
+  // farthest from every sample.  One partition at a fixed degree, so the
+  // enclosure is exactly [min sample, max sample] ± error_bound.  This is
+  // the inequality every verification result in this library leans on.
   const std::uint64_t seed = GetParam();
-  const nn::Mlp net = nn::Mlp::make(2, {12, 12}, 1, nn::Activation::kTanh,
-                                    nn::Activation::kIdentity, seed);
-  const double lipschitz = net.lipschitz_upper_bound();
+  const ctrl::NnController controller(
+      nn::Mlp::make(2, {12, 12}, 1, nn::Activation::kTanh,
+                    nn::Activation::kIdentity, seed),
+      {1.0}, "mlp");
+  const double lipschitz = controller.lipschitz_bound();
   const IBox box = verify::make_box({-0.5, -0.5}, {0.5, 0.5});
   for (const int degree : {2, 4}) {
-    const auto poly = BernsteinPoly::fit(
-        [&](const Vec& x) { return net.forward(x)[0]; }, box,
-        {degree, degree});
-    const double bound =
-        BernsteinPoly::error_bound(lipschitz, box, {degree, degree});
+    verify::AbstractionConfig config;
+    config.epsilon_target = 1e-9;  // the degree cap binds.
+    config.max_degree = degree;
+    config.max_partition_depth = 0;
+    verify::VerificationBudget budget;
+    const auto enclosure =
+        verify::NnAbstraction(controller, config).enclose(box, {}, budget);
+    ASSERT_EQ(enclosure.partitions, 1);
+    EXPECT_EQ(enclosure.epsilon,
+              BernsteinPoly::error_bound(lipschitz, box, {degree, degree}));
+    const Interval& range = enclosure.u_range[0];
+    std::vector<Vec> points;
+    const double cell = 1.0 / degree;
+    for (int i = 0; i < degree; ++i)
+      for (int j = 0; j < degree; ++j)
+        points.push_back({-0.5 + (i + 0.5) * cell, -0.5 + (j + 0.5) * cell});
     util::Rng rng(seed + 777);
-    for (int k = 0; k < 200; ++k) {
-      const Vec x = {rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)};
-      const double err = std::abs(net.forward(x)[0] - poly.eval(x));
-      EXPECT_LE(err, bound + 1e-9) << "seed " << seed << " degree " << degree;
+    for (int k = 0; k < 200; ++k)
+      points.push_back({rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)});
+    for (const Vec& x : points) {
+      const double u = controller.act(x)[0];
+      EXPECT_TRUE(range.contains(u))
+          << "seed " << seed << " degree " << degree << ": " << u
+          << " not in " << range.to_string();
     }
   }
 }
@@ -112,14 +86,15 @@ TEST(Bernstein, DegreesForHitsTarget) {
   for (int d : degrees) EXPECT_GE(d, 1);
 }
 
-TEST(Bernstein, DegreesForGrowsQuadraticallyWithLipschitz) {
-  // The verifiability mechanism: doubling L quadruples the needed degree.
+TEST(Bernstein, DegreesForGrowsLinearlyWithLipschitz) {
+  // The verifiability mechanism: doubling L doubles the needed degree
+  // (d = ⌈√n·L·w/(2ε)⌉ = 4 at L = 2 and 8 at L = 4).
   const IBox box = verify::make_box({0.0}, {1.0});
   double achieved = 0.0;
   const auto d1 = BernsteinPoly::degrees_for(2.0, box, 0.25, 100000, achieved);
   const auto d2 = BernsteinPoly::degrees_for(4.0, box, 0.25, 100000, achieved);
-  EXPECT_NEAR(static_cast<double>(d2[0]) / static_cast<double>(d1[0]), 4.0,
-              0.3);
+  EXPECT_EQ(d1, std::vector<int>{4});
+  EXPECT_EQ(d2, std::vector<int>{8});
 }
 
 TEST(Bernstein, DegreeCapSignalsInsufficientPrecision) {
@@ -131,51 +106,43 @@ TEST(Bernstein, DegreeCapSignalsInsufficientPrecision) {
 }
 
 TEST(Bernstein, DegreesForClampsHugeRatiosToTheCap) {
-  // L = 1e6 on [-1,1]^2 at eps = 1e-3 needs d = 4e18 per dimension: the
-  // clamp must happen in double, before the int cast (casting 4e18 is UB;
-  // on x86 it yields {1, 1}).  A NaN Lipschitz bound maps to the cap too.
+  // L = 1e12 on [-1,1]^2 at eps = 1e-3 needs d ≈ 1.4e15 per dimension: the
+  // clamp must happen in double, before the int cast (casting 1.4e15 is
+  // UB; on x86 it yields {1, 1}).  A NaN Lipschitz bound maps to the cap
+  // too.
   const IBox box = verify::make_box({-1.0, -1.0}, {1.0, 1.0});
   double achieved = 0.0;
-  EXPECT_EQ(BernsteinPoly::degrees_for(1e6, box, 1e-3, 10, achieved),
+  EXPECT_EQ(BernsteinPoly::degrees_for(1e12, box, 1e-3, 10, achieved),
             (std::vector<int>{10, 10}));
   EXPECT_GT(achieved, 1e-3);
   EXPECT_EQ(BernsteinPoly::degrees_for(std::nan(""), box, 1e-3, 10, achieved),
             (std::vector<int>{10, 10}));
 }
 
-TEST(Bernstein, FromSamplesOnTheGridEqualsFit) {
-  // Batched sampling contract: evaluating the grid in one forward_rows call
-  // and building from the samples gives fit()'s coefficients bit for bit.
-  // 3-D at degrees {10, 10, 10} is 1331 rows, not a multiple of the tile.
-  const nn::Mlp net = nn::Mlp::make(3, {9, 7}, 2, nn::Activation::kTanh,
-                                    nn::Activation::kIdentity, 5);
-  const IBox box = verify::make_box({-0.3, 0.1, -2.0}, {0.4, 0.2, 1.5});
-  for (const std::vector<int>& degrees :
-       {std::vector<int>{10, 10, 10}, std::vector<int>{1, 4, 2}}) {
-    const std::vector<double> points = BernsteinPoly::grid(box, degrees);
-    const std::size_t rows = points.size() / 3;
-    std::vector<double> values(rows * 2);
-    net.forward_rows(points.data(), rows, values.data());
-    for (std::size_t out = 0; out < 2; ++out) {
-      std::vector<double> column(rows);
-      for (std::size_t j = 0; j < rows; ++j) column[j] = values[j * 2 + out];
-      const auto batched = BernsteinPoly::from_samples(box, degrees, column);
-      const auto scalar = BernsteinPoly::fit(
-          [&](const Vec& x) { return net.forward(x)[out]; }, box, degrees);
-      EXPECT_EQ(batched.coefficients(), scalar.coefficients());
-    }
-  }
-  EXPECT_THROW((void)BernsteinPoly::from_samples(box, {1, 1, 1}, {0.0}),
-               std::invalid_argument);
+TEST(Bernstein, DegreesForRejectsACapBelowOne) {
+  // A cap below 1 would reach std::clamp(d, 1.0, 0.0), whose precondition
+  // it breaks: an assertion under _GLIBCXX_ASSERTIONS, degree 0 and an
+  // infinite bound otherwise.
+  const IBox box = verify::make_box({0.0}, {1.0});
+  double achieved = 0.0;
+  for (const int cap : {0, -3})
+    EXPECT_THROW((void)BernsteinPoly::degrees_for(2.0, box, 0.25, cap,
+                                                  achieved),
+                 std::invalid_argument);
 }
 
-TEST(Bernstein, SampleCountMatchesDegreeProduct) {
-  const IBox box = verify::make_box({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0});
-  const auto poly = BernsteinPoly::fit(
-      [](const Vec&) { return 1.0; }, box, {2, 3, 1});
-  EXPECT_EQ(poly.sample_count(), 3u * 4u * 2u);
-  EXPECT_DOUBLE_EQ(poly.range().lo(), 1.0);
-  EXPECT_DOUBLE_EQ(poly.range().hi(), 1.0);
+TEST(Bernstein, GridSpansTheBoxDimensionZeroFastest) {
+  const IBox box = verify::make_box({0.0, -1.0, 2.0}, {1.0, 1.0, 3.0});
+  const std::vector<double> points = BernsteinPoly::grid(box, {2, 1, 1});
+  ASSERT_EQ(points.size(), 3u * 2u * 2u * 3u);
+  EXPECT_EQ((std::vector<double>(points.begin(), points.begin() + 9)),
+            (std::vector<double>{0.0, -1.0, 2.0, 0.5, -1.0, 2.0, 1.0, -1.0,
+                                 2.0}));
+  EXPECT_EQ((std::vector<double>(points.end() - 3, points.end())),
+            (std::vector<double>{1.0, 1.0, 3.0}));
+  EXPECT_THROW((void)BernsteinPoly::grid(box, {1, 1}), std::invalid_argument);
+  EXPECT_THROW((void)BernsteinPoly::grid(box, {1, 0, 1}),
+               std::invalid_argument);
 }
 
 }  // namespace

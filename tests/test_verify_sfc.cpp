@@ -79,7 +79,7 @@ TEST(Sfc, CellCoordFailsClosedOnNonFinite) {
 /// Reference for CellSetTree::all_members: the odometer window walk over
 /// the flattened member array (dim 0 fastest) the tree replaced.
 bool flat_all_members(const std::vector<int>& grid,
-                      const std::vector<char>& member,
+                      const std::vector<bool>& member,
                       const std::vector<int>& lo_k,
                       const std::vector<int>& hi_k) {
   if (lo_k.size() != grid.size() || hi_k.size() != grid.size()) return false;
@@ -94,7 +94,7 @@ bool flat_all_members(const std::vector<int>& grid,
       index += static_cast<std::size_t>(k[d]) * stride;
       stride *= static_cast<std::size_t>(grid[d]);
     }
-    if (member[index] == 0) return false;
+    if (!member[index]) return false;
     std::size_t d = 0;
     while (d < k.size() && ++k[d] > hi_k[d]) {
       k[d] = lo_k[d];
@@ -117,14 +117,15 @@ TEST(CellSetTree, MatchesFlatOdometerOnRandomizedSets) {
       total *= static_cast<std::size_t>(g);
     }
     const double density = densities[trial % 4];
-    std::vector<char> member(total);
-    for (auto& m : member) m = rng.uniform(0.0, 1.0) < density ? 1 : 0;
+    std::vector<bool> member(total);
+    for (std::size_t c = 0; c < total; ++c)
+      member[c] = rng.uniform(0.0, 1.0) < density;
 
     ASSERT_TRUE(CellSetTree::supports(grid));
     const CellSetTree tree = CellSetTree::build(grid, member);
     EXPECT_EQ(tree.member_count(),
               static_cast<std::size_t>(
-                  std::count(member.begin(), member.end(), 1)));
+                  std::count(member.begin(), member.end(), true)));
 
     for (int q = 0; q < 40; ++q) {
       std::vector<int> lo_k(dim), hi_k(dim);
@@ -147,12 +148,13 @@ TEST(CellSetTree, MatchesFlatOdometerOnRandomizedSets) {
 TEST(CellSetTree, FailsClosedOnBadInput) {
   const CellSetTree empty;  // default: certifies nothing.
   EXPECT_FALSE(empty.all_members({0}, {0}));
-  const CellSetTree tree = CellSetTree::build({4, 4}, std::vector<char>(16, 1));
+  const CellSetTree tree =
+      CellSetTree::build({4, 4}, std::vector<bool>(16, true));
   EXPECT_FALSE(tree.all_members({0}, {0}));           // dim mismatch.
   EXPECT_FALSE(tree.all_members({0, 0}, {0, 4}));     // escapes grid.
   EXPECT_FALSE(tree.all_members({-1, 0}, {0, 0}));    // escapes grid.
   EXPECT_TRUE(tree.all_members({2, 2}, {1, 1}));      // empty: vacuous.
-  EXPECT_THROW((void)CellSetTree::build({4, 4}, std::vector<char>(15, 1)),
+  EXPECT_THROW((void)CellSetTree::build({4, 4}, std::vector<bool>(15, true)),
                std::invalid_argument);
   EXPECT_FALSE(CellSetTree::supports(std::vector<int>(9, 2)));  // dim > 8.
   // 3 x 22 levels = 66 key bits: too wide for one 64-bit Morton key.
