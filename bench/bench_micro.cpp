@@ -156,7 +156,9 @@ BENCHMARK(BM_MlpForwardBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 // The batched forward's tanh (la::kernels::tanh_rows) over Arg values, and
 // the libm std::tanh loop it replaced as the comparator — the same bits on
 // an FMA-capable x86-64 host with glibc 2.36.  2560 = one 64-row tile of a
-// 40-wide hidden layer.  Items/sec is tanh values/sec.
+// 40-wide hidden layer.  Items/sec is tanh values/sec.  BM_TanhRows is
+// labelled with the path tanh_rows took on this host (avx512, avx2 or
+// scalar); BM_TanhRowsAvx2 runs the four-lane instantiation on any host.
 std::vector<double> tanh_inputs(std::size_t n) {
   std::vector<double> z(n);
   util::Rng rng(5);
@@ -164,31 +166,40 @@ std::vector<double> tanh_inputs(std::size_t n) {
   return z;
 }
 
-void BM_TanhRows(benchmark::State& state) {
+template <void (*Rows)(const double*, double*, std::size_t) noexcept>
+void tanh_rows_loop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<double> z = tanh_inputs(n);
   std::vector<double> out(n);
   for (auto _ : state) {
-    la::kernels::tanh_rows(z.data(), out.data(), n);
+    Rows(z.data(), out.data(), n);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
+
+void BM_TanhRows(benchmark::State& state) {
+  tanh_rows_loop<la::kernels::tanh_rows>(state);
+  state.SetLabel(la::kernels::tanh_rows_path());
+}
 BENCHMARK(BM_TanhRows)->Arg(2560);
 
+void BM_TanhRowsAvx2(benchmark::State& state) {
+  tanh_rows_loop<la::kernels::tanh_rows_avx2>(state);
+  state.SetLabel(std::string_view(la::kernels::tanh_rows_path()) == "scalar"
+                     ? "scalar"
+                     : "avx2");
+}
+BENCHMARK(BM_TanhRowsAvx2)->Arg(2560);
+
+void libm_tanh_rows(const double* z, double* out, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(z[i]);
+}
+
 void BM_TanhRowsLibm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> z = tanh_inputs(n);
-  std::vector<double> out(n);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(z[i]);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+  tanh_rows_loop<libm_tanh_rows>(state);
 }
 BENCHMARK(BM_TanhRowsLibm)->Arg(2560);
 
@@ -517,6 +528,7 @@ struct TrajectoryRow {
   double cpu_time_per_iter_s = 0.0;
   double flops_per_s = -1.0;           // -1: no flop model for this bench.
   double items_per_second = -1.0;
+  std::string label;                   // the benchmark's SetLabel, if any.
 };
 
 /// ConsoleReporter that additionally captures every run for the JSON file.
@@ -535,6 +547,7 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
       if (flops != run.counters.end()) row.flops_per_s = flops->second;
       const auto items = run.counters.find("items_per_second");
       if (items != run.counters.end()) row.items_per_second = items->second;
+      row.label = run.report_label;
       rows_.push_back(std::move(row));
     }
     ConsoleReporter::ReportRuns(runs);
@@ -578,6 +591,7 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
       out << ", \"gflops\": " << row.flops_per_s * 1e-9;
     if (row.items_per_second >= 0.0)
       out << ", \"items_per_second\": " << row.items_per_second;
+    if (!row.label.empty()) out << ", \"label\": \"" << row.label << "\"";
     out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"derived\": {";
@@ -613,6 +627,14 @@ void write_json(const std::vector<TrajectoryRow>& rows, bool smoke,
       if (!first) out << ",";
       first = false;
       out << "\n    \"tanh_rows_speedup\": " << libm / kernel;
+    }
+    // The path tanh_rows takes here over the four-lane instantiation: the
+    // eight-lane gain on an AVX-512 host, ~1 elsewhere.
+    const double avx2 = find_time(rows, "BM_TanhRowsAvx2/2560");
+    if (avx2 > 0.0 && kernel > 0.0) {
+      if (!first) out << ",";
+      first = false;
+      out << "\n    \"tanh_rows_avx512_speedup\": " << avx2 / kernel;
     }
   }
   out << (first ? "" : "\n  ") << "}\n}\n";

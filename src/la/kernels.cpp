@@ -22,8 +22,12 @@
 // software path).
 //
 // tanh/tanh_rows follow the same rule with a different contract: a fixed
-// operation sequence (fdlibm's, with explicit fmas) that the AVX2 path
-// evaluates for four lanes at once and the scalar path one at a time.
+// operation sequence (fdlibm's, with explicit fmas) that the vector paths
+// evaluate for four (AVX2) or eight (AVX-512F) lanes at once and the scalar
+// path one at a time.  The eight-lane path is compiled through a target
+// attribute, so the file's own ISA stays AVX2; tanh_rows takes it only
+// where the CPU and OS report AVX-512F, checked once below.  This file is
+// the only place that asks the host which instructions it runs.
 #include "la/kernels.h"
 
 #include <algorithm>
@@ -38,6 +42,11 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #define COCKTAIL_LA_VECTOR 1
 #include <immintrin.h>
+// GCC and clang compile single functions for AVX-512F via a target
+// attribute and declare its intrinsics whatever the file's ISA.
+#if defined(__GNUC__)
+#define COCKTAIL_LA_AVX512 1
+#endif
 #endif
 
 namespace cocktail::la::kernels {
@@ -539,119 +548,196 @@ double expm1_tanh_arg(double u) {
 
 #if defined(COCKTAIL_LA_VECTOR)
 
-/// tanh of four lanes: every branch of the scalar sequence is evaluated
-/// for all lanes and the right one blended in per lane, so each lane
-/// performs exactly the scalar path's operations.  Three rules make the
-/// blend exact:
-///   * the expm1 reduction uses the general formulas with k = 0 or -1 on
-///     the short branches: with k = -1, fma(-k, ln2_hi, u) and k * ln2_lo
-///     are u + ln2_hi (one rounding) and -ln2_lo, as in the branch, and
-///     k = 0 lanes take the unreduced u;
-///   * lanes outside a branch's domain (|x| >= 22 overflowing u, say)
-///     compute garbage that is blended away; exceptions stay masked;
-///   * +-Inf lanes take the |x| >= 22 branch, whose +-1 is the scalar
-///     1/x +- 1, and NaN lanes take x + x, the same quieted x that 1/x +- 1
-///     returns (x86 propagates the NaN operand's payload and sign).
-inline __m256d tanh4(__m256d x) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d ax = _mm256_andnot_pd(sign, x);
-  const __m256d ge1 = _mm256_cmp_pd(ax, one, _CMP_GE_OQ);
-  // u = 2|x| (|x| >= 1) or -2|x|; its sign bit is set where |x| < 1.
-  const __m256d u = _mm256_blendv_pd(_mm256_mul_pd(ax, _mm256_set1_pd(-2.0)),
-                                     _mm256_add_pd(ax, ax), ge1);
-  const __m256d usign = _mm256_and_pd(sign, u);
-  const __m256d au = _mm256_andnot_pd(sign, u);
+/// Four tanh lanes per AVX2 vector.  A mask is a vector whose lanes are all
+/// ones or all zeros; blend(a, b, m) takes b where m is set.
+struct Lanes4 {
+  using D = __m256d;
+  using I = __m256i;
+  using M = __m256d;
+  [[gnu::always_inline]] static D set1(double v) { return _mm256_set1_pd(v); }
+  [[gnu::always_inline]] static D add(D a, D b) { return _mm256_add_pd(a, b); }
+  [[gnu::always_inline]] static D sub(D a, D b) { return _mm256_sub_pd(a, b); }
+  [[gnu::always_inline]] static D mul(D a, D b) { return _mm256_mul_pd(a, b); }
+  [[gnu::always_inline]] static D div(D a, D b) { return _mm256_div_pd(a, b); }
+  [[gnu::always_inline]] static D fmadd(D a, D b, D c) {
+    return _mm256_fmadd_pd(a, b, c);
+  }
+  [[gnu::always_inline]] static D fnmadd(D a, D b, D c) {
+    return _mm256_fnmadd_pd(a, b, c);
+  }
+  [[gnu::always_inline]] static D fmsub(D a, D b, D c) {
+    return _mm256_fmsub_pd(a, b, c);
+  }
+  [[gnu::always_inline]] static D trunc(D a) {
+    return _mm256_round_pd(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
+  [[gnu::always_inline]] static D bit_and(D a, D b) {
+    return _mm256_and_pd(a, b);
+  }
+  [[gnu::always_inline]] static D bit_andnot(D a, D b) {
+    return _mm256_andnot_pd(a, b);
+  }
+  [[gnu::always_inline]] static D bit_or(D a, D b) { return _mm256_or_pd(a, b); }
+  [[gnu::always_inline]] static D bit_xor(D a, D b) {
+    return _mm256_xor_pd(a, b);
+  }
+  [[gnu::always_inline]] static M lt(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_LT_OQ);
+  }
+  [[gnu::always_inline]] static M le(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_LE_OQ);
+  }
+  [[gnu::always_inline]] static M gt(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
+  }
+  [[gnu::always_inline]] static M ge(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_GE_OQ);
+  }
+  [[gnu::always_inline]] static M eq(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_EQ_OQ);
+  }
+  [[gnu::always_inline]] static M unord(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_UNORD_Q);
+  }
+  [[gnu::always_inline]] static M either(M a, M b) { return _mm256_or_pd(a, b); }
+  [[gnu::always_inline]] static D blend(D a, D b, M m) {
+    return _mm256_blendv_pd(a, b, m);
+  }
+  /// The integral lanes of `a` (|a| < 2^31) as 64-bit integers.
+  [[gnu::always_inline]] static I to_int64(D a) {
+    return _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(a));
+  }
+  [[gnu::always_inline]] static I shl52(I a) {
+    return _mm256_slli_epi64(a, 52);
+  }
+  [[gnu::always_inline]] static I sub64(I a, I b) {
+    return _mm256_sub_epi64(a, b);
+  }
+  [[gnu::always_inline]] static I set1_64(std::int64_t v) {
+    return _mm256_set1_epi64x(v);
+  }
+  [[gnu::always_inline]] static D as_double(I a) {
+    return _mm256_castsi256_pd(a);
+  }
+  /// The bits of `a` plus `b`, as an integer add per lane.
+  [[gnu::always_inline]] static D add_bits(D a, I b) {
+    return _mm256_castsi256_pd(_mm256_add_epi64(_mm256_castpd_si256(a), b));
+  }
+};
 
-  // expm1(u): range reduction.  hu <= 0x3fd62e42 <=> |u| below the double
-  // whose high word is 0x3fd62e43 (low word 0); likewise for 0x3ff0a2b1.
-  const __m256d k_zero = _mm256_cmp_pd(
-      au, _mm256_set1_pd(std::bit_cast<double>(0x3fd62e4300000000ULL)),
-      _CMP_LT_OQ);
-  const __m256d k_unit = _mm256_cmp_pd(
-      au, _mm256_set1_pd(std::bit_cast<double>(0x3ff0a2b200000000ULL)),
-      _CMP_LT_OQ);
-  const __m256d k_general = _mm256_round_pd(
-      _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kInvLn2), u),
-                    _mm256_or_pd(_mm256_set1_pd(0.5), usign)),
-      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-  const __m256d kd = _mm256_blendv_pd(
-      _mm256_blendv_pd(k_general, _mm256_set1_pd(-1.0), k_unit),
-      _mm256_setzero_pd(), k_zero);
-  const __m256d hi = _mm256_fnmadd_pd(kd, _mm256_set1_pd(kLn2Hi), u);
-  const __m256d lo = _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo));
-  const __m256d xr = _mm256_blendv_pd(_mm256_sub_pd(hi, lo), u, k_zero);
-  const __m256d c = _mm256_sub_pd(_mm256_sub_pd(hi, xr), lo);
-
-  // expm1(u): polynomial on the reduced argument.
-  const __m256d hfx = _mm256_mul_pd(_mm256_set1_pd(0.5), xr);
-  const __m256d hxs = _mm256_mul_pd(xr, hfx);
-  const __m256d h2 = _mm256_mul_pd(hxs, hxs);
-  const __m256d h4 = _mm256_mul_pd(h2, h2);
-  const __m256d r1 = _mm256_fmadd_pd(
-      h4, _mm256_fmadd_pd(hxs, _mm256_set1_pd(kQ5), _mm256_set1_pd(kQ4)),
-      _mm256_fmadd_pd(
-          h2, _mm256_fmadd_pd(hxs, _mm256_set1_pd(kQ3), _mm256_set1_pd(kQ2)),
-          _mm256_fmadd_pd(hxs, _mm256_set1_pd(kQ1), one)));
-  const __m256d t = _mm256_fnmadd_pd(r1, hfx, _mm256_set1_pd(3.0));
-  const __m256d e0 = _mm256_mul_pd(
-      _mm256_div_pd(_mm256_sub_pd(r1, t),
-                    _mm256_fnmadd_pd(xr, t, _mm256_set1_pd(6.0))),
-      hxs);
-
-  // expm1(u): the result for every k, then the blend.
-  const __m128i k32 = _mm256_cvttpd_epi32(kd);
-  const __m256i k64 = _mm256_cvtepi32_epi64(k32);
-  const __m256i kexp = _mm256_slli_epi64(k64, 52);
-  const __m256d two_mk = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_sub_epi64(_mm256_set1_epi64x(1023), k64), 52));
-  auto scale = [&](__m256d y) {
-    return _mm256_castsi256_pd(_mm256_add_epi64(_mm256_castpd_si256(y), kexp));
-  };
-  const __m256d y_zero = _mm256_sub_pd(xr, _mm256_fmsub_pd(e0, xr, hxs));
-  const __m256d e = _mm256_sub_pd(
-      _mm256_fmsub_pd(_mm256_sub_pd(e0, c), xr, c), hxs);
-  const __m256d y_minus1 = _mm256_fmsub_pd(_mm256_sub_pd(xr, e),
-                                           _mm256_set1_pd(0.5),
-                                           _mm256_set1_pd(0.5));
-  const __m256d e_minus_x = _mm256_sub_pd(e, xr);
-  const __m256d y_outer =
-      _mm256_sub_pd(scale(_mm256_sub_pd(one, e_minus_x)), one);
-  const __m256d y_low =
-      scale(_mm256_sub_pd(_mm256_sub_pd(one, two_mk), e_minus_x));
-  const __m256d y_mid = scale(
-      _mm256_add_pd(_mm256_sub_pd(xr, _mm256_add_pd(e, two_mk)), one));
-  // k <= -2 or k > 56 -> y_outer; 20 <= k <= 56 -> y_mid; 3 <= k < 20 ->
-  // y_low; k = -1 -> y_minus1; k = 0 -> y_zero.
-  const __m256d is_outer = _mm256_or_pd(
-      _mm256_cmp_pd(kd, _mm256_set1_pd(-2.0), _CMP_LE_OQ),
-      _mm256_cmp_pd(kd, _mm256_set1_pd(56.0), _CMP_GT_OQ));
-  __m256d em1 = _mm256_blendv_pd(
-      y_low, y_mid, _mm256_cmp_pd(kd, _mm256_set1_pd(20.0), _CMP_GE_OQ));
-  em1 = _mm256_blendv_pd(em1, y_outer, is_outer);
-  em1 = _mm256_blendv_pd(
-      em1, y_minus1, _mm256_cmp_pd(kd, _mm256_set1_pd(-1.0), _CMP_EQ_OQ));
-  em1 = _mm256_blendv_pd(em1, y_zero, k_zero);
-
-  // tanh: z = 1 - 2/(t+2) for |x| >= 1, -t/(t+2) below, with x's sign.
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d q = _mm256_div_pd(
-      _mm256_blendv_pd(_mm256_xor_pd(em1, sign), two, ge1),
-      _mm256_add_pd(em1, two));
-  __m256d z = _mm256_blendv_pd(q, _mm256_sub_pd(one, q), ge1);
-  z = _mm256_blendv_pd(
-      z, _mm256_set1_pd(kTanhSaturated),
-      _mm256_cmp_pd(ax, _mm256_set1_pd(22.0), _CMP_GE_OQ));
-  z = _mm256_xor_pd(z, _mm256_and_pd(sign, x));
-  // |x| < 2^-55 (zeros and subnormals included): x * (1 + x).
-  z = _mm256_blendv_pd(
-      z, _mm256_mul_pd(x, _mm256_add_pd(one, x)),
-      _mm256_cmp_pd(ax, _mm256_set1_pd(0x1p-55), _CMP_LT_OQ));
-  return _mm256_blendv_pd(z, _mm256_add_pd(x, x),
-                          _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
-}
+// lanes4::tanh_lanes<Lanes4>: the op sequence of la/tanh_lanes.inc at the
+// file's own ISA.
+namespace lanes4 {
+#define COCKTAIL_TANH_LANES_TARGET
+#include "la/tanh_lanes.inc"
+#undef COCKTAIL_TANH_LANES_TARGET
+}  // namespace lanes4
 
 #endif  // COCKTAIL_LA_VECTOR
+
+#if defined(COCKTAIL_LA_AVX512)
+
+/// Eight tanh lanes per AVX-512F vector, with __mmask8 lane masks; each
+/// function is the AVX2 one's instruction at twice the width.  The integer
+/// and bitwise steps use AVX-512F's all-lanes `maskz` forms: the unmasked
+/// intrinsics of GCC 12 pass an `_mm512_undefined_*` source that
+/// -Wmaybe-uninitialized reports (GCC PR 105593), and a full mask computes
+/// the same lanes.
+#define COCKTAIL_AVX512 gnu::always_inline, gnu::target("avx512f")
+struct Lanes8 {
+  using D = __m512d;
+  using I = __m512i;
+  using M = __mmask8;
+  static constexpr M kAll = 0xff;
+  [[COCKTAIL_AVX512]] static D set1(double v) { return _mm512_set1_pd(v); }
+  [[COCKTAIL_AVX512]] static D add(D a, D b) { return _mm512_add_pd(a, b); }
+  [[COCKTAIL_AVX512]] static D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+  [[COCKTAIL_AVX512]] static D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+  [[COCKTAIL_AVX512]] static D div(D a, D b) { return _mm512_div_pd(a, b); }
+  [[COCKTAIL_AVX512]] static D fmadd(D a, D b, D c) {
+    return _mm512_fmadd_pd(a, b, c);
+  }
+  [[COCKTAIL_AVX512]] static D fnmadd(D a, D b, D c) {
+    return _mm512_fnmadd_pd(a, b, c);
+  }
+  [[COCKTAIL_AVX512]] static D fmsub(D a, D b, D c) {
+    return _mm512_fmsub_pd(a, b, c);
+  }
+  [[COCKTAIL_AVX512]] static D trunc(D a) {
+    return _mm512_maskz_roundscale_pd(kAll, a,
+                                      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
+  [[COCKTAIL_AVX512]] static D bit_and(D a, D b) {
+    return _mm512_castsi512_pd(
+        _mm512_and_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  [[COCKTAIL_AVX512]] static D bit_andnot(D a, D b) {
+    return _mm512_castsi512_pd(_mm512_maskz_andnot_epi64(
+        kAll, _mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  [[COCKTAIL_AVX512]] static D bit_or(D a, D b) {
+    return _mm512_castsi512_pd(
+        _mm512_or_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  [[COCKTAIL_AVX512]] static D bit_xor(D a, D b) {
+    return _mm512_castsi512_pd(
+        _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  [[COCKTAIL_AVX512]] static M lt(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
+  }
+  [[COCKTAIL_AVX512]] static M le(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ);
+  }
+  [[COCKTAIL_AVX512]] static M gt(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ);
+  }
+  [[COCKTAIL_AVX512]] static M ge(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
+  }
+  [[COCKTAIL_AVX512]] static M eq(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ);
+  }
+  [[COCKTAIL_AVX512]] static M unord(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_UNORD_Q);
+  }
+  [[COCKTAIL_AVX512]] static M either(M a, M b) {
+    return static_cast<M>(a | b);
+  }
+  [[COCKTAIL_AVX512]] static D blend(D a, D b, M m) {
+    return _mm512_mask_blend_pd(m, a, b);
+  }
+  [[COCKTAIL_AVX512]] static I to_int64(D a) {
+    return _mm512_maskz_cvtepi32_epi64(kAll,
+                                       _mm512_maskz_cvttpd_epi32(kAll, a));
+  }
+  [[COCKTAIL_AVX512]] static I shl52(I a) {
+    return _mm512_maskz_slli_epi64(kAll, a, 52);
+  }
+  [[COCKTAIL_AVX512]] static I sub64(I a, I b) {
+    return _mm512_sub_epi64(a, b);
+  }
+  [[COCKTAIL_AVX512]] static I set1_64(std::int64_t v) {
+    return _mm512_set1_epi64(v);
+  }
+  [[COCKTAIL_AVX512]] static D as_double(I a) {
+    return _mm512_castsi512_pd(a);
+  }
+  [[COCKTAIL_AVX512]] static D add_bits(D a, I b) {
+    return _mm512_castsi512_pd(_mm512_add_epi64(_mm512_castpd_si512(a), b));
+  }
+};
+
+#undef COCKTAIL_AVX512
+
+// lanes8::tanh_lanes<Lanes8>: the same text, compiled for AVX-512F.
+namespace lanes8 {
+#define COCKTAIL_TANH_LANES_TARGET [[gnu::target("avx512f")]]
+#include "la/tanh_lanes.inc"
+#undef COCKTAIL_TANH_LANES_TARGET
+}  // namespace lanes8
+
+#endif  // COCKTAIL_LA_AVX512
 
 }  // namespace
 
@@ -675,13 +761,68 @@ double tanh(double x) noexcept {
   return negative ? -z : z;
 }
 
-void tanh_rows(const double* z, double* out, std::size_t n) noexcept {
+void tanh_rows_avx2(const double* z, double* out, std::size_t n) noexcept {
   std::size_t i = 0;
 #if defined(COCKTAIL_LA_VECTOR)
   for (; i + WT <= n; i += WT)
-    _mm256_storeu_pd(out + i, tanh4(_mm256_loadu_pd(z + i)));
+    _mm256_storeu_pd(out + i,
+                     lanes4::tanh_lanes<Lanes4>(_mm256_loadu_pd(z + i)));
 #endif
   for (; i < n; ++i) out[i] = tanh(z[i]);
+}
+
+#if defined(COCKTAIL_LA_AVX512)
+[[gnu::target("avx512f")]]
+#endif
+void tanh_rows_avx512(const double* z, double* out, std::size_t n) noexcept {
+#if defined(COCKTAIL_LA_AVX512)
+  constexpr std::size_t kLanes = 8;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes)
+    _mm512_storeu_pd(out + i,
+                     lanes8::tanh_lanes<Lanes8>(_mm512_loadu_pd(z + i)));
+  if (i < n) {
+    // The n mod 8 tail: masked-off lanes load +0.0 and are never stored.
+    const auto tail = static_cast<__mmask8>((1U << (n - i)) - 1U);
+    _mm512_mask_storeu_pd(out + i, tail,
+                          lanes8::tanh_lanes<Lanes8>(
+                              _mm512_maskz_loadu_pd(tail, z + i)));
+  }
+#else
+  tanh_rows_avx2(z, out, n);
+#endif
+}
+
+bool tanh_rows_avx512_supported() noexcept {
+#if defined(COCKTAIL_LA_AVX512)
+  // libgcc and compiler-rt report AVX-512F only when the OS also saves the
+  // opmask and upper-ZMM state (XCR0), so this is the CPU's and the OS's
+  // answer.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+const char* tanh_rows_path() noexcept {
+  if (tanh_rows_avx512_supported()) return "avx512";
+#if defined(COCKTAIL_LA_VECTOR)
+  return "avx2";
+#else
+  return "scalar";
+#endif
+}
+
+void tanh_rows(const double* z, double* out, std::size_t n) noexcept {
+  if (tanh_rows_avx512_supported()) {
+    tanh_rows_avx512(z, out, n);
+  } else {
+    tanh_rows_avx2(z, out, n);
+  }
 }
 
 }  // namespace cocktail::la::kernels

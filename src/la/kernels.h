@@ -90,8 +90,25 @@ void add_outer_rows_ref(std::size_t rows, std::size_t m, std::size_t n,
 /// IBP's outward() inflation absorbs that.
 [[nodiscard]] double tanh(double x) noexcept;
 
-/// out[i] = tanh(z[i]) for i < n, bit for bit; four lanes per AVX2 vector,
-/// the scalar kernel for the tail.  `out` may equal `z`.
+/// out[i] = tanh(z[i]) for i < n, bit for bit, whichever path runs.  `out`
+/// may equal `z`.  Takes tanh_rows_avx512 where
+/// tanh_rows_avx512_supported(), tanh_rows_avx2 elsewhere.  Both run the one
+/// vector op sequence of la/tanh_lanes.inc, in which each lane performs the
+/// scalar kernel's operations, so the choice never changes a bit.
 void tanh_rows(const double* z, double* out, std::size_t n) noexcept;
+/// The four-lane instantiation: four lanes per AVX2 vector and the scalar
+/// kernel for the n mod 4 tail; the scalar kernel throughout in a build
+/// without AVX2 (COCKTAIL_SIMD=OFF).
+void tanh_rows_avx2(const double* z, double* out, std::size_t n) noexcept;
+/// The eight-lane instantiation: eight lanes per AVX-512F vector, the
+/// n mod 8 tail in one masked vector.  Call it only where
+/// tanh_rows_avx512_supported(); a build without it (COCKTAIL_SIMD=OFF)
+/// runs tanh_rows_avx2 here.
+void tanh_rows_avx512(const double* z, double* out, std::size_t n) noexcept;
+/// True when this build carries the eight-lane instantiation and the CPU
+/// and OS run AVX-512F.  Checked once per process.
+[[nodiscard]] bool tanh_rows_avx512_supported() noexcept;
+/// The path tanh_rows takes here: "avx512", "avx2" or "scalar".
+[[nodiscard]] const char* tanh_rows_path() noexcept;
 
 }  // namespace cocktail::la::kernels

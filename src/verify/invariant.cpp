@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -184,10 +185,20 @@ InvariantResult InvariantSetComputer::compute() const {
       std::count(result.member.begin(), result.member.end(), true));
   result.volume_fraction =
       static_cast<double>(surviving) / static_cast<double>(cells);
-  result.completed = true;
   result.seconds = timer.seconds();
   result.nn_evaluations = budget.nn_evaluations;
   result.partitions = budget.partitions;
+  // The last sweep removed cells, so no sweep has checked the survivors
+  // against each other: the set is not known to be invariant.
+  if (changed) {
+    result.completed = false;
+    result.failure = "fixed point not reached within max_iterations = " +
+                     std::to_string(config_.max_iterations);
+    COCKTAIL_WARN << "invariant-set computation failed for "
+                  << controller_.describe() << ": " << result.failure;
+    return result;
+  }
+  result.completed = true;
   COCKTAIL_INFO << "invariant set for " << controller_.describe() << ": "
                 << surviving << "/" << cells << " cells in "
                 << result.iterations << " iterations, "

@@ -65,8 +65,10 @@ class InvariantSetComputer {
                        const ctrl::Controller& controller,
                        InvariantConfig config);
 
-  /// Runs the fixed point over the system's safe region.  Budget exhaustion
-  /// is reported via result.completed = false, never thrown.
+  /// Runs the fixed point over the system's safe region.  Budget exhaustion,
+  /// and a max_iterations cap that ends the sweep while it is still
+  /// removing cells, are reported via result.completed = false, never
+  /// thrown: either way the member set certifies nothing.
   [[nodiscard]] InvariantResult compute() const;
 
  private:

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -534,37 +536,75 @@ std::vector<double> tanh_golden_inputs() {
   return x;
 }
 
+/// One way to run a row of tanh values: the dispatching entry point or one
+/// of the two vector instantiations by name.
+struct TanhRowsPath {
+  const char* name;
+  void (*rows)(const double*, double*, std::size_t) noexcept;
+};
+
+constexpr TanhRowsPath kTanhRowsPaths[] = {
+    {"tanh_rows", la::kernels::tanh_rows},
+    {"avx2", la::kernels::tanh_rows_avx2},
+    {"avx512", la::kernels::tanh_rows_avx512}};
+
+/// The paths this host can run: the eight-lane one only where it is
+/// supported.
+std::vector<TanhRowsPath> runnable_tanh_rows_paths() {
+  std::vector<TanhRowsPath> paths;
+  for (const TanhRowsPath& path : kTanhRowsPaths)
+    if (std::string_view(path.name) != "avx512" ||
+        la::kernels::tanh_rows_avx512_supported())
+      paths.push_back(path);
+  return paths;
+}
+
 TEST(TanhKernel, MatchesGoldenTable) {
   // Exact bits, NaNs included: each output has a single NaN source.  Each
-  // input also goes through tanh_rows in every lane of a 4-wide row, so
-  // the vector path must reproduce it too.
+  // input also goes through every runnable row path in every lane of a
+  // 4-wide and an 8-wide row, so each vector instantiation must reproduce
+  // it in each of its lanes.
   ASSERT_GE(std::size(kTanhGolden), 96u);
+  const std::vector<TanhRowsPath> paths = runnable_tanh_rows_paths();
   for (const auto& [in, want] : kTanhGolden) {
     const double x = std::bit_cast<double>(in);
     EXPECT_EQ(bits(la::kernels::tanh(x)), want)
         << "scalar, x = " << std::hexfloat << x;
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      double row[4] = {0.5, -1.5, 3.0, -0.25};
-      row[lane] = x;
-      la::kernels::tanh_rows(row, row, 4);
-      EXPECT_EQ(bits(row[lane]), want)
-          << "rows, lane " << lane << ", x = " << std::hexfloat << x;
+    for (const TanhRowsPath& path : paths) {
+      for (const std::size_t width : {4u, 8u}) {
+        for (std::size_t lane = 0; lane < width; ++lane) {
+          double row[8] = {0.5, -1.5, 3.0, -0.25, 30.0, -7.5, 1e-3, -0.0};
+          row[lane] = x;
+          path.rows(row, row, width);
+          EXPECT_EQ(bits(row[lane]), want)
+              << path.name << ", width " << width << ", lane " << lane
+              << ", x = " << std::hexfloat << x;
+        }
+      }
     }
   }
 }
 
-TEST(TanhKernel, RowsMatchScalarKernelAtEveryRowLength) {
+class TanhKernelRows : public ::testing::TestWithParam<TanhRowsPath> {};
+
+TEST_P(TanhKernelRows, RowsMatchScalarKernelAtEveryRowLength) {
   // Every window of the golden corpus, so each input meets every vector
-  // lane and the scalar tail, next to finite and non-finite neighbours;
-  // also in place (out == z).
+  // lane and the tail (scalar after four lanes, masked after eight), next
+  // to finite and non-finite neighbours; also in place (out == z).
+  // Lengths 15, 16 and 17 put a masked tail of 7, none and 1 lanes after
+  // whole eight-lane vectors.
+  const TanhRowsPath& path = GetParam();
+  if (std::string_view(path.name) == "avx512" &&
+      !la::kernels::tanh_rows_avx512_supported())
+    GTEST_SKIP() << "the eight-lane instantiation needs AVX-512F";
   const std::vector<double> corpus = tanh_golden_inputs();
-  for (const std::size_t len : {1u, 3u, 4u, 7u, 8u, 9u, 65u}) {
+  for (const std::size_t len : {1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 65u}) {
     for (std::size_t start = 0; start + len <= corpus.size(); ++start) {
       const double* z = corpus.data() + start;
       std::vector<double> out(len);
       std::vector<double> in_place(z, z + len);
-      la::kernels::tanh_rows(z, out.data(), len);
-      la::kernels::tanh_rows(in_place.data(), in_place.data(), len);
+      path.rows(z, out.data(), len);
+      path.rows(in_place.data(), in_place.data(), len);
       for (std::size_t q = 0; q < len; ++q) {
         const std::uint64_t want = bits(la::kernels::tanh(z[q]));
         ASSERT_EQ(bits(out[q]), want)
@@ -574,6 +614,18 @@ TEST(TanhKernel, RowsMatchScalarKernelAtEveryRowLength) {
       }
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, TanhKernelRows, ::testing::ValuesIn(kTanhRowsPaths),
+    [](const ::testing::TestParamInfo<TanhRowsPath>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(TanhKernel, RowsPathNamesTheDispatchedInstantiation) {
+  const std::string_view path = la::kernels::tanh_rows_path();
+  EXPECT_EQ(path == "avx512", la::kernels::tanh_rows_avx512_supported());
+  EXPECT_TRUE(path == "avx512" || path == "avx2" || path == "scalar") << path;
 }
 
 // ---------------------------------------------------------------------------

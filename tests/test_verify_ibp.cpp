@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "control/nn_controller.h"
@@ -59,22 +60,39 @@ TEST(Ibp, TanhKernelNeverDecreasesNearItsBranchThresholds) {
   // than outward()'s inflation.  An exact-formula tanh is monotone; a
   // rounded one may dip by an ulp anywhere (outward() absorbs that) but
   // could dip further where it switches formulas, so walk +-20,000 ulps
-  // around every switch on both sides of zero and require no dip at all.
+  // around every switch on both sides of zero and require no dip at all —
+  // from the scalar kernel and from both vector instantiations of
+  // tanh_rows (the eight-lane one where this host runs it).
   // The thresholds above are within a few ulps of exact.
   constexpr std::int64_t kUlps = 20000;
+  std::vector<std::pair<const char*,
+                        void (*)(const double*, double*, std::size_t) noexcept>>
+      paths = {{"avx2", la::kernels::tanh_rows_avx2}};
+  if (la::kernels::tanh_rows_avx512_supported())
+    paths.emplace_back("avx512", la::kernels::tanh_rows_avx512);
+  std::vector<double> xs(2 * kUlps + 1);
+  std::vector<double> ys(xs.size());
   for (const double c : tanh_branch_thresholds()) {
     for (const double sign : {1.0, -1.0}) {
       const double centre = sign * c;
       double x = centre;
       for (std::int64_t i = 0; i < kUlps; ++i) x = std::nextafter(x, -30.0);
-      double prev = la::kernels::tanh(x);
-      for (std::int64_t i = 0; i < 2 * kUlps; ++i) {
-        const double next_x = std::nextafter(x, 30.0);
-        const double next = la::kernels::tanh(next_x);
-        ASSERT_LE(prev, next) << std::hexfloat << "tanh decreases from x = "
-                              << x << " to " << next_x << " near " << centre;
-        x = next_x;
-        prev = next;
+      for (double& v : xs) {
+        v = x;
+        x = std::nextafter(x, 30.0);
+      }
+      for (std::size_t i = 0; i < xs.size(); ++i)
+        ys[i] = la::kernels::tanh(xs[i]);
+      for (std::size_t i = 1; i < xs.size(); ++i)
+        ASSERT_LE(ys[i - 1], ys[i])
+            << std::hexfloat << "scalar tanh decreases from x = " << xs[i - 1]
+            << " to " << xs[i] << " near " << centre;
+      for (const auto& [name, rows] : paths) {
+        rows(xs.data(), ys.data(), xs.size());
+        for (std::size_t i = 1; i < xs.size(); ++i)
+          ASSERT_LE(ys[i - 1], ys[i])
+              << std::hexfloat << name << " tanh decreases from x = "
+              << xs[i - 1] << " to " << xs[i] << " near " << centre;
       }
     }
   }

@@ -13,18 +13,25 @@
 //  * Reachability (Definition 2): concrete closed-loop trajectories of the
 //    3D system stay in ∪ layers[t] at every step t.
 //  * Invariant sets (Definition 1): Van der Pol states in XI stay in XI
-//    after one step under any sampled disturbance in Ω.
+//    after one step under any sampled disturbance in Ω.  A sweep stopped
+//    by its iteration cap before the fixed point certifies nothing.
+//  * The serving monitor: whenever SafetyMonitor::certified(s) holds, the
+//    whole ±margin box around s lies in the certified box or in XI's
+//    member cells — its corners and seeded points inside, for states drawn
+//    near the edge where certification stops.
 //
 // Seeds are fixed, so any failure replays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "control/nn_controller.h"
+#include "serve/safety_monitor.h"
 #include "sys/registry.h"
 #include "util/rng.h"
 #include "verify/bernstein.h"
@@ -386,6 +393,176 @@ TEST_P(InvariantOracle, StatesInXiStayInXiAfterOneStep) {
 
 INSTANTIATE_TEST_SUITE_P(VanDerPol, InvariantOracle,
                          ::testing::Values("kstar", "kd"));
+
+TEST(InvariantCap, ASweepStoppedBeforeItsFixedPointCertifiesNothing) {
+  // At the workload's config κD's sweep reaches its fixed point in five
+  // iterations: the fifth removes nothing.  Capped at four, the last sweep
+  // still removed cells, so no sweep checked the survivors against each
+  // other and the set is not known to be invariant.
+  const sys::SystemPtr system = sys::make_system("vanderpol");
+  const Subject subject = load_subject("vanderpol", "kd");
+  const auto compute = [&](int cap) {
+    verify::InvariantConfig config = fig3_config();
+    config.max_iterations = cap;
+    return verify::InvariantSetComputer(system, *subject, config).compute();
+  };
+  const verify::InvariantResult full = compute(fig3_config().max_iterations);
+  ASSERT_TRUE(full.completed) << full.failure;
+  ASSERT_EQ(full.iterations, 5);
+
+  const verify::InvariantResult capped = compute(4);
+  EXPECT_FALSE(capped.completed);
+  EXPECT_NE(capped.failure.find("max_iterations = 4"), std::string::npos)
+      << capped.failure;
+  EXPECT_THROW((void)serve::SafetyMonitor::inside_invariant(
+                   capped, system->safe_region()),
+               std::invalid_argument);
+
+  const verify::InvariantResult exact = compute(5);
+  ASSERT_TRUE(exact.completed) << exact.failure;
+  EXPECT_EQ(exact.iterations, 5);
+  EXPECT_EQ(exact.member, full.member);
+}
+
+// --- the serving monitor ----------------------------------------------------
+
+/// The corners of [s − margin, s + margin] and 64 seeded points inside it.
+std::vector<Vec> margin_box_points(const Vec& s, double margin,
+                                   util::Rng& rng) {
+  const std::size_t n = s.size();
+  std::vector<Vec> points;
+  for (std::size_t corner = 0; corner < (std::size_t{1} << n); ++corner) {
+    Vec p(n);
+    for (std::size_t i = 0; i < n; ++i)
+      p[i] = (corner >> i) & 1 ? s[i] + margin : s[i] - margin;
+    points.push_back(std::move(p));
+  }
+  for (int k = 0; k < 64; ++k) {
+    Vec p(n);
+    for (std::size_t i = 0; i < n; ++i)
+      p[i] = s[i] + margin * rng.uniform(-1.0, 1.0);
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+/// A state near where inside_box(box, margin) stops certifying: each
+/// coordinate, with probability 1/2, a few ulps or a small offset from
+/// lo + margin or hi − margin; otherwise uniform in the box.
+Vec near_box_edge(const sys::Box& box, double margin, util::Rng& rng) {
+  Vec s(box.dim());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const double draw = rng.uniform();
+    if (draw < 0.5) {
+      s[i] = rng.uniform(box.lo[i], box.hi[i]);
+      continue;
+    }
+    const bool low = draw < 0.75;
+    double x = low ? box.lo[i] + margin : box.hi[i] - margin;
+    if (rng.uniform() < 0.5) {
+      const auto ulps = static_cast<int>(rng.uniform_index(7)) - 3;
+      for (int u = 0; u < std::abs(ulps); ++u)
+        x = std::nextafter(x, ulps < 0 ? -1e300 : 1e300);
+    } else {
+      const double scale =
+          std::max(margin, 1e-3 * (box.hi[i] - box.lo[i]));
+      x += scale * rng.uniform(-0.5, 0.5);
+    }
+    s[i] = x;
+  }
+  return s;
+}
+
+TEST(MonitorOracle, InsideBoxCertifiesOnlyMarginBoxesInTheBox) {
+  const sys::Box box({-2.5, -1.0, 0.3}, {2.5, 0.75, 0.9});
+  util::Rng rng(41);
+  for (const double margin : {0.0, 0.01, 0.1, 0.25}) {
+    const serve::SafetyMonitor monitor =
+        serve::SafetyMonitor::inside_box(box, margin);
+    int certified = 0;
+    int refused = 0;
+    for (int draw = 0; draw < 4000; ++draw) {
+      const Vec s = near_box_edge(box, margin, rng);
+      if (!monitor.certified(s)) {
+        ++refused;
+        continue;
+      }
+      ++certified;
+      for (const Vec& p : margin_box_points(s, margin, rng))
+        ASSERT_TRUE(box.contains(p))
+            << "margin " << margin << ", draw " << draw << ": " << std::hexfloat
+            << "(" << p[0] << ", " << p[1] << ", " << p[2] << ")";
+    }
+    // Both verdicts occur near the edge, so the check is not vacuous.
+    EXPECT_GT(certified, 400) << "margin " << margin;
+    EXPECT_GT(refused, 400) << "margin " << margin;
+  }
+}
+
+TEST(MonitorOracle, InsideInvariantCertifiesOnlyMarginBoxesInXi) {
+  const sys::SystemPtr system = sys::make_system("vanderpol");
+  const Subject subject = load_subject("vanderpol", "kstar");
+  const verify::InvariantResult result =
+      verify::InvariantSetComputer(system, *subject, fig3_config()).compute();
+  ASSERT_TRUE(result.completed) << result.failure;
+  const sys::Box domain = system->safe_region();
+  // XI's edge: member cells with a non-member neighbour or on X's border.
+  const int cols = result.grid[0];
+  const int rows = result.grid[1];
+  std::vector<std::size_t> edge;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const auto index = static_cast<std::size_t>(r * cols + c);
+      if (!result.member[index]) continue;
+      bool at_edge = false;
+      for (const auto& [dc, dr] : {std::pair{-1, 0}, std::pair{1, 0},
+                                   std::pair{0, -1}, std::pair{0, 1}}) {
+        const int nc = c + dc;
+        const int nr = r + dr;
+        at_edge = at_edge || nc < 0 || nc >= cols || nr < 0 || nr >= rows ||
+                  !result.member[static_cast<std::size_t>(nr * cols + nc)];
+      }
+      if (at_edge) edge.push_back(index);
+    }
+  }
+  ASSERT_FALSE(edge.empty());
+  util::Rng rng(43);
+  for (const double margin : {0.0, 0.02, 0.05, 0.15}) {
+    const serve::SafetyMonitor monitor =
+        serve::SafetyMonitor::inside_invariant(result, domain, margin);
+    int certified = 0;
+    int refused = 0;
+    for (int draw = 0; draw < 4000; ++draw) {
+      // Three draws in four within the margin (at least half a cell) of
+      // an edge cell, the rest anywhere in X.
+      Vec s(2);
+      if (draw % 4 != 0) {
+        const IBox cell = result.cell_box(
+            domain, edge[static_cast<std::size_t>(rng.uniform_index(
+                        edge.size()))]);
+        for (std::size_t i = 0; i < 2; ++i) {
+          const double reach = std::max(margin, 0.5 * cell[i].width());
+          s[i] = rng.uniform(cell[i].lo() - reach, cell[i].hi() + reach);
+        }
+      } else {
+        for (std::size_t i = 0; i < 2; ++i)
+          s[i] = rng.uniform(domain.lo[i], domain.hi[i]);
+      }
+      if (!monitor.certified(s)) {
+        ++refused;
+        continue;
+      }
+      ++certified;
+      for (const Vec& p : margin_box_points(s, margin, rng))
+        ASSERT_TRUE(result.contains(domain, p))
+            << "margin " << margin << ", draw " << draw << ": state ("
+            << s[0] << ", " << s[1] << "), point (" << p[0] << ", " << p[1]
+            << ") outside XI";
+    }
+    EXPECT_GT(certified, 400) << "margin " << margin;
+    EXPECT_GT(refused, 400) << "margin " << margin;
+  }
+}
 
 }  // namespace
 }  // namespace cocktail

@@ -40,6 +40,12 @@ unordered-iteration     Iteration over a std::unordered_{map,set} variable.
 atomic-fp               std::atomic<float/double/...>.  Atomic FP
                         read-modify-write makes the accumulation order equal
                         to the scheduling order.
+host-dispatch           A CPU-feature query (__builtin_cpu_supports,
+                        __builtin_cpu_init, __get_cpuid, getauxval(AT_HWCAP*))
+                        outside la/kernels.cpp.  Choosing code by the host's
+                        instruction set is safe only where tests pin every
+                        path to the same bits, and that file's are the ones
+                        that do (test_la runs each instantiation by name).
 
 Waivers
 -------
@@ -78,14 +84,22 @@ RULES = {
     "bucket order into results; iterate a sorted/fixed-order view instead",
     "atomic-fp": "atomic floating-point accumulates in scheduling order; "
     "use util::chunked_reduce",
+    "host-dispatch": "CPU-feature query outside la/kernels.cpp; pick ISA "
+    "paths there, where tests pin each path to the same bits",
 }
 
 # Files that implement the sanctioned machinery and may use the raw tools.
 PARALLEL_SUBSTRATE = ("util/thread_pool.h", "util/thread_pool.cpp",
                       "nn/grad_reduce.h")
 RNG_SUBSTRATE = ("util/rng.h", "util/rng.cpp")
+# The one file that may ask the host which instructions it runs.
+HOST_DISPATCH_FILE = "la/kernels.cpp"
 
-CPP_SUFFIXES = (".cpp", ".h", ".hpp", ".cc", ".cxx")
+HOST_QUERY_RE = re.compile(
+    r"\b(?:__builtin_cpu_supports|__builtin_cpu_init|__get_cpuid\w*)\s*\(|"
+    r"\bgetauxval\s*\(\s*AT_HWCAP\w*")
+
+CPP_SUFFIXES = (".cpp", ".h", ".hpp", ".cc", ".cxx", ".inc")
 
 ALLOW_RE = re.compile(r"DETLINT-ALLOW\(([^)]*)\)\s*(?::\s*(.*?))?\s*(?:\*/.*)?$")
 
@@ -351,6 +365,13 @@ def scan_file(path: str, rel: str, raw: str) -> tuple[list[Finding], int]:
             path, line_of(offsets, m.start()), "atomic-fp",
             "std::atomic over a floating-point type"))
 
+    if not rel_posix.endswith(HOST_DISPATCH_FILE):
+        for m in HOST_QUERY_RE.finditer(text):
+            findings.append(Finding(
+                path, line_of(offsets, m.start()), "host-dispatch",
+                f"'{m.group(0).rstrip('( ')}' queries the host CPU outside "
+                f"{HOST_DISPATCH_FILE}"))
+
     # Apply waivers: same line or the line directly above the finding.
     unsuppressed: list[Finding] = []
     for finding in findings:
@@ -405,7 +426,7 @@ def lint_paths(paths: list[str]) -> int:
 # --- self-test --------------------------------------------------------------
 
 SELF_TEST_CASES = [
-    # (name, source, expected rule names after waivers)
+    # (name, source, expected rule names after waivers[, scanned as])
     ("raw parallel_for flagged",
      "void f(util::ThreadPool* p){ p->parallel_for(n, body); }",
      ["raw-parallel-dispatch"]),
@@ -514,13 +535,40 @@ SELF_TEST_CASES = [
      "// std::random_device in a comment\n"
      "const char* s = \"std::atomic<double>\";\n",
      []),
+    # CPU-feature queries: only la/kernels.cpp may choose code by the host
+    # ISA.  A case may name the file it is scanned as (default
+    # self_test.cpp).
+    ("cpu feature query flagged",
+     "if (__builtin_cpu_supports(\"avx2\")) fast(); else slow();\n",
+     ["host-dispatch"]),
+    ("cpuid and auxv hwcap queries flagged",
+     "__builtin_cpu_init();\n"
+     "unsigned a, b, c, d;\n"
+     "__get_cpuid_count(7, 0, &a, &b, &c, &d);\n"
+     "const auto caps = getauxval(AT_HWCAP2);\n",
+     ["host-dispatch", "host-dispatch", "host-dispatch"]),
+    ("other auxv entries are fine",
+     "const auto page = getauxval(AT_PAGESZ);\n",
+     []),
+    ("cpu feature query waived",
+     "// DETLINT-ALLOW(host-dispatch): picks a logging format, never a "
+     "result\n"
+     "const bool wide = __builtin_cpu_supports(\"avx512f\");\n",
+     []),
+    ("cpu feature query in the kernels file is allowed",
+     "static const bool ok = [] {\n"
+     "  __builtin_cpu_init();\n"
+     "  return __builtin_cpu_supports(\"avx512f\") != 0;\n"
+     "}();\n",
+     [], "la/kernels.cpp"),
 ]
 
 
 def self_test() -> int:
     failures = 0
-    for name, source, expected in SELF_TEST_CASES:
-        found, _ = scan_file("<self-test>", "self_test.cpp", source)
+    for name, source, expected, *rel in SELF_TEST_CASES:
+        found, _ = scan_file("<self-test>", rel[0] if rel else "self_test.cpp",
+                             source)
         got = sorted(f.rule for f in found)
         if got != sorted(expected):
             print(f"self-test FAILED: {name}\n  expected {sorted(expected)}"

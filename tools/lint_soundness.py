@@ -108,7 +108,7 @@ IMPLICIT_CTOR_ALLOWLIST = {
     "Interval",
 }
 
-CPP_SUFFIXES = (".cpp", ".h", ".hpp", ".cc", ".cxx")
+CPP_SUFFIXES = (".cpp", ".h", ".hpp", ".cc", ".cxx", ".inc")
 HEADER_SUFFIXES = (".h", ".hpp")
 
 ALLOW_RE = re.compile(r"SNDLINT-ALLOW\(([^)]*)\)\s*(?::\s*(.*?))?\s*(?:\*/.*)?$")
