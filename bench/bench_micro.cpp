@@ -373,8 +373,9 @@ BENCHMARK(BM_ReachSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // --- certified-lookup crossover (tracked) ---------------------------------
 //
 // The serve-path margin check: "is every invariant cell overlapped by the
-// ±margin box a member?"  Flat is the pre-PR-9 odometer over the window
-// volume (kept verbatim below); Sfc is SafetyMonitor's CellSetTree descent.
+// ±margin box a member?"  Flat is the odometer over the window volume
+// (InvariantResult::all_members, which SafetyMonitor runs on grids the tree
+// cannot index); Sfc is SafetyMonitor's CellSetTree descent.
 // Arg = grid side n — on coarse grids the window holds a handful of cells
 // and the flat walk wins on constant factors; as n grows the window volume
 // grows quadratically while the tree cost tracks the window boundary, and
@@ -413,9 +414,9 @@ std::vector<la::Vec> lookup_probes() {
 
 constexpr double kLookupMargin = 0.15;
 
-/// The pre-PR-9 SafetyMonitor margin path, kept verbatim as the baseline
-/// the CellSetTree descent is measured against: window quantization plus
-/// the odometer over every overlapped cell.
+/// SafetyMonitor's margin path without the tree, the baseline the
+/// CellSetTree descent is measured against: window quantization plus the
+/// odometer over every overlapped cell.
 bool flat_margin_certified_baseline(const verify::InvariantResult& inv,
                                     const cocktail::sys::Box& domain,
                                     double margin, const la::Vec& state) {
@@ -431,22 +432,7 @@ bool flat_margin_certified_baseline(const verify::InvariantResult& inv,
     hi_k[d] = std::clamp(static_cast<int>(std::floor((hi - domain.lo[d]) / w)),
                          0, inv.grid[d] - 1);
   }
-  std::vector<int> k = lo_k;
-  for (;;) {
-    std::size_t index = 0, stride = 1;
-    for (std::size_t d = 0; d < k.size(); ++d) {
-      index += static_cast<std::size_t>(k[d]) * stride;
-      stride *= static_cast<std::size_t>(inv.grid[d]);
-    }
-    if (inv.member[index] == 0) return false;
-    std::size_t d = 0;
-    while (d < k.size() && ++k[d] > hi_k[d]) {
-      k[d] = lo_k[d];
-      ++d;
-    }
-    if (d == k.size()) break;
-  }
-  return true;
+  return inv.all_members(lo_k, hi_k);
 }
 
 void BM_CertifiedLookupFlat(benchmark::State& state) {

@@ -1,6 +1,6 @@
 #include "control/polynomial_controller.h"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 namespace cocktail::ctrl {
@@ -83,33 +83,6 @@ double PolynomialController::lipschitz_bound() const {
   if (degree() > 1) return -1.0;
   // Degree <= 1: the Jacobian is constant; evaluate it anywhere.
   return input_jacobian(la::zeros(state_dim_)).spectral_norm();
-}
-
-double PolynomialController::lipschitz_over_box(const la::Vec& lo,
-                                                const la::Vec& hi,
-                                                int samples_per_dim) const {
-  if (lo.size() != state_dim_ || hi.size() != state_dim_)
-    throw std::invalid_argument(
-        "PolynomialController::lipschitz_over_box: bad box");
-  if (samples_per_dim < 2) samples_per_dim = 2;
-  // Dense grid walk; polynomial Jacobians attain their max on the boundary
-  // of a box, which grid corners cover as the grid refines.
-  const std::size_t total = static_cast<std::size_t>(
-      std::pow(static_cast<double>(samples_per_dim),
-               static_cast<double>(state_dim_)));
-  double best = 0.0;
-  la::Vec s(state_dim_);
-  for (std::size_t index = 0; index < total; ++index) {
-    std::size_t rem = index;
-    for (std::size_t d = 0; d < state_dim_; ++d) {
-      const std::size_t k = rem % samples_per_dim;
-      rem /= samples_per_dim;
-      s[d] = lo[d] + (hi[d] - lo[d]) * static_cast<double>(k) /
-                         static_cast<double>(samples_per_dim - 1);
-    }
-    best = std::max(best, input_jacobian(s).spectral_norm());
-  }
-  return best;
 }
 
 unsigned PolynomialController::degree() const {

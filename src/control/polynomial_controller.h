@@ -43,13 +43,9 @@ class PolynomialController final : public Controller {
   [[nodiscard]] la::Matrix input_jacobian(const la::Vec& s) const override;
 
   /// For degree ≤ 1 this is exact (spectral norm of the linear part);
-  /// higher degrees return a negative value — use lipschitz_over_box().
+  /// higher degrees have no global bound and return a negative value
+  /// (uncertified).
   [[nodiscard]] double lipschitz_bound() const override;
-
-  /// Max Jacobian spectral norm over a sampled grid of the box — a sound
-  /// empirical bound for smooth polynomials on compact sets.
-  [[nodiscard]] double lipschitz_over_box(const la::Vec& lo, const la::Vec& hi,
-                                          int samples_per_dim) const;
 
   [[nodiscard]] unsigned degree() const;
   [[nodiscard]] const std::vector<std::vector<Monomial>>& terms() const {

@@ -349,28 +349,6 @@ double Mlp::lipschitz_upper_bound() const {
   return lip;
 }
 
-double Mlp::lipschitz_sampled(const la::Vec& lo, const la::Vec& hi,
-                              int samples, util::Rng& rng) const {
-  const std::size_t dim = input_dim();
-  if (lo.size() != dim || hi.size() != dim)
-    throw std::invalid_argument("lipschitz_sampled: box dimension mismatch");
-  double best = 0.0;
-  for (int k = 0; k < samples; ++k) {
-    la::Vec x(dim), y(dim);
-    for (std::size_t i = 0; i < dim; ++i) {
-      x[i] = rng.uniform(lo[i], hi[i]);
-      // y is a nearby point: local slopes dominate the Lipschitz constant.
-      const double radius = 1e-3 * (hi[i] - lo[i]);
-      y[i] = std::clamp(x[i] + rng.uniform(-radius, radius), lo[i], hi[i]);
-    }
-    const double dx = la::norm_l2(la::sub(x, y));
-    if (dx < 1e-12) continue;
-    const double df = la::norm_l2(la::sub(forward(x), forward(y)));
-    best = std::max(best, df / dx);
-  }
-  return best;
-}
-
 void Mlp::apply_update(double k, const Gradients& grads) {
   if (grads.w.size() != layers_.size())
     throw std::invalid_argument("Mlp::apply_update: shape mismatch");

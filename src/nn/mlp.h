@@ -176,12 +176,6 @@ class Mlp {
   /// Certified global Lipschitz upper bound: prod_l lip(act_l)*||W_l||_2.
   [[nodiscard]] double lipschitz_upper_bound() const;
 
-  /// Empirical (lower-bound) Lipschitz estimate: max over sampled pairs of
-  /// ||f(x)-f(y)|| / ||x-y|| inside the given box.  Useful for testing that
-  /// the certified bound is sound.
-  [[nodiscard]] double lipschitz_sampled(const la::Vec& lo, const la::Vec& hi,
-                                         int samples, util::Rng& rng) const;
-
   /// In-place SGD-style parameter update p += k * g.
   void apply_update(double k, const Gradients& grads);
 

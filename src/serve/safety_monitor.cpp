@@ -14,9 +14,19 @@ SafetyMonitor SafetyMonitor::trust_all() {
   return monitor;
 }
 
+namespace {
+
+/// A NaN margin would disable every margin comparison (and reach the
+/// window's int casts); an infinite one certifies nothing.
+void check_margin(double margin) {
+  if (!std::isfinite(margin) || margin < 0.0)
+    throw std::invalid_argument("SafetyMonitor: margin must be finite and >= 0");
+}
+
+}  // namespace
+
 SafetyMonitor SafetyMonitor::inside_box(sys::Box box, double margin) {
-  if (margin < 0.0)
-    throw std::invalid_argument("SafetyMonitor: negative margin");
+  check_margin(margin);
   SafetyMonitor monitor;
   monitor.mode_ = Mode::kBox;
   monitor.box_ = std::move(box);
@@ -26,8 +36,7 @@ SafetyMonitor SafetyMonitor::inside_box(sys::Box box, double margin) {
 
 SafetyMonitor SafetyMonitor::inside_invariant(verify::InvariantResult result,
                                               sys::Box domain, double margin) {
-  if (margin < 0.0)
-    throw std::invalid_argument("SafetyMonitor: negative margin");
+  check_margin(margin);
   if (!result.completed)
     throw std::invalid_argument(
         "SafetyMonitor: invariant computation did not complete — its member "
@@ -35,6 +44,29 @@ SafetyMonitor SafetyMonitor::inside_invariant(verify::InvariantResult result,
   if (result.grid.size() != domain.dim())
     throw std::invalid_argument(
         "SafetyMonitor: invariant grid / domain dimension mismatch");
+  // The window quantization divides by each cell's width.
+  for (std::size_t d = 0; d < domain.dim(); ++d)
+    if (!std::isfinite(domain.lo[d]) || !std::isfinite(domain.hi[d]) ||
+        !(domain.lo[d] < domain.hi[d]))
+      throw std::invalid_argument(
+          "SafetyMonitor: invariant domain must be bounded with positive "
+          "widths");
+  // The window walk indexes `member` by grid coordinates, so Π grid must
+  // be its size.  The product stops growing once it would pass the size,
+  // so it cannot wrap.
+  std::size_t cells = 1;
+  bool fits = true;
+  for (const int count : result.grid) {
+    if (count <= 0)
+      throw std::invalid_argument(
+          "SafetyMonitor: invariant grid has a non-positive cell count");
+    const auto n = static_cast<std::size_t>(count);
+    fits = fits && cells <= result.member.size() / n;
+    if (fits) cells *= n;
+  }
+  if (!fits || cells != result.member.size())
+    throw std::invalid_argument(
+        "SafetyMonitor: invariant member array does not match its grid");
   SafetyMonitor monitor;
   monitor.mode_ = Mode::kInvariant;
   monitor.box_ = std::move(domain);
@@ -42,7 +74,8 @@ SafetyMonitor SafetyMonitor::inside_invariant(verify::InvariantResult result,
   monitor.invariant_ =
       std::make_shared<const verify::InvariantResult>(std::move(result));
   // Key the member set on the space-filling curve when the grid packs into
-  // a 64-bit Morton key; outsized grids keep the flat odometer fallback.
+  // a 64-bit Morton key; outsized grids walk the member window flat
+  // (InvariantResult::all_members).
   // Built once here — the monitor stays immutable after construction, so
   // concurrent certified() calls share the tree without a lock.
   if (verify::CellSetTree::supports(monitor.invariant_->grid))
@@ -97,34 +130,10 @@ bool SafetyMonitor::certified(const la::Vec& state) const {
       // SFC-keyed tree when one was built, the flat odometer otherwise.
       // The two walks return bitwise-identical verdicts (tested).
       if (member_tree_) return member_tree_->all_members(lo_k, hi_k);
-      return window_all_members_flat(lo_k, hi_k);
+      return invariant_->all_members(lo_k, hi_k);
     }
   }
   return false;
-}
-
-// SNDLINT-ALLOW(nan-blind-compare): pure integer cell-coordinate walk — no floating-point inputs reach the flat member odometer.
-bool SafetyMonitor::window_all_members_flat(
-    const std::vector<int>& lo_k, const std::vector<int>& hi_k) const {
-  // Odometer over the overlapped cell range (dim 0 fastest, matching
-  // InvariantResult's flattened indexing).
-  std::vector<int> k = lo_k;
-  for (;;) {
-    std::size_t index = 0;
-    std::size_t stride = 1;
-    for (std::size_t d = 0; d < k.size(); ++d) {
-      index += static_cast<std::size_t>(k[d]) * stride;
-      stride *= static_cast<std::size_t>(invariant_->grid[d]);
-    }
-    if (!invariant_->member[index]) return false;
-    std::size_t d = 0;
-    while (d < k.size() && ++k[d] > hi_k[d]) {
-      k[d] = lo_k[d];
-      ++d;
-    }
-    if (d == k.size()) break;
-  }
-  return true;
 }
 
 double SafetyMonitor::action_deviation_bound(const ctrl::Controller& controller,

@@ -22,12 +22,11 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "control/controller.h"
 #include "la/vec.h"
 #include "sys/system.h"
-#include "verify/box_tree.h"
+#include "verify/cell_set_tree.h"
 #include "verify/invariant.h"
 
 namespace cocktail::serve {
@@ -43,15 +42,18 @@ class SafetyMonitor {
 
   /// Certifies states at least `margin` inside `box` on every dimension
   /// (unbounded dimensions always pass).  `margin` is the inf-norm bound on
-  /// observation error the deployment assumes.
+  /// observation error the deployment assumes; throws
+  /// std::invalid_argument unless it is finite and >= 0.
   [[nodiscard]] static SafetyMonitor inside_box(sys::Box box,
                                                 double margin = 0.0);
 
   /// Certifies states whose surrounding ±margin box lies entirely in the
   /// computed invariant set: every grid cell the box overlaps must be a
   /// member (not just the corners — a wide margin can straddle interior
-  /// cells).  Requires a completed result; throws std::invalid_argument
-  /// otherwise.
+  /// cells).  Throws std::invalid_argument unless the margin is finite and
+  /// >= 0, the result completed, its grid has one positive cell count per
+  /// domain dimension with Π grid == member.size(), and the domain is
+  /// bounded with positive widths.
   [[nodiscard]] static SafetyMonitor inside_invariant(
       verify::InvariantResult result, sys::Box domain, double margin = 0.0);
 
@@ -69,12 +71,6 @@ class SafetyMonitor {
       const ctrl::Controller& controller, double epsilon_inf);
 
  private:
-  /// Reference window walk over the flattened member array: the odometer
-  /// the SFC tree replaced, kept as the fallback for grids the Morton key
-  /// cannot pack (dim > kMaxSfcDim, or > 63 key bits).
-  [[nodiscard]] bool window_all_members_flat(const std::vector<int>& lo_k,
-                                             const std::vector<int>& hi_k) const;
-
   enum class Mode { kNone, kAll, kBox, kInvariant };
 
   Mode mode_ = Mode::kNone;
@@ -82,9 +78,10 @@ class SafetyMonitor {
   double margin_ = 0.0;
   std::shared_ptr<const verify::InvariantResult> invariant_;
   /// SFC-keyed index over the invariant member set (kInvariant only; null
-  /// when the grid is unsupported).  Margin window checks descend the tree
-  /// — O(window boundary) — instead of the odometer's O(window volume),
-  /// with bitwise-identical verdicts.
+  /// when the grid is unsupported, i.e. dim > kMaxSfcDim or > 63 key
+  /// bits).  Margin window checks descend the tree — O(window boundary) —
+  /// instead of InvariantResult::all_members' O(window volume) odometer,
+  /// which outsized grids fall back to; the verdicts are bitwise identical.
   std::shared_ptr<const verify::CellSetTree> member_tree_;
 };
 

@@ -8,8 +8,13 @@ namespace cocktail::sys {
 Box::Box(la::Vec lower, la::Vec upper) : lo(std::move(lower)), hi(std::move(upper)) {
   if (lo.size() != hi.size())
     throw std::invalid_argument("Box: lo/hi dimension mismatch");
-  for (std::size_t i = 0; i < lo.size(); ++i)
+  // ±inf bounds mark unconstrained dimensions; a NaN bound would make
+  // contains() treat its side as unconstrained too, so it is refused.
+  for (std::size_t i = 0; i < lo.size(); ++i) {
+    if (std::isnan(lo[i]) || std::isnan(hi[i]))
+      throw std::invalid_argument("Box: NaN bound");
     if (lo[i] > hi[i]) throw std::invalid_argument("Box: lo > hi");
+  }
 }
 
 Box Box::symmetric(std::size_t dim, double half_width) {

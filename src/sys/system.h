@@ -25,6 +25,8 @@ struct Box {
   la::Vec hi;
 
   Box() = default;
+  /// Throws std::invalid_argument on a dimension mismatch, a NaN bound or
+  /// lo > hi.  ±kUnbounded bounds are legal.
   Box(la::Vec lower, la::Vec upper);
   /// Symmetric box [-half_width, half_width]^dim.
   static Box symmetric(std::size_t dim, double half_width);

@@ -30,7 +30,7 @@ struct GridIndexer {
 
   /// Index range [lo_k, hi_k] of cells overlapping the box of grid.size()
   /// intervals starting at `box`, along each dim, or false if the box
-  /// leaves the domain.
+  /// leaves the domain or is corrupted.
   [[nodiscard]] bool overlap_range(const Interval* box,
                                    std::vector<int>& lo_k,
                                    std::vector<int>& hi_k) const {
@@ -38,9 +38,11 @@ struct GridIndexer {
     hi_k.resize(grid.size());
     for (std::size_t d = 0; d < grid.size(); ++d) {
       // A NaN endpoint passes both comparisons; fail it closed before the
-      // int casts below, which are UB for NaN.
+      // int casts below, which are UB for NaN.  An inverted interval would
+      // make an empty window, which all_members accepts vacuously.
       if (!std::isfinite(box[d].lo()) || !std::isfinite(box[d].hi()) ||
-          box[d].lo() < domain.lo[d] || box[d].hi() > domain.hi[d])
+          !box[d].valid() || box[d].lo() < domain.lo[d] ||
+          box[d].hi() > domain.hi[d])
         return false;
       const double w =
           (domain.hi[d] - domain.lo[d]) / static_cast<double>(grid[d]);
@@ -78,6 +80,34 @@ bool InvariantResult::contains(const sys::Box& domain,
     stride *= static_cast<std::size_t>(grid[d]);
   }
   return member[index];
+}
+
+// SNDLINT-ALLOW(nan-blind-compare): pure integer cell-coordinate walk — callers quantize finite boxes and states into the window first, and out-of-range windows fail closed below
+bool InvariantResult::all_members(const std::vector<int>& lo_k,
+                                  const std::vector<int>& hi_k) const {
+  const std::size_t dim = grid.size();
+  if (dim == 0 || lo_k.size() != dim || hi_k.size() != dim) return false;
+  for (std::size_t d = 0; d < dim; ++d)
+    if (lo_k[d] > hi_k[d]) return true;  // empty window: nothing to check.
+  for (std::size_t d = 0; d < dim; ++d)
+    if (lo_k[d] < 0 || hi_k[d] >= grid[d]) return false;
+  std::vector<int> k = lo_k;
+  for (;;) {
+    std::size_t index = 0;
+    std::size_t stride = 1;
+    for (std::size_t d = 0; d < dim; ++d) {
+      index += static_cast<std::size_t>(k[d]) * stride;
+      stride *= static_cast<std::size_t>(grid[d]);
+    }
+    if (!member[index]) return false;
+    // Advance the odometer over [lo_k, hi_k].
+    std::size_t d = 0;
+    while (d < dim && ++k[d] > hi_k[d]) {
+      k[d] = lo_k[d];
+      ++d;
+    }
+    if (d == dim) return true;
+  }
 }
 
 InvariantSetComputer::InvariantSetComputer(sys::SystemPtr system,
@@ -150,31 +180,9 @@ InvariantResult InvariantSetComputer::compute() const {
     ++result.iterations;
     for (std::size_t i = 0; i < cells; ++i) {
       if (!result.member[i]) continue;
-      bool stays = indexer.overlap_range(&images[i * dim], lo_k, hi_k);
-      if (stays) {
-        // Every overlapped cell must still be a member.
-        std::vector<int> k = lo_k;
-        for (;;) {
-          std::size_t index = 0;
-          std::size_t stride = 1;
-          for (std::size_t d = 0; d < k.size(); ++d) {
-            index += static_cast<std::size_t>(k[d]) * stride;
-            stride *= static_cast<std::size_t>(result.grid[d]);
-          }
-          if (!result.member[index]) {
-            stays = false;
-            break;
-          }
-          // Advance the odometer over [lo_k, hi_k].
-          std::size_t d = 0;
-          while (d < k.size() && ++k[d] > hi_k[d]) {
-            k[d] = lo_k[d];
-            ++d;
-          }
-          if (d == k.size()) break;
-        }
-      }
-      if (!stays) {
+      // Every cell the image overlaps must still be a member.
+      if (!indexer.overlap_range(&images[i * dim], lo_k, hi_k) ||
+          !result.all_members(lo_k, hi_k)) {
         result.member[i] = false;
         changed = true;
       }

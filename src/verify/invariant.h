@@ -57,6 +57,15 @@ struct InvariantResult {
   [[nodiscard]] IBox cell_box(const sys::Box& domain, std::size_t index) const;
   [[nodiscard]] bool contains(const sys::Box& domain,
                               const la::Vec& point) const;
+  /// True iff every cell of the window [lo_k, hi_k] (inclusive, per
+  /// dimension) is a member: an odometer walk over `member`, dimension 0
+  /// fastest.  An empty window (lo > hi anywhere) holds no cells and is
+  /// vacuously covered; otherwise a dimension mismatch or a window
+  /// escaping the grid fails closed.  Requires member.size() == Π grid.
+  /// The fixed point's sweep and SafetyMonitor's margin check both ask
+  /// this; CellSetTree answers it by a pruned descent.
+  [[nodiscard]] bool all_members(const std::vector<int>& lo_k,
+                                 const std::vector<int>& hi_k) const;
 };
 
 class InvariantSetComputer {

@@ -9,10 +9,27 @@
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
-#include "verify/box_tree.h"
 #include "verify/sfc.h"
 
 namespace cocktail::verify {
+
+bool box_inside_region(const IBox& box, const sys::Box& region) {
+  if (box.size() != region.dim()) return false;
+  for (std::size_t i = 0; i < box.size(); ++i) {
+    // Fail closed on corrupted enclosures: a NaN/Inf endpoint (an invalid
+    // Interval escaping interval arithmetic) certifies nothing — without
+    // this guard the bounded-dimension comparisons below are NaN-blind
+    // (both compare false) and a garbage box would count as safe.
+    if (!std::isfinite(box[i].lo()) || !std::isfinite(box[i].hi()) ||
+        !box[i].valid())
+      return false;
+    if (std::isfinite(region.lo[i]) && box[i].lo() < region.lo[i])
+      return false;
+    if (std::isfinite(region.hi[i]) && box[i].hi() > region.hi[i])
+      return false;
+  }
+  return true;
+}
 
 std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
                              double resolution, std::size_t max_cells) {
@@ -71,8 +88,7 @@ std::vector<IBox> pave_boxes(const std::vector<IBox>& boxes,
   // Mark the covered cells in a bitmap over the grid (one bit per cell,
   // total <= max_cells), then list them as SFC keys — Morton-interleaved
   // when the grid packs into 63 bits, flat row-major otherwise (the flat
-  // key fits by construction).  The sorted key set is the linearized leaf
-  // level of the paving tree: the emission order is the key order —
+  // key fits by construction).  The emission order is the key order —
   // deterministic and invariant under permutations of the input boxes.
   // Marking first holds each cell once, not once per box overlapping it.
   int levels = 0;
@@ -156,13 +172,6 @@ ReachabilityAnalyzer::ReachabilityAnalyzer(sys::SystemPtr system,
       config_(std::move(config)),
       dynamics_(make_interval_dynamics(*system_)) {}
 
-bool ReachabilityAnalyzer::inside_safe_region(const IBox& box) const {
-  // Fail-closed shared predicate (box_tree.cpp): non-finite/invalid
-  // components never count as safe — the pre-fix exclusion chain here was
-  // NaN-blind and certified corrupted enclosures.
-  return box_inside_region(box, system_->safe_region());
-}
-
 ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
   util::Stopwatch timer;
   ReachResult result;
@@ -171,11 +180,12 @@ ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
   VerificationBudget budget = config_.budget;
   const IBox u_bounds =
       make_box(system_->control_bounds().lo, system_->control_bounds().hi);
+  const sys::Box safe = system_->safe_region();
   util::WorkerScope workers(config_.num_workers);
 
   // Per-dimension subdivision counts against wrapping.  NaN-closed: a
   // corrupted (non-finite) width must not reach the int cast (UB) — such
-  // boxes pass through unsubdivided and fail the safe-region sweep closed.
+  // boxes pass through unsubdivided and fail the safe-region scan closed.
   // The per-dim cap keeps the cast in range; the max_boxes check below
   // bounds the step either way.
   const auto subdivision_parts = [&](const IBox& box) {
@@ -197,7 +207,7 @@ ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
     return a > kMaxCount - b ? kMaxCount : a + b;
   };
 
-  bool all_safe = inside_safe_region(initial);
+  bool all_safe = box_inside_region(initial, safe);
   std::string failure;
   for (int t = 0; t < config_.steps; ++t) {
     const auto& frontier = result.layers.back();
@@ -250,12 +260,12 @@ ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
         break;
       }
     }
-    // Key the next layer: the layer-wide safe sweep is a pruned BoxTree
-    // descent (hull short-circuits accept whole subtrees) instead of a
-    // flat scan, deciding with the same fail-closed box_inside_region
-    // predicate as the per-box path.
-    const BoxTree layer_tree = BoxTree::build(next);
-    if (!layer_tree.all_inside(system_->safe_region())) all_safe = false;
+    // One pass over the layer decides its safety, stopping at the first
+    // box outside X; once any box has failed, later layers are not scanned.
+    all_safe = all_safe &&
+               std::all_of(next.begin(), next.end(), [&](const IBox& box) {
+                 return box_inside_region(box, safe);
+               });
     result.layers.push_back(std::move(next));
   }
   if (failure.empty()) {

@@ -62,13 +62,18 @@ class ReachabilityAnalyzer {
   [[nodiscard]] ReachResult analyze(const IBox& initial) const;
 
  private:
-  [[nodiscard]] bool inside_safe_region(const IBox& box) const;
-
   sys::SystemPtr system_;
   const ctrl::Controller& controller_;
   ReachConfig config_;
   std::unique_ptr<IntervalDynamics> dynamics_;
 };
+
+/// Fail-closed box-in-region test: every component must be finite and
+/// valid (NaN/Inf certify nothing), and inside the region on every bounded
+/// dimension (unbounded region dimensions always pass).  A dimension
+/// mismatch fails.  ReachabilityAnalyzer decides each layer's safety with
+/// one pass of it over the layer's boxes.
+[[nodiscard]] bool box_inside_region(const IBox& box, const sys::Box& region);
 
 /// Sound frontier merge: covers `boxes` with the cells of a regular grid
 /// (cell edge ~`resolution`, grid capped at `max_cells` by coarsening) over

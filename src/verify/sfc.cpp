@@ -1,17 +1,9 @@
 #include "verify/sfc.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace cocktail::verify {
-
-int sfc_max_bits(std::size_t dim) {
-  if (dim == 0) return 0;
-  // Coordinates are uint32, so 32 bits per dimension is the ceiling even
-  // in one dimension.
-  return static_cast<int>(std::min<std::size_t>(32, 63 / dim));
-}
 
 bool sfc_fits(std::size_t dim, int bits) {
   if (dim == 0 || bits < 0) return false;
@@ -50,25 +42,6 @@ void sfc_decode(std::uint64_t key, std::size_t dim, int bits,
       coords[d] |= static_cast<std::uint32_t>(
           (key >> (static_cast<std::size_t>(b) * dim + d)) & 1u)
           << b;
-}
-
-std::vector<std::uint32_t> sfc_decode(std::uint64_t key, std::size_t dim,
-                                      int bits) {
-  std::vector<std::uint32_t> coords;
-  sfc_decode(key, dim, bits, coords);
-  return coords;
-}
-
-std::uint32_t sfc_cell_coord(double x, double lo, double hi,
-                             std::uint32_t cells) {
-  if (cells == 0) return 0;
-  if (!std::isfinite(x) || !std::isfinite(lo) || !std::isfinite(hi) ||
-      hi <= lo)
-    return 0;
-  const double scaled = (x - lo) / (hi - lo) * static_cast<double>(cells);
-  if (!(scaled > 0.0)) return 0;  // NaN-closed: non-positive and NaN -> 0.
-  if (scaled >= static_cast<double>(cells)) return cells - 1;
-  return static_cast<std::uint32_t>(scaled);
 }
 
 }  // namespace cocktail::verify

@@ -1,17 +1,16 @@
-// Space-filling-curve (Morton / Z-order) keys for the spatial index
-// (ROADMAP: "Spatial indexing for certificates and reachability", after the
-// cstone idea of SFC keys + a linearized octree over state space).
+// Space-filling-curve (Morton / Z-order) keys for the spatial index, after
+// the cstone idea of SFC keys + a linearized octree over state space.
 //
 // A d-dimensional cell coordinate is packed into one 64-bit key by bit
 // interleaving: key bit (b*d + i) is bit b of coordinate i.  Sorting keys
 // therefore sorts cells in Z-order, adjacent keys are spatially close, and
 // `key >> d` is the key of the parent cell one octree level up — the
-// property the bottom-up tree builds in verify/box_tree.h rely on.
+// property CellSetTree's bottom-up build (verify/cell_set_tree.h) relies
+// on.  pave_boxes (verify/reach.h) emits its covering cells in key order.
 //
-// Keys are an *ordering/packing* device only: every accepting decision made
-// over a keyed structure re-checks exact stored endpoints (box_tree.h), so
-// quantization here never needs outward rounding.  All functions are pure
-// and deterministic; encode/decode round-trip bitwise.
+// Keys pack integer cell coordinates exactly: nothing here quantizes a
+// float, so nothing needs outward rounding.  All functions are pure and
+// deterministic; encode/decode round-trip bitwise.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +22,6 @@ namespace cocktail::verify {
 /// Dimension cap for the cell-set octree (fanout = 2^dim children per
 /// node).  Morton packing itself only needs dim * bits <= 63.
 inline constexpr std::size_t kMaxSfcDim = 8;
-
-/// Most per-dimension bits a `dim`-dimensional Morton key can carry in the
-/// 63 usable bits of a uint64 (0 for dim == 0).
-[[nodiscard]] int sfc_max_bits(std::size_t dim);
 
 /// True when a `dim`-dimensional grid with `bits` bits per dimension packs
 /// into one 64-bit Morton key.
@@ -45,16 +40,5 @@ inline constexpr std::size_t kMaxSfcDim = 8;
 /// Inverse of sfc_encode into a caller-provided buffer of size `dim`.
 void sfc_decode(std::uint64_t key, std::size_t dim, int bits,
                 std::vector<std::uint32_t>& coords);
-
-/// Allocating convenience overload of sfc_decode.
-[[nodiscard]] std::vector<std::uint32_t> sfc_decode(std::uint64_t key,
-                                                    std::size_t dim, int bits);
-
-/// Cell coordinate of `x` in [lo, hi) split into `cells` uniform slices,
-/// clamped to [0, cells-1].  NaN-closed: a non-finite or degenerate input
-/// maps to cell 0 — safe because keys only order candidates; membership is
-/// always re-decided against exact endpoints.
-[[nodiscard]] std::uint32_t sfc_cell_coord(double x, double lo, double hi,
-                                           std::uint32_t cells);
 
 }  // namespace cocktail::verify

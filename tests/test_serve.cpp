@@ -107,11 +107,6 @@ TEST(SafetyMonitor, WrongDimensionIsNeverCertified) {
   EXPECT_FALSE(monitor.certified({0.0, 0.0, 0.0}));
 }
 
-TEST(SafetyMonitor, NegativeMarginThrows) {
-  EXPECT_THROW((void)serve::SafetyMonitor::inside_box(unit_box(), -0.1),
-               std::invalid_argument);
-}
-
 verify::InvariantResult checkerboard_invariant() {
   // 2x2 grid over [-1,1]^2; only the lower-left and upper-right cells are
   // invariant members (flattened dim-0-fastest: cells 0 and 3).
@@ -193,12 +188,58 @@ TEST(SafetyMonitor, WideMarginCannotSkipInteriorCells) {
   EXPECT_FALSE(narrow.certified({-1.4, 0.9}));
 }
 
-TEST(SafetyMonitor, IncompleteInvariantIsRejected) {
+// A NaN margin used to pass the `margin < 0` check: inside_box then
+// certified every finite state (both margin comparisons are false for
+// NaN), and inside_invariant cast NaN to int in the window quantization.
+TEST(SafetyMonitor, MarginMustBeFiniteAndNonNegative) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double margin : {-0.1, nan, inf, -inf}) {
+    EXPECT_THROW((void)serve::SafetyMonitor::inside_box(unit_box(), margin),
+                 std::invalid_argument)
+        << margin;
+    EXPECT_THROW((void)serve::SafetyMonitor::inside_invariant(
+                     checkerboard_invariant(), unit_box(), margin),
+                 std::invalid_argument)
+        << margin;
+  }
+}
+
+TEST(SafetyMonitor, MalformedInvariantIsRejected) {
+  const auto rejected = [](const verify::InvariantResult& result,
+                           const sys::Box& domain, const char* what) {
+    EXPECT_THROW((void)serve::SafetyMonitor::inside_invariant(result, domain),
+                 std::invalid_argument)
+        << what;
+  };
   verify::InvariantResult incomplete = checkerboard_invariant();
   incomplete.completed = false;
-  EXPECT_THROW((void)serve::SafetyMonitor::inside_invariant(incomplete,
-                                                            unit_box()),
-               std::invalid_argument);
+  rejected(incomplete, unit_box(), "incomplete");
+  // The window walk indexes `member` by grid coordinates.  A member array
+  // shorter than Π grid used to be accepted (on grids the cell-set tree
+  // cannot index, nothing else checked it), and certified() read past its
+  // end.
+  verify::InvariantResult short_members;
+  short_members.grid.assign(9, 2);  // dim > kMaxSfcDim: no tree.
+  short_members.member.assign(3, true);
+  short_members.completed = true;
+  rejected(short_members, sys::Box::symmetric(9, 1.0), "short member array");
+  // The size check cannot wrap: Π grid = 2^64 ≡ 0 in size_t, which a
+  // plain product would match against an empty member array.
+  verify::InvariantResult wrapped;
+  wrapped.grid = {1 << 30, 1 << 30, 1 << 4};
+  wrapped.completed = true;
+  rejected(wrapped, sys::Box::symmetric(3, 1.0), "wrapping grid");
+  verify::InvariantResult empty_axis = checkerboard_invariant();
+  empty_axis.grid = {0, 2};
+  rejected(empty_axis, unit_box(), "zero cell count");
+  // The window quantization divides by each cell's width.
+  rejected(checkerboard_invariant(),
+           sys::Box(Vec{-1.0, -sys::Box::kUnbounded},
+                    Vec{1.0, sys::Box::kUnbounded}),
+           "unbounded domain");
+  rejected(checkerboard_invariant(), sys::Box(Vec{-1.0, 0.0}, Vec{1.0, 0.0}),
+           "zero-width domain");
 }
 
 /// Reference for the invariant margin check: the pre-tree flat odometer
@@ -277,8 +318,8 @@ TEST(SafetyMonitor, SfcIndexMatchesFlatOdometerOnRandomizedInvariants) {
 
 TEST(SafetyMonitor, OutsizedGridsFallBackToTheFlatWalk) {
   // A 9-dimensional grid cannot pack into a 64-bit Morton key
-  // (dim > kMaxSfcDim), so the monitor keeps the flat odometer — same
-  // verdicts, no tree.
+  // (dim > kMaxSfcDim), so the monitor walks the member window flat
+  // (InvariantResult::all_members) — same verdicts, no tree.
   const std::size_t dim = 9;
   ASSERT_GT(dim, verify::kMaxSfcDim);
   verify::InvariantResult result;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sys/cartpole.h"
 #include "sys/registry.h"
@@ -29,8 +30,19 @@ TEST(Box, CenterAndHalfWidths) {
   EXPECT_EQ(box.half_widths(), (Vec{2.0, 1.0}));
 }
 
-TEST(Box, RejectsInvertedBounds) {
+TEST(Box, RejectsInvertedAndNanBounds) {
   EXPECT_THROW(sys::Box({1.0}, {0.0}), std::invalid_argument);
+  // `lo > hi` is false for NaN, so a NaN bound used to pass, and
+  // contains() then treated that side as unconstrained.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sys::Box({nan, -1.0}, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(sys::Box({0.0}, {nan}), std::invalid_argument);
+  EXPECT_THROW((void)sys::Box::symmetric(2, nan), std::invalid_argument);
+  // ±inf stay legal: they mark unbounded dimensions.
+  const sys::Box open({-sys::Box::kUnbounded, -1.0},
+                      {sys::Box::kUnbounded, 1.0});
+  EXPECT_TRUE(open.contains({-50.0, 0.5}));
+  EXPECT_FALSE(open.contains({0.0, -50.0}));
 }
 
 TEST(Box, UnboundedDetection) {

@@ -277,7 +277,7 @@ TEST(Reach, NanInitialBoxIsNeverSafe) {
   auto system = std::make_shared<sys::VanDerPol>();
   const ctrl::ZeroController zero(2, 1);
   verify::ReachConfig config;
-  config.steps = 0;  // the verdict reduces to inside_safe_region(initial).
+  config.steps = 0;  // the verdict reduces to box_inside_region(initial).
   const verify::ReachabilityAnalyzer analyzer(system, zero, config);
   IBox initial = verify::make_box({0.1, 0.1}, {0.2, 0.2});
   initial[1] = {std::numeric_limits<double>::quiet_NaN(),
@@ -285,6 +285,33 @@ TEST(Reach, NanInitialBoxIsNeverSafe) {
   const auto result = analyzer.analyze(initial);
   EXPECT_TRUE(result.completed);
   EXPECT_FALSE(result.safe) << "NaN enclosure certified as safe";
+}
+
+TEST(BoxInsideRegion, FailsClosedOnCorruptedBoxes) {
+  // The predicate behind every layer's safety verdict.  A NaN, an Inf or an
+  // inverted component certifies nothing, whatever the region.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const sys::Box wide = sys::Box::symmetric(2, 100.0);
+  const sys::Box half(Vec{-2.0, -sys::Box::kUnbounded},
+                      Vec{2.0, sys::Box::kUnbounded});
+  IBox box = verify::make_box({0.0, 0.0}, {1.0, 1.0});
+  EXPECT_TRUE(verify::box_inside_region(box, wide));
+  for (const Interval bad : {Interval(kNan, kNan), Interval(0.0, kNan),
+                             Interval(0.0, kInf), Interval(-kInf, 0.0),
+                             Interval(1.0, 0.0)}) {
+    box[1] = bad;
+    EXPECT_FALSE(verify::box_inside_region(box, wide)) << bad.to_string();
+    EXPECT_FALSE(verify::box_inside_region(box, half)) << bad.to_string();
+  }
+  // An unbounded region dimension passes any valid finite box...
+  EXPECT_TRUE(verify::box_inside_region(
+      verify::make_box({-1.0, -50.0}, {1.0, 50.0}), half));
+  // ...while a bounded one still excludes.
+  EXPECT_FALSE(verify::box_inside_region(
+      verify::make_box({-1.0, -50.0}, {2.5, 50.0}), half));
+  // A dimension mismatch fails.
+  EXPECT_FALSE(verify::box_inside_region(verify::make_box({0.0}, {1.0}), wide));
 }
 
 TEST(Reach, SingleGiantBoxAgreesAcrossWorkerCounts) {

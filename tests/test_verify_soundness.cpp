@@ -10,6 +10,10 @@
 //    Bernstein, IBP and hybrid engines.  act(x) and the act_batch rows must
 //    lie inside the enclosure at uniform points, at sample-cell centres,
 //    and at the end of projected gradient ascent and descent.
+//  * Interval dynamics: IntervalDynamics::step(box, u_box) contains
+//    System::step(s, u, ω) for states at the box's corners and inside it,
+//    controls at the interval's ends and inside it, and disturbances at
+//    Ω's vertices and inside it — Van der Pol, 3D and cartpole.
 //  * Reachability (Definition 2): concrete closed-loop trajectories of the
 //    3D system stay in ∪ layers[t] at every step t.
 //  * Invariant sets (Definition 1): Van der Pol states in XI stay in XI
@@ -35,10 +39,12 @@
 #include "sys/registry.h"
 #include "util/rng.h"
 #include "verify/bernstein.h"
+#include "verify/interval_dynamics.h"
 #include "verify/invariant.h"
 #include "verify/nn_abstraction.h"
 #include "verify/reach.h"
 #include "verify/tolerances.h"
+#include "verify_subjects.h"
 
 namespace cocktail {
 namespace {
@@ -123,40 +129,10 @@ INSTANTIATE_TEST_SUITE_P(Dims1To4, ConeOracle, ::testing::Values(1, 2, 3, 4));
 
 // --- the committed verify subjects ------------------------------------------
 
-using Subject = std::shared_ptr<const ctrl::NnController>;
-
-Subject load_subject(const std::string& system, const std::string& tag) {
-  return std::make_shared<const ctrl::NnController>(
-      ctrl::NnController::load_file(std::string(COCKTAIL_SUBJECT_DIR) + "/" +
-                                        system + "_" + tag + ".txt",
-                                    system + "_" + tag));
-}
-
-/// perfbench's reachability config (bench_fig4's).
-verify::ReachConfig fig4_config() {
-  verify::ReachConfig config;
-  config.steps = 15;
-  config.abstraction.epsilon_target = 0.1;
-  config.abstraction.max_degree = 10;
-  config.abstraction.max_partition_depth = 10;
-  config.max_box_width = 0.02;
-  config.merge_threshold = 2048;
-  config.budget.max_nn_evaluations = 40'000'000;
-  config.budget.max_partitions = 300'000;
-  return config;
-}
-
-/// perfbench's invariant-set config (bench_fig3's).
-verify::InvariantConfig fig3_config() {
-  verify::InvariantConfig config;
-  config.grid = {80, 80};
-  config.abstraction.epsilon_target = 0.4;
-  config.abstraction.max_degree = 10;
-  config.abstraction.max_partition_depth = 10;
-  config.budget.max_nn_evaluations = 400'000'000;
-  config.budget.max_partitions = 10'000'000;
-  return config;
-}
+using testutil::fig3_config;
+using testutil::fig4_config;
+using testutil::load_subject;
+using testutil::Subject;
 
 /// perfbench's reachability initial box at workload seed 1: bench_fig4's
 /// corner box shifted by a seeded offset.
@@ -322,6 +298,71 @@ std::vector<TrainedCase> trained_cases() {
 INSTANTIATE_TEST_SUITE_P(Subjects, TrainedOracle,
                          ::testing::ValuesIn(trained_cases()), case_name);
 
+// --- interval dynamics ------------------------------------------------------
+
+/// The 2^n corners of `box` and `inner` seeded points inside it.
+std::vector<Vec> corners_and_inner(const IBox& box, int inner,
+                                   util::Rng& rng) {
+  const std::size_t n = box.size();
+  std::vector<Vec> points;
+  for (std::size_t corner = 0; corner < (std::size_t{1} << n); ++corner) {
+    Vec p(n);
+    for (std::size_t i = 0; i < n; ++i)
+      p[i] = (corner >> i) & 1 ? box[i].hi() : box[i].lo();
+    points.push_back(std::move(p));
+  }
+  for (int k = 0; k < inner; ++k) points.push_back(uniform_in(box, rng));
+  return points;
+}
+
+class DynamicsOracle : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DynamicsOracle, IntervalStepContainsTheConcreteStep) {
+  const sys::SystemPtr system = sys::make_system(GetParam());
+  const auto dynamics = verify::make_interval_dynamics(*system);
+  const IBox region = verify::make_box(system->sampling_region().lo,
+                                       system->sampling_region().hi);
+  const IBox controls = verify::make_box(system->control_bounds().lo,
+                                         system->control_bounds().hi);
+  const sys::Box omega = system->disturbance_bounds();
+  // Ω's vertices and two points inside; one empty ω when undisturbed.
+  std::vector<Vec> omegas = {Vec{}};
+  util::Rng rng(51);
+  if (omega.dim() > 0)
+    omegas = corners_and_inner(verify::make_box(omega.lo, omega.hi), 2, rng);
+  const std::size_t n = region.size();
+  for (int b = 0; b < 60; ++b) {
+    // Point boxes, boxes of 1% of the sampling region per side, and boxes
+    // up to a third of it: the disturbance is not lost in the wrapping.
+    const double scale = b % 3 == 0 ? 0.0 : b % 3 == 1 ? 0.01 : 0.3;
+    IBox box(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double width = scale * region[i].width() * rng.uniform();
+      const double lo = rng.uniform(region[i].lo(), region[i].hi() - width);
+      box[i] = Interval(lo, lo + width);
+    }
+    IBox u_box(controls.size());
+    for (std::size_t j = 0; j < u_box.size(); ++j) {
+      const double a = rng.uniform(controls[j].lo(), controls[j].hi());
+      const double c = rng.uniform(controls[j].lo(), controls[j].hi());
+      u_box[j] = Interval(std::min(a, c), std::max(a, c));
+    }
+    const IBox image = dynamics->step(box, u_box);
+    for (const Vec& s : corners_and_inner(box, 16, rng))
+      for (const Vec& u : corners_and_inner(u_box, 2, rng))
+        for (const Vec& w : omegas) {
+          const Vec next = system->step(s, u, w);
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_TRUE(image[i].contains(next[i]))
+                << "box " << b << ", dimension " << i << ": " << next[i]
+                << " not in " << image[i].to_string();
+        }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Systems, DynamicsOracle,
+                         ::testing::Values("vanderpol", "threed", "cartpole"));
+
 // --- reachability and invariant sets ----------------------------------------
 
 class ReachOracle : public ::testing::TestWithParam<std::string> {};
@@ -429,21 +470,10 @@ TEST(InvariantCap, ASweepStoppedBeforeItsFixedPointCertifiesNothing) {
 /// The corners of [s − margin, s + margin] and 64 seeded points inside it.
 std::vector<Vec> margin_box_points(const Vec& s, double margin,
                                    util::Rng& rng) {
-  const std::size_t n = s.size();
-  std::vector<Vec> points;
-  for (std::size_t corner = 0; corner < (std::size_t{1} << n); ++corner) {
-    Vec p(n);
-    for (std::size_t i = 0; i < n; ++i)
-      p[i] = (corner >> i) & 1 ? s[i] + margin : s[i] - margin;
-    points.push_back(std::move(p));
-  }
-  for (int k = 0; k < 64; ++k) {
-    Vec p(n);
-    for (std::size_t i = 0; i < n; ++i)
-      p[i] = s[i] + margin * rng.uniform(-1.0, 1.0);
-    points.push_back(std::move(p));
-  }
-  return points;
+  IBox box(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i)
+    box[i] = Interval(s[i] - margin, s[i] + margin);
+  return corners_and_inner(box, 64, rng);
 }
 
 /// A state near where inside_box(box, margin) stops certifying: each
