@@ -111,15 +111,60 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
 // Square n x n x n NT GEMM (Matrix::matmul_nt -> la::kernels::gemm_nt) —
-// the exact kernel under Mlp::forward_batch, no pack.
+// the exact kernel under Mlp::forward_batch, no pack.  Labelled, like the
+// training benchmarks below, with the lane-kernel path it ran (avx512, avx2
+// or scalar).
 void BM_GemmNt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const la::Matrix a = random_matrix(n, n, 101);
   const la::Matrix b = random_matrix(n, n, 102);
   for (auto _ : state) benchmark::DoNotOptimize(a.matmul_nt(b));
   set_gemm_flops(state, n);
+  state.SetLabel(la::kernels::dispatched_kernels().name);
 }
 BENCHMARK(BM_GemmNt)->Arg(64)->Arg(128)->Arg(256);
+
+// The input gradients of one 8-row training chunk through a 64x64 layer:
+// one la::kernels::matvec_t_rows pass over W (what Mlp::backward_tile
+// runs), against one matvec_t per row (what it ran before).  Items/sec is
+// rows/sec.
+constexpr std::size_t kTileRows = 8;
+constexpr std::size_t kTileWidth = 64;
+
+template <bool Tile>
+void matvec_t_tile_loop(benchmark::State& state) {
+  const la::Matrix w = random_matrix(kTileWidth, kTileWidth, 103);
+  const la::Matrix dz = random_matrix(kTileRows, kTileWidth, 104);
+  la::Matrix out(kTileRows, kTileWidth);
+  const double* a = w.data().data();
+  for (auto _ : state) {
+    if constexpr (Tile) {
+      la::kernels::matvec_t_rows(kTileRows, kTileWidth, kTileWidth, a,
+                                 kTileWidth, dz.data().data(), kTileWidth,
+                                 out.data().data(), kTileWidth);
+    } else {
+      for (std::size_t r = 0; r < kTileRows; ++r)
+        la::kernels::matvec_t(kTileWidth, kTileWidth, a, kTileWidth,
+                              dz.data().data() + r * kTileWidth,
+                              out.data().data() + r * kTileWidth);
+    }
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTileRows));
+  state.SetLabel(la::kernels::dispatched_kernels().name);
+}
+
+void BM_MatvecTRows(benchmark::State& state) {
+  matvec_t_tile_loop<true>(state);
+}
+BENCHMARK(BM_MatvecTRows);
+
+void BM_MatvecTPerRow(benchmark::State& state) {
+  matvec_t_tile_loop<false>(state);
+}
+BENCHMARK(BM_MatvecTPerRow);
 
 void BM_MlpForward(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
@@ -166,13 +211,14 @@ std::vector<double> tanh_inputs(std::size_t n) {
   return z;
 }
 
-template <void (*Rows)(const double*, double*, std::size_t) noexcept>
-void tanh_rows_loop(benchmark::State& state) {
+void tanh_rows_loop(benchmark::State& state,
+                    void (*rows)(const double*, double*,
+                                 std::size_t) noexcept) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<double> z = tanh_inputs(n);
   std::vector<double> out(n);
   for (auto _ : state) {
-    Rows(z.data(), out.data(), n);
+    rows(z.data(), out.data(), n);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -181,16 +227,14 @@ void tanh_rows_loop(benchmark::State& state) {
 }
 
 void BM_TanhRows(benchmark::State& state) {
-  tanh_rows_loop<la::kernels::tanh_rows>(state);
-  state.SetLabel(la::kernels::tanh_rows_path());
+  tanh_rows_loop(state, la::kernels::tanh_rows);
+  state.SetLabel(la::kernels::dispatched_kernels().name);
 }
 BENCHMARK(BM_TanhRows)->Arg(2560);
 
 void BM_TanhRowsAvx2(benchmark::State& state) {
-  tanh_rows_loop<la::kernels::tanh_rows_avx2>(state);
-  state.SetLabel(std::string_view(la::kernels::tanh_rows_path()) == "scalar"
-                     ? "scalar"
-                     : "avx2");
+  tanh_rows_loop(state, la::kernels::avx2_kernels().tanh_rows);
+  state.SetLabel(la::kernels::avx2_kernels().name);
 }
 BENCHMARK(BM_TanhRowsAvx2)->Arg(2560);
 
@@ -199,7 +243,7 @@ void libm_tanh_rows(const double* z, double* out, std::size_t n) noexcept {
 }
 
 void BM_TanhRowsLibm(benchmark::State& state) {
-  tanh_rows_loop<libm_tanh_rows>(state);
+  tanh_rows_loop(state, libm_tanh_rows);
 }
 BENCHMARK(BM_TanhRowsLibm)->Arg(2560);
 
@@ -217,6 +261,7 @@ void BM_MlpBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(
         net.backward(ws, nn::mse_gradient(y, target), grads));
   }
+  state.SetLabel(la::kernels::dispatched_kernels().name);
 }
 BENCHMARK(BM_MlpBackward)->Arg(24)->Arg(64);
 
@@ -479,6 +524,7 @@ void BM_PpoUpdate(benchmark::State& state) {
   ppo.initialize(env);
   for (auto _ : state)
     benchmark::DoNotOptimize(ppo.run_iterations(env, 1));
+  state.SetLabel(la::kernels::dispatched_kernels().name);
 }
 BENCHMARK(BM_PpoUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
@@ -500,6 +546,7 @@ void BM_DdpgUpdate(benchmark::State& state) {
   (void)ddpg.run_episodes(env, 4);  // past warmup: every step updates.
   for (auto _ : state)
     benchmark::DoNotOptimize(ddpg.run_episodes(env, 1));
+  state.SetLabel(la::kernels::dispatched_kernels().name);
 }
 BENCHMARK(BM_DdpgUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -58,10 +58,11 @@ inline constexpr std::size_t kTransposeLanes = 4;
 /// Row-block length of the transpose schedule.
 inline constexpr std::size_t kTransposeBlockR = 256;
 
-/// Register-tile width of the blocked GEMM: how many output columns (rows
-/// of B in the NT kernel) share one pass over a row of A.  PURE performance
-/// knob — it reuses loads, never reorders any accumulation, so it does NOT
-/// participate in the schedule and may be retuned freely.
+/// Register-tile width of the blocked GEMM's four-lane path: how many output
+/// columns (rows of B in the NT kernel) share one pass over a row of A (the
+/// eight-lane AVX-512F path runs eight, one zmm per column).  PURE
+/// performance knob — it reuses loads, never reorders any accumulation, so
+/// it does NOT participate in the schedule and may be retuned freely.
 inline constexpr std::size_t kGemmTileCols = 4;
 
 /// Cache-block width of the blocked GEMM: how many output columns (rows of

@@ -3,31 +3,34 @@
 // THIS FILE IS COMPILED WITH -ffp-contract=off (set per-source by the root
 // CMakeLists).  Every lane update of the schedule is an EXPLICIT
 // correctly-rounded fused multiply-add (std::fma in scalar code,
-// _mm256_fmadd_pd in the AVX2 path — the same IEEE-754 fusedMultiplyAdd
-// operation, one rounding); -ffp-contract=off forbids the compiler from
-// fusing or splitting anything *else*, so the fixed accumulation schedule
-// of la/kernel_config.h produces the same bits at every optimization
-// level, with or without COCKTAIL_SIMD, on every conforming compiler.
-// add_outer_rows is the one kernel without an fma: its contract is the
-// rounded multiply, then rounded add, of Matrix::add_outer, and
-// -ffp-contract=off is what keeps the two unfused.
+// _mm256_fmadd_pd / _mm512_fmadd_pd in the vector paths — the same
+// IEEE-754 fusedMultiplyAdd operation, one rounding); -ffp-contract=off
+// forbids the compiler from fusing or splitting anything *else*, so the
+// fixed accumulation schedule of la/kernel_config.h produces the same bits
+// at every optimization level, with or without COCKTAIL_SIMD, on every
+// conforming compiler.  add_outer_rows, adam_update and sum_parts have no
+// fma: their contracts are sequences of rounded multiplies, divides, adds
+// and square roots, and -ffp-contract=off is what keeps them unfused.
 //
-// The vectorized kernels pack four schedule lanes into one 256-bit
-// register: every vfmadd/vaddpd is the element-wise image of the scalar
-// schedule's per-lane operations, in the same order.  Vectorization
-// therefore never reorders an accumulation; it only packs independent
-// lanes into one instruction.  Without AVX2+FMA at compile time the
-// optimized entry points fall back to the scalar reference — same
+// The vectorized kernels pack independent schedule lanes (or independent
+// output elements) into one register: every vector instruction is the
+// element-wise image of the scalar sequence's per-lane operations, in the
+// same order.  Vectorization therefore never reorders an accumulation; it
+// only packs independent lanes into one instruction.  Without AVX2+FMA at
+// compile time the entry points run the scalar references — same
 // schedule, same bits (std::fma is correctly rounded even via libm's
 // software path).
 //
-// tanh/tanh_rows follow the same rule with a different contract: a fixed
-// operation sequence (fdlibm's, with explicit fmas) that the vector paths
-// evaluate for four (AVX2) or eight (AVX-512F) lanes at once and the scalar
-// path one at a time.  The eight-lane path is compiled through a target
-// attribute, so the file's own ISA stays AVX2; tanh_rows takes it only
-// where the CPU and OS report AVX-512F, checked once below.  This file is
-// the only place that asks the host which instructions it runs.
+// Each lane kernel exists at two widths (LaneKernels): four lanes per AVX2
+// vector, the file's own ISA, and eight per AVX-512F vector, compiled
+// through a target attribute.  tanh (la/tanh_lanes.inc) and the training
+// kernels (la/lane_kernels.inc) are one text each over a lane-traits type,
+// included once per width; gemm_nt's eight-column pass is AVX-512F only.
+// The entry points take the eight-lane table only where the CPU and OS
+// report AVX-512F, checked once below.  This file, with the .inc files it
+// includes, is the only place that holds ISA code or asks the host which
+// instructions it runs: any other file would compile its arithmetic
+// without -ffp-contract=off.
 #include "la/kernels.h"
 
 #include <algorithm>
@@ -238,9 +241,13 @@ void gemm_nt_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
       c[i * ldc + j] = dot_ref(a + i * lda, b + j * ldb, k);
 }
 
-void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) {
+namespace {
+
+/// gemm_nt at four lanes: the short path for k < kDotLanes, else
+/// kGemmTileCols columns per pass through dot_rows.
+void gemm_nt_avx2(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* c, std::size_t ldc) {
 #if defined(COCKTAIL_LA_VECTOR)
   if (k >= 1 && k < W && n >= WT) {
     // Pack B^T once per call (pure data movement; at most 7 x n doubles).
@@ -283,6 +290,8 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
 #endif
 }
 
+}  // namespace
+
 void gemm_nn_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  std::size_t lda, const double* b, std::size_t ldb, double* c,
                  std::size_t ldc) {
@@ -306,11 +315,6 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   gemm_nt(m, n, k, a, lda, bt.data(), k, c, ldc);
 }
 
-void matvec(std::size_t m, std::size_t k, const double* a, std::size_t lda,
-            const double* x, double* y) {
-  for (std::size_t i = 0; i < m; ++i) y[i] = dot(a + i * lda, x, k);
-}
-
 void matvec_t_ref(std::size_t m, std::size_t k, const double* a,
                   std::size_t lda, const double* x, double* y) {
   std::fill(y, y + k, 0.0);
@@ -325,61 +329,6 @@ void matvec_t_ref(std::size_t m, std::size_t k, const double* a,
       y[c] += reduce4(lanes);
     }
   }
-}
-
-void matvec_t(std::size_t m, std::size_t k, const double* a, std::size_t lda,
-              const double* x, double* y) {
-#if defined(COCKTAIL_LA_VECTOR)
-  std::fill(y, y + k, 0.0);
-  for (std::size_t r0 = 0; r0 < m; r0 += RB) {
-    const std::size_t rend = std::min(m, r0 + RB);
-    std::size_t c = 0;
-    for (; c + WT <= k; c += WT) {
-      // One vector register per schedule lane, each holding that lane's
-      // partial sums for the four output columns c..c+3.  The row loop is
-      // unrolled by the lane count so every lane register gets a constant
-      // index and stays register-resident.
-      __m256d l0 = _mm256_setzero_pd(), l1 = _mm256_setzero_pd();
-      __m256d l2 = _mm256_setzero_pd(), l3 = _mm256_setzero_pd();
-      std::size_t r = r0;
-      for (; r + WT <= rend; r += WT) {
-        const double* ar = a + r * lda + c;
-        l0 = _mm256_fmadd_pd(_mm256_loadu_pd(ar), _mm256_set1_pd(x[r]), l0);
-        l1 = _mm256_fmadd_pd(_mm256_loadu_pd(ar + lda),
-                             _mm256_set1_pd(x[r + 1]), l1);
-        l2 = _mm256_fmadd_pd(_mm256_loadu_pd(ar + 2 * lda),
-                             _mm256_set1_pd(x[r + 2]), l2);
-        l3 = _mm256_fmadd_pd(_mm256_loadu_pd(ar + 3 * lda),
-                             _mm256_set1_pd(x[r + 3]), l3);
-      }
-      // <= 3 tail rows; after the unrolled groups they map to lanes 0..2
-      // of the schedule in order.
-      for (std::size_t idx = 0; r < rend; ++r, ++idx) {
-        const __m256d av = _mm256_loadu_pd(a + r * lda + c);
-        const __m256d xv = _mm256_set1_pd(x[r]);
-        if (idx == 0)
-          l0 = _mm256_fmadd_pd(av, xv, l0);
-        else if (idx == 1)
-          l1 = _mm256_fmadd_pd(av, xv, l1);
-        else
-          l2 = _mm256_fmadd_pd(av, xv, l2);
-      }
-      const __m256d sum = _mm256_add_pd(_mm256_add_pd(l0, l1),
-                                        _mm256_add_pd(l2, l3));
-      _mm256_storeu_pd(y + c, _mm256_add_pd(_mm256_loadu_pd(y + c), sum));
-    }
-    for (; c < k; ++c) {
-      double lanes[WT] = {};
-      for (std::size_t r = r0; r < rend; ++r) {
-        double& lane = lanes[(r - r0) % WT];
-        lane = std::fma(a[r * lda + c], x[r], lane);
-      }
-      y[c] += reduce4(lanes);
-    }
-  }
-#else
-  matvec_t_ref(m, k, a, lda, x, y);
-#endif
 }
 
 void add_outer_rows_ref(std::size_t rows, std::size_t m, std::size_t n,
@@ -397,69 +346,38 @@ void add_outer_rows_ref(std::size_t rows, std::size_t m, std::size_t n,
   }
 }
 
-void add_outer_rows(std::size_t rows, std::size_t m, std::size_t n,
-                    const double* x, std::size_t ldx, const double* y,
-                    std::size_t ldy, const std::size_t* y_rows, double* c,
-                    std::size_t ldc) {
-#if defined(COCKTAIL_LA_VECTOR)
-  // Row pointers of Y, resolved once per call instead of once per C row.
-  constexpr std::size_t kMaxRows = 64;
-  if (rows > kMaxRows) {
-    // Consecutive row blocks keep every element's update sequence in order.
-    const bool mapped = y_rows != nullptr;
-    for (std::size_t r0 = 0; r0 < rows; r0 += kMaxRows)
-      add_outer_rows(std::min(kMaxRows, rows - r0), m, n, x + r0 * ldx, ldx,
-                     mapped ? y : y + r0 * ldy, ldy,
-                     mapped ? y_rows + r0 : nullptr, c, ldc);
-    return;
+void adam_update_ref(const AdamStep& s, std::size_t n, double* p, double* m,
+                     double* v, const double* g) {
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i] = s.beta1 * m[i] + (1.0 - s.beta1) * g[i];
+    v[i] = s.beta2 * v[i] + (1.0 - s.beta2) * g[i] * g[i];
+    p[i] = p[i] - s.lr * (m[i] / s.bc1) / (std::sqrt(v[i] / s.bc2) + s.eps);
   }
-  const double* yr[kMaxRows];
-  for (std::size_t r = 0; r < rows; ++r)
-    yr[r] = y + (y_rows != nullptr ? y_rows[r] : r) * ldy;
-  // Each C element stays in a register across all rows; the rows are
-  // applied in order with _mm256_mul_pd then _mm256_add_pd, the element-wise
-  // image of the reference's multiply-then-add.
-  for (std::size_t i = 0; i < m; ++i) {
-    double* ci = c + i * ldc;
-    std::size_t j = 0;
-    for (; j + 4 * WT <= n; j += 4 * WT) {
-      __m256d c0 = _mm256_loadu_pd(ci + j);
-      __m256d c1 = _mm256_loadu_pd(ci + j + WT);
-      __m256d c2 = _mm256_loadu_pd(ci + j + 2 * WT);
-      __m256d c3 = _mm256_loadu_pd(ci + j + 3 * WT);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const __m256d xv = _mm256_set1_pd(x[r * ldx + i]);
-        const double* yj = yr[r] + j;
-        c0 = _mm256_add_pd(c0, _mm256_mul_pd(xv, _mm256_loadu_pd(yj)));
-        c1 = _mm256_add_pd(c1, _mm256_mul_pd(xv, _mm256_loadu_pd(yj + WT)));
-        c2 = _mm256_add_pd(c2,
-                           _mm256_mul_pd(xv, _mm256_loadu_pd(yj + 2 * WT)));
-        c3 = _mm256_add_pd(c3,
-                           _mm256_mul_pd(xv, _mm256_loadu_pd(yj + 3 * WT)));
-      }
-      _mm256_storeu_pd(ci + j, c0);
-      _mm256_storeu_pd(ci + j + WT, c1);
-      _mm256_storeu_pd(ci + j + 2 * WT, c2);
-      _mm256_storeu_pd(ci + j + 3 * WT, c3);
-    }
-    for (; j + WT <= n; j += WT) {
-      __m256d c0 = _mm256_loadu_pd(ci + j);
-      for (std::size_t r = 0; r < rows; ++r)
-        c0 = _mm256_add_pd(c0, _mm256_mul_pd(_mm256_set1_pd(x[r * ldx + i]),
-                                             _mm256_loadu_pd(yr[r] + j)));
-      _mm256_storeu_pd(ci + j, c0);
-    }
-    for (; j < n; ++j) {
-      double cij = ci[j];
-      for (std::size_t r = 0; r < rows; ++r)
-        cij = cij + x[r * ldx + i] * yr[r][j];
-      ci[j] = cij;
-    }
-  }
-#else
-  add_outer_rows_ref(rows, m, n, x, ldx, y, ldy, y_rows, c, ldc);
-#endif
 }
+
+#if !defined(COCKTAIL_LA_VECTOR)
+namespace {
+
+// The scalar table's matvec_t_rows and sum_parts: every row, then every
+// element, in turn.
+void matvec_t_rows_ref(std::size_t rows, std::size_t m, std::size_t k,
+                       const double* a, std::size_t lda, const double* x,
+                       std::size_t ldx, double* y, std::size_t ldy) {
+  for (std::size_t r = 0; r < rows; ++r)
+    matvec_t_ref(m, k, a, lda, x + r * ldx, y + r * ldy);
+}
+
+void sum_parts_ref(std::size_t count, const double* const* parts,
+                   std::size_t n, double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < count; ++c) sum = sum + parts[c][i];
+    out[i] = sum;
+  }
+}
+
+}  // namespace
+#endif
 
 // ---------------------------------------------------------------------------
 // tanh: fdlibm's s_tanh.c/s_expm1.c, with the fused multiply-adds of
@@ -548,12 +466,36 @@ double expm1_tanh_arg(double u) {
 
 #if defined(COCKTAIL_LA_VECTOR)
 
-/// Four tanh lanes per AVX2 vector.  A mask is a vector whose lanes are all
-/// ones or all zeros; blend(a, b, m) takes b where m is set.
+/// Four lanes per AVX2 vector.  A mask is a vector whose lanes are all ones
+/// or all zeros; blend(a, b, m) takes b where m is set.
 struct Lanes4 {
   using D = __m256d;
   using I = __m256i;
   using M = __m256d;
+  static constexpr std::size_t kWidth = 4;
+  /// Two cotangent rows keep matvec_t_rows' 8 lane accumulators within
+  /// the 16 ymm registers.
+  static constexpr std::size_t kRowTile = 2;
+  [[gnu::always_inline]] static D zero() { return _mm256_setzero_pd(); }
+  [[gnu::always_inline]] static D load(const double* p) {
+    return _mm256_loadu_pd(p);
+  }
+  [[gnu::always_inline]] static void store(double* p, D v) {
+    _mm256_storeu_pd(p, v);
+  }
+  /// All ones in the first n lanes.
+  [[gnu::always_inline]] static __m256i first(std::size_t n) {
+    return _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(n)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+  [[gnu::always_inline]] static D load_n(const double* p, std::size_t n) {
+    return _mm256_maskload_pd(p, first(n));
+  }
+  [[gnu::always_inline]] static void store_n(double* p, D v, std::size_t n) {
+    _mm256_maskstore_pd(p, first(n), v);
+  }
+  [[gnu::always_inline]] static D sqrt(D a) { return _mm256_sqrt_pd(a); }
   [[gnu::always_inline]] static D set1(double v) { return _mm256_set1_pd(v); }
   [[gnu::always_inline]] static D add(D a, D b) { return _mm256_add_pd(a, b); }
   [[gnu::always_inline]] static D sub(D a, D b) { return _mm256_sub_pd(a, b); }
@@ -625,30 +567,54 @@ struct Lanes4 {
   }
 };
 
-// lanes4::tanh_lanes<Lanes4>: the op sequence of la/tanh_lanes.inc at the
-// file's own ISA.
+// lanes4::tanh_lanes<Lanes4> and the training kernels of
+// la/lane_kernels.inc at the file's own ISA.
 namespace lanes4 {
-#define COCKTAIL_TANH_LANES_TARGET
+#define COCKTAIL_LANES_TARGET
 #include "la/tanh_lanes.inc"
-#undef COCKTAIL_TANH_LANES_TARGET
+#include "la/lane_kernels.inc"
+#undef COCKTAIL_LANES_TARGET
 }  // namespace lanes4
 
 #endif  // COCKTAIL_LA_VECTOR
 
 #if defined(COCKTAIL_LA_AVX512)
 
-/// Eight tanh lanes per AVX-512F vector, with __mmask8 lane masks; each
-/// function is the AVX2 one's instruction at twice the width.  The integer
-/// and bitwise steps use AVX-512F's all-lanes `maskz` forms: the unmasked
-/// intrinsics of GCC 12 pass an `_mm512_undefined_*` source that
-/// -Wmaybe-uninitialized reports (GCC PR 105593), and a full mask computes
-/// the same lanes.
+/// Eight lanes per AVX-512F vector, with __mmask8 lane masks; each
+/// function is the AVX2 one's instruction at twice the width.  The integer,
+/// bitwise, square-root and shuffle steps use AVX-512F's all-lanes `maskz`
+/// forms: the unmasked intrinsics of GCC 12 pass an `_mm512_undefined_*`
+/// source that -Wmaybe-uninitialized reports (GCC PR 105593), and a full
+/// mask computes the same lanes.
 #define COCKTAIL_AVX512 gnu::always_inline, gnu::target("avx512f")
 struct Lanes8 {
   using D = __m512d;
   using I = __m512i;
   using M = __mmask8;
   static constexpr M kAll = 0xff;
+  static constexpr std::size_t kWidth = 8;
+  /// Four cotangent rows: 16 of the 32 zmm registers hold lanes.
+  static constexpr std::size_t kRowTile = 4;
+  [[COCKTAIL_AVX512]] static D zero() { return _mm512_setzero_pd(); }
+  [[COCKTAIL_AVX512]] static D load(const double* p) {
+    return _mm512_loadu_pd(p);
+  }
+  [[COCKTAIL_AVX512]] static void store(double* p, D v) {
+    _mm512_storeu_pd(p, v);
+  }
+  /// The first n lanes.
+  [[COCKTAIL_AVX512]] static M first(std::size_t n) {
+    return static_cast<M>((1U << n) - 1U);
+  }
+  [[COCKTAIL_AVX512]] static D load_n(const double* p, std::size_t n) {
+    return _mm512_maskz_loadu_pd(first(n), p);
+  }
+  [[COCKTAIL_AVX512]] static void store_n(double* p, D v, std::size_t n) {
+    _mm512_mask_storeu_pd(p, first(n), v);
+  }
+  [[COCKTAIL_AVX512]] static D sqrt(D a) {
+    return _mm512_maskz_sqrt_pd(kAll, a);
+  }
   [[COCKTAIL_AVX512]] static D set1(double v) { return _mm512_set1_pd(v); }
   [[COCKTAIL_AVX512]] static D add(D a, D b) { return _mm512_add_pd(a, b); }
   [[COCKTAIL_AVX512]] static D sub(D a, D b) { return _mm512_sub_pd(a, b); }
@@ -728,13 +694,131 @@ struct Lanes8 {
   }
 };
 
+/// The dot schedule's lane trees of eight columns at once, in one zmm:
+/// acc[q] holds column q's lanes 0-7 and lane q of the result is column q's
+/// ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)).  An 8x8 transpose in
+/// three shuffle levels, each followed by the tree level whose operands it
+/// lines up, first operand on the left as in the scalar tree.
+[[COCKTAIL_AVX512]] inline __m512d lane_trees8(const __m512d* acc) {
+  constexpr __mmask8 kAll = Lanes8::kAll;
+  // Columns 2p and 2p+1: unpacklo holds their even lanes, unpackhi their
+  // odd ones, so s[p]'s 128-bit lanes hold l0+l1, l2+l3, l4+l5 and l6+l7,
+  // each for both columns.
+  __m512d s[4];
+  for (std::size_t p = 0; p < 4; ++p)
+    s[p] = _mm512_add_pd(
+        _mm512_maskz_unpacklo_pd(kAll, acc[2 * p], acc[2 * p + 1]),
+        _mm512_maskz_unpackhi_pd(kAll, acc[2 * p], acc[2 * p + 1]));
+  // 0x88 takes 128-bit lanes 0 and 2 of each source, 0xdd lanes 1 and 3:
+  // u0 holds l0-3 and l4-7 of columns 0-1, then of columns 2-3; u1 the
+  // same for columns 4-7.
+  const __m512d u0 =
+      _mm512_add_pd(_mm512_maskz_shuffle_f64x2(kAll, s[0], s[1], 0x88),
+                    _mm512_maskz_shuffle_f64x2(kAll, s[0], s[1], 0xdd));
+  const __m512d u1 =
+      _mm512_add_pd(_mm512_maskz_shuffle_f64x2(kAll, s[2], s[3], 0x88),
+                    _mm512_maskz_shuffle_f64x2(kAll, s[2], s[3], 0xdd));
+  // l0-3 of columns 0-7 plus l4-7 of columns 0-7.
+  return _mm512_add_pd(_mm512_maskz_shuffle_f64x2(kAll, u0, u1, 0x88),
+                       _mm512_maskz_shuffle_f64x2(kAll, u0, u1, 0xdd));
+}
+
+/// out[r] = dot(a[r], b[q]) for MR rows of A and eight B rows, lane q of
+/// out[r]: each column's eight schedule lanes in one zmm per A row, every
+/// load of a B row shared by the MR rows.  The partial lane group at the
+/// end of k is a masked fma that leaves the unfilled lanes as they are
+/// (+0.0, or a signed zero they already hold), as the scalar schedule does.
+template <std::size_t MR>
+[[COCKTAIL_AVX512]] inline void dot_cols8(const double* const* a,
+                                         const double* const* b,
+                                         std::size_t k, __m512d* out) {
+  __m512d run[MR];
+  for (std::size_t r = 0; r < MR; ++r) run[r] = _mm512_setzero_pd();
+  for (std::size_t t0 = 0; t0 < k; t0 += KB) {
+    const std::size_t end = std::min(k, t0 + KB);
+    __m512d acc[MR][8];
+    for (std::size_t r = 0; r < MR; ++r)
+      for (std::size_t q = 0; q < 8; ++q) acc[r][q] = _mm512_setzero_pd();
+    std::size_t t = t0;
+    for (; t + W <= end; t += W) {
+      __m512d av[MR];
+      for (std::size_t r = 0; r < MR; ++r) av[r] = _mm512_loadu_pd(a[r] + t);
+      for (std::size_t q = 0; q < 8; ++q) {
+        const __m512d bv = _mm512_loadu_pd(b[q] + t);
+        for (std::size_t r = 0; r < MR; ++r)
+          acc[r][q] = _mm512_fmadd_pd(av[r], bv, acc[r][q]);
+      }
+    }
+    if (t < end) {
+      const __mmask8 lanes = Lanes8::first(end - t);
+      __m512d av[MR];
+      for (std::size_t r = 0; r < MR; ++r)
+        av[r] = _mm512_maskz_loadu_pd(lanes, a[r] + t);
+      for (std::size_t q = 0; q < 8; ++q) {
+        const __m512d bv = _mm512_maskz_loadu_pd(lanes, b[q] + t);
+        for (std::size_t r = 0; r < MR; ++r)
+          acc[r][q] = _mm512_mask3_fmadd_pd(av[r], bv, acc[r][q], lanes);
+      }
+    }
+    for (std::size_t r = 0; r < MR; ++r)
+      run[r] = _mm512_add_pd(run[r], lane_trees8(acc[r]));
+  }
+  for (std::size_t r = 0; r < MR; ++r) out[r] = run[r];
+}
+
+/// C(i..i+MR-1, j..j+cols-1) for one eight-column pass: a pass of fewer
+/// columns repeats its last B row in the spare lanes and stores only its
+/// own.
+template <std::size_t MR>
+[[COCKTAIL_AVX512]] inline void gemm_nt_pass8(
+    std::size_t i, std::size_t j, std::size_t cols, std::size_t k,
+    const double* a, std::size_t lda, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc) {
+  const double* ap[MR];
+  for (std::size_t r = 0; r < MR; ++r) ap[r] = a + (i + r) * lda;
+  const double* bp[8];
+  for (std::size_t q = 0; q < 8; ++q)
+    bp[q] = b + (j + std::min(q, cols - 1)) * ldb;
+  __m512d out[MR];
+  dot_cols8<MR>(ap, bp, k, out);
+  for (std::size_t r = 0; r < MR; ++r)
+    _mm512_mask_storeu_pd(c + (i + r) * ldc + j, Lanes8::first(cols),
+                          out[r]);
+}
+
 #undef COCKTAIL_AVX512
 
-// lanes8::tanh_lanes<Lanes8>: the same text, compiled for AVX-512F.
+static_assert(kGemmBlockCols % 8 == 0,
+              "cache blocks must hold whole eight-column passes");
+
+/// gemm_nt at eight lanes: for k >= 8 and n >= 8, passes of two A rows by
+/// eight output columns, gemm_nt_avx2 otherwise.
+[[gnu::target("avx512f")]] void gemm_nt_avx512(
+    std::size_t m, std::size_t n, std::size_t k, const double* a,
+    std::size_t lda, const double* b, std::size_t ldb, double* c,
+    std::size_t ldc) {
+  if (k < W || n < 8) return gemm_nt_avx2(m, n, k, a, lda, b, ldb, c, ldc);
+  for (std::size_t j0 = 0; j0 < n; j0 += kGemmBlockCols) {
+    const std::size_t jend = std::min(n, j0 + kGemmBlockCols);
+    std::size_t i = 0;
+    for (; i + 2 <= m; i += 2)
+      for (std::size_t j = j0; j < jend; j += 8)
+        gemm_nt_pass8<2>(i, j, std::min<std::size_t>(8, jend - j), k, a, lda,
+                         b, ldb, c, ldc);
+    if (i < m)
+      for (std::size_t j = j0; j < jend; j += 8)
+        gemm_nt_pass8<1>(i, j, std::min<std::size_t>(8, jend - j), k, a, lda,
+                         b, ldb, c, ldc);
+  }
+}
+
+// lanes8::tanh_lanes<Lanes8> and the training kernels: the same texts,
+// compiled for AVX-512F.
 namespace lanes8 {
-#define COCKTAIL_TANH_LANES_TARGET [[gnu::target("avx512f")]]
+#define COCKTAIL_LANES_TARGET [[gnu::target("avx512f")]]
 #include "la/tanh_lanes.inc"
-#undef COCKTAIL_TANH_LANES_TARGET
+#include "la/lane_kernels.inc"
+#undef COCKTAIL_LANES_TARGET
 }  // namespace lanes8
 
 #endif  // COCKTAIL_LA_AVX512
@@ -761,6 +845,8 @@ double tanh(double x) noexcept {
   return negative ? -z : z;
 }
 
+namespace {
+
 void tanh_rows_avx2(const double* z, double* out, std::size_t n) noexcept {
   std::size_t i = 0;
 #if defined(COCKTAIL_LA_VECTOR)
@@ -771,11 +857,25 @@ void tanh_rows_avx2(const double* z, double* out, std::size_t n) noexcept {
   for (; i < n; ++i) out[i] = tanh(z[i]);
 }
 
-#if defined(COCKTAIL_LA_AVX512)
-[[gnu::target("avx512f")]]
+#if defined(COCKTAIL_LA_VECTOR)
+constexpr LaneKernels kAvx2Kernels{
+    "avx2",
+    gemm_nt_avx2,
+    lanes4::matvec_t_rows_lanes<Lanes4>,
+    lanes4::add_outer_rows_lanes<Lanes4>,
+    lanes4::adam_update_lanes<Lanes4>,
+    lanes4::sum_parts_lanes<Lanes4>,
+    tanh_rows_avx2};
+#else
+constexpr LaneKernels kAvx2Kernels{
+    "scalar",        gemm_nt_avx2,  matvec_t_rows_ref, add_outer_rows_ref,
+    adam_update_ref, sum_parts_ref, tanh_rows_avx2};
 #endif
-void tanh_rows_avx512(const double* z, double* out, std::size_t n) noexcept {
+
 #if defined(COCKTAIL_LA_AVX512)
+[[gnu::target("avx512f")]] void tanh_rows_avx512(const double* z,
+                                                 double* out,
+                                                 std::size_t n) noexcept {
   constexpr std::size_t kLanes = 8;
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes)
@@ -783,17 +883,36 @@ void tanh_rows_avx512(const double* z, double* out, std::size_t n) noexcept {
                      lanes8::tanh_lanes<Lanes8>(_mm512_loadu_pd(z + i)));
   if (i < n) {
     // The n mod 8 tail: masked-off lanes load +0.0 and are never stored.
-    const auto tail = static_cast<__mmask8>((1U << (n - i)) - 1U);
+    const __mmask8 tail = Lanes8::first(n - i);
     _mm512_mask_storeu_pd(out + i, tail,
                           lanes8::tanh_lanes<Lanes8>(
                               _mm512_maskz_loadu_pd(tail, z + i)));
   }
+}
+
+constexpr LaneKernels kAvx512Kernels{
+    "avx512",
+    gemm_nt_avx512,
+    lanes8::matvec_t_rows_lanes<Lanes8>,
+    lanes8::add_outer_rows_lanes<Lanes8>,
+    lanes8::adam_update_lanes<Lanes8>,
+    lanes8::sum_parts_lanes<Lanes8>,
+    tanh_rows_avx512};
+#endif
+
+}  // namespace
+
+const LaneKernels& avx2_kernels() noexcept { return kAvx2Kernels; }
+
+const LaneKernels& avx512_kernels() noexcept {
+#if defined(COCKTAIL_LA_AVX512)
+  return kAvx512Kernels;
 #else
-  tanh_rows_avx2(z, out, n);
+  return kAvx2Kernels;
 #endif
 }
 
-bool tanh_rows_avx512_supported() noexcept {
+bool avx512_supported() noexcept {
 #if defined(COCKTAIL_LA_AVX512)
   // libgcc and compiler-rt report AVX-512F only when the OS also saves the
   // opmask and upper-ZMM state (XCR0), so this is the CPU's and the OS's
@@ -808,21 +927,54 @@ bool tanh_rows_avx512_supported() noexcept {
 #endif
 }
 
-const char* tanh_rows_path() noexcept {
-  if (tanh_rows_avx512_supported()) return "avx512";
-#if defined(COCKTAIL_LA_VECTOR)
-  return "avx2";
-#else
-  return "scalar";
-#endif
+const LaneKernels& dispatched_kernels() noexcept {
+  static const LaneKernels& kernels =
+      avx512_supported() ? avx512_kernels() : avx2_kernels();
+  return kernels;
+}
+
+void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
+             std::size_t lda, const double* b, std::size_t ldb, double* c,
+             std::size_t ldc) {
+  dispatched_kernels().gemm_nt(m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+void matvec(std::size_t m, std::size_t k, const double* a, std::size_t lda,
+            const double* x, double* y) {
+  gemm_nt(1, m, k, x, k, a, lda, y, m);
+}
+
+void matvec_t(std::size_t m, std::size_t k, const double* a, std::size_t lda,
+              const double* x, double* y) {
+  matvec_t_rows(1, m, k, a, lda, x, m, y, k);
+}
+
+void matvec_t_rows(std::size_t rows, std::size_t m, std::size_t k,
+                   const double* a, std::size_t lda, const double* x,
+                   std::size_t ldx, double* y, std::size_t ldy) {
+  dispatched_kernels().matvec_t_rows(rows, m, k, a, lda, x, ldx, y, ldy);
+}
+
+void add_outer_rows(std::size_t rows, std::size_t m, std::size_t n,
+                    const double* x, std::size_t ldx, const double* y,
+                    std::size_t ldy, const std::size_t* y_rows, double* c,
+                    std::size_t ldc) {
+  dispatched_kernels().add_outer_rows(rows, m, n, x, ldx, y, ldy, y_rows, c,
+                                      ldc);
+}
+
+void adam_update(const AdamStep& s, std::size_t n, double* p, double* m,
+                 double* v, const double* g) {
+  dispatched_kernels().adam_update(s, n, p, m, v, g);
+}
+
+void sum_parts(std::size_t count, const double* const* parts, std::size_t n,
+               double* out) {
+  dispatched_kernels().sum_parts(count, parts, n, out);
 }
 
 void tanh_rows(const double* z, double* out, std::size_t n) noexcept {
-  if (tanh_rows_avx512_supported()) {
-    tanh_rows_avx512(z, out, n);
-  } else {
-    tanh_rows_avx2(z, out, n);
-  }
+  dispatched_kernels().tanh_rows(z, out, n);
 }
 
 }  // namespace cocktail::la::kernels

@@ -1,5 +1,7 @@
 #include "nn/activation.h"
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "la/kernels.h"
@@ -50,6 +52,21 @@ void backprop_loop(const double* z, const double* a, const double* delta,
                    double* dz, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i)
     dz[i] = delta[i] * activate_grad(A, z[i], a[i]);
+}
+
+// ReLU's gradient without a branch: the compare mask of z > 0 keeps the
+// bits of 1.0 or clears them to +0.0 (NaN compares false, as in
+// activate_grad), then the same multiply.  A branch per element
+// mispredicts on random activation patterns.
+template <>
+void backprop_loop<Activation::kRelu>(const double* z, const double*,
+                                      const double* delta, double* dz,
+                                      std::size_t n) noexcept {
+  const std::uint64_t one = std::bit_cast<std::uint64_t>(1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t mask = 0 - static_cast<std::uint64_t>(z[i] > 0.0);
+    dz[i] = delta[i] * std::bit_cast<double>(mask & one);
+  }
 }
 
 }  // namespace

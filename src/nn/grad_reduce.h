@@ -14,7 +14,9 @@
 // The per-chunk buffers are allocated once (sized for the largest minibatch)
 // and reused across reduce() calls: the hot loop does no per-minibatch
 // allocation, and reusing buffers cannot change results because every chunk
-// is zeroed before it accumulates.
+// is zeroed before it accumulates.  The merge writes each element of the
+// total once, as ((+0.0 + chunk 0) + chunk 1) + ... (la::kernels::sum_parts)
+// — the bits of zeroing the total and adding the chunks to it in order.
 //
 // Thread-safety by disjointness (why this type carries no mutex and no
 // COCKTAIL_GUARDED_BY): during reduce(), worker w touches exactly the
@@ -32,15 +34,17 @@
 #include <stdexcept>
 #include <vector>
 
+#include "la/kernels.h"
 #include "util/thread_pool.h"
 
 namespace cocktail::nn {
 
 /// Reusable fixed-tree reduction over per-sample accumulators.  `Acc` must
-/// provide `zero()` and `axpy(double, const Acc&)` (nn::Gradients does;
-/// trainers compose structs of Gradients/la::Vec with the same interface).
-/// The grain is part of the reduction tree: changing it legitimately changes
-/// low-order bits, so it must stay fixed for reproducibility.
+/// provide `for_each_buffer(f)`, calling f(double* data, std::size_t size)
+/// once per buffer in a fixed order (nn::Gradients does; trainers compose
+/// structs of Gradients/la::Vec with the same interface).  The grain is part
+/// of the reduction tree: changing it legitimately changes low-order bits,
+/// so it must stay fixed for reproducibility.
 template <class Acc>
 class ChunkedGradReducer {
  public:
@@ -52,6 +56,9 @@ class ChunkedGradReducer {
     const std::size_t capacity = (max_count + grain_ - 1) / grain_;
     chunks_.reserve(capacity);
     for (std::size_t c = 0; c < capacity; ++c) chunks_.push_back(make());
+    total_.for_each_buffer(
+        [&](double*, std::size_t size) { sizes_.push_back(size); });
+    parts_.resize(sizes_.size() * capacity);
   }
 
   /// Calls body(acc, begin, end) once per fixed chunk [begin, end) of
@@ -68,11 +75,26 @@ class ChunkedGradReducer {
           "ChunkedGradReducer::reduce: count exceeds max_count");
     util::run_chunks(pool, chunks, [&](std::size_t c) {
       Acc& acc = chunks_[c];
-      acc.zero();
+      acc.for_each_buffer(
+          [](double* data, std::size_t size) { std::fill_n(data, size, 0.0); });
       body(acc, c * grain_, std::min(count, (c + 1) * grain_));
     });
-    total_.zero();
-    for (std::size_t c = 0; c < chunks; ++c) total_.axpy(1.0, chunks_[c]);
+    // parts_[b * capacity + c] is buffer b of chunk c.
+    const std::size_t capacity = chunks_.size();
+    for (std::size_t c = 0; c < chunks; ++c) {
+      std::size_t b = 0;
+      chunks_[c].for_each_buffer([&](double* data, std::size_t size) {
+        if (b >= sizes_.size() || size != sizes_[b])
+          throw std::invalid_argument(
+              "ChunkedGradReducer::reduce: chunk buffers changed shape");
+        parts_[b++ * capacity + c] = data;
+      });
+    }
+    std::size_t b = 0;
+    total_.for_each_buffer([&](double* data, std::size_t size) {
+      la::kernels::sum_parts(chunks, parts_.data() + b++ * capacity, size,
+                             data);
+    });
     return total_;
   }
 
@@ -82,6 +104,8 @@ class ChunkedGradReducer {
   std::size_t grain_;
   std::vector<Acc> chunks_;
   Acc total_;
+  std::vector<std::size_t> sizes_;  ///< every accumulator's buffer sizes.
+  std::vector<const double*> parts_;  ///< merge operands, by buffer.
 };
 
 }  // namespace cocktail::nn

@@ -13,12 +13,6 @@
 
 namespace cocktail::nn {
 
-void Gradients::zero() {
-  for (auto& m : w) m.fill(0.0);
-  for (auto& v : b)
-    for (auto& x : v) x = 0.0;
-}
-
 void Gradients::axpy(double k, const Gradients& other) {
   if (w.size() != other.w.size())
     throw std::invalid_argument("Gradients::axpy: layer count mismatch");
@@ -193,17 +187,8 @@ void Mlp::backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
   if (tape.net_ != this || tape.values_.size() < total)
     throw std::invalid_argument(
         "Mlp::backward_tile: tape recorded by another network");
-  if (grads != nullptr) {
-    bool shaped = grads->w.size() == layers_.size() &&
-                  grads->b.size() == layers_.size();
-    for (std::size_t l = 0; shaped && l < layers_.size(); ++l)
-      shaped = grads->w[l].rows() == layers_[l].w.rows() &&
-               grads->w[l].cols() == layers_[l].w.cols() &&
-               grads->b[l].size() == layers_[l].b.size();
-    if (!shaped)
-      throw std::invalid_argument(
-          "Mlp::backward_tile: gradient shape mismatch");
-  }
+  if (grads != nullptr && !fits(*grads))
+    throw std::invalid_argument("Mlp::backward_tile: gradient shape mismatch");
   for (std::size_t k = 0; k < count; ++k)
     if ((row_map != nullptr ? row_map[k] : k) >= rows)
       throw std::invalid_argument(
@@ -222,11 +207,14 @@ void Mlp::backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
     const double* pre = out - rows * n;
     const double* in = pre - rows * width;
     block_end = pre;
-    // dL/dz = dL/da ∘ σ'(z), each cotangent row against its recorded row.
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t r = row_map != nullptr ? row_map[k] : k;
-      backprop_rows(layer.act, pre + r * n, out + r * n, delta + k * n,
-                    dz + k * n, n);
+    // dL/dz = dL/da ∘ σ'(z), each cotangent row against its recorded row
+    // (without a row map, rows 0..count-1 as one block).
+    if (row_map == nullptr) {
+      backprop_rows(layer.act, pre, out, delta, dz, count * n);
+    } else {
+      for (std::size_t k = 0; k < count; ++k)
+        backprop_rows(layer.act, pre + row_map[k] * n, out + row_map[k] * n,
+                      delta + k * n, dz + k * n, n);
     }
     if (grads != nullptr) {
       // dL/dW += dz_k ⊗ a_k;  dL/db += dz_k — row by row, in row order.
@@ -237,11 +225,11 @@ void Mlp::backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
         for (std::size_t i = 0; i < n; ++i) db[i] += dz[k * n + i];
     }
     if (l == 0 && dl_dx == nullptr) break;
-    // dL/da_{l-1} = W^T dz, one matvec_t per row as in backward().
+    // dL/da_{l-1} = W^T dz for every row in one pass over W, each element
+    // on backward()'s matvec_transpose schedule.
     double* below = l > 0 ? delta_rows : dl_dx;
-    for (std::size_t k = 0; k < count; ++k)
-      la::kernels::matvec_t(n, width, layer.w.data().data(), width,
-                            dz + k * n, below + k * width);
+    la::kernels::matvec_t_rows(count, n, width, layer.w.data().data(), width,
+                               dz, n, below, width);
     delta = below;
   }
 }
@@ -325,6 +313,17 @@ Gradients Mlp::zero_gradients() const {
     g.b.push_back(la::zeros(layer.b.size()));
   }
   return g;
+}
+
+bool Mlp::fits(const Gradients& grads) const noexcept {
+  if (grads.w.size() != layers_.size() || grads.b.size() != layers_.size())
+    return false;
+  for (std::size_t l = 0; l < layers_.size(); ++l)
+    if (grads.w[l].rows() != layers_[l].w.rows() ||
+        grads.w[l].cols() != layers_[l].w.cols() ||
+        grads.b[l].size() != layers_[l].b.size())
+      return false;
+  return true;
 }
 
 void Mlp::accumulate_l2_gradient(double lambda, Gradients& grads) const {

@@ -39,7 +39,15 @@ struct Gradients {
   std::vector<la::Matrix> w;
   std::vector<la::Vec> b;
 
-  void zero();
+  /// Calls f(data, size) once per parameter buffer: layer l's weights,
+  /// then its biases, for l = 0, 1, ...
+  template <class F>
+  void for_each_buffer(F&& f) {
+    for (std::size_t l = 0; l < w.size(); ++l) {
+      f(w[l].data().data(), w[l].size());
+      f(b[l].data(), b[l].size());
+    }
+  }
   /// this += k * other.
   void axpy(double k, const Gradients& other);
   void scale(double k);
@@ -151,9 +159,11 @@ class Mlp {
   /// rows may share one forward.  When `grads` is non-null the parameter
   /// gradients accumulate into it row by row (la::kernels::add_outer_rows
   /// for the weights); when `dl_dx` is non-null it receives the count x
-  /// input_dim() input gradients.  Every element performs the operations of
-  /// `count` successive backward() calls in row order, so the results are
-  /// bitwise identical to them (and dl_dx to input_gradient()).  Throws
+  /// input_dim() input gradients.  Each layer's gradient below it is one
+  /// la::kernels::matvec_t_rows over the tile.  Every element performs the
+  /// operations of `count` successive backward() calls in row order, so the
+  /// results are bitwise identical to them (and dl_dx to
+  /// input_gradient()).  Throws
   /// std::invalid_argument for a tape recorded by another network, a
   /// mis-shaped `grads`, or a row_map entry past the recorded rows.
   void backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
@@ -165,6 +175,10 @@ class Mlp {
 
   /// Zero gradient accumulator matching this network's shapes.
   [[nodiscard]] Gradients zero_gradients() const;
+
+  /// True when `grads` has this network's layer count and every layer's
+  /// weight and bias shapes.
+  [[nodiscard]] bool fits(const Gradients& grads) const noexcept;
 
   /// Adds the gradient of lambda*||q||_2^2 (all weights and biases) into
   /// `grads` — the L2 term of the robust-distillation loss.

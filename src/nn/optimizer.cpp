@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "la/kernels.h"
+
 namespace cocktail::nn {
 
 Sgd::Sgd(double learning_rate, double momentum)
@@ -36,30 +38,27 @@ void Adam::step(Mlp& net, const Gradients& grads) {
     v_ = net.zero_gradients();
     initialized_ = true;
   }
-  if (m_.w.size() != grads.w.size())
+  // The update walks every buffer at the net's shapes: moments sized for
+  // another net, or mis-shaped gradients, would be read and written past
+  // their ends.
+  if (!net.fits(grads) || !net.fits(m_) || !net.fits(v_))
     throw std::invalid_argument("Adam::step: shape mismatch");
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const la::kernels::AdamStep s{
+      lr_,
+      beta1_,
+      beta2_,
+      eps_,
+      1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      1.0 - std::pow(beta2_, static_cast<double>(t_))};
   auto& layers = net.layers();
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    auto update = [&](double& p, double& m, double& v, double g) {
-      m = beta1_ * m + (1.0 - beta1_) * g;
-      v = beta2_ * v + (1.0 - beta2_) * g * g;
-      const double m_hat = m / bc1;
-      const double v_hat = v / bc2;
-      p -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-    };
-    auto& w = layers[l].w.data();
-    auto& mw = m_.w[l].data();
-    auto& vw = v_.w[l].data();
-    const auto& gw = grads.w[l].data();
-    for (std::size_t i = 0; i < w.size(); ++i) update(w[i], mw[i], vw[i], gw[i]);
-    auto& b = layers[l].b;
-    auto& mb = m_.b[l];
-    auto& vb = v_.b[l];
-    const auto& gb = grads.b[l];
-    for (std::size_t i = 0; i < b.size(); ++i) update(b[i], mb[i], vb[i], gb[i]);
+    la::kernels::adam_update(s, layers[l].w.size(), layers[l].w.data().data(),
+                             m_.w[l].data().data(), v_.w[l].data().data(),
+                             grads.w[l].data().data());
+    la::kernels::adam_update(s, layers[l].b.size(), layers[l].b.data(),
+                             m_.b[l].data(), v_.b[l].data(),
+                             grads.b[l].data());
   }
 }
 
@@ -81,13 +80,15 @@ void AdamVec::step(la::Vec& params, const la::Vec& grads) {
     v_.assign(params.size(), 0.0);
   }
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * grads[i];
-    v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * grads[i] * grads[i];
-    params[i] -= lr_ * (m_[i] / bc1) / (std::sqrt(v_[i] / bc2) + eps_);
-  }
+  const la::kernels::AdamStep s{
+      lr_,
+      beta1_,
+      beta2_,
+      eps_,
+      1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      1.0 - std::pow(beta2_, static_cast<double>(t_))};
+  la::kernels::adam_update(s, params.size(), params.data(), m_.data(),
+                           v_.data(), grads.data());
 }
 
 }  // namespace cocktail::nn

@@ -59,15 +59,11 @@ struct MinibatchGrads {
   la::Vec log_std;
   nn::Gradients value;
 
-  void zero() {
-    policy.zero();
-    std::fill(log_std.begin(), log_std.end(), 0.0);
-    value.zero();
-  }
-  void axpy(double k, const MinibatchGrads& other) {
-    policy.axpy(k, other.policy);
-    la::axpy(log_std, k, other.log_std);
-    value.axpy(k, other.value);
+  template <class F>
+  void for_each_buffer(F&& f) {
+    policy.for_each_buffer(f);
+    f(log_std.data(), log_std.size());
+    value.for_each_buffer(f);
   }
 };
 

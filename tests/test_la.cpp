@@ -6,10 +6,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "la/kernel_config.h"
@@ -543,18 +545,19 @@ struct TanhRowsPath {
   void (*rows)(const double*, double*, std::size_t) noexcept;
 };
 
-constexpr TanhRowsPath kTanhRowsPaths[] = {
-    {"tanh_rows", la::kernels::tanh_rows},
-    {"avx2", la::kernels::tanh_rows_avx2},
-    {"avx512", la::kernels::tanh_rows_avx512}};
+std::vector<TanhRowsPath> tanh_rows_paths() {
+  return {{"tanh_rows", la::kernels::tanh_rows},
+          {"avx2", la::kernels::avx2_kernels().tanh_rows},
+          {"avx512", la::kernels::avx512_kernels().tanh_rows}};
+}
 
 /// The paths this host can run: the eight-lane one only where it is
 /// supported.
 std::vector<TanhRowsPath> runnable_tanh_rows_paths() {
   std::vector<TanhRowsPath> paths;
-  for (const TanhRowsPath& path : kTanhRowsPaths)
+  for (const TanhRowsPath& path : tanh_rows_paths())
     if (std::string_view(path.name) != "avx512" ||
-        la::kernels::tanh_rows_avx512_supported())
+        la::kernels::avx512_supported())
       paths.push_back(path);
   return paths;
 }
@@ -595,7 +598,7 @@ TEST_P(TanhKernelRows, RowsMatchScalarKernelAtEveryRowLength) {
   // whole eight-lane vectors.
   const TanhRowsPath& path = GetParam();
   if (std::string_view(path.name) == "avx512" &&
-      !la::kernels::tanh_rows_avx512_supported())
+      !la::kernels::avx512_supported())
     GTEST_SKIP() << "the eight-lane instantiation needs AVX-512F";
   const std::vector<double> corpus = tanh_golden_inputs();
   for (const std::size_t len : {1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 65u}) {
@@ -617,57 +620,242 @@ TEST_P(TanhKernelRows, RowsMatchScalarKernelAtEveryRowLength) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Paths, TanhKernelRows, ::testing::ValuesIn(kTanhRowsPaths),
+    Paths, TanhKernelRows, ::testing::ValuesIn(tanh_rows_paths()),
     [](const ::testing::TestParamInfo<TanhRowsPath>& info) {
       return std::string(info.param.name);
     });
 
 TEST(TanhKernel, RowsPathNamesTheDispatchedInstantiation) {
-  const std::string_view path = la::kernels::tanh_rows_path();
-  EXPECT_EQ(path == "avx512", la::kernels::tanh_rows_avx512_supported());
+  const la::kernels::LaneKernels& dispatched =
+      la::kernels::dispatched_kernels();
+  EXPECT_EQ(&dispatched, la::kernels::avx512_supported()
+                             ? &la::kernels::avx512_kernels()
+                             : &la::kernels::avx2_kernels());
+  const std::string_view path = dispatched.name;
+  EXPECT_EQ(path == "avx512", la::kernels::avx512_supported());
   EXPECT_TRUE(path == "avx512" || path == "avx2" || path == "scalar") << path;
+}
+
+// ---------------------------------------------------------------------------
+// The lane kernels by instantiation.  Each table (la::kernels::LaneKernels)
+// must reproduce its scalar reference bit for bit: the four-lane one on every
+// host, the eight-lane one where the host runs AVX-512F (elsewhere its tests
+// skip).
+// ---------------------------------------------------------------------------
+
+struct KernelPath {
+  const char* name;
+  const la::kernels::LaneKernels& (*table)() noexcept;
+};
+
+constexpr KernelPath kKernelPaths[] = {{"avx2", la::kernels::avx2_kernels},
+                                       {"avx512", la::kernels::avx512_kernels}};
+
+void PrintTo(const KernelPath& path, std::ostream* os) { *os << path.name; }
+
+class LaneKernelPaths : public ::testing::TestWithParam<KernelPath> {
+ protected:
+  void SetUp() override {
+    if (std::string_view(GetParam().name) == "avx512" &&
+        !la::kernels::avx512_supported())
+      GTEST_SKIP() << "the eight-lane instantiation needs AVX-512F";
+  }
+  [[nodiscard]] const la::kernels::LaneKernels& kernels() const {
+    return GetParam().table();
+  }
+};
+
+/// A rows x cols operand stored with `pad` NaN columns after each row, so a
+/// kernel that reads past a row, or strides wrongly, reads NaN.
+Vec padded_operand(bool special, std::size_t rows, std::size_t cols,
+                   std::size_t pad, std::uint64_t seed) {
+  const Matrix m = operand_matrix(special, rows, cols, seed);
+  Vec out(rows * (cols + pad), std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) out[r * (cols + pad) + c] = m(r, c);
+  return out;
+}
+
+TEST_P(LaneKernelPaths, GemmNtMatchesReferenceAtEveryColumnTail) {
+  // k from one lane group to past two blocks (partial lane groups at 9, 15,
+  // 17 and 257), n mod 8 = 0..7 after one and after eight eight-column
+  // passes, and n < 8, where the eight-lane table takes the four-lane
+  // kernel.  Strided rows; C's padding must stay untouched.
+  const std::size_t bk = la::kernels::kDotBlockK;
+  for (const std::size_t k : {std::size_t{8}, std::size_t{9}, std::size_t{15},
+                              std::size_t{16}, std::size_t{17}, bk - 1, bk,
+                              bk + 1, 2 * bk + 1}) {
+    for (const std::size_t n : {1u, 7u, 8u, 9u, 10u, 11u, 12u, 13u, 14u, 15u,
+                                64u, 65u, 66u, 67u, 68u, 69u, 70u, 71u}) {
+      for (const std::size_t m : {1u, 3u}) {
+        for (const bool special : {false, true}) {
+          const Vec a = padded_operand(special, m, k, 2, 7 * k + m);
+          const Vec b = padded_operand(special, n, k, 3, 11 * k + n);
+          Vec fast(m * (n + 1), 7.0), ref(m * (n + 1), 7.0);
+          kernels().gemm_nt(m, n, k, a.data(), k + 2, b.data(), k + 3,
+                            fast.data(), n + 1);
+          la::kernels::gemm_nt_ref(m, n, k, a.data(), k + 2, b.data(), k + 3,
+                                   ref.data(), n + 1);
+          for (std::size_t q = 0; q < fast.size(); ++q)
+            ASSERT_TRUE(same_bits(fast[q], ref[q]))
+                << "m " << m << " n " << n << " k " << k << " special "
+                << special << " at " << q << ": " << fast[q] << " vs "
+                << ref[q];
+        }
+      }
+    }
+  }
+}
+
+TEST_P(LaneKernelPaths, MatvecTRowsMatchesPerRowReference) {
+  // 1-9 cotangent rows (whole row tiles and every leftover tile at either
+  // width), m across the 256-row block edge with 0-3 rows after the last
+  // group of four, and k mod 8 = 0..7 column tails.  Strided X and Y rows;
+  // Y's padding must stay untouched.
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (const std::size_t m : {1u, 3u, 4u, 6u, 255u, 256u, 257u, 515u}) {
+      for (const std::size_t k :
+           {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 14u, 16u, 17u, 64u}) {
+        for (const bool special : {false, true}) {
+          const Vec a = padded_operand(special, m, k, 1, 13 * m + k);
+          const Vec x = padded_operand(special, rows, m, 2, 17 * rows + m);
+          Vec fast(rows * (k + 3), 7.0), ref(rows * (k + 3), 7.0);
+          kernels().matvec_t_rows(rows, m, k, a.data(), k + 1, x.data(),
+                                  m + 2, fast.data(), k + 3);
+          for (std::size_t r = 0; r < rows; ++r)
+            la::kernels::matvec_t_ref(m, k, a.data(), k + 1,
+                                      x.data() + r * (m + 2),
+                                      ref.data() + r * (k + 3));
+          for (std::size_t q = 0; q < fast.size(); ++q)
+            ASSERT_TRUE(same_bits(fast[q], ref[q]))
+                << "rows " << rows << " m " << m << " k " << k
+                << " special " << special << " at " << q << ": " << fast[q]
+                << " vs " << ref[q];
+        }
+      }
+    }
+  }
+}
+
+TEST_P(LaneKernelPaths, AdamUpdateMatchesScalarReference) {
+  // Every tail length at either width, early and late bias corrections.
+  // Uniform operands keep v >= 0 so every output is finite and checks the
+  // rounding of each operation; special operands also give sqrt a
+  // negative, a signed zero and NaN.
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 15u, 16u,
+                              17u, 64u, 101u}) {
+    for (const bool special : {false, true}) {
+      for (const double t : {1.0, 2.0, 1000.0}) {
+        const la::kernels::AdamStep step{
+            3e-4, 0.9, 0.999, 1e-8, 1.0 - std::pow(0.9, t),
+            1.0 - std::pow(0.999, t)};
+        const std::uint64_t seed = 19 * n + static_cast<std::uint64_t>(t);
+        Vec p = operand_matrix(special, 1, n, seed).data();
+        Vec m = operand_matrix(special, 1, n, seed + 1).data();
+        Vec v = operand_matrix(special, 1, n, seed + 2).data();
+        const Vec g = operand_matrix(special, 1, n, seed + 3).data();
+        if (!special)
+          for (double& e : v) e = std::fabs(e);
+        Vec p_ref = p, m_ref = m, v_ref = v;
+        kernels().adam_update(step, n, p.data(), m.data(), v.data(),
+                              g.data());
+        la::kernels::adam_update_ref(step, n, p_ref.data(), m_ref.data(),
+                                     v_ref.data(), g.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(same_bits(m[i], m_ref[i])) << "m, n " << n << " at " << i;
+          ASSERT_TRUE(same_bits(v[i], v_ref[i])) << "v, n " << n << " at " << i;
+          ASSERT_TRUE(same_bits(p[i], p_ref[i]))
+              << "p, n " << n << " special " << special << " t " << t
+              << " at " << i << ": " << p[i] << " vs " << p_ref[i];
+        }
+      }
+    }
+  }
+}
+
+TEST_P(LaneKernelPaths, SumPartsMatchesZeroThenAxpy) {
+  // The one-pass merge of a chunked reduction against what it replaced:
+  // zero the total, then total.axpy(1.0, part) per part in order.  With
+  // special parts, -0.0 + -0.0 stays -0.0 but +0.0 + -0.0 is +0.0, so the
+  // +0.0 start is visible.
+  for (const std::size_t count : {0u, 1u, 2u, 3u, 8u}) {
+    for (const std::size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u,
+                                31u, 32u, 33u, 64u, 100u}) {
+      for (const bool special : {false, true}) {
+        const Matrix parts = operand_matrix(special, count, n, 23 * n + count);
+        std::vector<const double*> ptrs;
+        for (std::size_t c = 0; c < count; ++c)
+          ptrs.push_back(parts.data().data() + c * n);
+        Matrix oracle(1, n);
+        oracle.fill(0.0);
+        for (std::size_t c = 0; c < count; ++c)
+          oracle.axpy(1.0, Matrix::row_vector(parts.row(c)));
+        Vec out(n + 1, 7.0);
+        kernels().sum_parts(count, ptrs.data(), n, out.data());
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_TRUE(same_bits(out[i], oracle(0, i)))
+              << "count " << count << " n " << n << " special " << special
+              << " at " << i << ": " << out[i] << " vs " << oracle(0, i);
+        ASSERT_EQ(out[n], 7.0) << "wrote past n";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, LaneKernelPaths, ::testing::ValuesIn(kKernelPaths),
+    [](const ::testing::TestParamInfo<KernelPath>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(KernelSchedule, AddOuterRowsMatchesSuccessiveAddOuter) {
+  // The batched weight-gradient update equals `rows` successive rank-1
+  // add_outer(1.0, x_r, y_r) calls bitwise — also through a row map, past
+  // the kernel's internal row block and at every n mod 8 tail — on uniform
+  // and special operands (the ReLU backward feeds it signed zeros), through
+  // the dispatching entry point, the scalar reference and every lane
+  // instantiation this host runs.
+  std::vector<std::pair<const char*, decltype(&la::kernels::add_outer_rows)>>
+      paths = {{"add_outer_rows", la::kernels::add_outer_rows},
+               {"ref", la::kernels::add_outer_rows_ref},
+               {"avx2", la::kernels::avx2_kernels().add_outer_rows}};
+  if (la::kernels::avx512_supported())
+    paths.emplace_back("avx512", la::kernels::avx512_kernels().add_outer_rows);
+  std::uint64_t seed = 41;
+  for (const std::size_t m : {1u, 3u, 17u, 64u}) {
+    for (const std::size_t n : {1u, 3u, 4u, 8u, 17u, 31u, 64u}) {
+      for (const std::size_t rows : {1u, 7u, 16u, 70u}) {
+        for (const bool special : {false, true}) {
+          const Matrix x = operand_matrix(special, rows, m, ++seed);
+          const Matrix y = operand_matrix(special, rows, n, ++seed);
+          const Matrix c0 = operand_matrix(special, m, n, ++seed);
+          std::vector<std::size_t> map(rows);
+          for (std::size_t r = 0; r < rows; ++r) map[r] = (r * 5) % rows;
+          for (const bool mapped : {false, true}) {
+            Matrix oracle = c0;
+            for (std::size_t r = 0; r < rows; ++r)
+              oracle.add_outer(1.0, x.row(r), y.row(mapped ? map[r] : r));
+            const std::size_t* rows_of_y = mapped ? map.data() : nullptr;
+            for (const auto& [name, kernel] : paths) {
+              Matrix got = c0;
+              kernel(rows, m, n, x.data().data(), m, y.data().data(), n,
+                     rows_of_y, got.data().data(), n);
+              SCOPED_TRACE(::testing::Message()
+                           << name << " " << m << "x" << n << " rows " << rows
+                           << " mapped " << mapped << " special " << special);
+              expect_bitwise_rows(got, oracle);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // NaN/Inf propagation: the old kernels skipped zero operands as a fast path,
 // which silently swallowed 0 * NaN and 0 * Inf (both NaN under IEEE 754).
 // ---------------------------------------------------------------------------
-
-TEST(KernelSchedule, AddOuterRowsMatchesSuccessiveAddOuter) {
-  // The batched weight-gradient update equals `rows` successive rank-1
-  // add_outer(1.0, x_r, y_r) calls bitwise — also through a row map and
-  // past the kernel's internal row block — and the vector kernel equals
-  // its scalar reference.
-  util::Rng rng(41);
-  for (const std::size_t m : {1u, 3u, 17u, 64u}) {
-    for (const std::size_t n : {1u, 3u, 4u, 17u, 64u}) {
-      for (const std::size_t rows : {1u, 7u, 16u, 70u}) {
-        la::Matrix x(rows, m), y(rows, n), c0(m, n);
-        for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
-        for (auto& v : y.data()) v = rng.uniform(-1.0, 1.0);
-        for (auto& v : c0.data()) v = rng.uniform(-1.0, 1.0);
-        std::vector<std::size_t> map(rows);
-        for (std::size_t r = 0; r < rows; ++r) map[r] = (r * 5) % rows;
-        for (const bool mapped : {false, true}) {
-          la::Matrix oracle = c0, fast = c0, ref = c0;
-          for (std::size_t r = 0; r < rows; ++r)
-            oracle.add_outer(1.0, x.row(r), y.row(mapped ? map[r] : r));
-          const std::size_t* rows_of_y = mapped ? map.data() : nullptr;
-          la::kernels::add_outer_rows(rows, m, n, x.data().data(), m,
-                                      y.data().data(), n, rows_of_y,
-                                      fast.data().data(), n);
-          la::kernels::add_outer_rows_ref(rows, m, n, x.data().data(), m,
-                                          y.data().data(), n, rows_of_y,
-                                          ref.data().data(), n);
-          ASSERT_EQ(fast.data(), oracle.data())
-              << m << "x" << n << " rows " << rows << " mapped " << mapped;
-          ASSERT_EQ(ref.data(), oracle.data())
-              << m << "x" << n << " rows " << rows << " mapped " << mapped;
-        }
-      }
-    }
-  }
-}
 
 TEST(MatrixTest, MatmulPropagatesNanThroughZeroRows) {
   // A is all zeros; the old `if (aik == 0.0) continue;` skip never touched

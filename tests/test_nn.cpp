@@ -10,9 +10,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
+#include "la/kernels.h"
 #include "nn/activation.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
@@ -47,6 +50,39 @@ TEST(Activation, DerivativesMatchFiniteDifference) {
           (nn::activate(act, z + h) - nn::activate(act, z - h)) / (2.0 * h);
       EXPECT_NEAR(nn::activate_grad(act, z, a), numeric, 1e-5)
           << nn::to_string(act) << " at " << z;
+    }
+  }
+}
+
+TEST(Activation, ReluBackwardRowsMatchDeltaTimesGrad) {
+  // backprop_rows picks ReLU's factor 1.0 or +0.0 by a compare mask instead
+  // of a branch; every product must still be delta * activate_grad bitwise
+  // (any NaN matching any NaN), for every pair of signed zeros,
+  // subnormals, normals, infinities and NaNs, at every row length (the
+  // vectorized loop's tails).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double values[] = {0.0,  -0.0, sub,  -sub, 1e-310, -1e-310, 1.5,
+                           -2.5, inf,  -inf, nan,  -nan};
+  std::vector<double> z, delta;
+  for (const double zv : values)
+    for (const double dv : values) {
+      z.push_back(zv);
+      delta.push_back(dv);
+    }
+  const std::vector<double> a(z.size(), 0.0);
+  for (std::size_t n = 1; n <= z.size(); ++n) {
+    std::vector<double> dz(n);
+    nn::backprop_rows(Activation::kRelu, z.data(), a.data(), delta.data(),
+                      dz.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double want =
+          delta[i] * nn::activate_grad(Activation::kRelu, z[i], a[i]);
+      ASSERT_TRUE((std::isnan(want) && std::isnan(dz[i])) ||
+                  bits(want) == bits(dz[i]))
+          << "z " << z[i] << " delta " << delta[i] << ": " << dz[i]
+          << " vs " << want;
     }
   }
 }
@@ -621,6 +657,70 @@ TEST(Optimizer, AdamMinimizesQuadratic) {
   }
   // Targets span [-4, 2]; 5e-3 MSE is ~1% relative error.
   EXPECT_LT(final_loss, 5e-3);
+}
+
+TEST(Optimizer, AdamRejectsNetsItsMomentsDoNotFit) {
+  // One Adam stepping a 2-4-1 net and then a 2-8-1 net walked the wider
+  // layers past the moment buffers sized for the first net (a heap buffer
+  // overflow under ASan).  Both that and gradients shaped for another net
+  // must throw before anything changes.
+  Mlp small = Mlp::make(2, {4}, 1, Activation::kTanh, Activation::kIdentity,
+                        1);
+  Mlp wide = Mlp::make(2, {8}, 1, Activation::kTanh, Activation::kIdentity,
+                       2);
+  nn::Adam opt(0.01);
+  opt.step(small, small.zero_gradients());
+  const Mlp wide_before = wide;
+  const Mlp small_before = small;
+  EXPECT_THROW(opt.step(wide, wide.zero_gradients()), std::invalid_argument);
+  EXPECT_THROW(opt.step(small, wide.zero_gradients()), std::invalid_argument);
+  EXPECT_EQ(opt.step_count(), 1);
+  for (std::size_t l = 0; l < 2; ++l) {
+    EXPECT_EQ(wide.layers()[l].w.data(), wide_before.layers()[l].w.data());
+    EXPECT_EQ(small.layers()[l].w.data(), small_before.layers()[l].w.data());
+  }
+}
+
+TEST(Optimizer, AdamStepIsTheScalarAdamPerBuffer) {
+  // Adam::step runs la::kernels::adam_update over each layer's weights and
+  // biases: the bits of the scalar reference applied buffer by buffer with
+  // the same bias corrections, step after step.
+  Mlp net = Mlp::make(3, {17, 64}, 2, Activation::kRelu, Activation::kTanh,
+                      4);
+  Mlp ref = net;
+  nn::Adam opt(0.01);
+  nn::Gradients m = net.zero_gradients();
+  nn::Gradients v = net.zero_gradients();
+  util::Rng rng(5);
+  for (int t = 1; t <= 3; ++t) {
+    nn::Gradients g = net.zero_gradients();
+    for (auto& w : g.w)
+      for (auto& e : w.data()) e = rng.uniform(-1.0, 1.0);
+    for (auto& b : g.b)
+      for (auto& e : b) e = rng.uniform(-1.0, 1.0);
+    opt.step(net, g);
+    const la::kernels::AdamStep s{
+        0.01, 0.9, 0.999, 1e-8, 1.0 - std::pow(0.9, static_cast<double>(t)),
+        1.0 - std::pow(0.999, static_cast<double>(t))};
+    for (std::size_t l = 0; l < ref.num_layers(); ++l) {
+      auto& layer = ref.layers()[l];
+      la::kernels::adam_update_ref(s, layer.w.size(), layer.w.data().data(),
+                                   m.w[l].data().data(), v.w[l].data().data(),
+                                   g.w[l].data().data());
+      la::kernels::adam_update_ref(s, layer.b.size(), layer.b.data(),
+                                   m.b[l].data(), v.b[l].data(),
+                                   g.b[l].data());
+    }
+  }
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    const Vec& got = net.layers()[l].w.data();
+    const Vec& want = ref.layers()[l].w.data();
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(bits(got[i]), bits(want[i])) << "layer " << l << " w " << i;
+    for (std::size_t i = 0; i < ref.layers()[l].b.size(); ++i)
+      ASSERT_EQ(bits(net.layers()[l].b[i]), bits(ref.layers()[l].b[i]))
+          << "layer " << l << " b " << i;
+  }
 }
 
 TEST(Optimizer, SgdMomentumMovesDownhill) {

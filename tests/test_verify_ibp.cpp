@@ -67,9 +67,9 @@ TEST(Ibp, TanhKernelNeverDecreasesNearItsBranchThresholds) {
   constexpr std::int64_t kUlps = 20000;
   std::vector<std::pair<const char*,
                         void (*)(const double*, double*, std::size_t) noexcept>>
-      paths = {{"avx2", la::kernels::tanh_rows_avx2}};
-  if (la::kernels::tanh_rows_avx512_supported())
-    paths.emplace_back("avx512", la::kernels::tanh_rows_avx512);
+      paths = {{"avx2", la::kernels::avx2_kernels().tanh_rows}};
+  if (la::kernels::avx512_supported())
+    paths.emplace_back("avx512", la::kernels::avx512_kernels().tanh_rows);
   std::vector<double> xs(2 * kUlps + 1);
   std::vector<double> ys(xs.size());
   for (const double c : tanh_branch_thresholds()) {

@@ -42,10 +42,18 @@ atomic-fp               std::atomic<float/double/...>.  Atomic FP
                         to the scheduling order.
 host-dispatch           A CPU-feature query (__builtin_cpu_supports,
                         __builtin_cpu_init, __get_cpuid, getauxval(AT_HWCAP*))
-                        outside la/kernels.cpp.  Choosing code by the host's
-                        instruction set is safe only where tests pin every
-                        path to the same bits, and that file's are the ones
-                        that do (test_la runs each instantiation by name).
+                        or ISA code (a gnu::target or
+                        __attribute__((target(...))) function, #pragma GCC
+                        target, an <*intrin.h> include) outside
+                        la/kernels.cpp and the .inc files it includes.
+                        Choosing code by the host's instruction set is safe
+                        only where tests pin every path to the same bits,
+                        and that file's are the ones that do (test_la runs
+                        each instantiation by name).  It is also the one
+                        file the build compiles with -ffp-contract=off: in
+                        C++, GCC fuses a*b + c into an fma inside any
+                        FMA-enabled function, so vector code anywhere else
+                        could change trained bits silently.
 
 Waivers
 -------
@@ -84,20 +92,36 @@ RULES = {
     "bucket order into results; iterate a sorted/fixed-order view instead",
     "atomic-fp": "atomic floating-point accumulates in scheduling order; "
     "use util::chunked_reduce",
-    "host-dispatch": "CPU-feature query outside la/kernels.cpp; pick ISA "
-    "paths there, where tests pin each path to the same bits",
+    "host-dispatch": "CPU-feature query or ISA code outside la/kernels.cpp "
+    "and its .inc files; pick ISA paths there, where -ffp-contract=off "
+    "holds and tests pin each path to the same bits",
 }
 
 # Files that implement the sanctioned machinery and may use the raw tools.
 PARALLEL_SUBSTRATE = ("util/thread_pool.h", "util/thread_pool.cpp",
                       "nn/grad_reduce.h")
 RNG_SUBSTRATE = ("util/rng.h", "util/rng.cpp")
-# The one file that may ask the host which instructions it runs.
+# The one translation unit that may ask the host which instructions it runs
+# or compile code for them: this file and the .inc files it includes.
 HOST_DISPATCH_FILE = "la/kernels.cpp"
 
 HOST_QUERY_RE = re.compile(
     r"\b(?:__builtin_cpu_supports|__builtin_cpu_init|__get_cpuid\w*)\s*\(|"
     r"\bgetauxval\s*\(\s*AT_HWCAP\w*")
+ISA_CODE_RE = re.compile(
+    r"\bgnu::target\b|"
+    r"\b__attribute__\s*\(\(\s*(?:__target__|target)\s*\(|"
+    r"#\s*pragma\s+GCC\s+target\b|"
+    r"#\s*include\s*<\s*\w*intrin\.h\s*>")
+INC_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+\.inc)"')
+
+
+def dispatch_files(kernels_raw: str | None) -> set[str]:
+    """HOST_DISPATCH_FILE plus the .inc files its text includes."""
+    files = {HOST_DISPATCH_FILE}
+    if kernels_raw is not None:
+        files.update(INC_INCLUDE_RE.findall(kernels_raw))
+    return files
 
 CPP_SUFFIXES = (".cpp", ".h", ".hpp", ".cc", ".cxx", ".inc")
 
@@ -294,7 +318,8 @@ def unordered_container_names(text: str) -> list[tuple[str, int]]:
     return names
 
 
-def scan_file(path: str, rel: str, raw: str) -> tuple[list[Finding], int]:
+def scan_file(path: str, rel: str, raw: str,
+              isa_files: set[str] | None = None) -> tuple[list[Finding], int]:
     lines = raw.splitlines()
     allows, allow_errors = collect_allows(lines)
     for err in allow_errors:
@@ -365,12 +390,18 @@ def scan_file(path: str, rel: str, raw: str) -> tuple[list[Finding], int]:
             path, line_of(offsets, m.start()), "atomic-fp",
             "std::atomic over a floating-point type"))
 
-    if not rel_posix.endswith(HOST_DISPATCH_FILE):
+    allowed = isa_files if isa_files is not None else dispatch_files(None)
+    if not any(rel_posix.endswith(f) for f in allowed):
         for m in HOST_QUERY_RE.finditer(text):
             findings.append(Finding(
                 path, line_of(offsets, m.start()), "host-dispatch",
                 f"'{m.group(0).rstrip('( ')}' queries the host CPU outside "
                 f"{HOST_DISPATCH_FILE}"))
+        for m in ISA_CODE_RE.finditer(text):
+            findings.append(Finding(
+                path, line_of(offsets, m.start()), "host-dispatch",
+                f"'{m.group(0).rstrip('( ')}' compiles ISA code outside "
+                f"{HOST_DISPATCH_FILE} and its .inc files"))
 
     # Apply waivers: same line or the line directly above the finding.
     unsuppressed: list[Finding] = []
@@ -404,10 +435,16 @@ def lint_paths(paths: list[str]) -> int:
                 if filename.endswith(CPP_SUFFIXES):
                     full = os.path.join(dirpath, filename)
                     files.append((full, os.path.relpath(full, root_path)))
+    sources = {}
     for full, rel in sorted(files):
         with open(full, encoding="utf-8", errors="replace") as handle:
-            raw = handle.read()
-        file_findings, _ = scan_file(full, rel, raw)
+            sources[(full, rel)] = handle.read()
+    kernels_raw = next((raw for (_, rel), raw in sources.items()
+                        if rel.replace(os.sep, "/").endswith(
+                            HOST_DISPATCH_FILE)), None)
+    isa_files = dispatch_files(kernels_raw)
+    for (full, rel), raw in sources.items():
+        file_findings, _ = scan_file(full, rel, raw, isa_files)
         findings.extend(file_findings)
 
     for finding in sorted(findings, key=lambda f: (f.path, f.line)):
@@ -561,14 +598,41 @@ SELF_TEST_CASES = [
      "  return __builtin_cpu_supports(\"avx512f\") != 0;\n"
      "}();\n",
      [], "la/kernels.cpp"),
+    # ISA code: a target attribute lets GCC fuse a*b + c into an fma in
+    # that function, so it belongs in the -ffp-contract=off file.
+    ("target attributes, target pragma and intrinsics header flagged",
+     "#include <immintrin.h>\n"
+     "[[gnu::target(\"avx512f\")]] void adam(double* p);\n"
+     "__attribute__((target(\"avx2,fma\"))) void axpy(double* y);\n"
+     "#pragma GCC target(\"avx2\")\n",
+     ["host-dispatch", "host-dispatch", "host-dispatch", "host-dispatch"]),
+    ("ISA code waived",
+     "// DETLINT-ALLOW(host-dispatch): integer-only popcount, no FP math\n"
+     "[[gnu::target(\"popcnt\")]] int count(unsigned long x);\n",
+     []),
+    ("ISA code in the kernels file is allowed",
+     "#include <immintrin.h>\n"
+     "[[gnu::target(\"avx512f\")]] void gemm_nt_avx512();\n",
+     [], "la/kernels.cpp"),
+    ("ISA code in an .inc the kernels file includes is allowed",
+     "template <class V>\n"
+     "COCKTAIL_LANES_TARGET void f();\n"
+     "[[gnu::target(\"avx512f\")]] void g();\n",
+     [], "la/tanh_lanes.inc"),
+    ("ISA code in an .inc the kernels file does not include is flagged",
+     "[[gnu::target(\"avx512f\")]] void g();\n",
+     ["host-dispatch"], "la/stray.inc"),
 ]
+
+# The kernels file the self-test's ISA cases are scanned against.
+SELF_TEST_KERNELS = '#include "la/tanh_lanes.inc"\n'
 
 
 def self_test() -> int:
     failures = 0
     for name, source, expected, *rel in SELF_TEST_CASES:
         found, _ = scan_file("<self-test>", rel[0] if rel else "self_test.cpp",
-                             source)
+                             source, dispatch_files(SELF_TEST_KERNELS))
         got = sorted(f.rule for f in found)
         if got != sorted(expected):
             print(f"self-test FAILED: {name}\n  expected {sorted(expected)}"
