@@ -6,7 +6,7 @@
 // bench_micro is also the repo's TRACKED PERF TIER: it provides its own
 // main(), understands
 //   --smoke       tiny measurement times + only the tracked benchmarks
-//                 (GEMM / forward_batch / tanh rows / distill / PPO update /
+//                 (GEMM / forward_rows / tanh rows / distill / PPO update /
 //                 certified-lookup) — the mode Release CI runs every PR;
 //   --out=<path>  where to write the JSON trajectory point
 //                 (default BENCH_micro.json in the working directory);
@@ -111,7 +111,7 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
 // Square n x n x n NT GEMM (Matrix::matmul_nt -> la::kernels::gemm_nt) —
-// the exact kernel under Mlp::forward_batch, no pack.  Labelled, like the
+// the exact kernel under Mlp::forward_rows, no pack.  Labelled, like the
 // training benchmarks below, with the lane-kernel path it ran (avx512, avx2
 // or scalar).
 void BM_GemmNt(benchmark::State& state) {
@@ -166,6 +166,7 @@ void BM_MatvecTPerRow(benchmark::State& state) {
 }
 BENCHMARK(BM_MatvecTPerRow);
 
+// One state through Mlp::forward, the one-row forward_rows.
 void BM_MlpForward(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
   const nn::Mlp net = nn::Mlp::make(4, {width, width}, 1,
@@ -176,17 +177,22 @@ void BM_MlpForward(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForward)->Arg(24)->Arg(64)->Arg(128);
 
-// Layer-wise GEMM batched inference (the serving runtime's hot kernel) vs
-// batch size (Arg).  Items/sec is states/sec; compare against BM_MlpForward
-// to read the batching win per sample.
-void BM_MlpForwardBatch(benchmark::State& state) {
+// Layer-wise GEMM batched inference on raw row buffers (Mlp::forward_rows,
+// the serving runtime's hot kernel) vs batch size (Arg).  Items/sec is
+// states/sec; compare against BM_MlpForward to read the batching win per
+// sample.
+void BM_MlpForwardRows(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const nn::Mlp net = nn::Mlp::make(4, {64, 64}, 1, nn::Activation::kTanh,
                                     nn::Activation::kIdentity, 1);
-  la::Matrix x(batch, 4);
+  std::vector<double> x(batch * 4), y(batch);
   util::Rng rng(3);
-  for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
-  for (auto _ : state) benchmark::DoNotOptimize(net.forward_batch(x));
+  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    net.forward_rows(x.data(), batch, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
   // GEMM flops only (2*K per MAC over the 4->64->64->1 layers).  The bias
@@ -196,7 +202,7 @@ void BM_MlpForwardBatch(benchmark::State& state) {
       2.0 * static_cast<double>(batch) * (4.0 * 64 + 64.0 * 64 + 64.0 * 1),
       benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_MlpForwardBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_MlpForwardRows)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 
 // The batched forward's tanh (la::kernels::tanh_rows) over Arg values, and
 // the libm std::tanh loop it replaced as the comparator — the same bits on
@@ -247,32 +253,38 @@ void BM_TanhRowsLibm(benchmark::State& state) {
 }
 BENCHMARK(BM_TanhRowsLibm)->Arg(2560);
 
+// One training sample: a one-row forward_tile and backward_tile with the
+// parameter and input gradients — the path the trainers run, per row.
 void BM_MlpBackward(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
   const nn::Mlp net = nn::Mlp::make(4, {width, width}, 1,
                                     nn::Activation::kTanh,
                                     nn::Activation::kIdentity, 1);
-  const la::Vec x = {0.1, -0.2, 0.3, -0.4};
-  const la::Vec target = {0.5};
+  const double x[4] = {0.1, -0.2, 0.3, -0.4};
+  const double target = 0.5;
   nn::Gradients grads = net.zero_gradients();
+  nn::Mlp::Tape tape;
+  double dy = 0.0;
+  double dx[4] = {};
   for (auto _ : state) {
-    nn::Mlp::Workspace ws;
-    const la::Vec y = net.forward(x, ws);
-    benchmark::DoNotOptimize(
-        net.backward(ws, nn::mse_gradient(y, target), grads));
+    const double* y = net.forward_tile(x, 1, tape);
+    nn::mse_gradient(y, &target, 1, &dy);
+    net.backward_tile(tape, &dy, 1, nullptr, &grads, dx);
+    benchmark::DoNotOptimize(dx);
+    benchmark::ClobberMemory();
   }
   state.SetLabel(la::kernels::dispatched_kernels().name);
 }
 BENCHMARK(BM_MlpBackward)->Arg(24)->Arg(64);
 
-void BM_MlpInputGradient(benchmark::State& state) {
+// dy/dx of one state (Mlp::input_jacobian, the FGSM/PGD gradient).
+void BM_MlpInputJacobian(benchmark::State& state) {
   const nn::Mlp net = nn::Mlp::make(4, {64, 64}, 1, nn::Activation::kTanh,
                                     nn::Activation::kIdentity, 1);
   const la::Vec x = {0.1, -0.2, 0.3, -0.4};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(net.input_gradient(x, {1.0}));
+  for (auto _ : state) benchmark::DoNotOptimize(net.input_jacobian(x));
 }
-BENCHMARK(BM_MlpInputGradient);
+BENCHMARK(BM_MlpInputJacobian);
 
 void BM_VanDerPolStep(benchmark::State& state) {
   const sys::VanDerPol system;
@@ -698,7 +710,7 @@ int main(int argc, char** argv) {
   // noisier than a full run but the same JSON shape lands in the artifact.
   std::string min_time = "--benchmark_min_time=0.01";
   std::string filter =
-      "--benchmark_filter=BM_Gemm|BM_MlpForwardBatch|BM_TanhRows|"
+      "--benchmark_filter=BM_Gemm|BM_MlpForwardRows|BM_TanhRows|"
       "BM_DistillSgd/1|BM_PpoUpdate/1|BM_CertifiedLookup";
   if (smoke) {
     args.push_back(min_time.data());

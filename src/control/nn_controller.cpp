@@ -1,5 +1,6 @@
 #include "control/nn_controller.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
@@ -22,17 +23,25 @@ la::Vec NnController::act(const la::Vec& s) const {
 
 std::vector<la::Vec> NnController::act_batch(
     const std::vector<la::Vec>& states) const {
-  // The explicit empty-batch answer: no states, no actions.  This guard is
-  // load-bearing — la::Matrix::from_rows({}) throws rather than inventing
-  // a 0 x 0 shape.
-  if (states.empty()) return {};
-  la::Matrix y = net_.forward_batch(la::Matrix::from_rows(states));
-  // scale_[c] * y(r, c): the same multiplication la::hadamard performs in
-  // the per-sample path (IEEE multiplication commutes bitwise).
-  y.scale_columns(scale_);
-  std::vector<la::Vec> actions;
-  actions.reserve(states.size());
-  for (std::size_t r = 0; r < y.rows(); ++r) actions.push_back(y.row(r));
+  const std::size_t in = net_.input_dim();
+  const std::size_t out = net_.output_dim();
+  // forward_rows reads `in` doubles per row and checks nothing: a short
+  // state would be read past its end.
+  thread_local la::Vec x, y;
+  double* row = la::grow_to(x, states.size() * in);
+  for (const la::Vec& s : states) {
+    if (s.size() != in)
+      throw std::invalid_argument(
+          "NnController::act_batch: state dimension mismatch");
+    row = std::copy(s.begin(), s.end(), row);
+  }
+  double* ys = la::grow_to(y, states.size() * out);
+  net_.forward_rows(x.data(), states.size(), ys);
+  // scale_[c] * y(r, c): the product la::hadamard takes in act().
+  std::vector<la::Vec> actions(states.size(), la::Vec(out));
+  for (std::size_t r = 0; r < states.size(); ++r)
+    for (std::size_t c = 0; c < out; ++c)
+      actions[r][c] = scale_[c] * ys[r * out + c];
   return actions;
 }
 

@@ -20,11 +20,14 @@ class NnController final : public Controller {
   /// the network's output dimension.
   NnController(nn::Mlp net, la::Vec out_scale, std::string label = "nn");
 
+  /// Throws std::invalid_argument unless `s` has state_dim() entries.
   [[nodiscard]] la::Vec act(const la::Vec& s) const override;
-  /// Batched inference over N states via nn::Mlp::forward_batch; entry k is
-  /// bitwise identical to act(states[k]) for any batch composition — the
-  /// serving runtime's micro-batcher relies on this to keep batched answers
-  /// equal to the synchronous per-request path.
+  /// Batched inference over N states: one nn::Mlp::forward_rows over the
+  /// states packed into a thread-local row buffer.  Entry k is bitwise
+  /// identical to act(states[k]) for any batch composition — the serving
+  /// runtime's micro-batcher relies on this to keep batched answers equal
+  /// to the synchronous per-request path.  Throws std::invalid_argument
+  /// unless every state has state_dim() entries.
   [[nodiscard]] std::vector<la::Vec> act_batch(
       const std::vector<la::Vec>& states) const;
   [[nodiscard]] std::size_t state_dim() const override;

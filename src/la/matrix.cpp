@@ -26,22 +26,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::from_rows(const std::vector<Vec>& rows) {
-  // An empty stack has no first row to take the column count from, so any
-  // shape we invented here would silently disagree with what the caller's
-  // consumers expect.  Batch assemblers must guard the empty case
-  // themselves (NnController::act_batch returns {} before ever calling us).
-  if (rows.empty())
-    throw std::invalid_argument("Matrix::from_rows: empty row list");
-  Matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != m.cols_)
-      throw std::invalid_argument("Matrix::from_rows: ragged rows");
-    std::copy(rows[r].begin(), rows[r].end(), &m.data_[r * m.cols_]);
-  }
-  return m;
-}
-
 Matrix Matrix::row_vector(const Vec& v) { return Matrix(1, v.size(), v); }
 
 Matrix Matrix::col_vector(const Vec& v) { return Matrix(v.size(), 1, v); }
@@ -157,15 +141,6 @@ void Matrix::add_outer(double k, const Vec& col, const Vec& row) {
     const double kc = k * col[r];
     double* out = &data_[r * cols_];
     for (std::size_t c = 0; c < cols_; ++c) out[c] += kc * row[c];
-  }
-}
-
-void Matrix::scale_columns(const Vec& v) {
-  if (v.size() != cols_)
-    throw std::invalid_argument("Matrix::scale_columns: length mismatch");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double* row = &data_[r * cols_];
-    for (std::size_t c = 0; c < cols_; ++c) row[c] *= v[c];
   }
 }
 

@@ -1,7 +1,7 @@
 // Dense row-major matrix.
 //
-// Sized for the library's workloads: NN layers up to ~128x128, serving
-// GEMM batches, and the tiny Riccati recursions behind the LQR expert.
+// Sized for the library's workloads: NN layers up to ~128x128 and the
+// tiny Riccati recursions behind the LQR expert.
 // matvec/matvec_transpose/matmul/matmul_nt run on the deterministic
 // blocked/SIMD kernels of la/kernels.h: every reduction follows the single
 // fixed accumulation schedule of la/kernel_config.h, so results are
@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "la/vec.h"
 
@@ -27,12 +26,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, Vec data);
 
   [[nodiscard]] static Matrix identity(std::size_t n);
-  /// Stacks `rows` (all the same length) into a rows.size() x rows[0].size()
-  /// matrix — the batch-assembly entry point of the serving runtime.
-  /// Throws std::invalid_argument on an empty list (there is no first row
-  /// to take the column count from) and on ragged rows; batch assemblers
-  /// must handle the empty case explicitly before calling.
-  [[nodiscard]] static Matrix from_rows(const std::vector<Vec>& rows);
   /// Matrix whose single row is `v`.
   [[nodiscard]] static Matrix row_vector(const Vec& v);
   /// Matrix whose single column is `v`.
@@ -60,8 +53,7 @@ class Matrix {
   [[nodiscard]] Matrix matmul(const Matrix& other) const;
   /// C = this * other^T without materializing the transpose.  Row r of the
   /// result accumulates exactly like `other.matvec(row r of this)` — the
-  /// same fixed dot schedule — so batched NN layers built on this GEMM are
-  /// bitwise identical per row to the per-sample matvec path.
+  /// same fixed dot schedule — so it is bitwise that matvec.
   [[nodiscard]] Matrix matmul_nt(const Matrix& other) const;
   [[nodiscard]] Matrix transpose() const;
   [[nodiscard]] Matrix operator+(const Matrix& other) const;
@@ -76,8 +68,6 @@ class Matrix {
   /// Rank-1 update: this += k * col * row^T  (outer product accumulate).
   void add_outer(double k, const Vec& col, const Vec& row);
 
-  /// Scales column c of every row by `v[c]` (per-output scaling broadcast).
-  void scale_columns(const Vec& v);
   /// Copy of row r as a vector.
   [[nodiscard]] Vec row(std::size_t r) const;
 

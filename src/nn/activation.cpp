@@ -32,12 +32,6 @@ double activate_grad(Activation act, double z, double a) noexcept {
   return 1.0;
 }
 
-la::Vec activate(Activation act, const la::Vec& z) {
-  la::Vec a(z.size());
-  activate_rows(act, z.data(), a.data(), z.size());
-  return a;
-}
-
 namespace {
 
 // One loop per activation: `A` is a constant, so the scalar functions above

@@ -4,9 +4,8 @@
 // table (footnote 1) a layer with weights W contributes ||W||.
 #pragma once
 
+#include <cstddef>
 #include <string>
-
-#include "la/vec.h"
 
 namespace cocktail::nn {
 
@@ -20,9 +19,6 @@ enum class Activation { kIdentity, kRelu, kTanh };
 /// already-computed output `a = σ(z)` (cheaper for tanh).
 [[nodiscard]] double activate_grad(Activation act, double z,
                                    double a) noexcept;
-
-/// Element-wise activation of a vector.
-[[nodiscard]] la::Vec activate(Activation act, const la::Vec& z);
 
 /// out[i] = activate(act, z[i]) for i < n: the activation of a block of
 /// rows, with the switch hoisted out of the loop (same bits as the scalar

@@ -16,13 +16,4 @@ namespace cocktail::nn {
 void mse_gradient(const double* prediction, const double* target,
                   std::size_t n, double* out);
 
-/// Huber (smooth-L1) loss with threshold `delta`; more robust critic
-/// regression under outlier TD targets.
-[[nodiscard]] double huber(const la::Vec& prediction, const la::Vec& target,
-                           double delta);
-
-/// Gradient of huber() with respect to the prediction.
-[[nodiscard]] la::Vec huber_gradient(const la::Vec& prediction,
-                                     const la::Vec& target, double delta);
-
 }  // namespace cocktail::nn

@@ -13,15 +13,6 @@
 
 namespace cocktail::nn {
 
-void Gradients::axpy(double k, const Gradients& other) {
-  if (w.size() != other.w.size())
-    throw std::invalid_argument("Gradients::axpy: layer count mismatch");
-  for (std::size_t l = 0; l < w.size(); ++l) {
-    w[l].axpy(k, other.w[l]);
-    la::axpy(b[l], k, other.b[l]);
-  }
-}
-
 void Gradients::scale(double k) {
   for (auto& m : w) m.scale_in_place(k);
   for (auto& v : b)
@@ -97,20 +88,10 @@ std::size_t Mlp::num_parameters() const {
 }
 
 la::Vec Mlp::forward(const la::Vec& x) const {
-  la::Vec a = x;
-  for (const auto& layer : layers_) {
-    la::Vec z = layer.w.matvec(a);
-    la::axpy(z, 1.0, layer.b);
-    a = activate(layer.act, z);
-  }
-  return a;
-}
-
-la::Matrix Mlp::forward_batch(const la::Matrix& x) const {
-  if (x.cols() != input_dim())
-    throw std::invalid_argument("Mlp::forward_batch: input dimension mismatch");
-  la::Matrix y(x.rows(), output_dim());
-  forward_rows(x.data().data(), x.rows(), y.data().data());
+  if (x.size() != input_dim())
+    throw std::invalid_argument("Mlp::forward: input dimension mismatch");
+  la::Vec y(output_dim());
+  forward_rows(x.data(), 1, y.data());
   return y;
 }
 
@@ -122,7 +103,7 @@ void Mlp::forward_rows(const double* x, std::size_t rows, double* y) const {
   std::size_t widest = 0;
   for (std::size_t l = 0; l + 1 < layers_.size(); ++l)
     widest = std::max(widest, layers_[l].w.rows());
-  const std::size_t half = kForwardTileRows * widest;
+  const std::size_t half = std::min(rows, kForwardTileRows) * widest;
   const std::size_t buffers = std::min<std::size_t>(layers_.size() - 1, 2);
   thread_local std::vector<double> scratch;
   if (scratch.size() < buffers * half) scratch.resize(buffers * half);
@@ -143,10 +124,9 @@ void Mlp::layer_rows(const DenseLayer& layer, const double* a, std::size_t m,
   const std::size_t n = layer.w.rows();
   const std::size_t width = layer.w.cols();
   double* z = pre != nullptr ? pre : out;
-  // z(r, i) = sum_c a(r, c) * w(i, c) + b[i]: the GEMM runs the same fixed
-  // accumulation schedule as the scalar path's matvec (IEEE multiplication
-  // commutes bitwise, so the operand order per product is immaterial), then
-  // the same bias add and element-wise activation.
+  // z(r, i) = sum_c a(r, c) * w(i, c) + b[i]: every entry is one dot
+  // product on the fixed accumulation schedule (la/kernel_config.h), then
+  // the bias add and the element-wise activation.
   la::kernels::gemm_nt(m, n, width, a, width, layer.w.data().data(), width, z,
                        n);
   for (std::size_t r = 0; r < m; ++r) {
@@ -226,7 +206,7 @@ void Mlp::backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
     }
     if (l == 0 && dl_dx == nullptr) break;
     // dL/da_{l-1} = W^T dz for every row in one pass over W, each element
-    // on backward()'s matvec_transpose schedule.
+    // on the fixed transpose schedule.
     double* below = l > 0 ? delta_rows : dl_dx;
     la::kernels::matvec_t_rows(count, n, width, layer.w.data().data(), width,
                                dz, n, below, width);
@@ -234,73 +214,23 @@ void Mlp::backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
   }
 }
 
-la::Vec Mlp::forward(const la::Vec& x, Workspace& ws) const {
-  ws.pre.resize(layers_.size());
-  ws.act.resize(layers_.size() + 1);
-  ws.act[0] = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const auto& layer = layers_[l];
-    ws.pre[l] = layer.w.matvec(ws.act[l]);
-    la::axpy(ws.pre[l], 1.0, layer.b);
-    ws.act[l + 1] = activate(layer.act, ws.pre[l]);
-  }
-  return ws.act.back();
-}
-
-la::Vec Mlp::backward(const Workspace& ws, const la::Vec& dl_dy,
-                      Gradients& grads) const {
-  if (grads.w.size() != layers_.size())
-    throw std::invalid_argument("Mlp::backward: gradient shape mismatch");
-  la::Vec delta = dl_dy;  // dL/da for the current layer output.
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    const auto& layer = layers_[l];
-    // dL/dz = dL/da ∘ σ'(z).
-    la::Vec dz(delta.size());
-    for (std::size_t i = 0; i < delta.size(); ++i)
-      dz[i] = delta[i] *
-              activate_grad(layer.act, ws.pre[l][i], ws.act[l + 1][i]);
-    // dL/dW += dz ⊗ a_{l-1};  dL/db += dz.
-    grads.w[l].add_outer(1.0, dz, ws.act[l]);
-    la::axpy(grads.b[l], 1.0, dz);
-    // dL/da_{l-1} = W^T dz.
-    delta = layer.w.matvec_transpose(dz);
-  }
-  return delta;
-}
-
-la::Vec Mlp::input_gradient(const la::Vec& x, const la::Vec& dl_dy) const {
-  Workspace ws;
-  forward(x, ws);
-  la::Vec delta = dl_dy;
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    const auto& layer = layers_[l];
-    la::Vec dz(delta.size());
-    for (std::size_t i = 0; i < delta.size(); ++i)
-      dz[i] = delta[i] *
-              activate_grad(layer.act, ws.pre[l][i], ws.act[l + 1][i]);
-    delta = layer.w.matvec_transpose(dz);
-  }
-  return delta;
-}
-
 la::Matrix Mlp::input_jacobian(const la::Vec& x) const {
-  Workspace ws;
-  forward(x, ws);
+  if (x.size() != input_dim())
+    throw std::invalid_argument(
+        "Mlp::input_jacobian: input dimension mismatch");
   const std::size_t out = output_dim();
+  // Row r of the Jacobian backpropagates the cotangent e_r; all of them
+  // belong to the one recorded row.
+  thread_local Tape tape;
+  thread_local std::vector<double> eye;
+  thread_local std::vector<std::size_t> row0;
+  eye.assign(out * out, 0.0);
+  for (std::size_t r = 0; r < out; ++r) eye[r * out + r] = 1.0;
+  row0.assign(out, 0);
+  forward_tile(x.data(), 1, tape);
   la::Matrix jac(out, input_dim());
-  for (std::size_t r = 0; r < out; ++r) {
-    la::Vec delta = la::zeros(out);
-    delta[r] = 1.0;
-    for (std::size_t l = layers_.size(); l-- > 0;) {
-      const auto& layer = layers_[l];
-      la::Vec dz(delta.size());
-      for (std::size_t i = 0; i < delta.size(); ++i)
-        dz[i] = delta[i] *
-                activate_grad(layer.act, ws.pre[l][i], ws.act[l + 1][i]);
-      delta = layer.w.matvec_transpose(dz);
-    }
-    for (std::size_t c = 0; c < delta.size(); ++c) jac(r, c) = delta[c];
-  }
+  backward_tile(tape, eye.data(), out, row0.data(), nullptr,
+                jac.data().data());
   return jac;
 }
 
@@ -327,6 +257,10 @@ bool Mlp::fits(const Gradients& grads) const noexcept {
 }
 
 void Mlp::accumulate_l2_gradient(double lambda, Gradients& grads) const {
+  // The loop indexes grads.w[l] / grads.b[l] for every layer of the net.
+  if (!fits(grads))
+    throw std::invalid_argument(
+        "Mlp::accumulate_l2_gradient: gradient shape mismatch");
   // d/dq of lambda * ||q||^2 is 2*lambda*q.
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     grads.w[l].axpy(2.0 * lambda, layers_[l].w);
@@ -346,15 +280,6 @@ double Mlp::lipschitz_upper_bound() const {
   for (const auto& layer : layers_)
     lip *= layer.w.spectral_norm();
   return lip;
-}
-
-void Mlp::apply_update(double k, const Gradients& grads) {
-  if (grads.w.size() != layers_.size())
-    throw std::invalid_argument("Mlp::apply_update: shape mismatch");
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].w.axpy(k, grads.w[l]);
-    la::axpy(layers_[l].b, k, grads.b[l]);
-  }
 }
 
 bool Mlp::all_finite() const {

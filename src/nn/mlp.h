@@ -9,10 +9,16 @@
 //   * a certified Lipschitz upper bound (product of layer spectral norms;
 //     every activation is 1-Lipschitz) — the quantity the paper's
 //     verifiability argument rests on (footnote 1);
-//   * text serialization so benches can cache trained controllers;
-//   * a row-tile training pass (forward_tile / backward_tile): one GEMM per
-//     layer forward and one rank-k weight update per layer backward for a
-//     chunk of samples, bitwise equal to the per-sample forward/backward.
+//   * text serialization so benches can cache trained controllers.
+//
+// A network runs two ways: forward_rows() for inference (any row count,
+// bounded scratch; forward() is its one-row form) and the row-tile pair
+// forward_tile() / backward_tile() for training and every gradient,
+// input_jacobian() included — one GEMM per layer forward and one rank-k
+// weight update per layer backward for a chunk of samples.  Both are
+// bitwise equal, row by row, to a plain per-sample forward/backward on the
+// scalar kernel references (tests/mlp_reference.h, the oracle test_nn pins
+// them against).
 #pragma once
 
 #include <cstdint>
@@ -48,8 +54,6 @@ struct Gradients {
       f(b[l].data(), b[l].size());
     }
   }
-  /// this += k * other.
-  void axpy(double k, const Gradients& other);
   void scale(double k);
   [[nodiscard]] double sum_squares() const;
   [[nodiscard]] double l2_norm() const;
@@ -85,15 +89,9 @@ class Mlp {
   }
   [[nodiscard]] std::vector<DenseLayer>& layers() noexcept { return layers_; }
 
-  /// Plain inference.
+  /// Inference on one state: the one-row forward_rows().  Throws
+  /// std::invalid_argument unless `x` has input_dim() entries.
   [[nodiscard]] la::Vec forward(const la::Vec& x) const;
-
-  /// Batched inference: `x` is N x input_dim (one sample per row); returns
-  /// N x output_dim.  A thin wrapper over forward_rows(), so row r is
-  /// **bitwise identical** to forward(x.row(r)) — the contract the serving
-  /// runtime's micro-batching rests on (pinned by test_nn's ForwardBatch
-  /// suites).
-  [[nodiscard]] la::Matrix forward_batch(const la::Matrix& x) const;
 
   /// Rows per tile of forward_rows().  A tile's hidden activations live in
   /// a thread-local scratch of at most 2 x kForwardTileRows x (widest
@@ -101,40 +99,25 @@ class Mlp {
   /// count.  Rows are independent, so the tile size never changes a bit.
   static constexpr std::size_t kForwardTileRows = 64;
 
-  /// The one batched forward pass, on raw row-major buffers: `x` holds
-  /// `rows` x input_dim() doubles and `y` receives rows x output_dim().
-  /// Each layer of a tile is one blocked GEMM (la::kernels::gemm_nt) plus
-  /// the bias add and element-wise activation; the GEMM and the scalar
-  /// path's matvec follow the same fixed accumulation schedule
-  /// (la/kernel_config.h), so row r of `y` is bitwise identical to
-  /// forward(row r of x).  Allocates only when a thread's scratch must
-  /// grow.  `x` and `y` must not overlap.
+  /// The one inference pass, on raw row-major buffers: `x` holds `rows` x
+  /// input_dim() doubles and `y` receives rows x output_dim().  Each layer
+  /// of a tile is one blocked GEMM (la::kernels::gemm_nt) plus the bias add
+  /// and element-wise activation, every entry on the fixed accumulation
+  /// schedule of la/kernel_config.h, so row r of `y` depends on row r of
+  /// `x` alone: the same bits for any row count, batch composition or
+  /// tiling — the contract the serving runtime's micro-batching rests on.
+  /// Checks nothing: callers taking rows from outside the library check
+  /// their width first (forward(), ctrl::NnController::act_batch).
+  /// Allocates only when a thread's scratch must grow.  `x` and `y` must
+  /// not overlap.
   void forward_rows(const double* x, std::size_t rows, double* y) const;
 
-  /// Per-sample forward pass cache for backpropagation.
-  struct Workspace {
-    std::vector<la::Vec> pre;  ///< pre-activations z_l = W_l a_{l-1} + b_l.
-    std::vector<la::Vec> act;  ///< act[0] = input; act[l+1] = σ(pre[l]).
-  };
-
-  /// Forward pass that fills `ws`; returns the output (== ws.act.back()).
-  la::Vec forward(const la::Vec& x, Workspace& ws) const;
-
-  /// Backpropagates `dl_dy` (dLoss/dOutput for the sample cached in `ws`),
-  /// accumulating parameter gradients into `grads` (must be zero_gradients()
-  /// -shaped).  Returns dLoss/dInput.
-  la::Vec backward(const Workspace& ws, const la::Vec& dl_dy,
-                   Gradients& grads) const;
-
-  /// dLoss/dInput only — the FGSM path; skips parameter-gradient work.
-  [[nodiscard]] la::Vec input_gradient(const la::Vec& x,
-                                       const la::Vec& dl_dy) const;
-
-  /// A recorded forward pass over a tile of rows — the tile analogue of
-  /// Workspace — plus the backward pass's scratch.  The caller owns it,
-  /// typically as one thread_local per network in a training chunk body.
-  /// Its buffers grow to the largest tile seen and are then reused, so
-  /// the tile passes allocate nothing once they have grown.
+  /// A recorded forward pass over a tile of rows — every layer's
+  /// pre-activations and activations — plus the backward pass's scratch.
+  /// The caller owns it, typically as one thread_local per network in a
+  /// training chunk body.  Its buffers grow to the largest tile seen and
+  /// are then reused, so the tile passes allocate nothing once they have
+  /// grown.
   class Tape {
     friend class Mlp;
     const Mlp* net_ = nullptr;  ///< the network that recorded the pass.
@@ -147,7 +130,7 @@ class Mlp {
 
   /// Training forward pass over `rows` row-major input rows of x, recorded
   /// into `tape`.  Each layer is forward_rows()' batched layer step, so
-  /// every value equals the per-sample forward(x, ws) bitwise.  Returns
+  /// the output rows equal forward_rows()' bitwise.  Returns
   /// the output rows (rows x output_dim()), valid until the tape records
   /// again.
   const double* forward_tile(const double* x, std::size_t rows,
@@ -161,16 +144,20 @@ class Mlp {
   /// for the weights); when `dl_dx` is non-null it receives the count x
   /// input_dim() input gradients.  Each layer's gradient below it is one
   /// la::kernels::matvec_t_rows over the tile.  Every element performs the
-  /// operations of `count` successive backward() calls in row order, so the
-  /// results are bitwise identical to them (and dl_dx to
-  /// input_gradient()).  Throws
+  /// operations of `count` successive per-sample backpropagations in row
+  /// order, so the results are bitwise identical to them.  Throws
   /// std::invalid_argument for a tape recorded by another network, a
   /// mis-shaped `grads`, or a row_map entry past the recorded rows.
   void backward_tile(Tape& tape, const double* dl_dy, std::size_t count,
                      const std::size_t* row_map, Gradients* grads,
                      double* dl_dx) const;
 
-  /// Jacobian dy/dx (output_dim x input_dim) by row-wise backprop.
+  /// Jacobian dy/dx (output_dim x input_dim) — the FGSM/PGD gradient: a
+  /// one-row forward_tile(), then one backward_tile() of the output_dim()
+  /// identity cotangent rows, all on recorded row 0, without parameter
+  /// gradients.  Its scratch is thread-local, so pool workers may call it
+  /// concurrently.  Throws std::invalid_argument unless `x` has input_dim()
+  /// entries.
   [[nodiscard]] la::Matrix input_jacobian(const la::Vec& x) const;
 
   /// Zero gradient accumulator matching this network's shapes.
@@ -181,7 +168,8 @@ class Mlp {
   [[nodiscard]] bool fits(const Gradients& grads) const noexcept;
 
   /// Adds the gradient of lambda*||q||_2^2 (all weights and biases) into
-  /// `grads` — the L2 term of the robust-distillation loss.
+  /// `grads` — the L2 term of the robust-distillation loss.  Throws
+  /// std::invalid_argument unless fits(grads).
   void accumulate_l2_gradient(double lambda, Gradients& grads) const;
 
   /// Sum of squared parameters ||q||_2^2.
@@ -189,9 +177,6 @@ class Mlp {
 
   /// Certified global Lipschitz upper bound: prod_l lip(act_l)*||W_l||_2.
   [[nodiscard]] double lipschitz_upper_bound() const;
-
-  /// In-place SGD-style parameter update p += k * g.
-  void apply_update(double k, const Gradients& grads);
 
   [[nodiscard]] bool all_finite() const;
 

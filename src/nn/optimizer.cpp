@@ -7,30 +7,8 @@
 
 namespace cocktail::nn {
 
-Sgd::Sgd(double learning_rate, double momentum)
-    : lr_(learning_rate), momentum_(momentum) {}
-
-void Sgd::step(Mlp& net, const Gradients& grads) {
-  if (momentum_ == 0.0) {
-    net.apply_update(-lr_, grads);
-    return;
-  }
-  if (!initialized_) {
-    velocity_ = net.zero_gradients();
-    initialized_ = true;
-  }
-  velocity_.scale(momentum_);
-  velocity_.axpy(1.0, grads);
-  net.apply_update(-lr_, velocity_);
-}
-
 Adam::Adam(double learning_rate, double beta1, double beta2, double epsilon)
     : lr_(learning_rate), beta1_(beta1), beta2_(beta2), eps_(epsilon) {}
-
-void Adam::reset() {
-  initialized_ = false;
-  t_ = 0;
-}
 
 void Adam::step(Mlp& net, const Gradients& grads) {
   if (!initialized_) {
@@ -65,12 +43,6 @@ void Adam::step(Mlp& net, const Gradients& grads) {
 AdamVec::AdamVec(double learning_rate, double beta1, double beta2,
                  double epsilon)
     : lr_(learning_rate), beta1_(beta1), beta2_(beta2), eps_(epsilon) {}
-
-void AdamVec::reset() {
-  t_ = 0;
-  m_.clear();
-  v_.clear();
-}
 
 void AdamVec::step(la::Vec& params, const la::Vec& grads) {
   if (params.size() != grads.size())

@@ -7,24 +7,6 @@
 
 namespace cocktail::nn {
 
-/// Plain SGD with optional momentum.
-class Sgd {
- public:
-  explicit Sgd(double learning_rate, double momentum = 0.0);
-
-  /// Applies one descent step `p -= lr * g` (with momentum buffer if set).
-  void step(Mlp& net, const Gradients& grads);
-
-  [[nodiscard]] double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
-
- private:
-  double lr_;
-  double momentum_;
-  Gradients velocity_;
-  bool initialized_ = false;
-};
-
 /// Adam (Kingma & Ba) with bias correction.
 class Adam {
  public:
@@ -34,11 +16,6 @@ class Adam {
   /// One descent step on the network using accumulated `grads`.
   void step(Mlp& net, const Gradients& grads);
 
-  /// Resets moment estimates (e.g. when reusing the optimizer on a new net).
-  void reset();
-
-  [[nodiscard]] double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
   [[nodiscard]] long step_count() const noexcept { return t_; }
 
  private:
@@ -55,7 +32,6 @@ class AdamVec {
                    double beta2 = 0.999, double epsilon = 1e-8);
 
   void step(la::Vec& params, const la::Vec& grads);
-  void reset();
 
  private:
   double lr_, beta1_, beta2_, eps_;

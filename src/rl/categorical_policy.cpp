@@ -101,25 +101,4 @@ void CategoricalPolicy::kl_cotangent(const la::Vec& p,
     dl_dlogits[j] = coef * (p[j] - probs_old[j]);
 }
 
-void CategoricalPolicy::accumulate_log_prob_gradient(const la::Vec& s,
-                                                     std::size_t action,
-                                                     double coef,
-                                                     nn::Gradients& grads) const {
-  nn::Mlp::Workspace ws;
-  const la::Vec p = softmax(logits_net_.forward(s, ws));
-  la::Vec dl(p.size());
-  log_prob_cotangent(p, action, coef, dl.data());
-  (void)logits_net_.backward(ws, dl, grads);
-}
-
-void CategoricalPolicy::accumulate_kl_gradient(const la::Vec& probs_old,
-                                               const la::Vec& s, double coef,
-                                               nn::Gradients& grads) const {
-  nn::Mlp::Workspace ws;
-  const la::Vec p = softmax(logits_net_.forward(s, ws));
-  la::Vec dl(p.size());
-  kl_cotangent(p, probs_old, coef, dl.data());
-  (void)logits_net_.backward(ws, dl, grads);
-}
-
 }  // namespace cocktail::rl

@@ -6,12 +6,12 @@
 //
 // Concurrency contract: Ppo<CategoricalPolicy>::update fans its row-tile
 // gradient chunks across the pool, so every const method here
-// (probabilities, log_prob, kl_from, the *_cotangent helpers, the
-// accumulate_* family) runs concurrently from chunk workers.  They must stay
-// free of hidden mutable state: they read the network and write only
-// through the caller-provided outputs and accumulators.  The logits-net
-// forward/backward of a chunk runs on the caller's own Mlp::Tape (one per
-// thread), and the accumulate_* wrappers own their Mlp::Workspace.
+// (probabilities, log_prob, kl_from, the *_cotangent helpers) runs
+// concurrently from chunk workers.  They must stay free of hidden mutable
+// state: they read the network and write only through the caller-provided
+// outputs and accumulators.  The logits-net forward/backward of a chunk
+// runs on the caller's own Mlp::Tape (one per thread); probabilities() runs
+// on Mlp::forward's thread-local scratch.
 #pragma once
 
 #include <cstdint>
@@ -68,15 +68,6 @@ class CategoricalPolicy {
   /// Loss coef * KL(p_old || p) for the current network.
   static void kl_cotangent(const la::Vec& p, const la::Vec& probs_old,
                            double coef, double* dl_dlogits);
-
-  /// log_prob_cotangent() plus one logits-net forward/backward of `s`:
-  /// accumulates d(-coef * log π(a|s))/dθ into `grads`.
-  void accumulate_log_prob_gradient(const la::Vec& s, std::size_t action,
-                                    double coef, nn::Gradients& grads) const;
-  /// kl_cotangent() plus one logits-net forward/backward of `s`:
-  /// accumulates d(coef * KL(p_old || p_new))/dθ.
-  void accumulate_kl_gradient(const la::Vec& probs_old, const la::Vec& s,
-                              double coef, nn::Gradients& grads) const;
 
   [[nodiscard]] const nn::Mlp& logits_net() const noexcept {
     return logits_net_;

@@ -103,29 +103,6 @@ void GaussianPolicy::kl_cotangent(const double* mu, const la::Vec& mu_old,
   }
 }
 
-void GaussianPolicy::accumulate_log_prob_gradient(
-    const la::Vec& s, const la::Vec& a, double coef, nn::Gradients& mean_grads,
-    la::Vec& log_std_grads) const {
-  nn::Mlp::Workspace ws;
-  const la::Vec mu = mean_net_.forward(s, ws);
-  la::Vec dl_dmu(mu.size());
-  log_prob_cotangent(mu.data(), a, coef, dl_dmu.data(), log_std_grads);
-  (void)mean_net_.backward(ws, dl_dmu, mean_grads);
-}
-
-void GaussianPolicy::accumulate_kl_gradient(const la::Vec& mu_old,
-                                            const la::Vec& std_old,
-                                            const la::Vec& s, double coef,
-                                            nn::Gradients& mean_grads,
-                                            la::Vec& log_std_grads) const {
-  nn::Mlp::Workspace ws;
-  const la::Vec mu = mean_net_.forward(s, ws);
-  la::Vec dl_dmu(mu.size());
-  kl_cotangent(mu.data(), mu_old, std_old, coef, dl_dmu.data(),
-               log_std_grads);
-  (void)mean_net_.backward(ws, dl_dmu, mean_grads);
-}
-
 double GaussianPolicy::entropy() const {
   double h = 0.0;
   for (double ls : log_std_)

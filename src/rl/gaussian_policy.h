@@ -9,12 +9,12 @@
 //
 // Concurrency contract: Ppo<GaussianPolicy>::update fans its row-tile
 // gradient chunks across the pool, so every const method here (mean,
-// log_prob, kl_from, the *_cotangent helpers, the accumulate_* family) runs
+// log_prob, kl_from, the *_cotangent helpers, the entropy gradient) runs
 // concurrently from chunk workers.  They must stay free of hidden mutable
 // state: they read the network and log_std and write only through the
 // caller-provided outputs and accumulators.  The mean-net forward/backward
-// of a chunk runs on the caller's own Mlp::Tape (one per thread), and the
-// accumulate_* wrappers own their Mlp::Workspace.
+// of a chunk runs on the caller's own Mlp::Tape (one per thread); mean()
+// runs on Mlp::forward's thread-local scratch.
 #pragma once
 
 #include <cstdint>
@@ -77,20 +77,6 @@ class GaussianPolicy {
   void kl_cotangent(const double* mu, const la::Vec& mu_old,
                     const la::Vec& std_old, double coef, double* dl_dmu,
                     la::Vec& log_std_grads) const;
-
-  /// log_prob_cotangent() plus one mean-net forward/backward of `s`:
-  /// accumulates d(-coef * log π(a|s))/dθ into the network gradient and the
-  /// log_std gradient.
-  void accumulate_log_prob_gradient(const la::Vec& s, const la::Vec& a,
-                                    double coef, nn::Gradients& mean_grads,
-                                    la::Vec& log_std_grads) const;
-
-  /// kl_cotangent() plus one mean-net forward/backward of `s`: accumulates
-  /// d(coef * KL(old || new))/dθ.
-  void accumulate_kl_gradient(const la::Vec& mu_old, const la::Vec& std_old,
-                              const la::Vec& s, double coef,
-                              nn::Gradients& mean_grads,
-                              la::Vec& log_std_grads) const;
 
   /// Policy entropy (state-independent for a diagonal Gaussian).
   [[nodiscard]] double entropy() const;

@@ -198,8 +198,7 @@ void ControllerServer::execute_batch(Entry& entry,
     states.push_back(std::move(request.state));
   }
 
-  // act_batch (and through it Matrix::from_rows, which rejects empty
-  // input) never sees an empty batch.
+  // An all-fallback batch makes no act_batch call and counts no batch.
   if (!rows.empty()) {
     entry.primary_count->add(rows.size());
     entry.batch_count->increment();

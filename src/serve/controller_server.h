@@ -3,7 +3,7 @@
 //
 // The pipeline's end product κ* is a single small network with a certified
 // Lipschitz bound — ideal for high-throughput serving, since N concurrent
-// requests collapse into one layer-wise GEMM (nn::Mlp::forward_batch).
+// requests collapse into one layer-wise GEMM (nn::Mlp::forward_rows).
 // Every registered controller gets its own serving tier:
 //
 //   submit() ── admission gate ──► one MPMC ring ──► its dispatcher thread
@@ -24,11 +24,11 @@
 // fixed-bucket latency histogram are published through a
 // serve::MetricsRegistry.
 //
-// Determinism: batching never changes an answer.  forward_batch rows are
-// bitwise identical to the scalar forward path, so every request receives
-// exactly the action act_reference produces, for ANY dispatcher count /
-// batch size / linger / arrival order — pinned by test_serve across {1,2,4}
-// dispatchers × a batch/linger sweep.  Only *which requests share a GEMM*
+// Determinism: batching never changes an answer.  A forward_rows row
+// depends on its own state alone, and act() is the one-row forward_rows,
+// so every request receives exactly the action act_reference produces, for
+// ANY dispatcher count / batch size / linger / arrival order — pinned by
+// test_serve across {1,2,4} dispatchers × a batch/linger sweep.  Only *which requests share a GEMM*
 // is scheduling-dependent, and that is observable solely through the batch
 // counters.  Certificate lookups route through SafetyMonitor's
 // verify::outward()-backed, NaN-closed predicates.

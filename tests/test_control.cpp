@@ -132,6 +132,27 @@ TEST(NnControllerTest, ActBatchIsBitwiseIdenticalToAct) {
   }
 }
 
+TEST(NnControllerTest, ActBatchRejectsWrongStateWidth) {
+  // act_batch packs the states into raw rows for Mlp::forward_rows, which
+  // reads state_dim() doubles per row: one short state among correct ones
+  // would be read past its end, and a long one would shift every row after
+  // it.  Each must throw, wherever it sits in the batch, and so must act().
+  nn::Mlp net = nn::Mlp::make(3, {8}, 1, nn::Activation::kTanh,
+                              nn::Activation::kIdentity, 22);
+  const ctrl::NnController c(std::move(net), {1.5}, "k");
+  const Vec good = {0.1, -0.2, 0.3};
+  for (const Vec& bad : {Vec{0.1, -0.2}, Vec{}, Vec{0.1, -0.2, 0.3, 0.4}}) {
+    for (std::size_t at = 0; at < 3; ++at) {
+      std::vector<Vec> states(3, good);
+      states[at] = bad;
+      EXPECT_THROW((void)c.act_batch(states), std::invalid_argument)
+          << "width " << bad.size() << " at " << at;
+    }
+    EXPECT_THROW((void)c.act(bad), std::invalid_argument) << bad.size();
+  }
+  EXPECT_EQ(c.act_batch({good, good}).size(), 2u);
+}
+
 TEST(NnControllerTest, SaveFileReportsWriteFailure) {
   // /dev/full opens fine and fails every write with ENOSPC — a full disk.
   // save_file must throw, not return as if a (truncated) file were saved.

@@ -153,23 +153,11 @@ TEST(MatrixTest, SumSquaresAndFrobenius) {
   EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
 }
 
-TEST(MatrixTest, FromRowsStacksAndRejectsRagged) {
-  const Matrix m = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
-  ASSERT_EQ(m.rows(), 3u);
-  ASSERT_EQ(m.cols(), 2u);
+TEST(MatrixTest, RowCopiesAndRejectsOutOfRange) {
+  const Matrix m(3, 2, Vec{1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
   EXPECT_DOUBLE_EQ(m(2, 1), 6.0);
   EXPECT_EQ(m.row(1), (Vec{3.0, 4.0}));
-  EXPECT_THROW((void)Matrix::from_rows({{1.0, 2.0}, {3.0}}),
-               std::invalid_argument);
   EXPECT_THROW((void)m.row(3), std::out_of_range);
-}
-
-TEST(MatrixTest, FromRowsEmptyListThrows) {
-  // An empty stack has no first row to take the column count from; a silent
-  // 0 x 0 answer would disagree with whatever shape the caller expected.
-  // Batch assemblers guard the empty case themselves (NnController::
-  // act_batch returns {} before calling from_rows).
-  EXPECT_THROW((void)Matrix::from_rows({}), std::invalid_argument);
 }
 
 TEST(MatrixTest, MatmulNtRowsAreBitwiseMatvecs) {
@@ -906,14 +894,6 @@ TEST(MatrixTest, SpectralNormRejectsNonPositiveIters) {
   // The validation precedes the empty-matrix early-out.
   EXPECT_THROW((void)Matrix().spectral_norm(0), std::invalid_argument);
   EXPECT_NEAR(m.spectral_norm(50), 5.0, 1e-9);
-}
-
-TEST(MatrixTest, RowBroadcastOps) {
-  Matrix m(2, 3, Vec{1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  m.scale_columns({2.0, 0.5, -1.0});
-  EXPECT_EQ(m.row(0), (Vec{2.0, 1.0, -3.0}));
-  EXPECT_EQ(m.row(1), (Vec{8.0, 2.5, -6.0}));
-  EXPECT_THROW(m.scale_columns({1.0}), std::invalid_argument);
 }
 
 TEST(Solve, KnownSystem) {

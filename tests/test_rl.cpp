@@ -1,12 +1,14 @@
 // Unit tests for src/rl primitives: replay buffer, OU noise, GAE,
 // Gaussian/categorical policies (log-probs, KL, analytic gradients checked
-// against finite differences).
+// against finite differences through the per-sample wrappers of
+// mlp_reference.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 #include <vector>
 
+#include "mlp_reference.h"
 #include "rl/categorical_policy.h"
 #include "rl/gae.h"
 #include "rl/gaussian_policy.h"
@@ -237,7 +239,8 @@ TEST(GaussianPolicy, LogProbGradientMatchesFiniteDifference) {
   nn::Gradients grads = policy.mean_net().zero_gradients();
   Vec log_std_grads = la::zeros(1);
   // coef = 1 accumulates d(-logpi); finite difference checks d(logpi).
-  policy.accumulate_log_prob_gradient(s, a, 1.0, grads, log_std_grads);
+  ref::accumulate_log_prob_gradient(policy, s, a, 1.0, grads,
+                                    log_std_grads);
 
   const double h = 1e-6;
   auto& w = policy.mean_net().layers()[0].w;
@@ -267,7 +270,8 @@ TEST(GaussianPolicy, KlGradientMatchesFiniteDifference) {
 
   nn::Gradients grads = policy.mean_net().zero_gradients();
   Vec log_std_grads = la::zeros(1);
-  policy.accumulate_kl_gradient(mu_old, std_old, s, 1.0, grads, log_std_grads);
+  ref::accumulate_kl_gradient(policy, mu_old, std_old, s, 1.0, grads,
+                              log_std_grads);
 
   const double h = 1e-6;
   auto& w = policy.mean_net().layers()[0].w;
@@ -326,7 +330,7 @@ TEST(CategoricalPolicy, LogProbGradientMatchesFiniteDifference) {
   const Vec s = {0.3, -0.1};
   const std::size_t action = 1;
   nn::Gradients grads = policy.logits_net().zero_gradients();
-  policy.accumulate_log_prob_gradient(s, action, 1.0, grads);
+  ref::accumulate_log_prob_gradient(policy, s, action, 1.0, grads);
   const double h = 1e-6;
   auto& w = policy.logits_net().layers()[0].w;
   const double saved = w(0, 0);
@@ -343,7 +347,7 @@ TEST(CategoricalPolicy, KlGradientMatchesFiniteDifference) {
   const Vec s = {0.2, 0.2};
   const Vec probs_old = {0.2, 0.5, 0.3};
   nn::Gradients grads = policy.logits_net().zero_gradients();
-  policy.accumulate_kl_gradient(probs_old, s, 1.0, grads);
+  ref::accumulate_kl_gradient(policy, probs_old, s, 1.0, grads);
   const double h = 1e-6;
   auto& w = policy.logits_net().layers()[0].w;
   const double saved = w(0, 0);
@@ -361,7 +365,7 @@ TEST(CategoricalPolicy, KlOfItselfIsZero) {
   EXPECT_NEAR(policy.kl_from(policy.probabilities(s), s), 0.0, 1e-12);
 }
 
-// --- cotangent helpers: the tile path PPO runs vs the accumulate_* form ---
+// --- cotangent helpers: the tile path PPO runs vs the per-sample reference --
 
 void expect_same_gradients(const nn::Gradients& got,
                            const nn::Gradients& want) {
@@ -381,8 +385,9 @@ std::vector<std::size_t> paired_rows(std::size_t m) {
 
 TEST(GaussianPolicy, CotangentTileMatchesAccumulateWrappers) {
   // One mean-net forward over a tile, then each sample's log-prob and KL
-  // cotangent rows backpropagated together, must equal the per-sample
-  // accumulate_* calls (log-prob, then KL, sample by sample) bitwise.
+  // cotangent rows backpropagated together, must equal the reference's
+  // per-sample accumulate_* calls (log-prob, then KL, sample by sample)
+  // bitwise.
   rl::GaussianPolicy policy(3, {12, 12}, 2, 0.4, 31);
   util::Rng rng(31);
   const std::size_t m = 7;
@@ -401,10 +406,10 @@ TEST(GaussianPolicy, CotangentTileMatchesAccumulateWrappers) {
   nn::Gradients oracle = policy.mean_net().zero_gradients();
   Vec oracle_log_std = la::zeros(2);
   for (std::size_t k = 0; k < m; ++k) {
-    policy.accumulate_log_prob_gradient(states[k], actions[k], coefs[k],
-                                        oracle, oracle_log_std);
-    policy.accumulate_kl_gradient(mus_old[k], std_old, states[k], beta,
-                                  oracle, oracle_log_std);
+    ref::accumulate_log_prob_gradient(policy, states[k], actions[k],
+                                      coefs[k], oracle, oracle_log_std);
+    ref::accumulate_kl_gradient(policy, mus_old[k], std_old, states[k], beta,
+                                oracle, oracle_log_std);
   }
 
   nn::Mlp::Tape tape;
@@ -445,9 +450,9 @@ TEST(CategoricalPolicy, CotangentTileMatchesAccumulateWrappers) {
 
   nn::Gradients oracle = policy.logits_net().zero_gradients();
   for (std::size_t k = 0; k < m; ++k) {
-    policy.accumulate_log_prob_gradient(states[k], actions[k], coefs[k],
-                                        oracle);
-    policy.accumulate_kl_gradient(probs_old[k], states[k], beta, oracle);
+    ref::accumulate_log_prob_gradient(policy, states[k], actions[k],
+                                      coefs[k], oracle);
+    ref::accumulate_kl_gradient(policy, probs_old[k], states[k], beta, oracle);
   }
 
   nn::Mlp::Tape tape;

@@ -16,6 +16,7 @@
 #include "control/polynomial_controller.h"
 #include "core/distiller.h"
 #include "core/mixing.h"
+#include "mlp_reference.h"
 #include "nn/grad_reduce.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
@@ -223,9 +224,9 @@ TEST(ChunkedGradReducer, MergeMatchesSerialChunkTree) {
   const auto body = [&](nn::Gradients& acc, std::size_t begin,
                         std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      nn::Mlp::Workspace ws;
-      const la::Vec y = net.forward(inputs[i], ws);
-      (void)net.backward(ws, nn::mse_gradient(y, targets[i]), acc);
+      ref::Workspace ws;
+      const la::Vec y = ref::forward(net, inputs[i], ws);
+      (void)ref::backward(net, ws, nn::mse_gradient(y, targets[i]), acc);
     }
   };
   nn::ChunkedGradReducer<nn::Gradients> serial_reducer(
@@ -256,9 +257,10 @@ TEST(ChunkedGradReducer, PartialCountUsesPrefixOfChunks) {
   const auto body = [&](nn::Gradients& acc, std::size_t begin,
                         std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      nn::Mlp::Workspace ws;
-      const la::Vec y = net.forward({0.1 * static_cast<double>(i), -0.2}, ws);
-      (void)net.backward(ws, nn::mse_gradient(y, {0.5}), acc);
+      ref::Workspace ws;
+      const la::Vec y =
+          ref::forward(net, {0.1 * static_cast<double>(i), -0.2}, ws);
+      (void)ref::backward(net, ws, nn::mse_gradient(y, {0.5}), acc);
     }
   };
   nn::ChunkedGradReducer<nn::Gradients> reducer(
