@@ -42,11 +42,11 @@
 #include "rl/ddpg.h"
 #include "rl/env.h"
 #include "rl/ppo.h"
+#include "serial_run.h"
 #include "serve/safety_monitor.h"
 #include "sys/cartpole.h"
 #include "sys/threed.h"
 #include "sys/vanderpol.h"
-#include "util/thread_pool.h"
 #include "verify/interval_dynamics.h"
 #include "verify/nn_abstraction.h"
 #include "verify/reach.h"
@@ -349,40 +349,48 @@ void BM_ClosedLoopRollout(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosedLoopRollout);
 
-// Scaling of the batched rollout engine with worker count (Arg).  Arg 1 is
-// the serial baseline; speedup(Arg k) = time(1) / time(k).  The workload is
-// the standard evaluation grid on the oscillator.  The pool is constructed
-// outside the timed loop so the measurement is rollout throughput, not
-// thread spawn/join cost.
-void BM_BatchRollout(benchmark::State& state) {
+// --- pool scaling: `/serial` and `/shared` ---------------------------------
+//
+// The five scaling benchmarks (BatchRollout, DistillSgd, ReachSweep,
+// PpoUpdate, DdpgUpdate) time each call two ways.  `/serial` submits it to
+// a shared-pool worker, where every nested parallel region runs inline
+// (tests/serial_run.h); `/shared` makes it from the benchmark thread, which
+// fans out over the shared pool.  Every variant computes bitwise-identical
+// results; only the wall clock moves.  The pool's width comes from
+// COCKTAIL_THREADS, so a scaling curve is one run per width:
+//   COCKTAIL_THREADS=k ./bench_micro --benchmark_filter='/(serial|shared)'
+
+/// Runs `call` serially on a shared-pool worker or from this thread on the
+/// shared pool.
+template <class Call>
+auto pool_call(bool serial, const Call& call) {
+  return serial ? testutil::run_serially(call) : call();
+}
+
+// The batched rollout engine on the standard evaluation grid of the
+// oscillator.
+void BM_BatchRollout(benchmark::State& state, bool serial) {
   const auto system = std::make_shared<sys::VanDerPol>();
   nn::Mlp net = nn::Mlp::make(2, {24}, 1, nn::Activation::kTanh,
                               nn::Activation::kIdentity, 1);
   const ctrl::NnController controller(std::move(net), {1.0}, "k");
   const auto jobs = core::make_eval_jobs(*system, 256, 424242, nullptr);
-  const int workers = static_cast<int>(state.range(0));
-  core::BatchRolloutConfig config;
-  std::unique_ptr<util::ThreadPool> pool;
-  if (workers == 1) {
-    config.num_workers = 1;  // pure serial baseline, no pool at all.
-  } else {
-    pool = std::make_unique<util::ThreadPool>(workers);
-    config.pool = pool.get();
-  }
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        core::batch_rollout(*system, controller, jobs, config));
+  const auto batch = [&] {
+    return core::batch_rollout(*system, controller, jobs);
+  };
+  for (auto _ : state) benchmark::DoNotOptimize(pool_call(serial, batch));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs.size()));
 }
-BENCHMARK(BM_BatchRollout)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK_CAPTURE(BM_BatchRollout, serial, true)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_BatchRollout, shared, false)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Scaling of the robust-distillation SGD (Algorithm 1 lines 12-14) with
-// worker count (Arg; 1 = serial).  Per-sample forward/FGSM/backward fans
-// across the pool with the fixed-order gradient reduction, so every Arg
-// computes bitwise-identical student weights; only the wall-clock moves.
-void BM_DistillSgd(benchmark::State& state) {
+// The robust-distillation SGD (Algorithm 1 lines 12-14): per-sample
+// forward/FGSM/backward in row-tile chunks with the fixed-order gradient
+// reduction.
+void BM_DistillSgd(benchmark::State& state, bool serial) {
   const sys::VanDerPol system;
   const auto lqr = ctrl::LqrController::synthesize(system, 1.0, 0.5);
   core::DistillConfig config;
@@ -391,18 +399,18 @@ void BM_DistillSgd(benchmark::State& state) {
   config.student_hidden = {48, 48};
   config.epochs = 2;
   config.adversarial_prob = 1.0;  // FGSM on every minibatch: the hot case.
-  config.num_workers = static_cast<int>(state.range(0));
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::distill(system, lqr, config, "bm"));
+    benchmark::DoNotOptimize(pool_call(
+        serial, [&] { return core::distill(system, lqr, config, "bm"); }));
 }
-BENCHMARK(BM_DistillSgd)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK_CAPTURE(BM_DistillSgd, serial, true)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_DistillSgd, shared, false)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Scaling of the reachability frontier sweep with worker count (Arg; 1 =
-// serial).  Each step's sub-boxes are abstracted in parallel by
-// verify::sweep_in_order, whose counters are the serial loop's, so
-// flowpipes and budget counters are identical across Args.
-void BM_ReachSweep(benchmark::State& state) {
+// The reachability frontier sweep: each step's sub-boxes are abstracted
+// by verify::sweep_in_order, whose counters are the serial loop's.
+void BM_ReachSweep(benchmark::State& state, bool serial) {
   auto system = std::make_shared<sys::ThreeD>();
   const auto lqr = ctrl::LqrController::synthesize(*system, 1.0, 8.0);
   const auto controller = std::make_shared<ctrl::PolynomialController>(
@@ -411,12 +419,12 @@ void BM_ReachSweep(benchmark::State& state) {
   config.steps = 6;
   config.abstraction.epsilon_target = 0.08;
   config.max_box_width = 0.02;
-  config.num_workers = static_cast<int>(state.range(0));
   const verify::ReachabilityAnalyzer analyzer(system, *controller, config);
   const verify::IBox initial =
       verify::make_box({-0.16, 0.15, 0.05}, {-0.05, 0.26, 0.16});
   for (auto _ : state) {
-    const auto result = analyzer.analyze(initial);
+    const auto result =
+        pool_call(serial, [&] { return analyzer.analyze(initial); });
     if (!result.completed) {
       state.SkipWithError(result.failure.c_str());
       break;
@@ -424,7 +432,9 @@ void BM_ReachSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_ReachSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK_CAPTURE(BM_ReachSweep, serial, true)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ReachSweep, shared, false)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- certified-lookup crossover (tracked) ---------------------------------
@@ -518,12 +528,10 @@ void BM_CertifiedLookupSfc(benchmark::State& state) {
 }
 BENCHMARK(BM_CertifiedLookupSfc)->Arg(16)->Arg(64)->Arg(256);
 
-// Scaling of the PPO minibatch updates with worker count (Arg; 1 = serial).
-// Each iteration of the timed loop is one PPO training iteration — serial
-// on-policy collection plus update_epochs passes of parallel per-sample
-// gradient work (the hot path of the adaptive mixing learner).  Every Arg
-// trains bitwise-identical networks; only the wall-clock moves.
-void BM_PpoUpdate(benchmark::State& state) {
+// One PPO training iteration per timed call: serial on-policy collection
+// plus update_epochs passes of per-sample gradient work in row-tile chunks
+// (the hot path of the adaptive mixing learner).
+void BM_PpoUpdate(benchmark::State& state, bool serial) {
   testutil::PointMassEnv env;
   rl::PpoConfig config;
   config.policy_hidden = {64, 64};
@@ -531,36 +539,39 @@ void BM_PpoUpdate(benchmark::State& state) {
   config.steps_per_iteration = 512;
   config.update_epochs = 6;
   config.minibatch = 64;
-  config.num_workers = static_cast<int>(state.range(0));
   rl::PpoGaussian ppo(config);
   ppo.initialize(env);
   for (auto _ : state)
-    benchmark::DoNotOptimize(ppo.run_iterations(env, 1));
+    benchmark::DoNotOptimize(
+        pool_call(serial, [&] { return ppo.run_iterations(env, 1); }));
   state.SetLabel(la::kernels::dispatched_kernels().name);
 }
-BENCHMARK(BM_PpoUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK_CAPTURE(BM_PpoUpdate, serial, true)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_PpoUpdate, shared, false)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Scaling of the DDPG critic/actor minibatch passes with worker count
-// (Arg; 1 = serial).  Each iteration runs one episode past warmup, i.e.
-// max_episode_steps env steps each followed by a full parallel update
-// (target pre-pass, critic regression, actor dQ/da).
-void BM_DdpgUpdate(benchmark::State& state) {
+// One DDPG episode past warmup per timed call: max_episode_steps env steps,
+// each followed by a full minibatch update (target pre-pass, critic
+// regression, actor dQ/da).
+void BM_DdpgUpdate(benchmark::State& state, bool serial) {
   testutil::PointMassEnv env;
   rl::DdpgConfig config;
   config.actor_hidden = {64, 64};
   config.critic_hidden = {64, 64};
   config.batch_size = 64;
   config.warmup_steps = 64;  // replay fills during the first episodes.
-  config.num_workers = static_cast<int>(state.range(0));
   rl::Ddpg ddpg(config);
   ddpg.initialize(env);
   (void)ddpg.run_episodes(env, 4);  // past warmup: every step updates.
   for (auto _ : state)
-    benchmark::DoNotOptimize(ddpg.run_episodes(env, 1));
+    benchmark::DoNotOptimize(
+        pool_call(serial, [&] { return ddpg.run_episodes(env, 1); }));
   state.SetLabel(la::kernels::dispatched_kernels().name);
 }
-BENCHMARK(BM_DdpgUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK_CAPTURE(BM_DdpgUpdate, serial, true)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_DdpgUpdate, shared, false)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- tracked perf tier: JSON trajectory output ----------------------------
@@ -711,7 +722,7 @@ int main(int argc, char** argv) {
   std::string min_time = "--benchmark_min_time=0.01";
   std::string filter =
       "--benchmark_filter=BM_Gemm|BM_MlpForwardRows|BM_TanhRows|"
-      "BM_DistillSgd/1|BM_PpoUpdate/1|BM_CertifiedLookup";
+      "BM_DistillSgd/serial|BM_PpoUpdate/serial|BM_CertifiedLookup";
   if (smoke) {
     args.push_back(min_time.data());
     args.push_back(filter.data());

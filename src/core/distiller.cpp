@@ -27,13 +27,11 @@ struct ChunkScratch {
   nn::Mlp::Tape tape;
 };
 
-/// build_distill_dataset against an already-resolved pool (nullptr =
-/// serial), so distill() resolves its WorkerScope once for both the
-/// dataset build and the SGD loop.  Results are pool-independent.
-DistillDataset build_dataset_on_pool(const sys::System& system,
+}  // namespace
+
+DistillDataset build_distill_dataset(const sys::System& system,
                                      const ctrl::Controller& teacher,
-                                     const DistillConfig& config,
-                                     util::ThreadPool* pool) {
+                                     const DistillConfig& config) {
   DistillDataset data;
   util::Rng rng(util::derive_seed(config.seed, 501));
   // On-policy teacher trajectories: the states the mixed design actually
@@ -49,13 +47,9 @@ DistillDataset build_dataset_on_pool(const sys::System& system,
         util::derive_seed(config.seed, 1500 + static_cast<std::uint64_t>(k));
     jobs.push_back(std::move(job));
   }
-  BatchRolloutConfig batch;
-  batch.rollout.record_trajectory = true;
-  if (pool != nullptr)
-    batch.pool = pool;
-  else
-    batch.num_workers = 1;
-  for (const RolloutResult& r : batch_rollout(system, teacher, jobs, batch)) {
+  RolloutConfig rollout;
+  rollout.record_trajectory = true;
+  for (const RolloutResult& r : batch_rollout(system, teacher, jobs, rollout)) {
     for (std::size_t t = 0; t + 1 < r.states.size(); ++t) {
       data.states.push_back(r.states[t]);
       data.controls.push_back(r.controls[t]);
@@ -73,24 +67,18 @@ DistillDataset build_dataset_on_pool(const sys::System& system,
   return data;
 }
 
-}  // namespace
-
-DistillDataset build_distill_dataset(const sys::System& system,
-                                     const ctrl::Controller& teacher,
-                                     const DistillConfig& config) {
-  util::WorkerScope workers(config.num_workers);
-  return build_dataset_on_pool(system, teacher, config, workers.pool());
-}
-
 DistillResult distill(const sys::System& system,
                       const ctrl::Controller& teacher,
                       const DistillConfig& config, const std::string& label) {
   if (config.minibatch == 0)
     throw std::invalid_argument("distill: minibatch must be positive");
-  // One pool for the whole call: dataset rollouts, SGD, and the final loss.
-  util::WorkerScope workers(config.num_workers);
-  const DistillDataset data =
-      build_dataset_on_pool(system, teacher, config, workers.pool());
+  const DistillDataset data = build_distill_dataset(system, teacher, config);
+  // No sample means no SGD step and a NaN loss: nothing a caller could use.
+  if (data.size() == 0)
+    throw std::invalid_argument(
+        "distill: empty dataset (teacher_rollouts and uniform_samples gave "
+        "no sample)");
+  util::ThreadPool* const pool = &util::ThreadPool::shared();
   util::Rng rng(util::derive_seed(config.seed, 502));
 
   // The student mirrors the actor architecture the paper trains with DDPG:
@@ -145,7 +133,7 @@ DistillResult distill(const sys::System& system,
       // between direct distillation and adversarial training.
       const bool adversarial = rng.bernoulli(config.adversarial_prob);
       nn::Gradients& grads = reducer.reduce(
-          workers.pool(), end - start,
+          pool, end - start,
           [&](nn::Gradients& acc, std::size_t begin, std::size_t stop) {
             thread_local ChunkScratch scratch;
             const std::size_t m = stop - begin;
@@ -204,7 +192,7 @@ DistillResult distill(const sys::System& system,
   // Clean-data regression loss in normalized control units (comparable
   // between κD and κ* and across systems); same fixed-order reduction.
   const double loss = util::chunked_reduce(
-      workers.pool(), data.size(), kLossGrain, [] { return 0.0; },
+      pool, data.size(), kLossGrain, [] { return 0.0; },
       [&](double& acc, std::size_t i) {
         acc += nn::mse(student.forward(data.states[i]), targets[i]);
       },

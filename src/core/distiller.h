@@ -47,12 +47,6 @@ struct DistillConfig {
   /// studied by bench_ablation_projection).
   double spectral_norm_cap = 0.0;
   std::uint64_t seed = 3;
-  /// Worker count for the parallel dataset build and minibatch SGD
-  /// (the BatchRolloutConfig convention: 0 = shared pool, 1 = serial).
-  /// Results are bitwise identical for any value — teacher rollouts own
-  /// per-rollout derived RNG streams and gradient/loss accumulation uses
-  /// the fixed-order chunked reduction (util::chunked_reduce).
-  int num_workers = 0;
 
   /// The κD baseline: same dataset/architecture, no adversarial training,
   /// no regularization.
@@ -80,13 +74,18 @@ struct DistillDataset {
 
 /// Builds the dataset from teacher rollouts (the states the closed loop
 /// actually visits) plus uniform samples of the sampling region (coverage
-/// of off-trajectory states, needed for verification over all of X).
+/// of off-trajectory states, needed for verification over all of X).  The
+/// rollouts own per-rollout derived RNG streams, so the dataset is the same
+/// for any pool width.
 [[nodiscard]] DistillDataset build_distill_dataset(
     const sys::System& system, const ctrl::Controller& teacher,
     const DistillConfig& config);
 
 /// Runs the distillation of Algorithm 1 and returns the student κ* (or κD
-/// when config has p = 0, λ = 0).
+/// when config has p = 0, λ = 0).  The minibatch gradients and the final
+/// loss follow the fixed chunk tree (util::chunked_reduce) on the shared
+/// pool, so the student is bitwise identical for any pool width.  Throws
+/// std::invalid_argument on a zero minibatch or an empty dataset.
 [[nodiscard]] DistillResult distill(const sys::System& system,
                                     const ctrl::Controller& teacher,
                                     const DistillConfig& config,

@@ -41,7 +41,6 @@ ctrl::ControllerPtr train_ddpg_expert(sys::SystemPtr system,
   EvalConfig eval;
   eval.num_initial_states = spec.eval_states;
   eval.seed = spec.eval_seed;
-  eval.num_workers = spec.ddpg.num_workers;
 
   // Train in chunks and keep the snapshot whose safe rate is *closest to
   // the target* — DDPG learning curves jump discontinuously (an expert can
@@ -198,11 +197,9 @@ std::vector<ExpertSpec> default_expert_specs(const std::string& system_name,
 
 std::vector<ctrl::ControllerPtr> load_or_train_experts(sys::SystemPtr system,
                                                        std::uint64_t seed,
-                                                       bool use_cache,
-                                                       int num_workers) {
+                                                       bool use_cache) {
   std::vector<ctrl::ControllerPtr> experts;
-  for (ExpertSpec spec : default_expert_specs(system->name(), seed)) {
-    spec.ddpg.num_workers = num_workers;
+  for (const ExpertSpec& spec : default_expert_specs(system->name(), seed)) {
     const std::string path =
         expert_cache_path(system->name(), spec.label, seed);
     if (use_cache && util::file_exists(path)) {

@@ -57,11 +57,10 @@ struct ExpertSpec {
     const std::string& system_name, std::uint64_t seed);
 
 /// Returns the system's two experts, loading from the model cache when
-/// possible and training + saving otherwise.  `cache_tag` keys the files.
-/// `num_workers` is the DdpgConfig worker knob applied to every spec;
-/// experts are bitwise identical for any worker count.
+/// possible and training + saving otherwise; the files are keyed by system,
+/// expert label and seed.  DDPG runs its minibatch updates on the shared
+/// pool; experts are bitwise identical for any pool width.
 [[nodiscard]] std::vector<ctrl::ControllerPtr> load_or_train_experts(
-    sys::SystemPtr system, std::uint64_t seed, bool use_cache = true,
-    int num_workers = 0);
+    sys::SystemPtr system, std::uint64_t seed, bool use_cache = true);
 
 }  // namespace cocktail::core

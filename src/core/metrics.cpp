@@ -13,13 +13,10 @@ namespace cocktail::core {
 EvalResult evaluate(const sys::System& system,
                     const ctrl::Controller& controller,
                     const EvalConfig& config) {
-  BatchRolloutConfig batch;
-  batch.num_workers = config.num_workers;
   const std::vector<RolloutResult> rollouts = batch_rollout(
       system, controller,
       make_eval_jobs(system, config.num_initial_states, config.seed,
-                     config.perturbation.get()),
-      batch);
+                     config.perturbation.get()));
   return summarize_rollouts(rollouts, 0, rollouts.size());
 }
 

@@ -23,9 +23,6 @@ struct EvalConfig {
   std::uint64_t seed = 12345;
   /// Null = evaluate without attacks or noises (Table I).
   attack::PerturbationPtr perturbation;
-  /// Worker count for the batched rollout engine (see BatchRolloutConfig):
-  /// 0 = shared pool, 1 = serial.  Results are identical either way.
-  int num_workers = 0;
 };
 
 struct EvalResult {
@@ -41,7 +38,9 @@ struct EvalResult {
 };
 
 /// Monte-Carlo evaluation: same seeds sample the same initial states, so
-/// controllers are compared on a common set (paired comparison).
+/// controllers are compared on a common set (paired comparison).  The
+/// rollouts run as one core::batch_rollout, so the result is the same for
+/// any pool width.
 [[nodiscard]] EvalResult evaluate(const sys::System& system,
                                   const ctrl::Controller& controller,
                                   const EvalConfig& config);

@@ -30,11 +30,10 @@ struct Score {
 
 Score score_controller(const sys::System& system,
                        const ctrl::Controller& controller,
-                       const SnapshotConfig& snapshot, int num_workers) {
+                       const SnapshotConfig& snapshot) {
   EvalConfig config;
   config.num_initial_states = snapshot.eval_states;
   config.seed = snapshot.eval_seed;
-  config.num_workers = num_workers;
   const EvalResult result = evaluate(system, controller, config);
   return {result.safe_rate, result.mean_energy};
 }
@@ -60,16 +59,14 @@ std::vector<int> chunk_sizes(int total, int parts) {
 template <class RunChunk, class CurrentNet, class MakeCandidate>
 nn::Mlp best_checkpoint_net(const sys::System& system, const char* label,
                             int total_units, const SnapshotConfig& snapshot,
-                            int num_workers, RunChunk&& run_chunk,
-                            CurrentNet&& current_net,
+                            RunChunk&& run_chunk, CurrentNet&& current_net,
                             MakeCandidate&& make_candidate) {
   nn::Mlp best_net = current_net();
   Score best;
   for (const int chunk : chunk_sizes(total_units, snapshot.checkpoints)) {
     run_chunk(chunk);
     const auto candidate = make_candidate(current_net());
-    const Score score =
-        score_controller(system, candidate, snapshot, num_workers);
+    const Score score = score_controller(system, candidate, snapshot);
     COCKTAIL_DEBUG << label << " checkpoint: Sr " << score.safe_rate << " e "
                    << score.energy;
     if (score.better_than(best, snapshot.sr_tie_tolerance)) {
@@ -110,7 +107,6 @@ MixingResult train_adaptive_mixing(sys::SystemPtr system,
   MixingResult result;
   nn::Mlp best_net = best_checkpoint_net(
       *system, "adaptive mixing", config.ppo.iterations, config.snapshot,
-      config.ppo.num_workers,
       [&](int chunk) {
         append_ppo_stats(result.stats, ppo.run_iterations(env, chunk));
       },
@@ -135,7 +131,6 @@ SwitchingResult train_switching(sys::SystemPtr system,
   SwitchingResult result;
   nn::Mlp best_net = best_checkpoint_net(
       *system, "switching baseline", config.ppo.iterations, config.snapshot,
-      config.ppo.num_workers,
       [&](int chunk) {
         append_ppo_stats(result.stats, ppo.run_iterations(env, chunk));
       },
@@ -160,7 +155,7 @@ FiniteWeightedResult train_finite_weighted(
   FiniteWeightedResult result;
   nn::Mlp best_net = best_checkpoint_net(
       *system, "finite-weighted baseline", config.ppo.iterations,
-      config.snapshot, config.ppo.num_workers,
+      config.snapshot,
       [&](int chunk) {
         append_ppo_stats(result.stats, ppo.run_iterations(env, chunk));
       },
@@ -186,7 +181,6 @@ DdpgMixingResult train_adaptive_mixing_ddpg(
   // The tanh DDPG actor is a drop-in weight net for the MixedController.
   nn::Mlp best_net = best_checkpoint_net(
       *system, "ddpg mixing", config.ddpg.episodes, config.snapshot,
-      config.ddpg.num_workers,
       [&](int chunk) {
         const rl::DdpgStats stats = ddpg.run_episodes(env, chunk);
         result.stats.episode_returns.insert(result.stats.episode_returns.end(),

@@ -5,10 +5,9 @@
 // The three PPO trainers share one driver, rl::Ppo, and differ only in the
 // adaptation env (MixingEnv / SwitchingEnv / FiniteWeightedEnv) and the
 // policy head — Proposition 1's chain of action spaces.  All four trainers
-// collect serially on the adaptation env; the embedded rl::PpoConfig /
-// rl::DdpgConfig `num_workers` field parallelizes the minibatch gradient
-// work, and trained controllers are bitwise identical for any worker
-// count.
+// collect serially on the adaptation env and run the minibatch gradient
+// work and the checkpoint evaluations on the shared pool; trained
+// controllers are bitwise identical for any pool width.
 #pragma once
 
 #include <cstdint>

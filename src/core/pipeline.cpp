@@ -139,21 +139,10 @@ PipelineArtifacts run_pipeline(sys::SystemPtr system,
   PipelineArtifacts artifacts;
   artifacts.system = system;
 
-  // Pipeline-wide worker knob: nonzero overrides every stage; 0 keeps the
-  // per-stage fields (which default to the shared pool) as the caller set
-  // them.
   MixingConfig mixing = config.mixing;
   SwitchingConfig switching = config.switching;
-  DistillConfig distill = config.distill;
-  int expert_workers = 0;
-  if (config.num_workers != 0) {
-    mixing.ppo.num_workers = config.num_workers;
-    switching.ppo.num_workers = config.num_workers;
-    distill.num_workers = config.num_workers;
-    expert_workers = config.num_workers;
-  }
-  artifacts.experts = load_or_train_experts(system, config.seed,
-                                            config.use_cache, expert_workers);
+  artifacts.experts =
+      load_or_train_experts(system, config.seed, config.use_cache);
 
   // Training-time observation noise: the MDP's state perturbation δ
   // (Section III-A "may be maliciously attacked or affected by noises").
@@ -201,11 +190,11 @@ PipelineArtifacts run_pipeline(sys::SystemPtr system,
 
   // --- students: κD (direct) and κ* (robust) ---
   artifacts.direct_student = load_or_distill(
-      *system, *artifacts.mixed, distill.direct(), "kD",
+      *system, *artifacts.mixed, config.distill.direct(), "kD",
       cache_path(system->name(), "studentD", config.seed, "nnctl"),
       config.use_cache);
   artifacts.robust_student = load_or_distill(
-      *system, *artifacts.mixed, distill, "k*",
+      *system, *artifacts.mixed, config.distill, "k*",
       cache_path(system->name(), "studentR", config.seed, "nnctl"),
       config.use_cache);
   return artifacts;

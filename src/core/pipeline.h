@@ -5,7 +5,9 @@
 //                   →  direct distillation κD  (for comparison)
 //
 // Every trained artifact is cached under COCKTAIL_MODEL_DIR keyed by system
-// and seed, so the bench suite trains each network exactly once.
+// and seed, so the bench suite trains each network exactly once.  Every
+// stage runs its parallel work on util::ThreadPool::shared(), and the
+// artifacts are bitwise identical for any pool width.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +25,6 @@ struct PipelineConfig {
   SwitchingConfig switching;
   DistillConfig distill;
   bool use_cache = true;
-  /// Pipeline-wide worker knob (util::WorkerScope convention: 1 = serial,
-  /// k > 1 = dedicated pool).  When nonzero, run_pipeline applies it to
-  /// every training stage — expert DDPG, PPO mixing/switching updates,
-  /// distillation, and checkpoint evaluations — overriding the per-stage
-  /// num_workers fields.  0 (the default, also the per-stage default =
-  /// shared pool) leaves the per-stage fields untouched.  Artifacts are
-  /// bitwise identical for any value.
-  int num_workers = 0;
 };
 
 /// Baseline set of Table I for one system.

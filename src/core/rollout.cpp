@@ -42,39 +42,20 @@ RolloutResult rollout(const sys::System& system,
   return result;
 }
 
-namespace {
-
-/// Dispatches f(0), ..., f(n-1) per the BatchRolloutConfig pool convention
-/// (explicit pool > num_workers; 1 or a trivial batch = serial inline).
-void run_batch(std::size_t n, const BatchRolloutConfig& config,
-               const std::function<void(std::size_t)>& f) {
-  if (config.pool != nullptr) {
-    // Each rollout i derives its own RNG stream (derive_seed) and writes
-    // only results[i]; no cross-index state, so scheduling order cannot
-    // reach the outputs.
-    // DETLINT-ALLOW(raw-parallel-dispatch): per-index RNG, disjoint writes
-    config.pool->parallel_for(n, f);
-  } else if (config.num_workers == 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) f(i);
-  } else {
-    util::WorkerScope scope(config.num_workers);
-    // DETLINT-ALLOW(raw-parallel-dispatch): same contract as above
-    scope.pool()->parallel_for(n, f);
-  }
-}
-
-}  // namespace
-
 std::vector<RolloutResult> batch_rollout(const sys::System& system,
                                          const ctrl::Controller& controller,
                                          const std::vector<RolloutJob>& jobs,
-                                         const BatchRolloutConfig& config) {
+                                         const RolloutConfig& config) {
   std::vector<RolloutResult> results(jobs.size());
-  run_batch(jobs.size(), config, [&](std::size_t i) {
-    util::Rng rng(jobs[i].seed);
-    results[i] = rollout(system, controller, jobs[i].initial_state,
-                         jobs[i].perturbation, rng, config.rollout);
-  });
+  // Each rollout i derives its own RNG stream and writes only results[i],
+  // so scheduling order cannot reach the outputs.
+  util::run_chunks(&util::ThreadPool::shared(), jobs.size(),
+                   [&](std::size_t i) {
+                     util::Rng rng(jobs[i].seed);
+                     results[i] =
+                         rollout(system, controller, jobs[i].initial_state,
+                                 jobs[i].perturbation, rng, config);
+                   });
   return results;
 }
 
@@ -82,7 +63,7 @@ PairedRolloutResults batch_rollout_paired(const sys::System& system,
                                           const ctrl::Controller& a,
                                           const ctrl::Controller& b,
                                           const std::vector<RolloutJob>& jobs,
-                                          const BatchRolloutConfig& config) {
+                                          const RolloutConfig& config) {
   const std::size_t n = jobs.size();
   PairedRolloutResults results;
   results.a.resize(n);
@@ -90,13 +71,13 @@ PairedRolloutResults batch_rollout_paired(const sys::System& system,
   // One fused 2N stream: index i < n is job i under `a`, index n + k is job
   // k under `b`.  Each unit re-seeds from its job, so the fusion cannot
   // change any trajectory.
-  run_batch(2 * n, config, [&](std::size_t i) {
+  util::run_chunks(&util::ThreadPool::shared(), 2 * n, [&](std::size_t i) {
     const bool first = i < n;
     const RolloutJob& job = jobs[first ? i : i - n];
     util::Rng rng(job.seed);
     RolloutResult& out = first ? results.a[i] : results.b[i - n];
     out = rollout(system, first ? a : b, job.initial_state, job.perturbation,
-                  rng, config.rollout);
+                  rng, config);
   });
   return results;
 }

@@ -15,10 +15,6 @@
 #include "sys/system.h"
 #include "util/rng.h"
 
-namespace cocktail::util {
-class ThreadPool;  // util/thread_pool.h; only held by pointer here.
-}
-
 namespace cocktail::core {
 
 struct RolloutConfig {
@@ -50,10 +46,11 @@ struct RolloutResult {
 //
 // Every experimental metric reduces to "simulate N independent closed loops"
 // over some (initial-state × RNG-seed × attack-config) grid; the batch API
-// fans those across a worker pool.  Determinism is scheduling-independent by
-// construction: each job owns a private RNG stream seeded from its `seed`
-// field, so results are bitwise identical for any worker count, including
-// the serial path.
+// fans those across util::ThreadPool::shared().  Determinism is
+// scheduling-independent by construction: each job owns a private RNG
+// stream seeded from its `seed` field, so results are bitwise identical for
+// any pool width, and for a call made from a pool worker, which runs the
+// batch inline.
 
 /// One independent closed-loop simulation.
 struct RolloutJob {
@@ -67,21 +64,11 @@ struct RolloutJob {
   const attack::PerturbationModel* perturbation = nullptr;
 };
 
-struct BatchRolloutConfig {
-  /// Per-rollout simulation settings, shared by every job.
-  RolloutConfig rollout;
-  /// 0 = the shared process-wide pool; 1 = serial in the calling thread;
-  /// k > 1 = a dedicated pool of k workers for this call.
-  int num_workers = 0;
-  /// Externally-owned pool; when set it overrides num_workers.  Lets
-  /// callers with many small batches avoid per-call pool construction.
-  util::ThreadPool* pool = nullptr;
-};
-
-/// Evaluates all jobs and returns results in job order.
+/// Evaluates all jobs, each with the shared per-rollout `config`, and
+/// returns results in job order.
 [[nodiscard]] std::vector<RolloutResult> batch_rollout(
     const sys::System& system, const ctrl::Controller& controller,
-    const std::vector<RolloutJob>& jobs, const BatchRolloutConfig& config = {});
+    const std::vector<RolloutJob>& jobs, const RolloutConfig& config = {});
 
 /// Results of a fused paired batch: `a[k]` and `b[k]` are the rollouts of
 /// job k under the respective controller.
@@ -98,7 +85,7 @@ struct PairedRolloutResults {
 [[nodiscard]] PairedRolloutResults batch_rollout_paired(
     const sys::System& system, const ctrl::Controller& a,
     const ctrl::Controller& b, const std::vector<RolloutJob>& jobs,
-    const BatchRolloutConfig& config = {});
+    const RolloutConfig& config = {});
 
 /// The Monte-Carlo evaluation grid (core/metrics.h): `num_initial_states`
 /// initial states sampled from stream derive_seed(seed, 1), trajectory k

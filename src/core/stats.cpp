@@ -34,12 +34,9 @@ PairedOutcome evaluate_paired(const sys::System& system,
   const std::vector<RolloutJob> jobs = make_eval_jobs(
       system, config.num_initial_states, config.seed,
       config.perturbation.get());
-  BatchRolloutConfig batch;
-  batch.num_workers = config.num_workers;
   // Fused 2N-job stream: both controllers' rollouts interleave on the pool
   // instead of running as two half-width batches.
-  const PairedRolloutResults results =
-      batch_rollout_paired(system, a, b, jobs, batch);
+  const PairedRolloutResults results = batch_rollout_paired(system, a, b, jobs);
   double energy_a_sum = 0.0, energy_b_sum = 0.0;
   for (std::size_t k = 0; k < jobs.size(); ++k) {
     const RolloutResult& ra = results.a[k];

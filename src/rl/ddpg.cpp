@@ -7,6 +7,7 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "rl/noise.h"
+#include "util/thread_pool.h"
 
 namespace cocktail::rl {
 namespace {
@@ -90,7 +91,6 @@ void Ddpg::initialize(Env& env) {
   build_networks(env.state_dim(), env.action_dim());
   actor_opt_ = std::make_unique<nn::Adam>(config_.actor_lr);
   critic_opt_ = std::make_unique<nn::Adam>(config_.critic_lr);
-  workers_ = std::make_unique<util::WorkerScope>(config_.num_workers);
   critic_reducer_ = std::make_unique<nn::ChunkedGradReducer<nn::Gradients>>(
       config_.batch_size, kGradGrain, [&] { return critic_.zero_gradients(); });
   actor_reducer_ = std::make_unique<nn::ChunkedGradReducer<nn::Gradients>>(
@@ -169,7 +169,7 @@ void Ddpg::update(const ReplayBuffer& buffer, util::Rng& rng) {
   const std::vector<std::size_t> batch =
       buffer.sample(config_.batch_size, rng);
   const double inv_batch = 1.0 / static_cast<double>(batch.size());
-  util::ThreadPool* pool = workers_->pool();
+  util::ThreadPool* const pool = &util::ThreadPool::shared();
   const std::size_t state_dim = actor_.input_dim();
   const std::size_t action_dim = actor_.output_dim();
   const std::size_t critic_dim = state_dim + action_dim;

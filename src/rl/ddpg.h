@@ -4,6 +4,10 @@
 //  * to train the expert controllers κ1/κ2 (the paper obtains its experts
 //    "by DDPG with different hyper-parameters"), and
 //  * as the alternative mixing learner of Remark 1 (DDPG on the weight MDP).
+//
+// Each minibatch update runs on util::ThreadPool::shared() as row-tile
+// chunks whose gradients merge on the fixed chunked-reduce tree, so
+// training is bitwise identical for any pool width.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +20,6 @@
 #include "rl/env.h"
 #include "rl/noise.h"
 #include "rl/replay_buffer.h"
-#include "util/thread_pool.h"
 
 namespace cocktail::rl {
 
@@ -41,11 +44,6 @@ struct DdpgConfig {
   double noise_decay = 0.995;   ///< per-episode exploration decay.
   double grad_clip = 5.0;
   std::uint64_t seed = 1;
-  /// Worker count for the row-tile gradient chunks of one minibatch
-  /// update (util::WorkerScope convention: 0 = shared pool, 1 = serial,
-  /// k > 1 = dedicated pool).  Training is bitwise identical for any value:
-  /// per-chunk gradient buffers merge on the fixed chunked-reduce tree.
-  int num_workers = 0;
 };
 
 struct DdpgStats {
@@ -86,10 +84,8 @@ class Ddpg {
   std::unique_ptr<ReplayBuffer> buffer_;
   std::unique_ptr<OuNoise> noise_;
   std::unique_ptr<util::Rng> rng_;
-  // Parallel minibatch machinery, resolved once at initialize(): update()
-  // runs on every env step, so the worker scope and the per-chunk gradient
-  // buffers are hoisted out of the hot path.
-  std::unique_ptr<util::WorkerScope> workers_;
+  // Per-chunk gradient buffers, built once at initialize(): update() runs
+  // on every env step, so they are hoisted out of the hot path.
   std::unique_ptr<nn::ChunkedGradReducer<nn::Gradients>> critic_reducer_;
   std::unique_ptr<nn::ChunkedGradReducer<nn::Gradients>> actor_reducer_;
   std::size_t total_steps_ = 0;

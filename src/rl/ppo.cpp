@@ -8,6 +8,7 @@
 
 #include "nn/grad_reduce.h"
 #include "nn/optimizer.h"
+#include "util/thread_pool.h"
 
 namespace cocktail::rl {
 namespace {
@@ -313,7 +314,7 @@ double Ppo<Policy>::update(const RolloutBatch& batch,
   // identical.
   if (config_.update_epochs <= 0) return 0.0;
   using H = Head<Policy>;
-  util::ThreadPool* pool = workers_->pool();
+  util::ThreadPool* const pool = &util::ThreadPool::shared();
   const Policy& policy = *policy_;
   const nn::Mlp& net = H::net(policy);
   const std::size_t width = net.output_dim();
@@ -402,7 +403,6 @@ void Ppo<Policy>::initialize(Env& env) {
   policy_opt_ = std::make_unique<nn::Adam>(config_.policy_lr);
   value_opt_ = std::make_unique<nn::Adam>(config_.value_lr);
   log_std_opt_ = std::make_unique<nn::AdamVec>(config_.policy_lr);
-  workers_ = std::make_unique<util::WorkerScope>(config_.num_workers);
 }
 
 template <class Policy>

@@ -17,6 +17,9 @@
 // Collection is serial and slot-ordered on the caller's env: each iteration
 // draws one seed s from the trainer RNG, episode slot k runs on the stream
 // derive_seed(s, k), and the batch stops mid-episode at steps_per_iteration.
+// The minibatch updates run on util::ThreadPool::shared() as row-tile
+// chunks whose gradients merge on the fixed chunked-reduce tree, so
+// training is bitwise identical for any pool width.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,6 @@
 #include "rl/env.h"
 #include "rl/gae.h"
 #include "rl/gaussian_policy.h"
-#include "util/thread_pool.h"
 
 namespace cocktail::rl {
 
@@ -54,11 +56,6 @@ struct PpoConfig {
   double initial_std = 0.5;     ///< Gaussian exploration std (continuous).
   double grad_clip = 5.0;
   std::uint64_t seed = 2;
-  /// Worker count for the row-tile gradient chunks of one minibatch
-  /// update (util::WorkerScope convention: 0 = shared pool, 1 = serial,
-  /// k > 1 = dedicated pool).  Training is bitwise identical for any value:
-  /// per-chunk gradient buffers merge on the fixed chunked-reduce tree.
-  int num_workers = 0;
 };
 
 struct PpoStats {
@@ -99,7 +96,6 @@ class Ppo {
   std::unique_ptr<nn::Adam> policy_opt_, value_opt_;
   std::unique_ptr<nn::AdamVec> log_std_opt_;  ///< used by the Gaussian head.
   std::unique_ptr<util::Rng> rng_;
-  std::unique_ptr<util::WorkerScope> workers_;  ///< resolved num_workers.
 };
 
 extern template class Ppo<GaussianPolicy>;

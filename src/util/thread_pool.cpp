@@ -1,22 +1,18 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace cocktail::util {
 namespace {
 
-int env_thread_count() {
-  // Read once at shared-pool construction; the library never calls setenv,
-  // so the getenv data race clang-tidy worries about cannot occur.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* value = std::getenv("COCKTAIL_THREADS");
-  if (value == nullptr || *value == '\0') return 0;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : 0;
-}
+/// Largest COCKTAIL_THREADS value parse_thread_count accepts.
+constexpr int kMaxPoolThreads = 1024;
 
 std::size_t resolve_thread_count(int requested) {
   if (requested > 0) return static_cast<std::size_t>(requested);
@@ -30,6 +26,21 @@ std::size_t resolve_thread_count(int requested) {
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 
 }  // namespace
+
+int parse_thread_count(const char* value) {
+  if (value == nullptr || *value == '\0') return 0;
+  const std::string_view text(value);
+  int parsed = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      parsed < 1 || parsed > kMaxPoolThreads)
+    throw std::invalid_argument(
+        "COCKTAIL_THREADS=\"" + std::string(text) +
+        "\": expected a decimal integer in [1, " +
+        std::to_string(kMaxPoolThreads) + "]");
+  return parsed;
+}
 
 ThreadPool::ThreadPool(int num_threads) {
   const std::size_t count = resolve_thread_count(num_threads);
@@ -163,7 +174,10 @@ void ThreadPool::parallel_for(std::size_t n,
 }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(env_thread_count());
+  // Read once at shared-pool construction; the library never calls setenv,
+  // so the getenv data race clang-tidy worries about cannot occur.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  static ThreadPool pool(parse_thread_count(std::getenv("COCKTAIL_THREADS")));
   return pool;
 }
 

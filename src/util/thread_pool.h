@@ -1,13 +1,17 @@
 // Fixed-size worker pool for embarrassingly-parallel batches.
 //
-// The batched rollout engine (core/rollout.h) fans N independent closed-loop
-// simulations across these workers; determinism is preserved because every
-// parallel unit of work carries its own RNG stream, so scheduling order can
-// never leak into results.  The pool is deliberately minimal: a mutex-guarded
-// job queue, `submit` for one-off futures, and `parallel_for` for index
-// batches in which the calling thread participates (so a pool is useful even
-// on a single-core machine and `parallel_for` can never deadlock waiting on
-// a saturated queue).
+// Every parallel region of the library — rollout batches, the PPO/DDPG and
+// distillation minibatch chunks, the reach and invariant sweeps — runs on
+// the one process-wide pool, `ThreadPool::shared()`, whose width
+// COCKTAIL_THREADS sets.  Results never depend on that width: each parallel
+// unit owns its RNG stream and output slot, and reductions follow the
+// fixed chunk tree below.  A call made from a pool worker runs each nested
+// `parallel_for` inline, so running a call serially is a matter of where it
+// is called from, not of a setting.  The pool is deliberately minimal: a
+// mutex-guarded job queue, `submit` for one-off futures, and `parallel_for`
+// for index batches in which the calling thread participates (so a pool is
+// useful even on a single-core machine and `parallel_for` can never
+// deadlock waiting on a saturated queue).
 #pragma once
 
 #include <algorithm>
@@ -24,6 +28,14 @@
 #include "util/thread_annotations.h"
 
 namespace cocktail::util {
+
+/// The shared pool's worker count from a COCKTAIL_THREADS value: null or
+/// empty gives 0 (hardware concurrency, as ThreadPool's constructor reads
+/// it); the whole string as a decimal integer in [1, 1024] gives that
+/// integer.  Anything else — signs, spaces, trailing characters, 0, a value
+/// past the range or past `int` — throws std::invalid_argument naming the
+/// variable and the value.
+[[nodiscard]] int parse_thread_count(const char* value);
 
 class ThreadPool {
  public:
@@ -68,18 +80,10 @@ class ThreadPool {
   /// inline when this holds.
   [[nodiscard]] bool inside_worker() const noexcept;
 
-  /// Deterministic parallel reduction over [0, n); see util::chunked_reduce
-  /// (this is the pool-backed entry point).  Bitwise identical results for
-  /// any worker count, even for non-associative (floating-point)
-  /// accumulation, as long as `grain` is held fixed.
-  template <class Make, class Body, class Merge>
-  auto parallel_reduce(std::size_t n, std::size_t grain, Make&& make,
-                       Body&& body, Merge&& merge)
-      -> std::invoke_result_t<Make&>;
-
-  /// Process-wide pool, lazily constructed.  Sized from the
-  /// COCKTAIL_THREADS environment variable when set to a positive integer,
-  /// otherwise from the hardware concurrency.
+  /// Process-wide pool, lazily constructed, with
+  /// parse_thread_count(getenv("COCKTAIL_THREADS")) workers.  A bad value
+  /// throws std::invalid_argument from the first call (and again from each
+  /// later one) instead of picking a width.
   static ThreadPool& shared();
 
  private:
@@ -152,14 +156,6 @@ auto chunked_reduce(ThreadPool* pool, std::size_t n, std::size_t grain,
   return result;
 }
 
-template <class Make, class Body, class Merge>
-auto ThreadPool::parallel_reduce(std::size_t n, std::size_t grain, Make&& make,
-                                 Body&& body, Merge&& merge)
-    -> std::invoke_result_t<Make&> {
-  return chunked_reduce(this, n, grain, std::forward<Make>(make),
-                        std::forward<Body>(body), std::forward<Merge>(merge));
-}
-
 /// Runs body(i) for i in [0, n) in fixed contiguous chunks of `grain`
 /// indices on `pool` (nullptr = serial, same loop).  For pre-passes whose
 /// per-index work writes only its own output slot: with disjoint writes
@@ -175,30 +171,5 @@ void chunked_for(ThreadPool* pool, std::size_t n, std::size_t grain,
     for (std::size_t i = c * grain; i < hi; ++i) body(i);
   });
 }
-
-/// Resolves the `num_workers` convention shared by the batch APIs:
-/// 0 (or negative) = the shared process-wide pool, 1 = serial
-/// (`pool()` returns nullptr), k > 1 = a dedicated pool of k workers owned
-/// by this scope.  Lets multi-batch callers (distillation, reachability)
-/// resolve the pool once instead of per batch.
-class WorkerScope {
- public:
-  explicit WorkerScope(int num_workers) {
-    if (num_workers == 1) return;
-    if (num_workers <= 0) {
-      pool_ = &ThreadPool::shared();
-    } else {
-      owned_ = std::make_unique<ThreadPool>(num_workers);
-      pool_ = owned_.get();
-    }
-  }
-
-  /// The resolved pool; nullptr means "run serially".
-  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
-
- private:
-  std::unique_ptr<ThreadPool> owned_;
-  ThreadPool* pool_ = nullptr;
-};
 
 }  // namespace cocktail::util

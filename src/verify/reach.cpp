@@ -181,7 +181,6 @@ ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
   const IBox u_bounds =
       make_box(system_->control_bounds().lo, system_->control_bounds().hi);
   const sys::Box safe = system_->safe_region();
-  util::WorkerScope workers(config_.num_workers);
 
   // Per-dimension subdivision counts against wrapping.  NaN-closed: a
   // corrupted (non-finite) width must not reach the int cast (UB) — such
@@ -239,7 +238,8 @@ ReachResult ReachabilityAnalyzer::analyze(const IBox& initial) const {
       next[i] = dynamics_->step(sub, u.u_range);
     };
     try {
-      sweep_in_order(workers.pool(), next.size(), budget, image_of);
+      sweep_in_order(&util::ThreadPool::shared(), next.size(), budget,
+                     image_of);
     } catch (const BudgetExhausted& e) {
       failure = e.what();
       break;

@@ -6,6 +6,12 @@
 // the interval-dynamics step.  All work is charged to a VerificationBudget;
 // exhaustion is reported as a failed (not crashed) verification — the
 // reproduction of the paper's κD memory fault in Fig 4.
+//
+// Each step's sub-boxes run on util::ThreadPool::shared() through
+// verify::sweep_in_order, the exact-serial budgeted sweep invariant sets
+// share, so layers, counters and failures are the serial loop's for any
+// pool width — an exhausted budget included, which stops at the very
+// partition that exhausts it.
 #pragma once
 
 #include <string>
@@ -30,13 +36,6 @@ struct ReachConfig {
   /// boxes and bounds the frontier size.  0 disables merging.
   std::size_t merge_threshold = 1024;
   VerificationBudget budget;
-  /// Worker count for the frontier sweep (util::WorkerScope convention:
-  /// 0 = shared pool, 1 = serial, k > 1 = a dedicated pool).  Each step's
-  /// sub-boxes run through verify::sweep_in_order, the exact-serial
-  /// budgeted sweep invariant sets share, so layers, counters and failures
-  /// are the serial loop's for any value — an exhausted budget included,
-  /// which stops at the very partition that exhausts it.
-  int num_workers = 0;
 };
 
 struct ReachResult {

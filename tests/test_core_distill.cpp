@@ -9,6 +9,7 @@
 #include "control/lqr_controller.h"
 #include "core/distiller.h"
 #include "rl_test_common.h"
+#include "serial_run.h"
 #include "sys/vanderpol.h"
 
 namespace cocktail {
@@ -16,6 +17,8 @@ namespace {
 
 using la::Vec;
 using testutil::expect_same_net;
+using testutil::pool_width;
+using testutil::run_serially;
 
 core::DistillConfig tiny_config() {
   core::DistillConfig config;
@@ -145,38 +148,33 @@ TEST(Distill, ProjectionTighterThanUnregularized) {
 TEST(DistillDataset, BitwiseIdenticalForAnyWorkerCount) {
   const sys::VanDerPol vdp;
   const auto lqr = ctrl::LqrController::synthesize(vdp, 1.0, 0.5);
-  auto config = tiny_config();
-  config.num_workers = 1;
-  const auto reference = core::build_distill_dataset(vdp, lqr, config);
-  for (const int workers : {2, 8}) {
-    config.num_workers = workers;
-    const auto data = core::build_distill_dataset(vdp, lqr, config);
-    ASSERT_EQ(data.size(), reference.size()) << workers << " workers";
-    EXPECT_EQ(data.states, reference.states) << workers << " workers";
-    EXPECT_EQ(data.controls, reference.controls) << workers << " workers";
-  }
+  const auto build = [&] {
+    return core::build_distill_dataset(vdp, lqr, tiny_config());
+  };
+  const auto reference = run_serially(build);
+  const auto data = build();
+  const int workers = pool_width();
+  ASSERT_EQ(data.size(), reference.size()) << workers << " workers";
+  EXPECT_EQ(data.states, reference.states) << workers << " workers";
+  EXPECT_EQ(data.controls, reference.controls) << workers << " workers";
 }
 
 TEST(Distill, BitwiseIdenticalForAnyWorkerCount) {
   // The whole-pipeline determinism claim: per-rollout RNG streams for the
   // dataset plus the fixed-order gradient reduction make the trained
-  // student bitwise identical for any worker count.
+  // student bitwise identical for any pool width.
   const sys::VanDerPol vdp;
   const auto lqr = ctrl::LqrController::synthesize(vdp, 1.0, 0.5);
   auto config = tiny_config();
   config.epochs = 12;  // enough steps for any divergence to compound.
-  config.num_workers = 1;
-  const auto reference = core::distill(vdp, lqr, config, "serial");
-  for (const int workers : {2, 8}) {
-    config.num_workers = workers;
-    const auto parallel = core::distill(vdp, lqr, config, "parallel");
-    expect_same_net(parallel.student->net(), reference.student->net(),
-                    workers);
-    EXPECT_EQ(parallel.final_loss, reference.final_loss)
-        << workers << " workers";
-    EXPECT_EQ(parallel.lipschitz, reference.lipschitz)
-        << workers << " workers";
-  }
+  const auto reference =
+      run_serially([&] { return core::distill(vdp, lqr, config, "serial"); });
+  const auto parallel = core::distill(vdp, lqr, config, "parallel");
+  const int workers = pool_width();
+  expect_same_net(parallel.student->net(), reference.student->net(), workers);
+  EXPECT_EQ(parallel.final_loss, reference.final_loss)
+      << workers << " workers";
+  EXPECT_EQ(parallel.lipschitz, reference.lipschitz) << workers << " workers";
 }
 
 TEST(Distill, DeterministicForFixedSeed) {

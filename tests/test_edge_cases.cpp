@@ -209,6 +209,19 @@ TEST(TrainingConfigEdge, DistillZeroMinibatchThrows) {
                std::invalid_argument);
 }
 
+TEST(TrainingConfigEdge, DistillEmptyDatasetThrows) {
+  // No teacher rollout and no uniform sample: there is nothing to regress
+  // on, and the student would come back untrained with a NaN loss.
+  const sys::VanDerPol system;
+  const ctrl::ZeroController teacher(2, 1);
+  core::DistillConfig config;
+  config.teacher_rollouts = 0;
+  config.uniform_samples = 0;
+  config.epochs = 1;
+  EXPECT_THROW((void)core::distill(system, teacher, config),
+               std::invalid_argument);
+}
+
 TEST(TrainingConfigEdge, ExpertNonPositiveEvalCadenceThrows) {
   for (const int cadence : {0, -3}) {
     core::ExpertSpec spec;

@@ -1,9 +1,10 @@
 // Bitwise regression tests for the parallel PPO/DDPG training paths: the
-// per-sample gradient work inside one minibatch update fans across the pool
-// with per-chunk buffers merged on the fixed chunked-reduce tree, so a
-// trained network must be bitwise identical for any worker count (the same
-// contract test_core_distill pins for the distiller), including end to end
-// through adaptive mixing + distillation (the golden pipeline check).
+// per-sample gradient work inside one minibatch update fans across the
+// shared pool with per-chunk buffers merged on the fixed chunked-reduce
+// tree, so a trained network must be bitwise identical to the serial run
+// on a pool worker (serial_run.h) for any pool width (the same contract
+// test_core_distill pins for the distiller), including end to end through
+// adaptive mixing + distillation (the golden pipeline check).
 // Experience collection is serial: PPO's collect() and DDPG's warmup run
 // episode slot k on its own derived RNG stream, and a warmup split across
 // run_episodes calls must replay the same slots.
@@ -11,6 +12,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "control/polynomial_controller.h"
@@ -24,6 +26,7 @@
 #include "rl/env.h"
 #include "rl/ppo.h"
 #include "rl_test_common.h"
+#include "serial_run.h"
 #include "sys/vanderpol.h"
 #include "util/thread_pool.h"
 
@@ -34,6 +37,8 @@ using la::Vec;
 using testutil::DiscretePointMassEnv;
 using testutil::PointMassEnv;
 using testutil::expect_same_net;
+using testutil::pool_width;
+using testutil::run_serially;
 
 rl::PpoConfig tiny_ppo(std::uint64_t seed) {
   rl::PpoConfig config;
@@ -50,27 +55,32 @@ rl::PpoConfig tiny_ppo(std::uint64_t seed) {
   return config;
 }
 
+/// Trains a fresh `Trainer` on a fresh `Env` and returns it with its stats.
+template <class Trainer, class Env, class Config>
+auto train_fresh(const Config& config) {
+  Env env;
+  Trainer trainer(config);
+  auto stats = trainer.train(env);
+  return std::pair{std::move(trainer), std::move(stats)};
+}
+
 TEST(PpoGaussianParallel, BitwiseIdenticalForAnyWorkerCount) {
-  rl::PpoConfig config = tiny_ppo(21);
-  config.num_workers = 1;
-  PointMassEnv env_ref;
-  rl::PpoGaussian reference(config);
-  const rl::PpoStats ref_stats = reference.train(env_ref);
-  for (const int workers : {2, 8}) {
-    config.num_workers = workers;
-    PointMassEnv env;
-    rl::PpoGaussian parallel(config);
-    const rl::PpoStats stats = parallel.train(env);
-    expect_same_net(parallel.policy().mean_net(), reference.policy().mean_net(),
-                    workers);
-    expect_same_net(parallel.value_net(), reference.value_net(), workers);
-    EXPECT_EQ(parallel.policy().log_std(), reference.policy().log_std())
-        << workers << " workers";
-    EXPECT_EQ(stats.iteration_mean_returns, ref_stats.iteration_mean_returns)
-        << workers << " workers";
-    EXPECT_EQ(stats.iteration_kls, ref_stats.iteration_kls)
-        << workers << " workers";
-  }
+  const rl::PpoConfig config = tiny_ppo(21);
+  const auto train = [&] {
+    return train_fresh<rl::PpoGaussian, PointMassEnv>(config);
+  };
+  const auto [reference, ref_stats] = run_serially(train);
+  const auto [parallel, stats] = train();
+  const int workers = pool_width();
+  expect_same_net(parallel.policy().mean_net(), reference.policy().mean_net(),
+                  workers);
+  expect_same_net(parallel.value_net(), reference.value_net(), workers);
+  EXPECT_EQ(parallel.policy().log_std(), reference.policy().log_std())
+      << workers << " workers";
+  EXPECT_EQ(stats.iteration_mean_returns, ref_stats.iteration_mean_returns)
+      << workers << " workers";
+  EXPECT_EQ(stats.iteration_kls, ref_stats.iteration_kls)
+      << workers << " workers";
 }
 
 TEST(PpoGaussianParallel, ClipVariantBitwiseIdenticalToo) {
@@ -78,36 +88,29 @@ TEST(PpoGaussianParallel, ClipVariantBitwiseIdenticalToo) {
   // tree must not care which.
   rl::PpoConfig config = tiny_ppo(22);
   config.use_clip = true;
-  config.num_workers = 1;
-  PointMassEnv env_ref;
-  rl::PpoGaussian reference(config);
-  (void)reference.train(env_ref);
-  config.num_workers = 8;
-  PointMassEnv env;
-  rl::PpoGaussian parallel(config);
-  (void)parallel.train(env);
+  const auto train = [&] {
+    return train_fresh<rl::PpoGaussian, PointMassEnv>(config);
+  };
+  const auto reference = run_serially(train).first;
+  const auto parallel = train().first;
   expect_same_net(parallel.policy().mean_net(), reference.policy().mean_net(),
-                  8);
+                  pool_width());
 }
 
 TEST(PpoCategoricalParallel, BitwiseIdenticalForAnyWorkerCount) {
-  rl::PpoConfig config = tiny_ppo(23);
-  config.num_workers = 1;
-  DiscretePointMassEnv env_ref;
-  rl::PpoCategorical reference(config);
-  const rl::PpoStats ref_stats = reference.train(env_ref);
-  for (const int workers : {2, 8}) {
-    config.num_workers = workers;
-    DiscretePointMassEnv env;
-    rl::PpoCategorical parallel(config);
-    const rl::PpoStats stats = parallel.train(env);
-    expect_same_net(parallel.policy().logits_net(),
-                    reference.policy().logits_net(), workers);
-    EXPECT_EQ(stats.iteration_mean_returns, ref_stats.iteration_mean_returns)
-        << workers << " workers";
-    EXPECT_EQ(stats.iteration_kls, ref_stats.iteration_kls)
-        << workers << " workers";
-  }
+  const rl::PpoConfig config = tiny_ppo(23);
+  const auto train = [&] {
+    return train_fresh<rl::PpoCategorical, DiscretePointMassEnv>(config);
+  };
+  const auto [reference, ref_stats] = run_serially(train);
+  const auto [parallel, stats] = train();
+  const int workers = pool_width();
+  expect_same_net(parallel.policy().logits_net(),
+                  reference.policy().logits_net(), workers);
+  EXPECT_EQ(stats.iteration_mean_returns, ref_stats.iteration_mean_returns)
+      << workers << " workers";
+  EXPECT_EQ(stats.iteration_kls, ref_stats.iteration_kls)
+      << workers << " workers";
 }
 
 TEST(DdpgParallel, BitwiseIdenticalForAnyWorkerCount) {
@@ -118,20 +121,16 @@ TEST(DdpgParallel, BitwiseIdenticalForAnyWorkerCount) {
   config.warmup_steps = 120;
   config.batch_size = 52;  // 6 x 8 + 4: a partial last chunk.
   config.seed = 24;
-  config.num_workers = 1;
-  PointMassEnv env_ref;
-  rl::Ddpg reference(config);
-  const rl::DdpgStats ref_stats = reference.train(env_ref);
-  for (const int workers : {2, 8}) {
-    config.num_workers = workers;
-    PointMassEnv env;
-    rl::Ddpg parallel(config);
-    const rl::DdpgStats stats = parallel.train(env);
-    expect_same_net(parallel.actor(), reference.actor(), workers);
-    expect_same_net(parallel.critic(), reference.critic(), workers);
-    EXPECT_EQ(stats.episode_returns, ref_stats.episode_returns)
-        << workers << " workers";
-  }
+  const auto train = [&] {
+    return train_fresh<rl::Ddpg, PointMassEnv>(config);
+  };
+  const auto [reference, ref_stats] = run_serially(train);
+  const auto [parallel, stats] = train();
+  const int workers = pool_width();
+  expect_same_net(parallel.actor(), reference.actor(), workers);
+  expect_same_net(parallel.critic(), reference.critic(), workers);
+  EXPECT_EQ(stats.episode_returns, ref_stats.episode_returns)
+      << workers << " workers";
 }
 
 TEST(DdpgWarmup, SplitAcrossRunCallsMatchesMonolithic) {
@@ -158,8 +157,8 @@ TEST(DdpgWarmup, SplitAcrossRunCallsMatchesMonolithic) {
 TEST(PipelineGolden, MixingPlusDistillationIdenticalAcrossWorkerCounts) {
   // End-to-end golden check: adaptive mixing (PPO on the real MixingEnv)
   // followed by robust distillation must produce bitwise identical
-  // distilled students for any worker count and for repeated same-seed
-  // runs.
+  // distilled students serially, on the shared pool, and for repeated
+  // same-seed runs.
   const auto make_experts = [] {
     la::Matrix stab(1, 2);
     stab(0, 0) = 3.0;
@@ -187,25 +186,22 @@ TEST(PipelineGolden, MixingPlusDistillationIdenticalAcrossWorkerCounts) {
   distill.epochs = 3;
   distill.seed = 36;
 
-  const auto run_once = [&](int workers) {
+  const auto run_once = [&] {
     auto system = std::make_shared<sys::VanDerPol>();
-    core::MixingConfig config = mixing;
-    config.ppo.num_workers = workers;
-    core::DistillConfig distill_config = distill;
-    distill_config.num_workers = workers;
     const auto mixed =
-        core::train_adaptive_mixing(system, make_experts(), config);
+        core::train_adaptive_mixing(system, make_experts(), mixing);
     const auto student =
-        core::distill(*system, *mixed.controller, distill_config, "golden");
+        core::distill(*system, *mixed.controller, distill, "golden");
     return std::pair{mixed.controller, student.student};
   };
 
-  const auto [teacher_1, student_1] = run_once(1);
-  const auto [teacher_2, student_2] = run_once(2);
-  const auto [teacher_2b, student_2b] = run_once(2);  // same-seed repeat.
-  expect_same_net(teacher_1->weight_net(), teacher_2->weight_net(), 2);
-  expect_same_net(student_1->net(), student_2->net(), 2);
-  expect_same_net(student_2->net(), student_2b->net(), 2);
+  const auto [teacher_1, student_1] = run_serially(run_once);
+  const auto [teacher_2, student_2] = run_once();
+  const auto [teacher_2b, student_2b] = run_once();  // same-seed repeat.
+  const int workers = pool_width();
+  expect_same_net(teacher_1->weight_net(), teacher_2->weight_net(), workers);
+  expect_same_net(student_1->net(), student_2->net(), workers);
+  expect_same_net(student_2->net(), student_2b->net(), workers);
 }
 
 TEST(ChunkedGradReducer, MergeMatchesSerialChunkTree) {

@@ -1,6 +1,7 @@
 // Tests for the batched rollout engine: results must be bitwise identical
-// to serial rollouts for fixed per-job seeds, regardless of worker count,
-// and make_eval_jobs must reproduce the evaluator's historical seeding.
+// to serial rollouts for fixed per-job seeds, regardless of the shared
+// pool's width (serial_run.h), and make_eval_jobs must reproduce the
+// evaluator's historical seeding.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,12 +14,15 @@
 #include "core/metrics.h"
 #include "core/rollout.h"
 #include "nn/mlp.h"
+#include "serial_run.h"
 #include "sys/vanderpol.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace cocktail {
 namespace {
+
+using testutil::pool_width;
+using testutil::run_serially;
 
 ctrl::NnController make_controller(std::uint64_t seed = 7) {
   nn::Mlp net = nn::Mlp::make(2, {16}, 1, nn::Activation::kTanh,
@@ -57,9 +61,8 @@ TEST(BatchRollout, MatchesSerialRolloutBitwise) {
   const auto controller = make_controller();
   const auto jobs = make_jobs(system, 40, nullptr);
 
-  core::BatchRolloutConfig config;
-  config.rollout.record_trajectory = true;
-  config.num_workers = 4;
+  core::RolloutConfig config;
+  config.record_trajectory = true;
   const auto batched = core::batch_rollout(system, controller, jobs, config);
 
   ASSERT_EQ(batched.size(), jobs.size());
@@ -67,7 +70,7 @@ TEST(BatchRollout, MatchesSerialRolloutBitwise) {
     util::Rng rng(jobs[i].seed);
     const auto serial =
         core::rollout(system, controller, jobs[i].initial_state,
-                      jobs[i].perturbation, rng, config.rollout);
+                      jobs[i].perturbation, rng, config);
     expect_bitwise_equal(batched[i], serial, i);
   }
 }
@@ -78,20 +81,16 @@ TEST(BatchRollout, WorkerCountNeverChangesResults) {
   const attack::UniformNoise noise({0.2, 0.2});
   const auto jobs = make_jobs(system, 60, &noise);
 
-  core::BatchRolloutConfig serial_config;
-  serial_config.rollout.record_trajectory = true;
-  serial_config.num_workers = 1;
-  const auto reference =
-      core::batch_rollout(system, controller, jobs, serial_config);
-
-  for (const int workers : {0, 2, 4, 8}) {
-    core::BatchRolloutConfig config = serial_config;
-    config.num_workers = workers;
-    const auto batched = core::batch_rollout(system, controller, jobs, config);
-    ASSERT_EQ(batched.size(), reference.size()) << workers << " workers";
-    for (std::size_t i = 0; i < reference.size(); ++i)
-      expect_bitwise_equal(batched[i], reference[i], i);
-  }
+  core::RolloutConfig config;
+  config.record_trajectory = true;
+  const auto batch = [&] {
+    return core::batch_rollout(system, controller, jobs, config);
+  };
+  const auto reference = run_serially(batch);
+  const auto batched = batch();
+  ASSERT_EQ(batched.size(), reference.size()) << pool_width() << " workers";
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    expect_bitwise_equal(batched[i], reference[i], i);
 }
 
 TEST(BatchRollout, GradientAttackJobsAreDeterministicAcrossWorkers) {
@@ -100,41 +99,14 @@ TEST(BatchRollout, GradientAttackJobsAreDeterministicAcrossWorkers) {
   const attack::FgsmAttack fgsm({0.25, 0.25});
   const auto jobs = make_jobs(system, 30, &fgsm);
 
-  core::BatchRolloutConfig serial_config;
-  serial_config.num_workers = 1;
-  const auto reference =
-      core::batch_rollout(system, controller, jobs, serial_config);
-  core::BatchRolloutConfig parallel_config;
-  parallel_config.num_workers = 4;
-  const auto batched =
-      core::batch_rollout(system, controller, jobs, parallel_config);
+  const auto batch = [&] {
+    return core::batch_rollout(system, controller, jobs);
+  };
+  const auto reference = run_serially(batch);
+  const auto batched = batch();
+  ASSERT_EQ(batched.size(), reference.size()) << pool_width() << " workers";
   for (std::size_t i = 0; i < reference.size(); ++i)
     expect_bitwise_equal(batched[i], reference[i], i);
-}
-
-TEST(BatchRollout, ExternalPoolMatchesDedicatedWorkers) {
-  // A caller-owned pool (BatchRolloutConfig::pool) must behave exactly like
-  // the per-call worker configs, and survive reuse across batches.
-  const sys::VanDerPol system;
-  const auto controller = make_controller();
-  const auto jobs = make_jobs(system, 20, nullptr);
-
-  core::BatchRolloutConfig serial_config;
-  serial_config.rollout.record_trajectory = true;
-  serial_config.num_workers = 1;
-  const auto reference =
-      core::batch_rollout(system, controller, jobs, serial_config);
-
-  util::ThreadPool pool(3);
-  core::BatchRolloutConfig pooled_config = serial_config;
-  pooled_config.pool = &pool;
-  for (int round = 0; round < 3; ++round) {
-    const auto batched =
-        core::batch_rollout(system, controller, jobs, pooled_config);
-    ASSERT_EQ(batched.size(), reference.size()) << "round " << round;
-    for (std::size_t i = 0; i < reference.size(); ++i)
-      expect_bitwise_equal(batched[i], reference[i], i);
-  }
 }
 
 TEST(BatchRollout, EmptyBatchReturnsEmpty) {
@@ -152,9 +124,8 @@ TEST(BatchRollout, DistinctSeedsDrawDistinctDisturbanceStreams) {
   jobs[0].seed = 1;
   jobs[1].initial_state = {0.5, 0.5};
   jobs[1].seed = 2;
-  core::BatchRolloutConfig config;
-  config.rollout.record_trajectory = true;
-  config.num_workers = 2;
+  core::RolloutConfig config;
+  config.record_trajectory = true;
   const auto results = core::batch_rollout(system, controller, jobs, config);
   ASSERT_EQ(results.size(), 2u);
   // Same start, different ω streams: the trajectories must diverge.
@@ -171,9 +142,8 @@ TEST(BatchRolloutPaired, FusedBatchMatchesTwoBatchesBitwise) {
   const attack::UniformNoise noise({0.15, 0.15});
   const auto jobs = make_jobs(system, 50, &noise);
 
-  core::BatchRolloutConfig config;
-  config.rollout.record_trajectory = true;
-  config.num_workers = 4;
+  core::RolloutConfig config;
+  config.record_trajectory = true;
   const auto two_a = core::batch_rollout(system, a, jobs, config);
   const auto two_b = core::batch_rollout(system, b, jobs, config);
   const auto fused = core::batch_rollout_paired(system, a, b, jobs, config);
@@ -192,18 +162,16 @@ TEST(BatchRolloutPaired, WorkerCountNeverChangesResults) {
   const auto b = make_controller(8);
   const auto jobs = make_jobs(system, 30, nullptr);
 
-  core::BatchRolloutConfig serial_config;
-  serial_config.num_workers = 1;
-  const auto reference =
-      core::batch_rollout_paired(system, a, b, jobs, serial_config);
-  for (const int workers : {0, 2, 8}) {
-    core::BatchRolloutConfig config;
-    config.num_workers = workers;
-    const auto fused = core::batch_rollout_paired(system, a, b, jobs, config);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      expect_bitwise_equal(fused.a[i], reference.a[i], i);
-      expect_bitwise_equal(fused.b[i], reference.b[i], i);
-    }
+  const auto batch = [&] {
+    return core::batch_rollout_paired(system, a, b, jobs);
+  };
+  const auto reference = run_serially(batch);
+  const auto fused = batch();
+  ASSERT_EQ(fused.a.size(), jobs.size()) << pool_width() << " workers";
+  ASSERT_EQ(fused.b.size(), jobs.size()) << pool_width() << " workers";
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    expect_bitwise_equal(fused.a[i], reference.a[i], i);
+    expect_bitwise_equal(fused.b[i], reference.b[i], i);
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for util::ThreadPool: sizing, submit futures, parallel_for index
-// coverage, exception propagation, and the shared pool.
+// coverage, exception propagation, the shared pool and its COCKTAIL_THREADS
+// parse.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -125,12 +126,6 @@ TEST(ChunkedReduce, FloatSumBitwiseIdenticalForAnyWorkerCount) {
   for (const int workers : {1, 2, 3, 8}) {
     util::ThreadPool pool(workers);
     EXPECT_EQ(sum_with(&pool), serial) << workers << " workers";
-    EXPECT_EQ(pool.parallel_reduce(
-                  1000, 16, [] { return 0.0; },
-                  [&](double& acc, std::size_t i) { acc += term(i); },
-                  [](double& into, const double& from) { into += from; }),
-              serial)
-        << workers << " workers (member)";
   }
 }
 
@@ -149,17 +144,6 @@ TEST(ChunkedReduce, ZeroGrainIsTreatedAsOne) {
       [](int& acc, std::size_t) { ++acc; },
       [](int& into, const int& from) { into += from; });
   EXPECT_EQ(count, 5);
-}
-
-TEST(WorkerScope, ResolvesTheSharedConvention) {
-  const util::WorkerScope serial(1);
-  EXPECT_EQ(serial.pool(), nullptr);
-  const util::WorkerScope shared(0);
-  EXPECT_EQ(shared.pool(), &util::ThreadPool::shared());
-  const util::WorkerScope dedicated(3);
-  ASSERT_NE(dedicated.pool(), nullptr);
-  EXPECT_NE(dedicated.pool(), &util::ThreadPool::shared());
-  EXPECT_EQ(dedicated.pool()->size(), 3u);
 }
 
 TEST(ThreadPool, SubmitFromOwnWorkerIsRejected) {
@@ -209,6 +193,37 @@ TEST(ThreadPool, SharedPoolIsASingleton) {
   util::ThreadPool& b = util::ThreadPool::shared();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.size(), 1u);
+}
+
+TEST(ParseThreadCount, UnsetOrEmptyKeepsHardwareConcurrency) {
+  EXPECT_EQ(util::parse_thread_count(nullptr), 0);
+  EXPECT_EQ(util::parse_thread_count(""), 0);
+}
+
+TEST(ParseThreadCount, AcceptsTheWholeRange) {
+  EXPECT_EQ(util::parse_thread_count("1"), 1);
+  EXPECT_EQ(util::parse_thread_count("8"), 8);
+  EXPECT_EQ(util::parse_thread_count("1024"), 1024);
+}
+
+TEST(ParseThreadCount, RejectsAnythingElseNamingTheValue) {
+  // Garbage, trailing junk, signs, spaces, zero, past the range and past
+  // int: each throws instead of quietly picking a width.
+  for (const char* bad : {"abc", "4abc", "4 ", " 4", "+4", "0", "-3", "1025",
+                          "2147483648", "99999999999999999999", "0x10",
+                          "2.5"}) {
+    try {
+      (void)util::parse_thread_count(bad);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("COCKTAIL_THREADS"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::string("\"") + bad + "\""),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 // --- the annotated mutex/condvar wrappers (util/mutex.h) -------------------

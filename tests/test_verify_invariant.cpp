@@ -10,9 +10,9 @@
 #include "control/lqr_controller.h"
 #include "control/nn_controller.h"
 #include "control/polynomial_controller.h"
+#include "serial_run.h"
 #include "sys/registry.h"
 #include "sys/vanderpol.h"
-#include "util/thread_pool.h"
 #include "verify/invariant.h"
 
 namespace cocktail {
@@ -182,8 +182,7 @@ TEST(Invariant, ParallelSweepMatchesSerial) {
     const verify::InvariantSetComputer computer(system, *controller, config);
     const auto parallel = computer.compute();
     const auto serial =
-        util::ThreadPool::shared().submit([&] { return computer.compute(); })
-            .get();
+        testutil::run_serially([&] { return computer.compute(); });
     SCOPED_TRACE(controller->describe());
     EXPECT_EQ(parallel.completed, serial.completed);
     EXPECT_EQ(parallel.failure, serial.failure);

@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "control/lqr_controller.h"
 #include "control/nn_controller.h"
 #include "control/polynomial_controller.h"
 #include "core/distiller.h"
+#include "serial_run.h"
 #include "sys/threed.h"
 #include "sys/vanderpol.h"
 #include "verify/reach.h"
@@ -18,6 +20,8 @@ namespace cocktail {
 namespace {
 
 using la::Vec;
+using testutil::pool_width;
+using testutil::run_serially;
 using verify::IBox;
 using verify::Interval;
 
@@ -136,6 +140,13 @@ void expect_same_reach(const verify::ReachResult& a,
   }
 }
 
+/// The analysis run serially on a pool worker, then on the shared pool.
+std::pair<verify::ReachResult, verify::ReachResult> serial_and_shared(
+    const verify::ReachabilityAnalyzer& analyzer, const IBox& initial) {
+  auto serial = run_serially([&] { return analyzer.analyze(initial); });
+  return {std::move(serial), analyzer.analyze(initial)};
+}
+
 TEST(Reach, SerialAndParallelSweepsAgreeExactly) {
   // Multi-box frontiers (small max_box_width forces subdivision) computed
   // serially and in parallel must agree on everything: flowpipe, safety,
@@ -146,19 +157,14 @@ TEST(Reach, SerialAndParallelSweepsAgreeExactly) {
   config.steps = 6;
   config.abstraction.epsilon_target = 0.15;
   config.max_box_width = 0.03;
-  config.num_workers = 1;
-  const verify::ReachabilityAnalyzer serial(system, *controller, config);
+  const verify::ReachabilityAnalyzer analyzer(system, *controller, config);
   const IBox initial =
       verify::make_box({-0.14, 0.18, 0.08}, {-0.08, 0.24, 0.14});
-  const auto reference = serial.analyze(initial);
+  const auto [reference, parallel] = serial_and_shared(analyzer, initial);
   ASSERT_TRUE(reference.completed) << reference.failure;
   ASSERT_GT(reference.layers.back().size(), 8u)
       << "workload too small to exercise the parallel sweep";
-  for (const int workers : {0, 2, 8}) {
-    config.num_workers = workers;
-    const verify::ReachabilityAnalyzer parallel(system, *controller, config);
-    expect_same_reach(parallel.analyze(initial), reference, workers);
-  }
+  expect_same_reach(parallel, reference, pool_width());
 }
 
 TEST(Reach, BudgetExhaustionAgreesAcrossWorkerCounts) {
@@ -173,17 +179,12 @@ TEST(Reach, BudgetExhaustionAgreesAcrossWorkerCounts) {
   config.abstraction.epsilon_target = 0.05;
   config.abstraction.max_degree = 3;
   config.budget.max_nn_evaluations = 20'000;
-  config.num_workers = 1;
-  const verify::ReachabilityAnalyzer serial(system, big, config);
+  const verify::ReachabilityAnalyzer analyzer(system, big, config);
   const IBox initial =
       verify::make_box({-0.11, 0.205, 0.1}, {-0.105, 0.21, 0.11});
-  const auto reference = serial.analyze(initial);
+  const auto [reference, parallel] = serial_and_shared(analyzer, initial);
   ASSERT_FALSE(reference.completed);
-  for (const int workers : {0, 4}) {
-    config.num_workers = workers;
-    const verify::ReachabilityAnalyzer parallel(system, big, config);
-    expect_same_reach(parallel.analyze(initial), reference, workers);
-  }
+  expect_same_reach(parallel, reference, pool_width());
 }
 
 TEST(PaveBoxes, CoversAllInputBoxes) {
@@ -324,19 +325,14 @@ TEST(Reach, SingleGiantBoxAgreesAcrossWorkerCounts) {
   config.steps = 2;
   config.abstraction.epsilon_target = 0.15;
   config.max_box_width = 0.06;  // 5^3 = 125 sub-boxes in the first step.
-  config.num_workers = 1;
-  const verify::ReachabilityAnalyzer serial(system, *controller, config);
+  const verify::ReachabilityAnalyzer analyzer(system, *controller, config);
   const IBox initial =
       verify::make_box({-0.25, 0.05, -0.05}, {0.05, 0.35, 0.25});
-  const auto reference = serial.analyze(initial);
+  const auto [reference, parallel] = serial_and_shared(analyzer, initial);
   ASSERT_TRUE(reference.completed) << reference.failure;
   ASSERT_GT(reference.layers[1].size(), 100u)
       << "workload too small to exercise the parallel sweep";
-  for (const int workers : {0, 2, 8}) {
-    config.num_workers = workers;
-    const verify::ReachabilityAnalyzer parallel(system, *controller, config);
-    expect_same_reach(parallel.analyze(initial), reference, workers);
-  }
+  expect_same_reach(parallel, reference, pool_width());
 }
 
 TEST(Reach, BudgetExhaustionStopsAtTheSerialPoint) {
@@ -356,14 +352,11 @@ TEST(Reach, BudgetExhaustionStopsAtTheSerialPoint) {
       verify::make_box({-0.11, 0.205, 0.1}, {-0.105, 0.21, 0.11});
   for (const long cap : {1'000L, 3'000L}) {
     config.budget.max_partitions = cap;
-    for (const int workers : {1, 2, 8, 0}) {
-      config.num_workers = workers;
-      const verify::ReachabilityAnalyzer analyzer(system, big, config);
-      const auto result = analyzer.analyze(initial);
-      EXPECT_FALSE(result.completed) << cap << ", " << workers << " workers";
-      EXPECT_EQ(result.partitions, cap + 1)
-          << cap << ", " << workers << " workers";
-    }
+    const verify::ReachabilityAnalyzer analyzer(system, big, config);
+    const auto [serial, shared] = serial_and_shared(analyzer, initial);
+    EXPECT_FALSE(serial.completed) << cap;
+    EXPECT_EQ(serial.partitions, cap + 1) << cap;
+    expect_same_reach(shared, serial, pool_width());
   }
 }
 
