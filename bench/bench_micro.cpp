@@ -204,6 +204,27 @@ void BM_MlpForwardRows(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardRows)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 
+// forward_rows on the shape of the 3D verify subjects (3 -> 40 -> 1, tanh
+// on both layers): the Bernstein sampling of one verifier leaf, whose
+// narrow layers take gemm_nt's short and one-output paths.  Items/sec is
+// grid points/sec.
+void BM_MlpForwardRowsThreeD(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const nn::Mlp net = nn::Mlp::make(3, {40}, 1, nn::Activation::kTanh,
+                                    nn::Activation::kTanh, 1);
+  std::vector<double> x(rows * 3), y(rows);
+  util::Rng rng(5);
+  for (auto& v : x) v = rng.uniform(-0.3, 0.3);
+  for (auto _ : state) {
+    net.forward_rows(x.data(), rows, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_MlpForwardRowsThreeD)->Arg(12)->Arg(64);
+
 // The batched forward's tanh (la::kernels::tanh_rows) over Arg values, and
 // the libm std::tanh loop it replaced as the comparator — the same bits on
 // an FMA-capable x86-64 host with glibc 2.36.  2560 = one 64-row tile of a

@@ -24,8 +24,9 @@
 // Each lane kernel exists at two widths (LaneKernels): four lanes per AVX2
 // vector, the file's own ISA, and eight per AVX-512F vector, compiled
 // through a target attribute.  tanh (la/tanh_lanes.inc) and the training
-// kernels (la/lane_kernels.inc) are one text each over a lane-traits type,
-// included once per width; gemm_nt's eight-column pass is AVX-512F only.
+// kernels with gemm_nt's short path (la/lane_kernels.inc) are one text each
+// over a lane-traits type, included once per width; gemm_nt's eight-column
+// and one-output passes are AVX-512F only.
 // The entry points take the eight-lane table only where the CPU and OS
 // report AVX-512F, checked once below.  This file, with the .inc files it
 // includes, is the only place that holds ISA code or asks the host which
@@ -73,15 +74,15 @@ inline double reduce4(const double* l) {
 
 #if defined(COCKTAIL_LA_VECTOR)
 
-/// out[j] = dot(a, b[j]) for TR parallel B-rows under the fixed dot
-/// schedule.  TR is the register-tile width: it only reuses the loads of
-/// `a` across the TR accumulations, each of which is the schedule verbatim.
-/// Schedule lanes 0-3 live in lo[j], lanes 4-7 in hi[j] — 2*TR+2 ymm
-/// registers total, so the accumulators stay register-resident for the
-/// kGemmTileCols tile.
+/// out[j] = dot(a, b[j]) (+ bias[j] when `bias` is non-null) for TR
+/// parallel B-rows under the fixed dot schedule.  TR is the register-tile
+/// width: it only reuses the loads of `a` across the TR accumulations, each
+/// of which is the schedule verbatim.  Schedule lanes 0-3 live in lo[j],
+/// lanes 4-7 in hi[j] — 2*TR+2 ymm registers total, so the accumulators
+/// stay register-resident for the kGemmTileCols tile.
 template <std::size_t TR>
 inline void dot_rows(const double* a, const double* const* b, std::size_t k,
-                     double* out) {
+                     const double* bias, double* out) {
   double acc[TR];
   for (std::size_t j = 0; j < TR; ++j) acc[j] = 0.0;
   for (std::size_t t0 = 0; t0 < k; t0 += KB) {
@@ -117,47 +118,8 @@ inline void dot_rows(const double* a, const double* const* b, std::size_t k,
     }
     for (std::size_t j = 0; j < TR; ++j) acc[j] += reduce8(larr[j]);
   }
-  for (std::size_t j = 0; j < TR; ++j) out[j] = acc[j];
-}
-
-/// C = A * B^T for a reduction shorter than one lane group (K < kDotLanes),
-/// where dot_rows would run entirely in its scalar tail.  `p` is B^T packed
-/// K x n (row t holds element t of every B row), so four consecutive output
-/// columns load as one vector.  Lane t of the schedule is
-/// fma(a_t, b_t, +0.0); lanes K..7 stay +0.0 and still enter the fixed
-/// tree, and the tree's sum is added to the +0.0 block accumulator — every
-/// operation of the schedule, so each element matches gemm_nt_ref bit for
-/// bit, signed zeros included.  The n mod 4 leftover columns run dot_rows.
-template <std::size_t K>
-void gemm_nt_short(std::size_t m, std::size_t n, const double* a,
-                   std::size_t lda, const double* p, const double* b,
-                   std::size_t ldb, double* c, std::size_t ldc) {
-  static_assert(K >= 1 && K < W, "short path is for one partial lane group");
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* ai = a + i * lda;
-    double* ci = c + i * ldc;
-    __m256d av[K];
-    for (std::size_t t = 0; t < K; ++t) av[t] = _mm256_set1_pd(ai[t]);
-    std::size_t j = 0;
-    for (; j + WT <= n; j += WT) {
-      __m256d l[W];
-      for (std::size_t t = 0; t < W; ++t)
-        l[t] = t < K ? _mm256_fmadd_pd(av[t], _mm256_loadu_pd(p + t * n + j),
-                                       zero)
-                     : zero;
-      const __m256d tree =
-          _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(l[0], l[1]),
-                                      _mm256_add_pd(l[2], l[3])),
-                        _mm256_add_pd(_mm256_add_pd(l[4], l[5]),
-                                      _mm256_add_pd(l[6], l[7])));
-      _mm256_storeu_pd(ci + j, _mm256_add_pd(zero, tree));
-    }
-    for (; j < n; ++j) {
-      const double* bp[1] = {b + j * ldb};
-      dot_rows<1>(ai, bp, K, ci + j);
-    }
-  }
+  for (std::size_t j = 0; j < TR; ++j)
+    out[j] = bias != nullptr ? acc[j] + bias[j] : acc[j];
 }
 
 #endif  // COCKTAIL_LA_VECTOR
@@ -226,7 +188,7 @@ double dot(const double* a, const double* b, std::size_t k) {
 #if defined(COCKTAIL_LA_VECTOR)
   double out;
   const double* bp[1] = {b};
-  dot_rows<1>(a, bp, k, &out);
+  dot_rows<1>(a, bp, k, nullptr, &out);
   return out;
 #else
   return dot_ref(a, b, k);
@@ -240,57 +202,6 @@ void gemm_nt_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
     for (std::size_t j = 0; j < n; ++j)
       c[i * ldc + j] = dot_ref(a + i * lda, b + j * ldb, k);
 }
-
-namespace {
-
-/// gemm_nt at four lanes: the short path for k < kDotLanes, else
-/// kGemmTileCols columns per pass through dot_rows.
-void gemm_nt_avx2(std::size_t m, std::size_t n, std::size_t k,
-                  const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, double* c, std::size_t ldc) {
-#if defined(COCKTAIL_LA_VECTOR)
-  if (k >= 1 && k < W && n >= WT) {
-    // Pack B^T once per call (pure data movement; at most 7 x n doubles).
-    thread_local std::vector<double> panel;
-    if (panel.size() < k * n) panel.resize(k * n);
-    pack_bt(k, n, b, ldb, panel.data());
-    const double* p = panel.data();
-    switch (k) {
-      case 1: return gemm_nt_short<1>(m, n, a, lda, p, b, ldb, c, ldc);
-      case 2: return gemm_nt_short<2>(m, n, a, lda, p, b, ldb, c, ldc);
-      case 3: return gemm_nt_short<3>(m, n, a, lda, p, b, ldb, c, ldc);
-      case 4: return gemm_nt_short<4>(m, n, a, lda, p, b, ldb, c, ldc);
-      case 5: return gemm_nt_short<5>(m, n, a, lda, p, b, ldb, c, ldc);
-      case 6: return gemm_nt_short<6>(m, n, a, lda, p, b, ldb, c, ldc);
-      default: return gemm_nt_short<7>(m, n, a, lda, p, b, ldb, c, ldc);
-    }
-  }
-  // Visit output columns in kGemmBlockCols-wide panels so the active rows
-  // of B stay L2-resident across the whole sweep over A.  Pure iteration
-  // order: each c(i,j) is still produced by exactly one dot_rows call.
-  for (std::size_t j0 = 0; j0 < n; j0 += kGemmBlockCols) {
-    const std::size_t jend = std::min(n, j0 + kGemmBlockCols);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* ai = a + i * lda;
-      double* ci = c + i * ldc;
-      std::size_t j = j0;
-      for (; j + NR <= jend; j += NR) {
-        const double* bp[NR];
-        for (std::size_t q = 0; q < NR; ++q) bp[q] = b + (j + q) * ldb;
-        dot_rows<NR>(ai, bp, k, ci + j);
-      }
-      for (; j < jend; ++j) {
-        const double* bp[1] = {b + j * ldb};
-        dot_rows<1>(ai, bp, k, ci + j);
-      }
-    }
-  }
-#else
-  gemm_nt_ref(m, n, k, a, lda, b, ldb, c, ldc);
-#endif
-}
-
-}  // namespace
 
 void gemm_nn_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  std::size_t lda, const double* b, std::size_t ldb, double* c,
@@ -312,7 +223,7 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   thread_local std::vector<double> bt;
   if (bt.size() < n * k) bt.resize(n * k);
   pack_bt(n, k, b, ldb, bt.data());
-  gemm_nt(m, n, k, a, lda, bt.data(), k, c, ldc);
+  gemm_nt(m, n, k, a, lda, bt.data(), k, nullptr, c, ldc);
 }
 
 void matvec_t_ref(std::size_t m, std::size_t k, const double* a,
@@ -578,6 +489,45 @@ namespace lanes4 {
 
 #endif  // COCKTAIL_LA_VECTOR
 
+/// gemm_nt at four lanes: the short path for k < kDotLanes, else
+/// kGemmTileCols columns per pass through dot_rows.
+void gemm_nt_avx2(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, const double* bias, double* c,
+                  std::size_t ldc) {
+#if defined(COCKTAIL_LA_VECTOR)
+  if (k >= 1 && k < W && n >= WT)
+    return lanes4::gemm_nt_short_lanes<Lanes4>(m, n, k, a, lda, b, ldb, bias,
+                                               c, ldc);
+  // Visit output columns in kGemmBlockCols-wide panels so the active rows
+  // of B stay L2-resident across the whole sweep over A.  Pure iteration
+  // order: each c(i,j) is still produced by exactly one dot_rows call.
+  for (std::size_t j0 = 0; j0 < n; j0 += kGemmBlockCols) {
+    const std::size_t jend = std::min(n, j0 + kGemmBlockCols);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* ai = a + i * lda;
+      double* ci = c + i * ldc;
+      std::size_t j = j0;
+      for (; j + NR <= jend; j += NR) {
+        const double* bp[NR];
+        for (std::size_t q = 0; q < NR; ++q) bp[q] = b + (j + q) * ldb;
+        dot_rows<NR>(ai, bp, k, bias != nullptr ? bias + j : nullptr, ci + j);
+      }
+      for (; j < jend; ++j) {
+        const double* bp[1] = {b + j * ldb};
+        dot_rows<1>(ai, bp, k, bias != nullptr ? bias + j : nullptr, ci + j);
+      }
+    }
+  }
+#else
+  gemm_nt_ref(m, n, k, a, lda, b, ldb, c, ldc);
+  if (bias != nullptr)
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        c[i * ldc + j] = c[i * ldc + j] + bias[j];
+#endif
+}
+
 #if defined(COCKTAIL_LA_AVX512)
 
 /// Eight lanes per AVX-512F vector, with __mmask8 lane masks; each
@@ -773,7 +723,7 @@ template <std::size_t MR>
 [[COCKTAIL_AVX512]] inline void gemm_nt_pass8(
     std::size_t i, std::size_t j, std::size_t cols, std::size_t k,
     const double* a, std::size_t lda, const double* b, std::size_t ldb,
-    double* c, std::size_t ldc) {
+    const double* bias, double* c, std::size_t ldc) {
   const double* ap[MR];
   for (std::size_t r = 0; r < MR; ++r) ap[r] = a + (i + r) * lda;
   const double* bp[8];
@@ -781,36 +731,48 @@ template <std::size_t MR>
     bp[q] = b + (j + std::min(q, cols - 1)) * ldb;
   __m512d out[MR];
   dot_cols8<MR>(ap, bp, k, out);
+  const __mmask8 lanes = Lanes8::first(cols);
+  if (bias != nullptr) {
+    const __m512d bv = _mm512_maskz_loadu_pd(lanes, bias + j);
+    for (std::size_t r = 0; r < MR; ++r) out[r] = _mm512_add_pd(out[r], bv);
+  }
   for (std::size_t r = 0; r < MR; ++r)
-    _mm512_mask_storeu_pd(c + (i + r) * ldc + j, Lanes8::first(cols),
-                          out[r]);
+    _mm512_mask_storeu_pd(c + (i + r) * ldc + j, lanes, out[r]);
+}
+
+/// gemm_nt's one-output path (n = 1): rows i..i+7 of C per pass, row i + q
+/// in lane q.  The weight row takes dot_cols8's A role and the eight rows
+/// of A its B role, which is exact because fma(a, b, c) = fma(b, a, c).  A
+/// pass of fewer rows repeats its last row in the spare lanes and stores
+/// only its own.
+[[COCKTAIL_AVX512]] inline void gemm_nt_col8(std::size_t m, std::size_t k,
+                                            const double* a, std::size_t lda,
+                                            const double* b,
+                                            const double* bias, double* c,
+                                            std::size_t ldc) {
+  const double* const wp[1] = {b};
+  for (std::size_t i = 0; i < m; i += 8) {
+    const std::size_t rows = std::min<std::size_t>(8, m - i);
+    const double* ap[8];
+    for (std::size_t q = 0; q < 8; ++q)
+      ap[q] = a + (i + std::min(q, rows - 1)) * lda;
+    __m512d out;
+    dot_cols8<1>(wp, ap, k, &out);
+    if (bias != nullptr) out = _mm512_add_pd(out, _mm512_set1_pd(*bias));
+    if (ldc == 1) {
+      _mm512_mask_storeu_pd(c + i, Lanes8::first(rows), out);
+    } else {
+      double lanes[8];
+      _mm512_storeu_pd(lanes, out);
+      for (std::size_t q = 0; q < rows; ++q) c[(i + q) * ldc] = lanes[q];
+    }
+  }
 }
 
 #undef COCKTAIL_AVX512
 
 static_assert(kGemmBlockCols % 8 == 0,
               "cache blocks must hold whole eight-column passes");
-
-/// gemm_nt at eight lanes: for k >= 8 and n >= 8, passes of two A rows by
-/// eight output columns, gemm_nt_avx2 otherwise.
-[[gnu::target("avx512f")]] void gemm_nt_avx512(
-    std::size_t m, std::size_t n, std::size_t k, const double* a,
-    std::size_t lda, const double* b, std::size_t ldb, double* c,
-    std::size_t ldc) {
-  if (k < W || n < 8) return gemm_nt_avx2(m, n, k, a, lda, b, ldb, c, ldc);
-  for (std::size_t j0 = 0; j0 < n; j0 += kGemmBlockCols) {
-    const std::size_t jend = std::min(n, j0 + kGemmBlockCols);
-    std::size_t i = 0;
-    for (; i + 2 <= m; i += 2)
-      for (std::size_t j = j0; j < jend; j += 8)
-        gemm_nt_pass8<2>(i, j, std::min<std::size_t>(8, jend - j), k, a, lda,
-                         b, ldb, c, ldc);
-    if (i < m)
-      for (std::size_t j = j0; j < jend; j += 8)
-        gemm_nt_pass8<1>(i, j, std::min<std::size_t>(8, jend - j), k, a, lda,
-                         b, ldb, c, ldc);
-  }
-}
 
 // lanes8::tanh_lanes<Lanes8> and the training kernels: the same texts,
 // compiled for AVX-512F.
@@ -820,6 +782,35 @@ namespace lanes8 {
 #include "la/lane_kernels.inc"
 #undef COCKTAIL_LANES_TARGET
 }  // namespace lanes8
+
+/// gemm_nt at eight lanes: one output column over at least eight rows takes
+/// the one-output path (fewer rows, such as one act() call, keep the
+/// one-column dot of gemm_nt_avx2); with n >= 8, k < 8 takes the short
+/// path and k >= 8 passes of two A rows by eight output columns; any other
+/// shape runs gemm_nt_avx2.
+[[gnu::target("avx512f")]] void gemm_nt_avx512(
+    std::size_t m, std::size_t n, std::size_t k, const double* a,
+    std::size_t lda, const double* b, std::size_t ldb, const double* bias,
+    double* c, std::size_t ldc) {
+  if (n == 1 && m >= 8) return gemm_nt_col8(m, k, a, lda, b, bias, c, ldc);
+  if (k == 0 || n < 8)
+    return gemm_nt_avx2(m, n, k, a, lda, b, ldb, bias, c, ldc);
+  if (k < W)
+    return lanes8::gemm_nt_short_lanes<Lanes8>(m, n, k, a, lda, b, ldb, bias,
+                                               c, ldc);
+  for (std::size_t j0 = 0; j0 < n; j0 += kGemmBlockCols) {
+    const std::size_t jend = std::min(n, j0 + kGemmBlockCols);
+    std::size_t i = 0;
+    for (; i + 2 <= m; i += 2)
+      for (std::size_t j = j0; j < jend; j += 8)
+        gemm_nt_pass8<2>(i, j, std::min<std::size_t>(8, jend - j), k, a, lda,
+                         b, ldb, bias, c, ldc);
+    if (i < m)
+      for (std::size_t j = j0; j < jend; j += 8)
+        gemm_nt_pass8<1>(i, j, std::min<std::size_t>(8, jend - j), k, a, lda,
+                         b, ldb, bias, c, ldc);
+  }
+}
 
 #endif  // COCKTAIL_LA_AVX512
 
@@ -934,14 +925,14 @@ const LaneKernels& dispatched_kernels() noexcept {
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) {
-  dispatched_kernels().gemm_nt(m, n, k, a, lda, b, ldb, c, ldc);
+             std::size_t lda, const double* b, std::size_t ldb,
+             const double* bias, double* c, std::size_t ldc) {
+  dispatched_kernels().gemm_nt(m, n, k, a, lda, b, ldb, bias, c, ldc);
 }
 
 void matvec(std::size_t m, std::size_t k, const double* a, std::size_t lda,
             const double* x, double* y) {
-  gemm_nt(1, m, k, x, k, a, lda, y, m);
+  gemm_nt(1, m, k, x, k, a, lda, nullptr, y, m);
 }
 
 void matvec_t(std::size_t m, std::size_t k, const double* a, std::size_t lda,

@@ -29,19 +29,38 @@ namespace cocktail::la::kernels {
 /// Scalar reference of the same schedule (bitwise identical to dot()).
 [[nodiscard]] double dot_ref(const double* a, const double* b, std::size_t k);
 
-/// C = A * B^T.  A is m x k (row stride lda), B is n x k (row stride ldb),
-/// C is m x n (row stride ldc).  C(i, j) = dot(row i of A, row j of B)
-/// under the fixed dot schedule; rows/columns are fully independent, so any
-/// row of C is bitwise identical to the corresponding matvec.  A reduction
-/// shorter than one lane group (k < kDotLanes, n >= 4) packs B^T and runs
-/// four output columns per vector, each still through the whole schedule.
-/// On the AVX-512F path a reduction of at least one lane group (k >= 8,
-/// n >= 8) runs eight output columns per pass, the schedule's eight lanes
-/// of each column in one zmm (see avx512_kernels()).
+/// C = A * B^T + bias.  A is m x k (row stride lda), B is n x k (row stride
+/// ldb), C is m x n (row stride ldc), and `bias` holds n doubles or is null
+/// (no bias).  C(i, j) = dot(row i of A, row j of B) under the fixed dot
+/// schedule, then `+ bias[j]` as one rounded add — the bits of gemm_nt_ref
+/// followed by a separate bias pass, which is what a dense layer computes.
+/// Rows and columns are fully independent, so any row of C is bitwise
+/// identical to the corresponding matvec.
+///
+/// The narrow shapes of small networks take their own paths, every element
+/// still on the whole schedule:
+///   * a reduction shorter than one lane group (k < kDotLanes) packs B^T
+///     and runs one output column per lane, a vector of columns per pass
+///     (four at AVX2 width for n >= 4, eight at AVX-512F width for
+///     n >= 8).  Lanes k..7 of the schedule are +0.0, so the lane tree
+///     skips the adds of sub-trees that hold only those lanes and of the
+///     +0.0 operands they would contribute; the block accumulator's
+///     `+0.0 + tree` stays, and it alone turns a −0.0 sum into +0.0 the
+///     way the skipped adds would have: (x + (y + 0)) + 0 = (x + y) + 0
+///     for every x and y, NaN and signed zeros included;
+///   * on the AVX-512F path, one output column (n = 1) over at least
+///     eight rows runs eight rows per pass, row q of the pass in lane q,
+///     with the weight row as the shared operand — exact because
+///     fma(a, b, c) = fma(b, a, c).  Fewer rows, such as one act() call,
+///     keep the one-column dot;
+///   * on the AVX-512F path a reduction of at least one lane group (k >= 8,
+///     n >= 8) runs eight output columns per pass, the schedule's eight
+///     lanes of each column in one zmm (see avx512_kernels()).
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc);
-/// Scalar reference of the same schedule (bitwise identical to gemm_nt()).
+             std::size_t lda, const double* b, std::size_t ldb,
+             const double* bias, double* c, std::size_t ldc);
+/// Scalar reference of the same schedule without a bias (bitwise identical
+/// to gemm_nt() with a null bias).
 void gemm_nt_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  std::size_t lda, const double* b, std::size_t ldb, double* c,
                  std::size_t ldc);
@@ -61,8 +80,8 @@ void gemm_nn_ref(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  std::size_t ldc);
 
 /// y = A x.  A is m x k (row stride lda); y[i] = dot(row i of A, x) under
-/// the fixed dot schedule: the one-row gemm_nt(x, A), so it takes that
-/// kernel's paths.
+/// the fixed dot schedule: the one-row, bias-free gemm_nt(x, A), so it
+/// takes that kernel's paths.
 void matvec(std::size_t m, std::size_t k, const double* a, std::size_t lda,
             const double* x, double* y);
 
@@ -152,7 +171,8 @@ struct LaneKernels {
   const char* name;
   void (*gemm_nt)(std::size_t m, std::size_t n, std::size_t k,
                   const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, double* c, std::size_t ldc);
+                  std::size_t ldb, const double* bias, double* c,
+                  std::size_t ldc);
   void (*matvec_t_rows)(std::size_t rows, std::size_t m, std::size_t k,
                         const double* a, std::size_t lda, const double* x,
                         std::size_t ldx, double* y, std::size_t ldy);
@@ -168,15 +188,16 @@ struct LaneKernels {
 };
 
 /// Four lanes per AVX2 vector, with masked or scalar tails; gemm_nt runs
-/// four output columns per pass (two ymm per column for k >= 8).  A build
-/// without AVX2 (COCKTAIL_SIMD=OFF) runs the scalar kernels here.  Runs on
-/// every host the build runs on.
+/// four output columns per pass (two ymm per column for k >= 8, one column
+/// per lane for k < 8).  A build without AVX2 (COCKTAIL_SIMD=OFF) runs the
+/// scalar kernels here.  Runs on every host the build runs on.
 [[nodiscard]] const LaneKernels& avx2_kernels() noexcept;
 /// Eight lanes per AVX-512F vector, tails in one masked vector; gemm_nt
-/// with k >= 8 and n >= 8 runs eight output columns per pass, each in one
-/// zmm, and adds the eight lane trees at once through an in-register 8x8
-/// transpose.  Call it only where avx512_supported(); a build without it
-/// (COCKTAIL_SIMD=OFF) returns avx2_kernels() here.
+/// runs eight output columns per pass for n >= 8 (for k >= 8 each column's
+/// lanes in one zmm, the eight lane trees added at once through an
+/// in-register 8x8 transpose; for k < 8 one column per lane) and eight rows
+/// per pass for n = 1, m >= 8.  Call it only where avx512_supported(); a
+/// build without it (COCKTAIL_SIMD=OFF) returns avx2_kernels() here.
 [[nodiscard]] const LaneKernels& avx512_kernels() noexcept;
 /// True when this build carries the eight-lane instantiation and the CPU
 /// and OS run AVX-512F.  Checked once per process.

@@ -82,7 +82,7 @@ Matrix Matrix::matmul_nt(const Matrix& other) const {
   // bitwise-identity contract batched inference relies on (kernels::gemm_nt
   // computes each entry exactly like kernels::matvec does).
   kernels::gemm_nt(rows_, other.rows_, cols_, data_.data(), cols_,
-                   other.data_.data(), other.cols_, out.data_.data(),
+                   other.data_.data(), other.cols_, nullptr, out.data_.data(),
                    other.rows_);
   return out;
 }

@@ -125,14 +125,10 @@ void Mlp::layer_rows(const DenseLayer& layer, const double* a, std::size_t m,
   const std::size_t width = layer.w.cols();
   double* z = pre != nullptr ? pre : out;
   // z(r, i) = sum_c a(r, c) * w(i, c) + b[i]: every entry is one dot
-  // product on the fixed accumulation schedule (la/kernel_config.h), then
-  // the bias add and the element-wise activation.
-  la::kernels::gemm_nt(m, n, width, a, width, layer.w.data().data(), width, z,
-                       n);
-  for (std::size_t r = 0; r < m; ++r) {
-    double* zr = z + r * n;
-    for (std::size_t i = 0; i < n; ++i) zr[i] += layer.b[i];
-  }
+  // product on the fixed accumulation schedule (la/kernel_config.h) with
+  // the bias added as one rounded add, then the element-wise activation.
+  la::kernels::gemm_nt(m, n, width, a, width, layer.w.data().data(), width,
+                       layer.b.data(), z, n);
   activate_rows(layer.act, z, out, m * n);
 }
 

@@ -101,8 +101,8 @@ class Mlp {
 
   /// The one inference pass, on raw row-major buffers: `x` holds `rows` x
   /// input_dim() doubles and `y` receives rows x output_dim().  Each layer
-  /// of a tile is one blocked GEMM (la::kernels::gemm_nt) plus the bias add
-  /// and element-wise activation, every entry on the fixed accumulation
+  /// of a tile is one blocked GEMM with the bias fused (la::kernels::gemm_nt)
+  /// and the element-wise activation, every entry on the fixed accumulation
   /// schedule of la/kernel_config.h, so row r of `y` depends on row r of
   /// `x` alone: the same bits for any row count, batch composition or
   /// tiling — the contract the serving runtime's micro-batching rests on.

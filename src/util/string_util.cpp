@@ -27,11 +27,6 @@ std::string trim(const std::string& text) {
   return text.substr(first, last - first + 1);
 }
 
-bool starts_with(const std::string& text, const std::string& prefix) {
-  return text.size() >= prefix.size() &&
-         text.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -13,10 +13,6 @@ namespace cocktail::util {
 /// Strips ASCII whitespace from both ends.
 [[nodiscard]] std::string trim(const std::string& text);
 
-/// True if `text` begins with `prefix`.
-[[nodiscard]] bool starts_with(const std::string& text,
-                               const std::string& prefix);
-
 /// printf-style formatting into std::string.
 [[nodiscard]] std::string format(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -7,8 +7,8 @@
 
 namespace cocktail::verify {
 
-std::vector<double> BernsteinPoly::grid(const IBox& box,
-                                        const std::vector<int>& degrees) {
+void BernsteinPoly::grid(const IBox& box, const std::vector<int>& degrees,
+                         std::vector<double>& points) {
   if (degrees.size() != box.size())
     throw std::invalid_argument("BernsteinPoly: degree arity mismatch");
   std::size_t total = 1;
@@ -17,19 +17,23 @@ std::vector<double> BernsteinPoly::grid(const IBox& box,
     total *= static_cast<std::size_t>(d + 1);
   }
   const std::size_t n = box.size();
-  std::vector<double> points(total * n);
-  for (std::size_t index = 0; index < total; ++index) {
-    std::size_t rem = index;
-    for (std::size_t dim = 0; dim < n; ++dim) {
-      const auto d = static_cast<std::size_t>(degrees[dim]);
-      const std::size_t k = rem % (d + 1);
-      rem /= (d + 1);
-      points[index * n + dim] =
-          box[dim].lo() + box[dim].width() * static_cast<double>(k) /
-                              static_cast<double>(d);
+  points.resize(total * n);
+  // Coordinate k of axis `dim` repeats in runs of `stride` points (the
+  // grid points of the faster axes), one run every (d + 1)·stride points.
+  std::size_t stride = 1;
+  for (std::size_t dim = 0; dim < n; ++dim) {
+    const auto d = static_cast<std::size_t>(degrees[dim]);
+    const std::size_t period = stride * (d + 1);
+    for (std::size_t k = 0; k <= d; ++k) {
+      const double x = box[dim].lo() + box[dim].width() *
+                                           static_cast<double>(k) /
+                                           static_cast<double>(d);
+      for (std::size_t run = k * stride; run < total; run += period)
+        for (std::size_t j = run; j < run + stride; ++j)
+          points[j * n + dim] = x;
     }
+    stride = period;
   }
-  return points;
 }
 
 double BernsteinPoly::error_bound(double lipschitz, const IBox& box,
@@ -43,13 +47,13 @@ double BernsteinPoly::error_bound(double lipschitz, const IBox& box,
   return lipschitz * std::sqrt(squares);
 }
 
-std::vector<int> BernsteinPoly::degrees_for(double lipschitz, const IBox& box,
-                                            double epsilon, int max_degree,
-                                            double& achieved) {
+double BernsteinPoly::degrees_for(double lipschitz, const IBox& box,
+                                  double epsilon, int max_degree,
+                                  std::vector<int>& degrees) {
   if (max_degree < 1)
     throw std::invalid_argument("BernsteinPoly::degrees_for: max_degree < 1");
   const double root_n = std::sqrt(static_cast<double>(box.size()));
-  std::vector<int> degrees(box.size(), 1);
+  degrees.resize(box.size());
   for (std::size_t i = 0; i < box.size(); ++i) {
     // Equal split: L·w_i/(2·d_i) = ε/√n  =>  d_i = √n·L·w_i/(2ε).  Clamp in
     // double before the cast: a large L/ε ratio puts d far past INT_MAX
@@ -60,8 +64,7 @@ std::vector<int> BernsteinPoly::degrees_for(double lipschitz, const IBox& box,
                                : static_cast<int>(std::clamp(
                                      d, 1.0, static_cast<double>(max_degree)));
   }
-  achieved = error_bound(lipschitz, box, degrees);
-  return degrees;
+  return error_bound(lipschitz, box, degrees);
 }
 
 }  // namespace cocktail::verify

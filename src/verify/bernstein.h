@@ -23,12 +23,14 @@ namespace cocktail::verify {
 
 class BernsteinPoly {
  public:
-  /// The Bernstein grid x_k = lo + (k/d)·(hi-lo) of `box` at `degrees`,
-  /// row-major in coefficient order (dimension 0 fastest): point j occupies
-  /// entries [j·n, (j+1)·n) for n = box.size().  Throws
+  /// Writes the Bernstein grid x_k = lo + (k/d)·(hi-lo) of `box` at
+  /// `degrees` into `points`, resized to Π(d_i + 1)·n for n = box.size():
+  /// row-major in coefficient order (dimension 0 fastest), point j at
+  /// entries [j·n, (j+1)·n).  Each axis's d_i + 1 coordinates are computed
+  /// once, and a buffer that is large enough is not reallocated.  Throws
   /// std::invalid_argument on a degree arity mismatch or a degree < 1.
-  [[nodiscard]] static std::vector<double> grid(
-      const IBox& box, const std::vector<int>& degrees);
+  static void grid(const IBox& box, const std::vector<int>& degrees,
+                   std::vector<double>& points);
 
   /// The grid's covering radius in the function's range,
   /// r = L·‖(width_i/(2·degree_i))_i‖₂, for any L-Lipschitz (in ℓ2)
@@ -39,16 +41,14 @@ class BernsteinPoly {
   [[nodiscard]] static double error_bound(double lipschitz, const IBox& box,
                                           const std::vector<int>& degrees);
 
-  /// Degrees d_i = ⌈√n·L·width_i/(2ε)⌉ so that error_bound(...) <= epsilon
-  /// with equal per-dimension contributions, each capped at `max_degree`.
-  /// Returns the achieved bound through `achieved` (> epsilon when the cap
-  /// binds — the caller should then partition the box).  Throws
-  /// std::invalid_argument when `max_degree` < 1.
-  [[nodiscard]] static std::vector<int> degrees_for(double lipschitz,
-                                                    const IBox& box,
-                                                    double epsilon,
-                                                    int max_degree,
-                                                    double& achieved);
+  /// Writes into `degrees` (resized to box.size()) d_i =
+  /// ⌈√n·L·width_i/(2ε)⌉, so that error_bound(...) <= epsilon with equal
+  /// per-dimension contributions, each capped at `max_degree`.  Returns the
+  /// achieved bound (> epsilon when the cap binds — the caller should then
+  /// partition the box).  Throws std::invalid_argument when `max_degree`
+  /// < 1.
+  static double degrees_for(double lipschitz, const IBox& box, double epsilon,
+                            int max_degree, std::vector<int>& degrees);
 };
 
 }  // namespace cocktail::verify

@@ -129,25 +129,11 @@ la::Vec box_mid(const IBox& box) {
   return v;
 }
 
-double box_max_width(const IBox& box) {
-  double w = 0.0;
-  for (const auto& iv : box) w = std::max(w, iv.width());
-  return w;
-}
-
 bool box_contains(const IBox& box, const la::Vec& point) {
   if (box.size() != point.size())
     throw std::invalid_argument("box_contains: dimension mismatch");
   for (std::size_t i = 0; i < box.size(); ++i)
     if (!box[i].contains(point[i])) return false;
-  return true;
-}
-
-bool box_contains_box(const IBox& outer, const IBox& inner) {
-  if (outer.size() != inner.size())
-    throw std::invalid_argument("box_contains_box: dimension mismatch");
-  for (std::size_t i = 0; i < outer.size(); ++i)
-    if (!outer[i].contains(inner[i])) return false;
   return true;
 }
 

@@ -120,9 +120,7 @@ using IBox = std::vector<Interval>;
 [[nodiscard]] la::Vec box_lo(const IBox& box);
 [[nodiscard]] la::Vec box_hi(const IBox& box);
 [[nodiscard]] la::Vec box_mid(const IBox& box);
-[[nodiscard]] double box_max_width(const IBox& box);
 [[nodiscard]] bool box_contains(const IBox& box, const la::Vec& point);
-[[nodiscard]] bool box_contains_box(const IBox& outer, const IBox& inner);
 [[nodiscard]] IBox box_hull(const IBox& a, const IBox& b);
 /// Splits the widest dimension in half.
 [[nodiscard]] std::pair<IBox, IBox> box_bisect(const IBox& box);

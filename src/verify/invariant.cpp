@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -29,13 +30,10 @@ struct GridIndexer {
   }
 
   /// Index range [lo_k, hi_k] of cells overlapping the box of grid.size()
-  /// intervals starting at `box`, along each dim, or false if the box
-  /// leaves the domain or is corrupted.
-  [[nodiscard]] bool overlap_range(const Interval* box,
-                                   std::vector<int>& lo_k,
-                                   std::vector<int>& hi_k) const {
-    lo_k.resize(grid.size());
-    hi_k.resize(grid.size());
+  /// intervals starting at `box`, grid.size() entries each, along each dim,
+  /// or false if the box leaves the domain or is corrupted.
+  [[nodiscard]] bool overlap_range(const Interval* box, int* lo_k,
+                                   int* hi_k) const {
     for (std::size_t d = 0; d < grid.size(); ++d) {
       // A NaN endpoint passes both comparisons; fail it closed before the
       // int casts below, which are UB for NaN.  An inverted interval would
@@ -56,6 +54,34 @@ struct GridIndexer {
     return true;
   }
 };
+
+/// True iff every cell of the window [lo_k, hi_k] (inside the grid,
+/// non-empty) over dimensions 0..d, at flattened offset `base`, is a
+/// member; `stride` is dimension d's flattened stride.  Dimension 0 runs
+/// innermost, as it does in the flattened index.
+bool window_members(const InvariantResult& set, const int* lo_k,
+                    const int* hi_k, std::size_t d, std::size_t base,
+                    std::size_t stride) {
+  for (int k = lo_k[d]; k <= hi_k[d]; ++k) {
+    const std::size_t index = base + static_cast<std::size_t>(k) * stride;
+    if (d == 0 ? !set.member[index]
+               : !window_members(
+                     set, lo_k, hi_k, d - 1, index,
+                     stride / static_cast<std::size_t>(set.grid[d - 1])))
+      return false;
+  }
+  return true;
+}
+
+/// window_members over the whole window [lo_k, hi_k] of `set`'s grid.
+bool window_members(const InvariantResult& set, const int* lo_k,
+                    const int* hi_k) {
+  const std::size_t dim = set.grid.size();
+  std::size_t stride = 1;
+  for (std::size_t d = 0; d + 1 < dim; ++d)
+    stride *= static_cast<std::size_t>(set.grid[d]);
+  return window_members(set, lo_k, hi_k, dim - 1, 0, stride);
+}
 
 }  // namespace
 
@@ -91,23 +117,7 @@ bool InvariantResult::all_members(const std::vector<int>& lo_k,
     if (lo_k[d] > hi_k[d]) return true;  // empty window: nothing to check.
   for (std::size_t d = 0; d < dim; ++d)
     if (lo_k[d] < 0 || hi_k[d] >= grid[d]) return false;
-  std::vector<int> k = lo_k;
-  for (;;) {
-    std::size_t index = 0;
-    std::size_t stride = 1;
-    for (std::size_t d = 0; d < dim; ++d) {
-      index += static_cast<std::size_t>(k[d]) * stride;
-      stride *= static_cast<std::size_t>(grid[d]);
-    }
-    if (!member[index]) return false;
-    // Advance the odometer over [lo_k, hi_k].
-    std::size_t d = 0;
-    while (d < dim && ++k[d] > hi_k[d]) {
-      k[d] = lo_k[d];
-      ++d;
-    }
-    if (d == dim) return true;
-  }
+  return window_members(*this, lo_k.data(), hi_k.data());
 }
 
 InvariantSetComputer::InvariantSetComputer(sys::SystemPtr system,
@@ -119,9 +129,21 @@ InvariantSetComputer::InvariantSetComputer(sys::SystemPtr system,
     throw std::invalid_argument(
         "InvariantSetComputer: safe region must be bounded (use a bounded "
         "sub-domain for systems with unconstrained dimensions)");
-  if (!config_.grid.empty() && config_.grid.size() != system_->state_dim())
+  if (config_.grid.empty()) config_.grid.assign(system_->state_dim(), 40);
+  if (config_.grid.empty() || config_.grid.size() != system_->state_dim())
     throw std::invalid_argument(
         "InvariantSetComputer: grid needs one cell count per state dimension");
+  std::size_t cells = 1;
+  for (const int g : config_.grid) {
+    if (g < 1)
+      throw std::invalid_argument(
+          "InvariantSetComputer: every grid entry must be at least 1");
+    if (cells > std::numeric_limits<std::size_t>::max() /
+                    static_cast<std::size_t>(g))
+      throw std::invalid_argument(
+          "InvariantSetComputer: the grid's cell count overflows size_t");
+    cells *= static_cast<std::size_t>(g);
+  }
 }
 
 InvariantResult InvariantSetComputer::compute() const {
@@ -129,7 +151,6 @@ InvariantResult InvariantSetComputer::compute() const {
   InvariantResult result;
   const sys::Box domain = system_->safe_region();
   result.grid = config_.grid;
-  if (result.grid.empty()) result.grid.assign(system_->state_dim(), 40);
   const GridIndexer indexer{result.grid, domain};
   const std::size_t cells = indexer.cell_count();
   result.member.assign(cells, true);
@@ -143,20 +164,26 @@ InvariantResult InvariantSetComputer::compute() const {
   // Phase 1 (expensive, Lipschitz-dependent): one-step image of every
   // cell, swept in cell order on the shared pool by sweep_in_order, which
   // gives the serial sweep's counters and failure for any pool width.
+  // Each cell keeps only what the fixed point reads of its image: the
+  // window of cells the image overlaps, or kEscapes in its first entry
+  // when the image leaves the domain or is corrupted.
   //
-  // The images live in one flat block allocated here (cell i at [i·dim,
-  // (i+1)·dim)): a per-cell IBox would be allocated by whichever worker
-  // ran the cell, and thousands of long-lived blocks spread over the
-  // workers' glibc malloc arenas added ~0.3 MB of peak RSS to perfbench's
-  // verify workload (80x80 grid, 3 threads).
+  // The windows live in one flat block allocated here (cell i's lo_k at
+  // [2i·dim, (2i+1)·dim), its hi_k after it): per-cell blocks would be
+  // allocated by whichever worker ran the cell, and thousands of
+  // long-lived blocks spread over the workers' glibc malloc arenas added
+  // ~0.3 MB of peak RSS to perfbench's verify workload (80x80 grid,
+  // 3 threads).
+  constexpr int kEscapes = -1;
   const std::size_t dim = result.grid.size();
-  std::vector<Interval> images(cells * dim);
+  std::vector<int> windows(2 * cells * dim);
   const auto image_of = [&](std::size_t i, VerificationBudget& cell_budget) {
     const IBox cell = indexer.cell_box(i);
     const ControlEnclosure u = abstraction.enclose(cell, u_bounds, cell_budget);
     const IBox image = dynamics->step(cell, u.u_range);
-    std::copy(image.begin(), image.end(),
-              images.begin() + static_cast<std::ptrdiff_t>(i * dim));
+    int* lo_k = windows.data() + 2 * i * dim;
+    if (!indexer.overlap_range(image.data(), lo_k, lo_k + dim))
+      lo_k[0] = kEscapes;
   };
   try {
     sweep_in_order(&util::ThreadPool::shared(), cells, budget, image_of);
@@ -173,7 +200,6 @@ InvariantResult InvariantSetComputer::compute() const {
 
   // Phase 2 (cheap): fixed-point removal of cells whose image escapes the
   // candidate union.
-  std::vector<int> lo_k, hi_k;
   bool changed = true;
   while (changed && result.iterations < config_.max_iterations) {
     changed = false;
@@ -181,8 +207,8 @@ InvariantResult InvariantSetComputer::compute() const {
     for (std::size_t i = 0; i < cells; ++i) {
       if (!result.member[i]) continue;
       // Every cell the image overlaps must still be a member.
-      if (!indexer.overlap_range(&images[i * dim], lo_k, hi_k) ||
-          !result.all_members(lo_k, hi_k)) {
+      const int* lo_k = windows.data() + 2 * i * dim;
+      if (lo_k[0] == kEscapes || !window_members(result, lo_k, lo_k + dim)) {
         result.member[i] = false;
         changed = true;
       }

@@ -58,18 +58,22 @@ struct InvariantResult {
   [[nodiscard]] bool contains(const sys::Box& domain,
                               const la::Vec& point) const;
   /// True iff every cell of the window [lo_k, hi_k] (inclusive, per
-  /// dimension) is a member: an odometer walk over `member`, dimension 0
-  /// fastest.  An empty window (lo > hi anywhere) holds no cells and is
-  /// vacuously covered; otherwise a dimension mismatch or a window
-  /// escaping the grid fails closed.  Requires member.size() == Π grid.
-  /// The fixed point's sweep and SafetyMonitor's margin check both ask
-  /// this; CellSetTree answers it by a pruned descent.
+  /// dimension) is a member: a walk over `member`, dimension 0 fastest,
+  /// that allocates nothing.  An empty window (lo > hi anywhere) holds no
+  /// cells and is vacuously covered; otherwise a dimension mismatch or a
+  /// window escaping the grid fails closed.  Requires member.size() ==
+  /// Π grid.  SafetyMonitor's margin check asks this, and the fixed point's
+  /// sweep walks the same way; CellSetTree answers it by a pruned descent.
   [[nodiscard]] bool all_members(const std::vector<int>& lo_k,
                                  const std::vector<int>& hi_k) const;
 };
 
 class InvariantSetComputer {
  public:
+  /// Throws std::invalid_argument when the safe region is unbounded, when
+  /// `config.grid` is neither empty (40 cells per dimension) nor one entry
+  /// per state dimension, when the system has no state dimension, when an
+  /// entry is below 1, or when the cell count overflows size_t.
   InvariantSetComputer(sys::SystemPtr system,
                        const ctrl::Controller& controller,
                        InvariantConfig config);

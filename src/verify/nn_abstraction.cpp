@@ -7,56 +7,130 @@
 #include <utility>
 #include <vector>
 
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace cocktail::verify {
 namespace {
 
-/// Items per sweep wave.  Results never depend on it (or on the worker
-/// count); it bounds the work a sweep that exhausts its budget wastes past
-/// the stop point — at most one wave of private budget caps — against the
-/// pool's idle time at wave ends.
-constexpr std::size_t kSweepWave = 64;
+using SweepItem = std::function<void(std::size_t, VerificationBudget&)>;
+
+/// How far past the commit frontier a sweep item may start.  Results never
+/// depend on it (or on the worker count); it bounds the work a sweep that
+/// stops wastes past its stop index, at most kSweepWindow - 1 items, and
+/// the costs of the items in flight fit one ring of this many slots.
+constexpr std::size_t kSweepWindow = 64;
+
+/// One pool region of sweep_in_order over the items [first, count).  Each
+/// participant claims the next index, waits until it lies within
+/// kSweepWindow of the frontier, runs the item against a private cap (what
+/// the committed prefix leaves of the budget), then merges every finished
+/// cost at the frontier into the budget in index order.  The first item
+/// that threw, or whose merged cost exhausts the budget, becomes the stop
+/// index: its cost stays out and nothing is claimed after it.
+class SweepRegion {
+ public:
+  SweepRegion(std::size_t first, std::size_t count, VerificationBudget& budget,
+              const SweepItem& item)
+      : count_(count), budget_(budget), item_(item), next_(first),
+        frontier_(first), stop_(count) {}
+
+  /// One participant's claim-run-commit loop; returns once every item is
+  /// claimed or the sweep has stopped.
+  void participate() COCKTAIL_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    while (stop_ == count_ && next_ < count_) {
+      const std::size_t i = next_++;
+      advanced_.wait(lock, [&]() COCKTAIL_REQUIRES(mutex_) {
+        return i < frontier_ + kSweepWindow || stop_ != count_;
+      });
+      if (stop_ != count_) return;
+      VerificationBudget cap;
+      cap.max_nn_evaluations =
+          budget_.max_nn_evaluations - budget_.nn_evaluations;
+      cap.max_partitions = budget_.max_partitions - budget_.partitions;
+      lock.Unlock();
+      bool failed = false;
+      try {
+        item_(i, cap);
+      } catch (...) {
+        failed = true;  // reproduced by sweep_in_order's re-run.
+      }
+      lock.Lock();
+      slots_[i % kSweepWindow] = {cap.nn_evaluations, cap.partitions, true,
+                                  failed};
+      if (commit()) advanced_.notify_all();
+    }
+  }
+
+  /// The stop index, or the item count when every item committed.  Read
+  /// after the region.
+  [[nodiscard]] std::size_t stop() COCKTAIL_EXCLUDES(mutex_) {
+    const util::MutexLock lock(mutex_);
+    return stop_;
+  }
+
+ private:
+  struct Cost {
+    long nn_evaluations = 0;
+    long partitions = 0;
+    bool done = false;
+    bool failed = false;  ///< threw, e.g. on its private cap.
+  };
+
+  /// Merges the finished costs at the frontier; true when the frontier
+  /// moved or the sweep stopped.
+  bool commit() COCKTAIL_REQUIRES(mutex_) {
+    const std::size_t before = frontier_;
+    while (stop_ == count_ && frontier_ < count_) {
+      Cost& cost = slots_[frontier_ % kSweepWindow];
+      if (!cost.done) break;
+      cost.done = false;
+      if (!cost.failed) {
+        budget_.nn_evaluations += cost.nn_evaluations;
+        budget_.partitions += cost.partitions;
+        if (!budget_.exhausted()) {
+          ++frontier_;
+          continue;
+        }
+        budget_.nn_evaluations -= cost.nn_evaluations;
+        budget_.partitions -= cost.partitions;
+      }
+      stop_ = frontier_;
+    }
+    return frontier_ != before || stop_ != count_;
+  }
+
+  const std::size_t count_;
+  VerificationBudget& budget_;  ///< written only under mutex_.
+  const SweepItem& item_;
+  util::Mutex mutex_;
+  util::CondVar advanced_;
+  std::size_t next_ COCKTAIL_GUARDED_BY(mutex_);      ///< next to claim.
+  std::size_t frontier_ COCKTAIL_GUARDED_BY(mutex_);  ///< first uncommitted.
+  std::size_t stop_ COCKTAIL_GUARDED_BY(mutex_);
+  /// Item i's cost, from its finish until it commits, in slot i mod
+  /// kSweepWindow: an item starts only once the one kSweepWindow before it
+  /// has committed.
+  Cost slots_[kSweepWindow] COCKTAIL_GUARDED_BY(mutex_) = {};
+};
 
 }  // namespace
 
-void sweep_in_order(
-    util::ThreadPool* pool, std::size_t count, VerificationBudget& budget,
-    const std::function<void(std::size_t, VerificationBudget&)>& item) {
-  struct ItemCost {
-    long nn_evaluations = 0;
-    long partitions = 0;
-    bool failed = false;  ///< threw, e.g. on its private budget cap.
-  };
-  std::vector<ItemCost> costs(std::min(count, kSweepWave));
-  for (std::size_t wave = 0; wave < count; wave += kSweepWave) {
-    const std::size_t n = std::min(kSweepWave, count - wave);
-    VerificationBudget cap;
-    cap.max_nn_evaluations = budget.max_nn_evaluations - budget.nn_evaluations;
-    cap.max_partitions = budget.max_partitions - budget.partitions;
-    util::run_chunks(pool, n, [&](std::size_t c) {
-      ItemCost& cost = costs[c];
-      VerificationBudget local = cap;
-      try {
-        item(wave + c, local);
-        cost.failed = false;
-      } catch (...) {
-        cost.failed = true;  // reproduced by the re-run below.
-      }
-      cost.nn_evaluations = local.nn_evaluations;
-      cost.partitions = local.partitions;
-    });
-    for (std::size_t c = 0; c < n; ++c) {
-      const ItemCost& cost = costs[c];
-      if (!cost.failed) {
-        budget.nn_evaluations += cost.nn_evaluations;
-        budget.partitions += cost.partitions;
-        if (!budget.exhausted()) continue;
-        budget.nn_evaluations -= cost.nn_evaluations;
-        budget.partitions -= cost.partitions;
-      }
-      item(wave + c, budget);
-    }
+void sweep_in_order(util::ThreadPool* pool, std::size_t count,
+                    VerificationBudget& budget, const SweepItem& item) {
+  for (std::size_t first = 0; first < count;) {
+    SweepRegion region(first, count, budget, item);
+    // One participant per worker plus the caller.
+    util::run_chunks(pool, pool != nullptr ? pool->size() + 1 : 1,
+                     [&](std::size_t) { region.participate(); });
+    const std::size_t stop = region.stop();
+    if (stop == count) return;
+    // The serial loop's run of the stopping item, against the budget the
+    // items before it left: it throws where that loop throws.
+    item(stop, budget);
+    first = stop + 1;
   }
 }
 
@@ -90,10 +164,11 @@ IBox NnAbstraction::ibp_output(const IBox& box) const {
   return out;
 }
 
-std::vector<double> NnAbstraction::sample_grid(
-    const std::vector<double>& points, std::size_t rows) const {
+void NnAbstraction::sample_grid(const std::vector<double>& points,
+                                std::size_t rows,
+                                std::vector<double>& values) const {
   const std::size_t outputs = controller_.control_dim();
-  std::vector<double> values(rows * outputs);
+  values.resize(rows * outputs);
   if (net_ != nullptr) {
     // act(x) = out_scale ∘ net(x): the batched rows are bitwise identical
     // to forward(x), and the scale is the same product act() takes.
@@ -101,7 +176,7 @@ std::vector<double> NnAbstraction::sample_grid(
     for (std::size_t j = 0; j < rows; ++j)
       for (std::size_t o = 0; o < outputs; ++o)
         values[j * outputs + o] *= out_scale_[o];
-    return values;
+    return;
   }
   const std::size_t n = points.size() / rows;
   la::Vec x(n);
@@ -112,7 +187,6 @@ std::vector<double> NnAbstraction::sample_grid(
     std::copy_n(u.begin(), outputs,
                 values.begin() + static_cast<std::ptrdiff_t>(j * outputs));
   }
-  return values;
 }
 
 ControlEnclosure NnAbstraction::enclose(const IBox& box,
@@ -132,19 +206,23 @@ ControlEnclosure NnAbstraction::enclose(const IBox& box,
 void NnAbstraction::enclose_recursive(const IBox& box, int depth,
                                       ControlEnclosure& out,
                                       VerificationBudget& budget) const {
+  // The leaf's degrees, grid points and samples live in per-thread buffers
+  // that grow to the largest leaf and are then reused: a box that splits
+  // is done with its degrees before its halves overwrite them.
+  thread_local std::vector<int> degrees;
+  thread_local std::vector<double> points, values;
   // Partition-refinement criterion.  Bernstein/hybrid split while the
   // capped degree cannot bring the grid's covering radius down to the
   // target ε; pure IBP has no degrees, so the Lipschitz width proxy
   // (L/2)·Σ wᵢ plays the same role.
   double achieved = 0.0;
-  std::vector<int> degrees;
   if (config_.method == AbstractionMethod::kIntervalPropagation) {
     double width_sum = 0.0;
     for (const Interval& side : box) width_sum += side.width();
     achieved = 0.5 * lipschitz_ * width_sum;
   } else {
-    degrees = BernsteinPoly::degrees_for(
-        lipschitz_, box, config_.epsilon_target, config_.max_degree, achieved);
+    achieved = BernsteinPoly::degrees_for(
+        lipschitz_, box, config_.epsilon_target, config_.max_degree, degrees);
   }
   if (achieved > config_.epsilon_target &&
       depth < config_.max_partition_depth) {
@@ -188,9 +266,10 @@ void NnAbstraction::enclose_recursive(const IBox& box, int depth,
 
   // Every control output samples the same grid: evaluate it once and
   // give each output its column of the rows x outputs values.
-  std::vector<double> values;
-  if (use_bernstein)
-    values = sample_grid(BernsteinPoly::grid(box, degrees), grid_points);
+  if (use_bernstein) {
+    BernsteinPoly::grid(box, degrees, points);
+    sample_grid(points, grid_points, values);
+  }
   for (std::size_t dim = 0; dim < outputs; ++dim) {
     Interval enclosure;
     if (use_bernstein) {

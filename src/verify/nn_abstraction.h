@@ -58,12 +58,17 @@ class BudgetExhausted : public std::runtime_error {
 ///
 ///   for (i = 0; i < count; ++i) item(i, budget);
 ///
-/// for any `pool` (nullptr = serial).  Items run on the pool in fixed
-/// waves, each against a private budget capped at what remained when its
-/// wave started, and their costs merge into `budget` in index order.  The
-/// first item that throws, or whose merged cost exhausts the budget, is
-/// re-run against `budget` itself, which stops where the serial loop stops
-/// and rethrows its exception; the items past it are discarded.
+/// for any `pool` (nullptr = serial).  The sweep is one pool region, with
+/// no barrier between items:
+///   * each item runs against a private budget capped at what the items
+///     committed so far leave of `budget`;
+///   * costs commit into `budget` in index order, at a frontier;
+///   * the first item that throws, or whose merged cost exhausts the
+///     budget, stops new claims and is re-run against `budget` itself,
+///     which stops where the serial loop stops and rethrows its exception;
+///     the items past it are discarded;
+///   * no item starts more than 64 indices past the frontier, so a sweep
+///     that stops runs fewer than 64 items past its stop index.
 ///
 /// Items must behave like NnAbstraction::enclose: their work and output do
 /// not depend on the budget they are given, except that they charge it and
@@ -124,12 +129,12 @@ class NnAbstraction {
   /// for NnController subjects; the constructor falls back to Bernstein
   /// otherwise).
   [[nodiscard]] IBox ibp_output(const IBox& box) const;
-  /// κ at each of the `rows` row-major `points`: rows x control_dim values,
-  /// row-major.  NnController subjects run one batched
-  /// nn::Mlp::forward_rows call; other controllers take one act() per
-  /// point.  Both give the bits act() gives.
-  [[nodiscard]] std::vector<double> sample_grid(
-      const std::vector<double>& points, std::size_t rows) const;
+  /// κ at each of the `rows` row-major `points`, into `values` (resized to
+  /// rows x control_dim, row-major).  NnController subjects run one
+  /// batched nn::Mlp::forward_rows call; other controllers take one act()
+  /// per point.  Both give the bits act() gives.
+  void sample_grid(const std::vector<double>& points, std::size_t rows,
+                   std::vector<double>& values) const;
 
   const ctrl::Controller& controller_;
   AbstractionConfig config_;

@@ -680,7 +680,7 @@ TEST_P(LaneKernelPaths, GemmNtMatchesReferenceAtEveryColumnTail) {
           const Vec a = padded_operand(special, m, k, 2, 7 * k + m);
           const Vec b = padded_operand(special, n, k, 3, 11 * k + n);
           Vec fast(m * (n + 1), 7.0), ref(m * (n + 1), 7.0);
-          kernels().gemm_nt(m, n, k, a.data(), k + 2, b.data(), k + 3,
+          kernels().gemm_nt(m, n, k, a.data(), k + 2, b.data(), k + 3, nullptr,
                             fast.data(), n + 1);
           la::kernels::gemm_nt_ref(m, n, k, a.data(), k + 2, b.data(), k + 3,
                                    ref.data(), n + 1);
@@ -689,6 +689,57 @@ TEST_P(LaneKernelPaths, GemmNtMatchesReferenceAtEveryColumnTail) {
                 << "m " << m << " n " << n << " k " << k << " special "
                 << special << " at " << q << ": " << fast[q] << " vs "
                 << ref[q];
+        }
+      }
+    }
+  }
+}
+
+TEST_P(LaneKernelPaths, GemmNtNarrowLayersMatchReferencePlusBias) {
+  // The shapes of small networks' layers: reductions of one partial lane
+  // group (k < 8, the short path) and one full one, one output column (from
+  // 8 rows on at AVX-512F width, the one-output path) and n mod 8 = 1, 2, 7
+  // column tails, at every row count up to two passes past 8 and one full
+  // tile.  Each must equal gemm_nt_ref followed by a separate bias add;
+  // special operands give -0.0 products and sums, Inf and NaN, and the
+  // special bias holds -0.0 (+0.0 + -0.0 is +0.0, -0.0 + -0.0 is -0.0),
+  // +-Inf and NaN.  C is written at its own stride and one wider.
+  std::vector<std::size_t> rows;
+  for (std::size_t m = 1; m <= 17; ++m) rows.push_back(m);
+  rows.push_back(64);
+  for (std::size_t k = 1; k <= 8; ++k) {
+    for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 17u, 24u, 40u}) {
+      for (const std::size_t m : rows) {
+        for (const bool special : {false, true}) {
+          const Vec a = padded_operand(special, m, k, 2, 5 * k + m);
+          const Vec b = padded_operand(special, n, k, 3, 9 * k + n);
+          Vec bias = operand_matrix(special, 1, n, 3 * n + k).data();
+          if (special) {
+            const double inf = std::numeric_limits<double>::infinity();
+            const double picks[] = {-0.0, inf, -inf,
+                                    std::numeric_limits<double>::quiet_NaN()};
+            for (std::size_t j = 0; j < n; ++j)
+              if (j % 3 == 0) bias[j] = picks[(j / 3) % 4];
+          }
+          for (const std::size_t ldc : {n, n + 1}) {
+            for (const bool biased : {false, true}) {
+              Vec fast(m * ldc, 7.0), ref(m * ldc, 7.0);
+              kernels().gemm_nt(m, n, k, a.data(), k + 2, b.data(), k + 3,
+                                biased ? bias.data() : nullptr, fast.data(),
+                                ldc);
+              la::kernels::gemm_nt_ref(m, n, k, a.data(), k + 2, b.data(),
+                                       k + 3, ref.data(), ldc);
+              if (biased)
+                for (std::size_t i = 0; i < m; ++i)
+                  for (std::size_t j = 0; j < n; ++j)
+                    ref[i * ldc + j] = ref[i * ldc + j] + bias[j];
+              for (std::size_t q = 0; q < fast.size(); ++q)
+                ASSERT_TRUE(same_bits(fast[q], ref[q]))
+                    << "m " << m << " n " << n << " k " << k << " ldc "
+                    << ldc << " special " << special << " bias " << biased
+                    << " at " << q << ": " << fast[q] << " vs " << ref[q];
+            }
+          }
         }
       }
     }

@@ -4,11 +4,14 @@
 // where a serial loop stops for any pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "control/nn_controller.h"
@@ -356,6 +359,139 @@ TEST(SweepInOrder, PropagatesAnItemsExceptionFromTheSameIndex) {
       if (i == bad) throw std::invalid_argument(std::to_string(i));
     };
     expect_serial_outcome(150, {}, item);
+  }
+}
+
+TEST(SweepInOrder, StopsWhereTheSerialLoopStopsAtWindowEdgeCounts) {
+  // One item, exactly one 64-item window, one item past it, and many
+  // windows, each at caps that stop in the first item, around the end of
+  // the first window, half way, at the last item, and never.
+  for (const std::size_t count : {1u, 64u, 65u, 1000u}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    const auto serial_total = [count](verify::VerificationBudget& b) {
+      for (std::size_t i = 0; i < count; ++i) fake_item(i, b);
+    };
+    const SweepOutcome total = run_sweep({}, serial_total);
+    const SweepOutcome window =
+        run_sweep({}, [](verify::VerificationBudget& b) {
+          for (std::size_t i = 0; i < 64; ++i) fake_item(i, b);
+        });
+    for (const long cap :
+         {0L, 1L, window.nn_evaluations - 1, window.nn_evaluations,
+          window.nn_evaluations + 1, total.nn_evaluations / 2,
+          total.nn_evaluations - 1, total.nn_evaluations}) {
+      SCOPED_TRACE("max_nn_evaluations " + std::to_string(cap));
+      verify::VerificationBudget budget;
+      budget.max_nn_evaluations = cap;
+      expect_serial_outcome(count, budget, fake_item);
+    }
+    for (const long cap : {0L, window.partitions, total.partitions - 1}) {
+      SCOPED_TRACE("max_partitions " + std::to_string(cap));
+      verify::VerificationBudget budget;
+      budget.max_partitions = cap;
+      expect_serial_outcome(count, budget, fake_item);
+    }
+  }
+}
+
+/// The index a fake_item sweep stopped at, from its exception message.
+std::size_t stop_index(const SweepOutcome& outcome) {
+  return std::stoul(outcome.thrown.substr(outcome.thrown.find(':') + 1));
+}
+
+TEST(SweepInOrder, CommitsInIndexOrderWhenTheFirstItemFinishesLast) {
+  // Item 0 holds the frontier: the first time it runs it waits until the
+  // other 63 items of the window have finished, so every other cost is
+  // recorded before any can commit.  The counters and the stop must still
+  // be the serial loop's.
+  constexpr std::size_t kItems = 64;
+  const SweepOutcome total = run_sweep({}, [](verify::VerificationBudget& b) {
+    for (std::size_t i = 0; i < kItems; ++i) fake_item(i, b);
+  });
+  util::ThreadPool two(2), eight(8);
+  for (util::ThreadPool* pool : {&two, &eight}) {
+    for (long cap = 0; cap <= total.nn_evaluations + 1; cap += 9) {
+      SCOPED_TRACE(std::to_string(pool->size()) + " workers, cap " +
+                   std::to_string(cap));
+      verify::VerificationBudget budget;
+      budget.max_nn_evaluations = cap;
+      const SweepOutcome serial =
+          run_sweep(budget, [](verify::VerificationBudget& b) {
+            for (std::size_t i = 0; i < kItems; ++i) fake_item(i, b);
+          });
+      std::atomic<std::size_t> finished{0};
+      std::atomic<bool> held{false}, last{false};
+      const auto item = [&](std::size_t i, verify::VerificationBudget& b) {
+        if (i == 0 && !held.exchange(true)) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (finished.load() < kItems - 1 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          last = finished.load() == kItems - 1;
+        }
+        const auto count_finish = [&] { finished.fetch_add(1); };
+        try {
+          fake_item(i, b);
+        } catch (...) {
+          count_finish();
+          throw;
+        }
+        count_finish();
+      };
+      const SweepOutcome swept =
+          run_sweep(budget, [&](verify::VerificationBudget& b) {
+            verify::sweep_in_order(pool, kItems, b, item);
+          });
+      EXPECT_TRUE(last.load()) << "item 0 did not finish last";
+      EXPECT_EQ(swept.thrown, serial.thrown);
+      EXPECT_EQ(swept.nn_evaluations, serial.nn_evaluations);
+      EXPECT_EQ(swept.partitions, serial.partitions);
+    }
+  }
+}
+
+TEST(SweepInOrder, StartsAtMostOneWindowOfItemsPastTheStop) {
+  // Whatever the scheduling, items start at most 64 indices past the
+  // commit frontier, which never passes the stop: the work a stopping
+  // sweep wastes is bounded by one window plus the items already in
+  // flight, one per participant.
+  constexpr std::size_t kItems = 1000;
+  const SweepOutcome total = run_sweep({}, [](verify::VerificationBudget& b) {
+    for (std::size_t i = 0; i < kItems; ++i) fake_item(i, b);
+  });
+  util::ThreadPool two(2), eight(8);
+  for (util::ThreadPool* pool : {&two, &eight}) {
+    for (const long cap : {0L, 100L, total.nn_evaluations / 3,
+                           total.nn_evaluations - 1}) {
+      SCOPED_TRACE(std::to_string(pool->size()) + " workers, cap " +
+                   std::to_string(cap));
+      verify::VerificationBudget budget;
+      budget.max_nn_evaluations = cap;
+      const SweepOutcome serial =
+          run_sweep(budget, [](verify::VerificationBudget& b) {
+            for (std::size_t i = 0; i < kItems; ++i) fake_item(i, b);
+          });
+      ASSERT_FALSE(serial.thrown.empty());
+      const std::size_t stop = stop_index(serial);
+      std::atomic<std::size_t> past{0};
+      std::atomic<bool> held{false};
+      const auto item = [&](std::size_t i, verify::VerificationBudget& b) {
+        if (i > stop) past.fetch_add(1);
+        // The stopping item is slow the first time it runs, so the other
+        // participants run ahead as far as the sweep lets them.
+        if (i == stop && !held.exchange(true))
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        fake_item(i, b);
+      };
+      const SweepOutcome swept =
+          run_sweep(budget, [&](verify::VerificationBudget& b) {
+            verify::sweep_in_order(pool, kItems, b, item);
+          });
+      EXPECT_EQ(swept.thrown, serial.thrown);
+      EXPECT_EQ(swept.nn_evaluations, serial.nn_evaluations);
+      EXPECT_LE(past.load(), 64 + pool->size());
+    }
   }
 }
 

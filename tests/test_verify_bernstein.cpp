@@ -79,10 +79,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BernsteinSoundness,
 
 TEST(Bernstein, DegreesForHitsTarget) {
   const IBox box = verify::make_box({0.0, 0.0}, {1.0, 1.0});
-  double achieved = 0.0;
-  const auto degrees =
-      BernsteinPoly::degrees_for(2.0, box, 0.5, /*max_degree=*/64, achieved);
+  std::vector<int> degrees;
+  const double achieved =
+      BernsteinPoly::degrees_for(2.0, box, 0.5, /*max_degree=*/64, degrees);
   EXPECT_LE(achieved, 0.5 + 1e-12);
+  ASSERT_EQ(degrees.size(), 2u);
   for (int d : degrees) EXPECT_GE(d, 1);
 }
 
@@ -90,18 +91,18 @@ TEST(Bernstein, DegreesForGrowsLinearlyWithLipschitz) {
   // The verifiability mechanism: doubling L doubles the needed degree
   // (d = ⌈√n·L·w/(2ε)⌉ = 4 at L = 2 and 8 at L = 4).
   const IBox box = verify::make_box({0.0}, {1.0});
-  double achieved = 0.0;
-  const auto d1 = BernsteinPoly::degrees_for(2.0, box, 0.25, 100000, achieved);
-  const auto d2 = BernsteinPoly::degrees_for(4.0, box, 0.25, 100000, achieved);
+  std::vector<int> d1, d2;
+  (void)BernsteinPoly::degrees_for(2.0, box, 0.25, 100000, d1);
+  (void)BernsteinPoly::degrees_for(4.0, box, 0.25, 100000, d2);
   EXPECT_EQ(d1, std::vector<int>{4});
   EXPECT_EQ(d2, std::vector<int>{8});
 }
 
 TEST(Bernstein, DegreeCapSignalsInsufficientPrecision) {
   const IBox box = verify::make_box({0.0}, {1.0});
-  double achieved = 0.0;
-  (void)BernsteinPoly::degrees_for(100.0, box, 0.01, /*max_degree=*/4,
-                                   achieved);
+  std::vector<int> degrees;
+  const double achieved = BernsteinPoly::degrees_for(
+      100.0, box, 0.01, /*max_degree=*/4, degrees);
   EXPECT_GT(achieved, 0.01);  // cap binds -> caller must partition.
 }
 
@@ -111,12 +112,11 @@ TEST(Bernstein, DegreesForClampsHugeRatiosToTheCap) {
   // UB; on x86 it yields {1, 1}).  A NaN Lipschitz bound maps to the cap
   // too.
   const IBox box = verify::make_box({-1.0, -1.0}, {1.0, 1.0});
-  double achieved = 0.0;
-  EXPECT_EQ(BernsteinPoly::degrees_for(1e12, box, 1e-3, 10, achieved),
-            (std::vector<int>{10, 10}));
-  EXPECT_GT(achieved, 1e-3);
-  EXPECT_EQ(BernsteinPoly::degrees_for(std::nan(""), box, 1e-3, 10, achieved),
-            (std::vector<int>{10, 10}));
+  std::vector<int> degrees;
+  EXPECT_GT(BernsteinPoly::degrees_for(1e12, box, 1e-3, 10, degrees), 1e-3);
+  EXPECT_EQ(degrees, (std::vector<int>{10, 10}));
+  (void)BernsteinPoly::degrees_for(std::nan(""), box, 1e-3, 10, degrees);
+  EXPECT_EQ(degrees, (std::vector<int>{10, 10}));
 }
 
 TEST(Bernstein, DegreesForRejectsACapBelowOne) {
@@ -124,25 +124,60 @@ TEST(Bernstein, DegreesForRejectsACapBelowOne) {
   // it breaks: an assertion under _GLIBCXX_ASSERTIONS, degree 0 and an
   // infinite bound otherwise.
   const IBox box = verify::make_box({0.0}, {1.0});
-  double achieved = 0.0;
+  std::vector<int> degrees;
   for (const int cap : {0, -3})
     EXPECT_THROW((void)BernsteinPoly::degrees_for(2.0, box, 0.25, cap,
-                                                  achieved),
+                                                  degrees),
                  std::invalid_argument);
 }
 
 TEST(Bernstein, GridSpansTheBoxDimensionZeroFastest) {
   const IBox box = verify::make_box({0.0, -1.0, 2.0}, {1.0, 1.0, 3.0});
-  const std::vector<double> points = BernsteinPoly::grid(box, {2, 1, 1});
+  std::vector<double> points(1000, 7.0);  // a larger buffer shrinks.
+  BernsteinPoly::grid(box, {2, 1, 1}, points);
   ASSERT_EQ(points.size(), 3u * 2u * 2u * 3u);
   EXPECT_EQ((std::vector<double>(points.begin(), points.begin() + 9)),
             (std::vector<double>{0.0, -1.0, 2.0, 0.5, -1.0, 2.0, 1.0, -1.0,
                                  2.0}));
   EXPECT_EQ((std::vector<double>(points.end() - 3, points.end())),
             (std::vector<double>{1.0, 1.0, 3.0}));
-  EXPECT_THROW((void)BernsteinPoly::grid(box, {1, 1}), std::invalid_argument);
-  EXPECT_THROW((void)BernsteinPoly::grid(box, {1, 0, 1}),
+  EXPECT_THROW(BernsteinPoly::grid(box, {1, 1}, points),
                std::invalid_argument);
+  EXPECT_THROW(BernsteinPoly::grid(box, {1, 0, 1}, points),
+               std::invalid_argument);
+}
+
+TEST(Bernstein, GridCoordinatesAreTheClosedFormBitForBit) {
+  // Each axis's coordinates are computed once and copied to every point
+  // that shares them; each must be the closed form lo + width·k/d itself.
+  util::Rng rng(41);
+  std::vector<double> points;
+  for (int trial = 0; trial < 50; ++trial) {
+    const double lo[3] = {rng.uniform(-3.0, 1.0), rng.uniform(-1e-3, 0.0),
+                          rng.uniform(0.1, 0.2)};
+    const IBox box = verify::make_box(
+        {lo[0], lo[1], lo[2]},
+        {lo[0] + rng.uniform(0.01, 2.0), lo[1] + rng.uniform(1e-6, 1e-3),
+         lo[2] + rng.uniform(0.001, 0.05)});
+    const std::vector<int> degrees = {
+        static_cast<int>(rng.uniform_int(1, 10)),
+        static_cast<int>(rng.uniform_int(1, 10)),
+        static_cast<int>(rng.uniform_int(1, 10))};
+    BernsteinPoly::grid(box, degrees, points);
+    std::size_t j = 0;
+    for (int k2 = 0; k2 <= degrees[2]; ++k2)
+      for (int k1 = 0; k1 <= degrees[1]; ++k1)
+        for (int k0 = 0; k0 <= degrees[0]; ++k0, ++j) {
+          const int k[3] = {k0, k1, k2};
+          for (std::size_t d = 0; d < 3; ++d)
+            ASSERT_EQ(points[j * 3 + d],
+                      box[d].lo() + box[d].width() *
+                                        static_cast<double>(k[d]) /
+                                        static_cast<double>(degrees[d]))
+                << "trial " << trial << " point " << j << " axis " << d;
+        }
+    ASSERT_EQ(j * 3, points.size());
+  }
 }
 
 }  // namespace

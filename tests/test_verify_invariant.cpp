@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "control/lqr_controller.h"
 #include "control/nn_controller.h"
@@ -97,8 +99,8 @@ TEST(Invariant, StrongerControllerYieldsLargerSet) {
 TEST(Invariant, BudgetExhaustionReportedNotThrown) {
   // The report must also stop exactly where a serial sweep does: cells
   // abstracted in index order against one budget, stopping at the first
-  // partition that exhausts it.  The second cap runs out past the first
-  // wave of cells.
+  // partition that exhausts it.  The second cap runs out more than one
+  // 64-cell sweep window in.
   auto system = std::make_shared<sys::VanDerPol>();
   nn::Mlp net = nn::Mlp::make(2, {16, 16}, 1, nn::Activation::kTanh,
                               nn::Activation::kIdentity, 4);
@@ -209,6 +211,32 @@ TEST(Invariant, RejectsGridArityMismatch) {
   config.grid = {32, 32, 32};
   EXPECT_THROW(verify::InvariantSetComputer(system, *controller, config),
                std::invalid_argument);
+}
+
+TEST(Invariant, RejectsEmptyNegativeAndOverflowingGrids) {
+  // A zero cell count used to certify an empty grid as completed with a
+  // NaN volume, and a negative one threw std::length_error from the member
+  // mask; a cell product past size_t would wrap.  All fail at construction.
+  auto vdp = std::make_shared<sys::VanDerPol>();
+  const auto controller = vdp_linear_controller(0.05);
+  for (const std::vector<int>& grid :
+       {std::vector<int>{0, 8}, std::vector<int>{8, 0},
+        std::vector<int>{-1, 8}, std::vector<int>{8, -40}}) {
+    verify::InvariantConfig config = small_config();
+    config.grid = grid;
+    EXPECT_THROW(verify::InvariantSetComputer(vdp, *controller, config),
+                 std::invalid_argument)
+        << grid[0] << " x " << grid[1];
+  }
+  auto threed = sys::make_system("threed");
+  const ctrl::ZeroController zero(3, 1);
+  verify::InvariantConfig config = small_config();
+  const int huge = std::numeric_limits<int>::max();
+  config.grid = {huge, huge, huge};
+  EXPECT_THROW(verify::InvariantSetComputer(threed, zero, config),
+               std::invalid_argument);
+  config.grid = {2, 3, 4};  // the same system and controller are accepted.
+  EXPECT_NO_THROW(verify::InvariantSetComputer(threed, zero, config));
 }
 
 TEST(Invariant, ContainsAgreesWithMembership) {

@@ -95,9 +95,9 @@ TEST_P(ConeOracle, EnclosureTopMeetsThePeakAtACellCentre) {
   config.epsilon_target = 0.25;
   config.max_degree = 64;
   config.max_partition_depth = 0;
-  double radius = 0.0;
-  const std::vector<int> degrees = verify::BernsteinPoly::degrees_for(
-      kLipschitz, box, config.epsilon_target, config.max_degree, radius);
+  std::vector<int> degrees;
+  const double radius = verify::BernsteinPoly::degrees_for(
+      kLipschitz, box, config.epsilon_target, config.max_degree, degrees);
   ASSERT_LE(radius, config.epsilon_target);
   // The first, a middle and the last cell along every axis.
   for (const int which : {0, 1, 2}) {
@@ -248,11 +248,11 @@ TEST_P(TrainedOracle, EnclosureContainsActAndActBatch) {
     const IBox& box = boxes[b];
     std::vector<Vec> points;
     for (int k = 0; k < 64; ++k) points.push_back(uniform_in(box, rng));
-    double unused = 0.0;
-    const std::vector<Vec> centres = cell_centres(
-        box, verify::BernsteinPoly::degrees_for(
-                 subject->lipschitz_bound(), box, workload.epsilon_target,
-                 workload.max_degree, unused));
+    std::vector<int> degrees;
+    (void)verify::BernsteinPoly::degrees_for(subject->lipschitz_bound(), box,
+                                             workload.epsilon_target,
+                                             workload.max_degree, degrees);
+    const std::vector<Vec> centres = cell_centres(box, degrees);
     points.insert(points.end(), centres.begin(), centres.end());
     for (std::size_t o = 0; o < outputs; ++o)
       for (const double sign : {1.0, -1.0})
